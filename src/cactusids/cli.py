@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 oracle resource limit, 3 when
-``verify`` finds refuted claims (so CI can gate on consistency). Output is
-deterministic: identical invocations produce byte-identical output.
+Exit codes: 0 success, 1 usage error, 2 resource limit (a graph above the
+oracle vertex ceiling, a ``--n``/``--m`` above MAX_LENGTH or a ``--max-n``
+above MAX_SEQUENCE_LENGTH), 3 when ``verify`` finds refuted claims (so CI can
+gate on consistency). Output is deterministic: identical invocations produce
+byte-identical output, and every count is printed exactly, however many
+digits it has.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from typing import Optional
 
 from .chains import (
@@ -18,10 +22,11 @@ from .chains import (
     Family,
     LINEAR_FAMILIES,
     build_chain,
+    expected_vertex_count,
     to_edge_list_text,
     to_json_dict,
 )
-from .genfunc import derived_gf, gf_coefficients, paper_gf
+from .genfunc import derived_gf, gf_coefficients, paper_gf, recurrence_from_gf
 from .graphs import DEFAULT_MAX_VERTICES, OracleLimitError, count_ids
 from .polynomials import format_gf, gf_to_json_dict
 from .recurrences import eval_recurrence, paper_recurrence, paper_transfer_system, run_transfer
@@ -29,14 +34,32 @@ from .verify import (
     DEFAULT_ORACLE_CEILING,
     DEFAULT_SYMBOLIC_MAX,
     check_defect_formula,
+    defect_claim,
+    defect_formula_value,
     errata_report,
     max_length_within,
+    ortho_square_contains,
     verify_all,
     _gamma_formula,
     _oracle_gamma,
 )
 
 _FAMILY_BY_FLAG = {f.value: f for f in Family}
+
+# Largest --n (and --m) that ``count`` accepts. Every count route other than
+# the oracle takes O(log n) matrix products; at n = 10^5 a count has up to
+# about 62k digits and computing plus printing it takes about 0.2 s, at 10^6
+# about 11 s.
+MAX_LENGTH = 100_000
+# Largest --max-n that ``sequence`` accepts. It computes every count up to
+# max-n, one route call per length, and prints about 0.3 * max-n^2 digits
+# for hex-para: at 2000, 1.2 MB in under 3 s by any route; at 10^4, 30 MB
+# and about a minute by the printed recurrence.
+MAX_SEQUENCE_LENGTH = 2_000
+
+
+class LengthLimitError(RuntimeError):
+    """Raised when a requested length is above the documented cap."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,8 +164,10 @@ def _parse_spec(parser, args) -> ChainSpec:
     return ChainSpec(family, m=args.m, n=args.n)
 
 
-def _check_ceiling(args) -> int:
+def _check_ceiling(parser, args) -> int:
     ceiling = args.oracle_max_vertices
+    if ceiling < 0:
+        parser.error(f"--oracle-max-vertices must be nonnegative, not {ceiling}")
     if ceiling > DEFAULT_MAX_VERTICES:
         raise OracleLimitError(
             f"--oracle-max-vertices {ceiling} exceeds the hard cap {DEFAULT_MAX_VERTICES}"
@@ -162,10 +187,38 @@ def _warn_if_errata(family: Family, method: str, value: int, n: int) -> None:
         )
 
 
+def _warn_if_defect_erratum(kind: str, m: int, n: int, value: int) -> None:
+    if kind != "para-defect":
+        return
+    corrected = value + ortho_square_contains(m) * ortho_square_contains(n)
+    print(
+        f"warning: formula value {value} differs from the corrected value "
+        f"{corrected}, which adds the sets containing both cut vertices of the "
+        f"defect square; the printed statement is a known erratum "
+        f"(claim {defect_claim(kind, m, n).id})",
+        file=sys.stderr,
+    )
+
+
+def _check_length(flag: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise LengthLimitError(f"{flag} {value} is above the cap {cap}")
+
+
+def _oracle_count(spec: ChainSpec, ceiling: int) -> int:
+    # refuse before building: a long chain's bitset graph alone can exhaust memory
+    vertices = expected_vertex_count(spec)
+    cap = min(ceiling, DEFAULT_MAX_VERTICES)
+    if vertices > cap:
+        raise OracleLimitError(
+            f"graph has {vertices} vertices, above the oracle ceiling {cap}"
+        )
+    return count_ids(build_chain(spec).graph, max_vertices=ceiling)
+
+
 def _linear_count(family: Family, n: int, method: str, gf_source: str, ceiling: int) -> int:
     if method == "oracle":
-        chain = build_chain(ChainSpec(family, length=n))
-        return count_ids(chain.graph, max_vertices=ceiling)
+        return _oracle_count(ChainSpec(family, length=n), ceiling)
     if method == "transfer":
         return run_transfer(paper_transfer_system(family), n)
     if method == "recurrence":
@@ -173,7 +226,9 @@ def _linear_count(family: Family, n: int, method: str, gf_source: str, ceiling: 
         _warn_if_errata(family, "recurrence", value, n)
         return value
     gf = paper_gf(family) if gf_source == "paper" else derived_gf(family)
-    value = gf_coefficients(gf, n)[n]
+    # coefficient n in O(log n) products, from the recurrence the GF's
+    # denominator defines and the GF's own leading coefficients
+    value = eval_recurrence(recurrence_from_gf(gf), n)
     if gf_source == "paper":
         _warn_if_errata(family, "gf", value, n)
     return value
@@ -181,13 +236,14 @@ def _linear_count(family: Family, n: int, method: str, gf_source: str, ceiling: 
 
 def _cmd_count(parser, args) -> int:
     spec = _parse_spec(parser, args)
-    ceiling = _check_ceiling(args)
+    ceiling = _check_ceiling(parser, args)
     family = spec.family
     if family in LINEAR_FAMILIES:
         if args.method == "formula":
             parser.error("--method formula applies only to defect families")
         if args.n < 1:
             parser.error("--n must be at least 1")
+        _check_length("--n", args.n, MAX_LENGTH)
         value = _linear_count(family, args.n, args.method, args.gf_source, ceiling)
     else:
         if args.method not in ("oracle", "formula"):
@@ -195,14 +251,14 @@ def _cmd_count(parser, args) -> int:
                 "defect families support --method oracle or formula, "
                 f"not {args.method}"
             )
+        _check_length("--m", spec.m, MAX_LENGTH)
+        _check_length("--n", spec.n, MAX_LENGTH)
         if args.method == "oracle":
-            chain = build_chain(spec)
-            value = count_ids(chain.graph, max_vertices=ceiling)
+            value = _oracle_count(spec, ceiling)
         else:
-            from .verify import defect_formula_value
-
             kind = "ortho-defect" if family is Family.PARA_CHAIN_ORTHO_DEFECT else "para-defect"
             value = defect_formula_value(kind, spec.m, spec.n)
+            _warn_if_defect_erratum(kind, spec.m, spec.n, value)
     if args.format == "json":
         doc = {"family": args.family, "method": args.method, "count": value}
         if family in LINEAR_FAMILIES:
@@ -219,9 +275,10 @@ def _cmd_count(parser, args) -> int:
 
 def _cmd_sequence(parser, args) -> int:
     family = _FAMILY_BY_FLAG[args.family]
-    ceiling = _check_ceiling(args)
+    ceiling = _check_ceiling(parser, args)
     if args.max_n < 1:
         parser.error("--max-n must be at least 1")
+    _check_length("--max-n", args.max_n, MAX_SEQUENCE_LENGTH)
     if args.method == "gf":
         gf = paper_gf(family) if args.gf_source == "paper" else derived_gf(family)
         series = gf_coefficients(gf, args.max_n)
@@ -269,11 +326,17 @@ def _cmd_build(parser, args) -> int:
 
 def _cmd_gamma(parser, args) -> int:
     family = _FAMILY_BY_FLAG[args.family]
-    ceiling = _check_ceiling(args)
-    limit = max_length_within(family, ceiling)
-    max_n = args.max_n if args.max_n is not None else limit
-    if max_n < 1:
+    ceiling = _check_ceiling(parser, args)
+    if args.max_n is not None and args.max_n < 1:
         parser.error("--max-n must be at least 1")
+    limit = max_length_within(family, ceiling)
+    if limit < 1:
+        raise OracleLimitError(
+            f"--oracle-max-vertices {ceiling} is below the "
+            f"{expected_vertex_count(ChainSpec(family, length=1))} vertices "
+            f"of the length-1 {args.family} chain"
+        )
+    max_n = args.max_n if args.max_n is not None else limit
     if max_n > limit:
         raise OracleLimitError(
             f"gamma at n = {max_n} needs more than {ceiling} vertices"
@@ -301,7 +364,7 @@ def _cmd_gamma(parser, args) -> int:
 
 def _cmd_defect(parser, args) -> int:
     family = _FAMILY_BY_FLAG[args.family]
-    ceiling = _check_ceiling(args)
+    ceiling = _check_ceiling(parser, args)
     kind = "ortho-defect" if family is Family.PARA_CHAIN_ORTHO_DEFECT else "para-defect"
     if args.m < 1 or args.n < 1:
         parser.error("--m and --n must be at least 1")
@@ -323,7 +386,7 @@ def _cmd_defect(parser, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
-    ceiling = _check_ceiling(args)
+    ceiling = _check_ceiling(parser, args)
     reports = verify_all(oracle_ceiling=ceiling, n_max_symbolic=args.symbolic_max)
     print(errata_report(reports, format=args.report))
     refuted = sum(1 for r in reports for s in r.statuses if s.verdict == "refuted")
@@ -341,15 +404,31 @@ _HANDLERS = {
 }
 
 
+@contextmanager
+def _exact_int_text():
+    """Lift the interpreter's int-to-str digit limit (4300 digits by default,
+    absent before Python 3.10.7) for the call, so counts print exactly."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](parser, args)
+        with _exact_int_text():
+            return _HANDLERS[args.command](parser, args)
     except SystemExit as exc:
         # argparse paths: usage errors exit 1 (see _Parser), --help exits 0
         return exc.code if isinstance(exc.code, int) else 1
-    except OracleLimitError as exc:
+    except (OracleLimitError, LengthLimitError) as exc:
         print(f"cactusids: resource limit: {exc}", file=sys.stderr)
         return 2
 

@@ -4,10 +4,11 @@ A maximal independent set is exactly an independent dominating set, so the
 oracle doubles as ground truth for every counting claim in the package. Two
 independent strategies are kept deliberately separate:
 
-* ``scan``  - literal subset scan over all 2^n vertex subsets, checking the
-  definition (independent, closed neighbourhood covers everything);
 * ``pivot`` - maximal-clique enumeration on the complement graph with
-  Tomita-style pivoting.
+  Tomita-style pivoting; the ``auto`` strategy at every size;
+* ``scan``  - literal subset scan over all 2^n vertex subsets, checking the
+  definition (independent, closed neighbourhood covers everything); kept as
+  the cross-check.
 
 Both must agree; tests cross-check them. Vertex sets are plain ints used as
 bitmasks (bit i = vertex i). All functions are pure; shared graphs are safe
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 DEFAULT_MAX_VERTICES = 40  # hard resource cap for any oracle call
-SCAN_MAX_VERTICES = 20     # auto strategy switches to pivot enumeration above this
 
 
 class OracleLimitError(RuntimeError):
@@ -162,7 +162,7 @@ def _require_within(g: Graph, max_vertices: int) -> None:
 
 def _resolve_strategy(g: Graph, strategy: str) -> str:
     if strategy == "auto":
-        return "scan" if g.n_vertices <= SCAN_MAX_VERTICES else "pivot"
+        return "pivot"
     if strategy not in ("scan", "pivot"):
         raise ValueError(f"unknown strategy {strategy!r}")
     return strategy
@@ -233,6 +233,7 @@ def _mis_masks_pivot(adjacency: tuple[int, ...], allowed: int) -> list[int]:
             x |= b
 
     expand(0, allowed, 0)
+    del expand  # the closure refers to itself; without this, out waits for the cyclic GC
     out.sort()
     return out
 

@@ -444,23 +444,31 @@ class RationalGF:
 
         Integrality is not assumed: entries are ints when integral and
         ``Fraction`` otherwise (a fractional entry signals a malformed
-        claimed generating function).
+        claimed generating function). Each entry costs one product per
+        nonzero denominator coefficient and an exact division by the
+        constant term, in int arithmetic up to the first entry that does
+        not divide and in ``Fraction`` arithmetic after it.
         """
-        if self.denominator[0] == 0:
+        d0 = self.denominator[0]
+        if d0 == 0:
             raise ValueError(
                 "denominator constant term is zero; series is not extractable"
             )
-        d0 = self.denominator[0]
-        out = []
+        terms = [(i, d) for i, d in enumerate(self.denominator.coeffs) if i and d]
+        out: list = []
         for n in range(upto + 1):
-            acc = Fraction(self.numerator[n])
-            for i in range(1, n + 1):
-                di = self.denominator[i]
-                if di:
-                    acc -= di * out[n - i]
-            val = acc / d0
-            out.append(val)
-        return [int(v) if v.denominator == 1 else v for v in out]
+            acc = self.numerator[n]
+            for i, d in terms:
+                if i > n:
+                    break
+                acc -= d * out[n - i]
+            if isinstance(acc, int):
+                q, r = divmod(acc, d0)
+                out.append(Fraction(acc, d0) if r else q)
+            else:
+                val = acc / d0
+                out.append(int(val) if val.denominator == 1 else val)
+        return out
 
 
 def _coerce_gf(value):

@@ -108,12 +108,38 @@ def paper_transfer_system(family: Family) -> TransferSystem:
     return TransferSystem(family, names, matrix, init, weights)
 
 
-def _step(matrix: tuple[tuple[int, ...], ...], vec: tuple[int, ...]) -> tuple[int, ...]:
+Matrix = tuple[tuple[int, ...], ...]
+
+
+def _step(matrix: Matrix, vec: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(row[j] * vec[j] for j in range(len(vec))) for row in matrix)
 
 
+def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def mat_pow_vec(matrix: Matrix, e: int, vec: tuple[int, ...]) -> tuple[int, ...]:
+    """A^e v exactly, by repeated squaring: O(log e) matrix products.
+
+    Left-to-right binary powering, so each step squares the partial power and
+    at most multiplies it by ``matrix`` itself, whose entries stay small.
+    """
+    if e < 0:
+        raise ValueError("exponent must be nonnegative")
+    if e == 0:
+        return tuple(vec)
+    power = matrix
+    for bit in bin(e)[3:]:
+        power = _mat_mul(power, power)
+        if bit == "1":
+            power = _mat_mul(power, matrix)
+    return _step(power, vec)
+
+
 def state_trajectory(system: TransferSystem, n: int) -> list[tuple[int, ...]]:
-    """State vectors for lengths 1..n."""
+    """State vectors for lengths 1..n, by n-1 single steps."""
     if n < 1:
         raise ValueError("length must be at least 1")
     vec = system.initial_vector
@@ -124,13 +150,16 @@ def state_trajectory(system: TransferSystem, n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def run_transfer(system: TransferSystem, n: int) -> int:
-    """Count at length n: apply the update n-1 times, then weight and sum."""
+def transfer_state(system: TransferSystem, n: int) -> tuple[int, ...]:
+    """State vector at length n: A^(n-1) v(1), with O(log n) matrix products."""
     if n < 1:
         raise ValueError("length must be at least 1")
-    vec = system.initial_vector
-    for _ in range(n - 1):
-        vec = _step(system.update_matrix, vec)
+    return mat_pow_vec(system.update_matrix, n - 1, system.initial_vector)
+
+
+def run_transfer(system: TransferSystem, n: int) -> int:
+    """Count at length n: the weighted sum of the state vector at length n."""
+    vec = transfer_state(system, n)
     return sum(w * v for w, v in zip(system.output_weights, vec))
 
 
@@ -191,12 +220,22 @@ def paper_recurrence(family: Family) -> LinearRecurrence:
     return LinearRecurrence(coeffs, initials, valid_from, frozenset(formal))
 
 
+def _companion(coefficients: tuple[int, ...]) -> Matrix:
+    """Shift matrix taking (a(t), ..., a(t-k+1)) to (a(t+1), ..., a(t-k+2))."""
+    k = len(coefficients)
+    shift = tuple(tuple(int(j == i) for j in range(k)) for i in range(k - 1))
+    return (tuple(coefficients),) + shift
+
+
 def eval_recurrence(rec: LinearRecurrence, n: int) -> int:
     """Value at index n: an initial term if supplied, else advanced exactly.
 
     Advancing starts right after the contiguous window of initial terms, so
     gaps between a printed validity index and the first computable term are
-    bridged by the recurrence itself.
+    bridged by the recurrence itself. A term supplied beyond that window
+    overrides the relation: the window is advanced by companion-matrix powers
+    up to it, restarted from it, and so on up to n, with O(log n) matrix
+    products and memory for k terms.
     """
     values = rec.initial_map
     if n in values:
@@ -208,8 +247,10 @@ def eval_recurrence(rec: LinearRecurrence, n: int) -> int:
     for i in range(base, base + k):
         if i not in values:
             raise ValueError(f"initial terms do not cover index {i}")
-    for i in range(base + k, n + 1):
-        if i in values:
-            continue
-        values[i] = sum(c * values[i - j - 1] for j, c in enumerate(rec.coefficients))
-    return values[n]
+    companion = _companion(rec.coefficients)
+    top = base + k - 1  # window = (a(top), a(top-1), ..., a(top-k+1))
+    window = tuple(values[top - j] for j in range(k))
+    for i in sorted(i for i in values if top < i < n):
+        window = (values[i],) + mat_pow_vec(companion, i - 1 - top, window)[:-1]
+        top = i
+    return mat_pow_vec(companion, n - top, window)[0]

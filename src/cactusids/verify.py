@@ -50,12 +50,15 @@ from .graphs import (
 )
 from .polynomials import format_gf
 from .recurrences import (
+    STATE_AVOIDS,
+    STATE_CONTAINS,
     LinearRecurrence,
     eval_recurrence,
     paper_recurrence,
     paper_transfer_system,
     run_transfer,
     state_trajectory,
+    transfer_state,
 )
 
 DEFAULT_ORACLE_CEILING = 26
@@ -920,15 +923,13 @@ def defect_formula_value(kind: str, m: int, n: int) -> int:
     if m < 1 or n < 1:
         raise ValueError("defect parameters must be at least 1")
     if kind == "ortho-defect":
-        traj = state_trajectory(
-            paper_transfer_system(Family.SQUARE_PARA), max(m, n) + 1
-        )
+        system = paper_transfer_system(Family.SQUARE_PARA)
 
         def total(k: int) -> int:
-            return traj[k - 1][0] + traj[k - 1][1]
+            return run_transfer(system, k)
 
         def avoids(k: int) -> int:
-            return traj[k - 1][1]
+            return transfer_state(system, k)[STATE_AVOIDS]
 
         return total(m) * avoids(n + 1) + total(n) * avoids(m + 1)
     _defect_family(kind)
@@ -938,6 +939,13 @@ def defect_formula_value(kind: str, m: int, n: int) -> int:
         return 1 if k == 0 else run_transfer(system, k)
 
     return s(n) * s(m) + 2 * s(m - 1) * s(n - 1)
+
+
+def ortho_square_contains(k: int) -> int:
+    """s'(k): sets of the length-k ortho-square chain containing its terminal
+    vertex. The published para-defect formula omits s'(m)*s'(n), the sets
+    containing both cut vertices of the defect square."""
+    return transfer_state(paper_transfer_system(Family.SQUARE_ORTHO), k)[STATE_CONTAINS]
 
 
 def check_defect_formula(
@@ -989,11 +997,8 @@ def check_defect_formula(
 
     corrected = None
     if kind == "para-defect":
-        traj = state_trajectory(
-            paper_transfer_system(Family.SQUARE_ORTHO), max(m, n)
-        )
-        contains = lambda k: traj[k - 1][0]  # noqa: E731
-        candidate = formula + contains(m) * contains(n)
+        cm, cn = ortho_square_contains(m), ortho_square_contains(n)
+        candidate = formula + cm * cn
         if candidate == oracle:
             corrected = (
                 "s(m)*s(n) + 2*s(m-1)*s(n-1) + s'(m)*s'(n), where s'(k) counts the "
@@ -1004,7 +1009,7 @@ def check_defect_formula(
             )
             details.append(
                 "adding the contains-both-cut-vertices case reconciles the "
-                f"formula: {formula} + {contains(m)}*{contains(n)} = {candidate}"
+                f"formula: {formula} + {cm}*{cn} = {candidate}"
             )
         else:
             details.append("boundary-class correction attempt did not reconcile")

@@ -1,8 +1,14 @@
 import json
+import sys
+from decimal import Decimal
 
 import pytest
 
-from cactusids.cli import main
+from cactusids import cli
+from cactusids.chains import Family, LINEAR_FAMILIES
+from cactusids.cli import MAX_LENGTH, MAX_SEQUENCE_LENGTH, main
+from cactusids.genfunc import derived_gf, gf_coefficients, paper_gf
+from cactusids.recurrences import paper_transfer_system, run_transfer
 
 
 def run(capsys, *argv):
@@ -91,6 +97,91 @@ class TestCount:
         )
         assert code == 2
         assert "resource limit" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_counts_beyond_the_int_text_limit_print_exactly(self, capsys, fmt):
+        limit = sys.get_int_max_str_digits()
+        expected = run_transfer(paper_transfer_system(Family.TRIANGULAR), 30000)
+        code, out, err = run(
+            capsys, "count", "--family", "tri", "--n", "30000", "--format", fmt
+        )
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            value = json.loads(out, parse_int=Decimal)["count"]
+        else:
+            value = Decimal(out)
+        assert value == expected and value.adjusted() + 1 > limit
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_lengths_above_the_caps_are_refused(self, capsys):
+        for argv in (
+            ("count", "--family", "tri", "--n", str(MAX_LENGTH + 1)),
+            ("count", "--family", "hex-para", "--n", str(MAX_LENGTH + 1), "--method", "gf"),
+            ("count", "--family", "s-defect", "--m", str(MAX_LENGTH + 1), "--n", "1",
+             "--method", "formula"),
+            ("sequence", "--family", "tri", "--max-n", str(MAX_SEQUENCE_LENGTH + 1)),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "resource limit" in err and "above the cap" in err
+
+    def test_oracle_refused_before_building(self, capsys, monkeypatch):
+        def no_build(spec):
+            raise AssertionError("chain built above the ceiling")
+
+        monkeypatch.setattr(cli, "build_chain", no_build)
+        for argv in (
+            ("count", "--family", "hex-para", "--n", str(MAX_LENGTH), "--method", "oracle"),
+            ("count", "--family", "p-defect", "--m", "500", "--n", "500",
+             "--method", "oracle"),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 2 and "above the oracle ceiling 26" in err
+
+    @pytest.mark.parametrize("family", LINEAR_FAMILIES, ids=lambda f: f.value)
+    def test_gf_method_equals_series(self, capsys, family):
+        for source, gf in (("derived", derived_gf(family)), ("paper", paper_gf(family))):
+            series = gf_coefficients(gf, 40)
+            for n in (1, 2, 3, 4, 5, 17, 40):
+                code, out, _ = run(
+                    capsys, "count", "--family", family.value, "--n", str(n),
+                    "--method", "gf", "--gf-source", source,
+                )
+                assert (code, out) == (0, f"{series[n]}\n"), (source, n)
+
+    def test_s_defect_formula_warns(self, capsys):
+        code, out, err = run(
+            capsys,
+            "count", "--family", "s-defect", "--m", "1", "--n", "1", "--method", "formula",
+        )
+        assert (code, out) == (0, "6\n")
+        assert "s-defect-1-1" in err and "corrected value 7" in err
+        code, out, err = run(
+            capsys,
+            "count", "--family", "p-defect", "--m", "2", "--n", "1", "--method", "formula",
+        )
+        assert (code, out, err) == (0, "14\n", "")
+
+
+class TestOracleCeilingFlag:
+    @pytest.mark.parametrize("command", [
+        ("gamma", "--family", "tri"),
+        ("count", "--family", "tri", "--n", "2", "--method", "oracle"),
+        ("verify",),
+    ])
+    def test_negative_is_a_usage_error(self, capsys, command):
+        code, out, err = run(capsys, *command, "--oracle-max-vertices", "-5")
+        assert (code, out) == (1, "")
+        assert "--oracle-max-vertices must be nonnegative" in err
+        assert "--max-n" not in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("ceiling, vertices", [("0", 3), ("2", 3)])
+    def test_below_the_length_one_chain(self, capsys, ceiling, vertices):
+        code, out, err = run(
+            capsys, "gamma", "--family", "tri", "--oracle-max-vertices", ceiling
+        )
+        assert (code, out) == (2, "")
+        assert f"below the {vertices} vertices of the length-1 tri chain" in err
 
 
 class TestSequence:

@@ -1,8 +1,10 @@
+import gc
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cactusids.chains import ChainSpec, Family, build_chain
 from cactusids.graphs import (
     BoundaryCounts,
     Graph,
@@ -164,11 +166,22 @@ class TestCounting:
                 enumerate_mis(g, strategy="pivot")
             )
 
-    def test_strategies_agree_at_auto_cutover(self):
-        # 20 vertices is the last size the auto strategy scans
+    def test_strategies_agree_at_20_vertices(self):
+        # auto picks pivot at every size; scan is the literal-definition
+        # cross-check, compared here on a 20-vertex graph (2^20 subsets)
         rng = random.Random(41)
         g = random_graph(rng, 20, p=0.15)
         assert count_ids(g, strategy="scan") == count_ids(g, strategy="pivot")
+
+    def test_pivot_leaves_no_reference_cycle(self):
+        g = build_chain(ChainSpec(Family.HEX_PARA, length=7)).graph
+        gc.collect()
+        gc.disable()
+        try:
+            assert count_ids(g) == 20969
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_enumerate_respects_ceiling(self):
         with pytest.raises(OracleLimitError):

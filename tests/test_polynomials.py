@@ -19,6 +19,18 @@ def P(*coeffs):
     return Polynomial(coeffs)
 
 
+def _series_reference(gf, upto):
+    """Quadratic Fraction recursion: d0 a(n) = num(n) - sum_i d_i a(n-i)."""
+    d = gf.denominator
+    out = []
+    for n in range(upto + 1):
+        acc = Fraction(gf.numerator[n])
+        for i in range(1, n + 1):
+            acc -= d[i] * out[n - i]
+        out.append(acc / d[0])
+    return [int(v) if v.denominator == 1 else v for v in out]
+
+
 class TestPolynomial:
     def test_canonical_trim(self):
         assert P(1, 2, 0, 0).coeffs == (1, 2)
@@ -188,6 +200,28 @@ class TestRationalGF:
     def test_series_can_be_fractional(self):
         vals = RationalGF(P(1), P(2, -1)).series(2)
         assert vals == [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
+        assert all(type(v) is Fraction for v in vals)
+
+    def test_series_d0_two_mixes_ints_and_fractions(self):
+        # (2 + x^2)/(2 - 2x) = 1 + x + 3/2 x^2 + 3/2 x^3 + ...
+        vals = RationalGF(P(2, 0, 1), P(2, -2)).series(4)
+        assert vals == [1, 1, Fraction(3, 2), Fraction(3, 2), Fraction(3, 2)]
+        assert [type(v) for v in vals] == [int, int, Fraction, Fraction, Fraction]
+
+    @given(
+        st.lists(st.integers(-6, 6), min_size=1, max_size=5),
+        st.lists(st.integers(-6, 6), min_size=1, max_size=5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_series_matches_fraction_reference(self, cn, cd):
+        den = Polynomial(cd)
+        if den[0] == 0:
+            return
+        gf = RationalGF(Polynomial(cn), den)
+        got = gf.series(12)
+        expected = _series_reference(gf, 12)
+        assert got == expected
+        assert [type(v) for v in got] == [type(v) for v in expected]
 
     def test_arithmetic(self):
         half = RationalGF(P(1), P(1, -1))

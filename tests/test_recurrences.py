@@ -1,15 +1,18 @@
 import pytest
 
 from cactusids.chains import ChainSpec, Family, LINEAR_FAMILIES, build_chain
+from cactusids.genfunc import derived_recurrence
 from cactusids.graphs import count_boundary_classes, count_ids
 from cactusids.recurrences import (
     LinearRecurrence,
     eval_recurrence,
+    mat_pow_vec,
     measured_extendable_seed,
     paper_recurrence,
     paper_transfer_system,
     run_transfer,
     state_trajectory,
+    transfer_state,
 )
 
 
@@ -51,6 +54,8 @@ class TestRunTransfer:
     def test_invalid_length(self):
         with pytest.raises(ValueError):
             run_transfer(paper_transfer_system(Family.TRIANGULAR), 0)
+        with pytest.raises(ValueError):
+            transfer_state(paper_transfer_system(Family.TRIANGULAR), -3)
 
     def test_trajectories(self):
         assert state_trajectory(paper_transfer_system(Family.SQUARE_PARA), 2) == [
@@ -84,6 +89,70 @@ class TestRunTransfer:
             ts = paper_transfer_system(family)
             assert ts.output_weights[:2] == (1, 1)
             assert all(w == 0 for w in ts.output_weights[2:])
+
+
+class TestMatrixPowerEngine:
+    @pytest.mark.parametrize("family", LINEAR_FAMILIES)
+    def test_powering_matches_stepping(self, family):
+        ts = paper_transfer_system(family)
+        traj = state_trajectory(ts, 5003)
+        lengths = list(range(1, 301)) + [4096, 4097, 5000, 5003]
+        for n in lengths:
+            assert transfer_state(ts, n) == traj[n - 1], n
+            assert run_transfer(ts, n) == sum(
+                w * v for w, v in zip(ts.output_weights, traj[n - 1])
+            )
+
+    def test_exponent_edge_cases(self):
+        assert mat_pow_vec(((2, 0), (0, 3)), 0, (5, 7)) == (5, 7)
+        assert mat_pow_vec(((2, 0), (0, 3)), 5, (1, 1)) == (32, 243)
+        with pytest.raises(ValueError):
+            mat_pow_vec(((1,),), -1, (1,))
+
+
+def _stepped(rec, n):
+    """Reference: advance the relation one term at a time, keeping every
+    supplied term, including those beyond the starting window."""
+    values = rec.initial_map
+    for i in range(rec.min_index + rec.order, n + 1):
+        if i not in values:
+            values[i] = sum(c * values[i - j - 1] for j, c in enumerate(rec.coefficients))
+    return values[n]
+
+
+_ALL_RECURRENCES = [
+    pytest.param(build(family), id=f"{kind}-{family.value}")
+    for family in LINEAR_FAMILIES
+    for kind, build in (("paper", paper_recurrence), ("derived", derived_recurrence))
+]
+
+
+class TestEvalRecurrenceAgainstStepping:
+    @pytest.mark.parametrize("rec", _ALL_RECURRENCES)
+    def test_matches_reference(self, rec):
+        for n in list(range(rec.min_index, 200)) + [1000, 1001]:
+            assert eval_recurrence(rec, n) == _stepped(rec, n), n
+
+    def test_supplied_terms_beyond_the_window(self):
+        tri = derived_recurrence(Family.TRIANGULAR)
+        assert tri.order == 2 and dict(tri.initial_terms)[0] == 0
+        # the relation alone would give a(2) = 3 + 0 and a(3) = 3 + 3
+        assert [eval_recurrence(tri, n) for n in (2, 3, 4)] == [5, 8, 13]
+        meta = derived_recurrence(Family.HEX_META)
+        assert meta.order == 3
+        assert [eval_recurrence(meta, n) for n in (3, 4)] == [64, 3 * 64 + 19 + 2 * 5]
+
+    def test_restarts_at_every_supplied_index(self):
+        rec = LinearRecurrence((1, 1), ((0, 1), (1, 1), (5, 100), (7, -4)), 2)
+        got = [eval_recurrence(rec, n) for n in range(12)]
+        assert got == [1, 1, 2, 3, 5, 100, 105, -4, 101, 97, 198, 295]
+        assert got == [_stepped(rec, n) for n in range(12)]
+
+    def test_negative_coefficients(self):
+        for family in (Family.SQUARE_PARA, Family.HEX_PARA):
+            rec = paper_recurrence(family)
+            assert any(c < 0 for c in rec.coefficients)
+            assert eval_recurrence(rec, 2500) == _stepped(rec, 2500)
 
 
 def _mat_power(matrix, e):
