@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 resource limit (a graph above the
-oracle vertex ceiling, a ``--n``/``--m`` above MAX_LENGTH or a ``--max-n``
-above MAX_SEQUENCE_LENGTH), 3 when ``verify`` finds refuted claims (so CI can
-gate on consistency). Output is deterministic: identical invocations produce
+oracle vertex ceiling, a ``count --n``/``--m`` above MAX_LENGTH, a ``build
+--n``/``--m`` above MAX_BUILD_LENGTH or a ``--max-n`` above
+MAX_SEQUENCE_LENGTH), 3 when ``verify`` finds refuted claims (so CI can gate
+on consistency). Output is deterministic: identical invocations produce
 byte-identical output, and every count is printed exactly, however many
 digits it has.
 """
@@ -26,10 +27,16 @@ from .chains import (
     to_edge_list_text,
     to_json_dict,
 )
-from .genfunc import derived_gf, gf_coefficients, paper_gf, recurrence_from_gf
+from .genfunc import derived_gf, paper_gf, recurrence_from_gf
 from .graphs import DEFAULT_MAX_VERTICES, OracleLimitError, count_ids
 from .polynomials import format_gf, gf_to_json_dict
-from .recurrences import eval_recurrence, paper_recurrence, paper_transfer_system, run_transfer
+from .recurrences import (
+    eval_recurrence,
+    paper_recurrence,
+    paper_transfer_system,
+    run_transfer,
+    state_trajectory,
+)
 from .verify import (
     DEFAULT_ORACLE_CEILING,
     DEFAULT_SYMBOLIC_MAX,
@@ -52,10 +59,15 @@ _FAMILY_BY_FLAG = {f.value: f for f in Family}
 # about 11 s.
 MAX_LENGTH = 100_000
 # Largest --max-n that ``sequence`` accepts. It computes every count up to
-# max-n, one route call per length, and prints about 0.3 * max-n^2 digits
-# for hex-para: at 2000, 1.2 MB in under 3 s by any route; at 10^4, 30 MB
-# and about a minute by the printed recurrence.
+# max-n, one recurrence evaluation per length by the recurrence route, and
+# prints about 0.3 * max-n^2 digits for hex-para: at 2000, 1.2 MB in under
+# 3 s by any route; at 10^4, 30 MB and about a minute by the printed
+# recurrence.
 MAX_SEQUENCE_LENGTH = 2_000
+# Largest --n (and --m) that ``build`` accepts. The bitset graph keeps one
+# int per vertex as wide as its highest neighbour id, so memory grows as n^2:
+# hex-para peaked at 31, 38 and 61 MB RSS at n = 1000, 2000 and 4000.
+MAX_BUILD_LENGTH = 2_000
 
 
 class LengthLimitError(RuntimeError):
@@ -175,8 +187,7 @@ def _check_ceiling(parser, args) -> int:
     return ceiling
 
 
-def _warn_if_errata(family: Family, method: str, value: int, n: int) -> None:
-    expected = run_transfer(paper_transfer_system(family), n)
+def _warn_if_errata(family: Family, method: str, value: int, n: int, expected: int) -> None:
     if value != expected:
         claim = f"{family.value}-recurrence" if method == "recurrence" else f"{family.value}-gf"
         print(
@@ -216,6 +227,11 @@ def _oracle_count(spec: ChainSpec, ceiling: int) -> int:
     return count_ids(build_chain(spec).graph, max_vertices=ceiling)
 
 
+def _prints_errata(method: str, gf_source: str) -> bool:
+    """Whether a route reads a published statement that may be an erratum."""
+    return method == "recurrence" or (method == "gf" and gf_source == "paper")
+
+
 def _linear_count(family: Family, n: int, method: str, gf_source: str, ceiling: int) -> int:
     if method == "oracle":
         return _oracle_count(ChainSpec(family, length=n), ceiling)
@@ -223,14 +239,14 @@ def _linear_count(family: Family, n: int, method: str, gf_source: str, ceiling: 
         return run_transfer(paper_transfer_system(family), n)
     if method == "recurrence":
         value = eval_recurrence(paper_recurrence(family), n)
-        _warn_if_errata(family, "recurrence", value, n)
-        return value
-    gf = paper_gf(family) if gf_source == "paper" else derived_gf(family)
-    # coefficient n in O(log n) products, from the recurrence the GF's
-    # denominator defines and the GF's own leading coefficients
-    value = eval_recurrence(recurrence_from_gf(gf), n)
-    if gf_source == "paper":
-        _warn_if_errata(family, "gf", value, n)
+    else:
+        gf = paper_gf(family) if gf_source == "paper" else derived_gf(family)
+        # coefficient n in O(log n) products, from the recurrence the GF's
+        # denominator defines and the GF's own leading coefficients
+        value = eval_recurrence(recurrence_from_gf(gf), n)
+    if _prints_errata(method, gf_source):
+        expected = run_transfer(paper_transfer_system(family), n)
+        _warn_if_errata(family, method, value, n, expected)
     return value
 
 
@@ -279,26 +295,34 @@ def _cmd_sequence(parser, args) -> int:
     if args.max_n < 1:
         parser.error("--max-n must be at least 1")
     _check_length("--max-n", args.max_n, MAX_SEQUENCE_LENGTH)
-    if args.method == "gf":
-        gf = paper_gf(family) if args.gf_source == "paper" else derived_gf(family)
-        series = gf_coefficients(gf, args.max_n)
-        counts = {n: series[n] for n in range(1, args.max_n + 1)}
+    lengths = range(1, args.max_n + 1)
+    if args.method == "oracle":
+        counts = [_oracle_count(ChainSpec(family, length=n), ceiling) for n in lengths]
     else:
-        counts = {
-            n: _linear_count(family, n, args.method, args.gf_source, ceiling)
-            for n in range(1, args.max_n + 1)
-        }
+        system = paper_transfer_system(family)
+        reference = [system.count(v) for v in state_trajectory(system, args.max_n)]
+        if args.method == "transfer":
+            counts = reference
+        elif args.method == "recurrence":
+            rec = paper_recurrence(family)
+            counts = [eval_recurrence(rec, n) for n in lengths]
+        else:
+            gf = paper_gf(family) if args.gf_source == "paper" else derived_gf(family)
+            counts = gf.series(args.max_n)[1:]
+        if _prints_errata(args.method, args.gf_source):
+            for n, value, expected in zip(lengths, counts, reference):
+                _warn_if_errata(family, args.method, value, n, expected)
     if args.format == "json":
         doc = {
             "family": args.family,
             "method": args.method,
-            "counts": [{"n": n, "count": counts[n]} for n in sorted(counts)],
+            "counts": [{"n": n, "count": c} for n, c in zip(lengths, counts)],
         }
         print(json.dumps(doc, indent=2))
     else:
         print("n,count")
-        for n in sorted(counts):
-            print(f"{n},{counts[n]}")
+        for n, count in zip(lengths, counts):
+            print(f"{n},{count}")
     return 0
 
 
@@ -316,6 +340,9 @@ def _cmd_gf(parser, args) -> int:
 
 def _cmd_build(parser, args) -> int:
     spec = _parse_spec(parser, args)
+    _check_length("--n", args.n, MAX_BUILD_LENGTH)
+    if args.m is not None:
+        _check_length("--m", args.m, MAX_BUILD_LENGTH)
     chain = build_chain(spec)
     if args.format == "json":
         print(json.dumps(to_json_dict(spec, chain), indent=2))

@@ -112,11 +112,6 @@ def solve_gf_system(system: GFLinearSystem) -> list[RationalGF]:
     return solution  # type: ignore[return-value]
 
 
-def gf_coefficients(gf: RationalGF, upto: int) -> list:
-    """Power-series coefficients 0..upto; exact, integrality not assumed."""
-    return gf.series(upto)
-
-
 def gf_from_recurrence(rec: LinearRecurrence, first_index: int) -> RationalGF:
     """The unique rational function whose expansion starts at ``first_index``
     with the recurrence's initial terms and obeys the recurrence onward.

@@ -52,9 +52,6 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n_vertices) - 1
 
-    def neighbors(self, v: int) -> int:
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         return self.adjacency[v].bit_count()
 
@@ -168,24 +165,30 @@ def _resolve_strategy(g: Graph, strategy: str) -> str:
     return strategy
 
 
-def _scan_counts(g: Graph, vbit: int) -> tuple[int, BoundaryCounts]:
-    """Single pass over every subset: total MIS plus boundary classes for vbit."""
-    n = g.n_vertices
+def _independent_subsets(g: Graph) -> Iterator[tuple[int, int]]:
+    """Literal scan over all 2^n subsets: each independent one, with its
+    closed neighbourhood."""
     adj = g.adjacency
-    full = (1 << n) - 1
-    near = full ^ vbit
-    total = inside = extendable = 0
-    for mask in range(1 << n):
+    for mask in range(1 << g.n_vertices):
         closed = mask
         m = mask
         while m:
             b = m & -m
             a = adj[b.bit_length() - 1]
             if a & mask:
-                closed = -1
                 break
             closed |= a
             m ^= b
+        else:
+            yield mask, closed
+
+
+def _scan_counts(g: Graph, vbit: int) -> tuple[int, BoundaryCounts]:
+    """Single pass over every subset: total MIS plus boundary classes for vbit."""
+    full = g.full_mask
+    near = full ^ vbit
+    total = inside = extendable = 0
+    for mask, closed in _independent_subsets(g):
         if closed == full:
             total += 1
             if mask & vbit:
@@ -246,22 +249,8 @@ def enumerate_mis(
     """Yield every maximal independent set once, ascending by bitset value."""
     _require_within(g, max_vertices)
     if _resolve_strategy(g, strategy) == "scan":
-        n = g.n_vertices
-        adj = g.adjacency
-        full = (1 << n) - 1
-        for mask in range(1 << n):
-            closed = mask
-            m = mask
-            while m:
-                b = m & -m
-                a = adj[b.bit_length() - 1]
-                if a & mask:
-                    closed = -1
-                    break
-                closed |= a
-                m ^= b
-            if closed == full:
-                yield mask
+        full = g.full_mask
+        yield from (mask for mask, closed in _independent_subsets(g) if closed == full)
     else:
         yield from _mis_masks_pivot(g.adjacency, g.full_mask)
 

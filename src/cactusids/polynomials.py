@@ -41,12 +41,6 @@ class Polynomial:
     def x(cls) -> "Polynomial":
         return cls((0, 1))
 
-    @classmethod
-    def monomial(cls, coeff: int, power: int) -> "Polynomial":
-        if power < 0:
-            raise ValueError("power must be nonnegative")
-        return cls((0,) * power + (coeff,))
-
     # -- basic queries ------------------------------------------------
 
     @property
@@ -177,17 +171,6 @@ class Polynomial:
 
     def __str__(self):
         return format_poly(self)
-
-
-def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Dispatch exact add/sub/mul; results are in canonical trimmed form."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r} (expected add, sub or mul)")
 
 
 def format_poly(p: Polynomial, var: str = "x") -> str:

@@ -21,7 +21,6 @@ from .graphs import count_boundary_classes
 
 STATE_CONTAINS = 0
 STATE_AVOIDS = 1
-STATE_EXTENDABLE = 2
 
 STATE_NAMES_2 = ("contains-terminal", "avoids-terminal")
 STATE_NAMES_3 = ("contains-terminal", "avoids-terminal", "extendable")
@@ -50,6 +49,10 @@ class TransferSystem:
             raise ValueError("vector lengths do not match state count")
         if any(c < 0 for row in self.update_matrix for c in row):
             raise ValueError("update matrix entries must be nonnegative")
+
+    def count(self, vec: tuple[int, ...]) -> int:
+        """The count a state vector stands for: its weighted sum."""
+        return sum(w * v for w, v in zip(self.output_weights, vec))
 
 
 # Published state systems, transcribed row by row. None marks the length-1
@@ -159,8 +162,7 @@ def transfer_state(system: TransferSystem, n: int) -> tuple[int, ...]:
 
 def run_transfer(system: TransferSystem, n: int) -> int:
     """Count at length n: the weighted sum of the state vector at length n."""
-    vec = transfer_state(system, n)
-    return sum(w * v for w, v in zip(system.output_weights, vec))
+    return system.count(transfer_state(system, n))
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Optional, Sequence, Union
+from functools import lru_cache, partial
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from .chains import (
     ChainSpec,
@@ -37,7 +37,6 @@ from .genfunc import (
     derived_recurrence,
     derived_state_gfs,
     dominant_growth_rate,
-    gf_coefficients,
     paper_gf,
     paper_state_gfs,
 )
@@ -48,11 +47,12 @@ from .graphs import (
     count_boundary_classes,
     independent_domination_number,
 )
-from .polynomials import format_gf
+from .polynomials import RationalGF, format_gf
 from .recurrences import (
     STATE_AVOIDS,
     STATE_CONTAINS,
     LinearRecurrence,
+    TransferSystem,
     eval_recurrence,
     paper_recurrence,
     paper_transfer_system,
@@ -139,10 +139,7 @@ class VerificationReport:
     statuses: list[ClaimStatus] = field(default_factory=list)
 
     def summary(self) -> dict:
-        out = {"confirmed": 0, "refuted": 0, "formal_only": 0, "unchecked": 0}
-        for status in self.statuses:
-            out[status.verdict.replace("-", "_")] += 1
-        return out
+        return _summary(self.statuses)
 
     def refuted(self) -> list[ClaimStatus]:
         return [s for s in self.statuses if s.verdict == REFUTED]
@@ -210,9 +207,6 @@ def _printed_seed_flags(family: Family) -> tuple[bool, ...]:
 # -- claim registry ----------------------------------------------------------
 
 
-_GAMMA_FAMILIES = (Family.TRIANGULAR, Family.HEX_ORTHO, Family.HEX_META)
-
-
 def _gamma_formula(family: Family, n: int) -> int:
     if family is Family.TRIANGULAR:
         return (n + 1) // 2
@@ -225,118 +219,66 @@ def _gamma_formula_text(family: Family) -> str:
     return "gamma_i(length n) = ceil(3n/2)"
 
 
+Check = Callable[[Claim, "_Context"], ClaimStatus]
+
+
 @lru_cache(maxsize=None)
-def claims_for_family(family: Family) -> tuple[Claim, ...]:
+def _registry(family: Family) -> dict[str, tuple[Claim, Check]]:
+    """Every claim of a linear family with the check that judges it, by id in
+    report order. The one place that decides which claims a family has."""
     if family not in LINEAR_FAMILIES:
         raise ValueError(f"{family.value} has no per-family claims")
     key = family.value
     title = _FAMILY_TITLE[family]
-    claims: list[Claim] = []
+    registry: dict[str, tuple[Claim, Check]] = {}
 
-    claims.append(
-        Claim(
-            id=f"{key}-gf",
-            family=family,
-            kind="gf",
-            location=f"{title}: published generating function",
-            statement=f"G(x) = {format_gf(paper_gf(family))}; "
-            "coefficient n is the count at length n",
-        )
+    def add(suffix: str, kind: str, location: str, statement: str, check: Check) -> None:
+        claim = Claim(f"{key}-{suffix}", family, kind, f"{title}: {location}", statement)
+        registry[claim.id] = (claim, check)
+
+    add(
+        "gf", "gf", "published generating function",
+        f"G(x) = {format_gf(paper_gf(family))}; coefficient n is the count at length n",
+        _check_family_gf,
     )
-    states = paper_state_gfs(family)
-    if states is not None:
-        for i, gf in enumerate(states):
-            short = _STATE_SHORT[i]
-            claims.append(
-                Claim(
-                    id=f"{key}-state-gf-{short}",
-                    family=family,
-                    kind="gf",
-                    location=f"{title}: solved series for the {short} state",
-                    statement=f"{short} series = {format_gf(gf)}; "
-                    "coefficient k is the state count at length k+1",
-                )
-            )
-    claims.append(
-        Claim(
-            id=f"{key}-system",
-            family=family,
-            kind="recurrence",
-            location=f"{title}: state recurrence system",
-            statement=render_system(family),
+    for i, gf in enumerate(paper_state_gfs(family) or ()):
+        short = _STATE_SHORT[i]
+        add(
+            f"state-gf-{short}", "gf", f"solved series for the {short} state",
+            f"{short} series = {format_gf(gf)}; "
+            "coefficient k is the state count at length k+1",
+            partial(_check_state_gf, i=i, gf=gf),
         )
-    )
-    claims.append(
-        Claim(
-            id=f"{key}-state-seeds",
-            family=family,
-            kind="initial-term",
-            location=f"{title}: stated length-1 state counts",
-            statement=_printed_seed_text(family),
-        )
-    )
+    add("system", "recurrence", "state recurrence system", render_system(family),
+        _check_system)
+    add("state-seeds", "initial-term", "stated length-1 state counts",
+        _printed_seed_text(family), _check_state_seeds)
     rec = paper_recurrence(family)
-    claims.append(
-        Claim(
-            id=f"{key}-recurrence",
-            family=family,
-            kind="recurrence",
-            location=f"{title}: published closed recurrence",
-            statement=render_recurrence(rec),
-        )
-    )
+    add("recurrence", "recurrence", "published closed recurrence", render_recurrence(rec),
+        _check_recurrence)
     for idx, value in sorted(rec.initial_terms):
-        formal = idx in rec.formal_indices
-        suffix = " (formal seed, no graph)" if formal else ""
-        claims.append(
-            Claim(
-                id=f"{key}-initial-{idx}",
-                family=family,
-                kind="initial-term",
-                location=f"{title}: stated initial term at index {idx}",
-                statement=f"a({idx}) = {value}{suffix}",
-            )
+        suffix = " (formal seed, no graph)" if idx in rec.formal_indices else ""
+        add(
+            f"initial-{idx}", "initial-term", f"stated initial term at index {idx}",
+            f"a({idx}) = {value}{suffix}",
+            partial(_check_initial, idx=idx, value=value),
         )
-    if family in _GAMMA_FAMILIES:
-        claims.append(
-            Claim(
-                id=f"{key}-gamma",
-                family=family,
-                kind="gamma-formula",
-                location=f"{title}: independence domination number",
-                statement=_gamma_formula_text(family),
-            )
-        )
+    if family in (Family.TRIANGULAR, Family.HEX_ORTHO, Family.HEX_META):
+        add("gamma", "gamma-formula", "independence domination number",
+            _gamma_formula_text(family), _check_gamma)
     if family is Family.HEX_META:
-        claims.append(
-            Claim(
-                id=f"{key}-extendable-identity",
-                family=family,
-                kind="recurrence",
-                location=f"{title}: extendable-state identity",
-                statement="extendable(n) = contains(n-1) for n >= 2",
-            )
-        )
+        add("extendable-identity", "recurrence", "extendable-state identity",
+            "extendable(n) = contains(n-1) for n >= 2", _check_meta_identity)
     if family is Family.TRIANGULAR:
-        claims.append(
-            Claim(
-                id=f"{key}-growth-rate",
-                family=family,
-                kind="asymptotic",
-                location=f"{title}: Fibonacci growth rate",
-                statement="counts grow like r^n with r = (1+sqrt(5))/2",
-            )
-        )
-        claims.append(
-            Claim(
-                id=f"{key}-asymptotic-form",
-                family=family,
-                kind="asymptotic",
-                location=f"{title}: closed approximation",
-                statement="a(n) is approximately r^n/sqrt(5), r = (1+sqrt(5))/2",
-            )
-        )
-    return tuple(claims)
+        add("growth-rate", "asymptotic", "Fibonacci growth rate",
+            "counts grow like r^n with r = (1+sqrt(5))/2", _check_growth_rate)
+        add("asymptotic-form", "asymptotic", "closed approximation",
+            "a(n) is approximately r^n/sqrt(5), r = (1+sqrt(5))/2", _check_asymptotic_form)
+    return registry
+
+
+def claims_for_family(family: Family) -> tuple[Claim, ...]:
+    return tuple(claim for claim, _ in _registry(family).values())
 
 
 def defect_claim(kind: str, m: int, n: int) -> Claim:
@@ -414,20 +356,77 @@ def _oracle_defect_count(family: Family, m: int, n: int) -> int:
     return count_ids(chain.graph)
 
 
+# -- the first-mismatch loop -------------------------------------------------
+
+
+Mismatch = tuple[Witness, Any, Any, str]  # (n, claimed, reference, source)
+
+
+def _first_mismatch(
+    ns: Iterable[int],
+    claimed: Callable[[int], Any],
+    reference: Callable[[int], tuple[Any, str]],
+) -> Optional[Mismatch]:
+    """The first n in ns where the claimed value differs from the reference,
+    as (n, claimed, reference, source); None when they agree throughout."""
+    for n in ns:
+        value = claimed(n)
+        ref, source = reference(n)
+        if value != ref:
+            return n, value, ref, source
+    return None
+
+
+def _refuted(claim: Claim, mismatch: Mismatch, **extra) -> ClaimStatus:
+    n, claimed, ref, source = mismatch
+    return ClaimStatus(
+        claim,
+        REFUTED,
+        witness=n,
+        claimed_value=claimed,
+        oracle_value=ref,
+        reference=source,
+        **extra,
+    )
+
+
+@dataclass(frozen=True)
+class _Context:
+    """The lengths one family check covers and the trusted values at them:
+    the oracle up to n_max_oracle, the transfer states beyond."""
+
+    family: Family
+    n_max_oracle: int
+    n_max_symbolic: int
+    oracle_ceiling: int
+    system: TransferSystem
+    trajectory: list  # transfer state vectors at lengths 1..n_max_symbolic
+
+    @property
+    def lengths(self) -> range:
+        return range(1, self.n_max_symbolic + 1)
+
+    @property
+    def oracle_lengths(self) -> range:
+        return range(1, self.n_max_oracle + 1)
+
+    def profile(self, n: int) -> BoundaryCounts:
+        return _oracle_profile(self.family, n)
+
+    def count(self, n: int) -> tuple[int, str]:
+        if n <= self.n_max_oracle:
+            return oracle_count(self.family, n), "oracle"
+        if n <= self.n_max_symbolic:
+            return self.system.count(self.trajectory[n - 1]), "transfer"
+        return run_transfer(self.system, n), "transfer"  # a printed term past the range
+
+    def state_count(self, n: int, i: int) -> tuple[int, str]:
+        if n <= self.n_max_oracle:
+            return self.profile(n)[i], "oracle"
+        return self.trajectory[n - 1][i], "transfer"
+
+
 # -- per-claim checkers ------------------------------------------------------
-
-
-def _claim_by_id(family: Family, claim_id: str) -> Claim:
-    for claim in claims_for_family(family):
-        if claim.id == claim_id:
-            return claim
-    raise KeyError(claim_id)
-
-
-def _reference(family: Family, n: int, n_max_oracle: int) -> tuple[int, str]:
-    if n <= n_max_oracle:
-        return oracle_count(family, n), "oracle"
-    return run_transfer(paper_transfer_system(family), n), "transfer"
 
 
 def _formal_seed(family: Family) -> Optional[int]:
@@ -438,214 +437,131 @@ def _formal_seed(family: Family) -> Optional[int]:
     return None
 
 
-def _check_family_gf(family, key, n_max_oracle, n_max_symbolic) -> ClaimStatus:
-    claim = _claim_by_id(family, f"{key}-gf")
-    series = gf_coefficients(paper_gf(family), n_max_symbolic)
-    details: list[str] = []
-
+def _check_family_gf(claim: Claim, ctx: _Context) -> ClaimStatus:
+    family, n_max_oracle = ctx.family, ctx.n_max_oracle
+    series = paper_gf(family).series(ctx.n_max_symbolic)
     formal = _formal_seed(family)
     formal_mismatch = None
     if formal is None:
-        details.append(
-            f"no printed length-0 value; constant term {series[0]} is formal only"
-        )
+        details = [f"no printed length-0 value; constant term {series[0]} is formal only"]
     elif series[0] == formal:
-        details.append(f"constant term {series[0]} matches the printed formal seed a(0) = {formal}")
+        details = [
+            f"constant term {series[0]} matches the printed formal seed a(0) = {formal}"
+        ]
     else:
-        formal_mismatch = (series[0], formal)
-        details.append(
+        formal_mismatch = (0, series[0], formal, "printed formal seed")
+        details = [
             f"constant term {series[0]} contradicts the printed formal seed a(0) = {formal}"
-        )
+        ]
 
-    first_physical = None
-    for n in range(1, n_max_symbolic + 1):
-        ref, source = _reference(family, n, n_max_oracle)
-        if series[n] != ref:
-            first_physical = (n, series[n], ref, source)
-            break
-    if first_physical is None and formal_mismatch is None:
+    mismatch = _first_mismatch(ctx.lengths, series.__getitem__, ctx.count) or formal_mismatch
+    if mismatch is None:
         details.append(
             f"expansion matches brute force for n = 1..{n_max_oracle} "
-            f"and the transfer system through n = {n_max_symbolic}"
+            f"and the transfer system through n = {ctx.n_max_symbolic}"
         )
         return ClaimStatus(claim, CONFIRMED, details=tuple(details))
 
     corrected_gf = derived_gf(family)
-    corrected = format_gf(corrected_gf)
-    corr_series = gf_coefficients(corrected_gf, n_max_oracle)
-    ok = all(corr_series[n] == oracle_count(family, n) for n in range(1, n_max_oracle + 1))
+    corrected_series = corrected_gf.series(n_max_oracle)
+    ok = _first_mismatch(ctx.oracle_lengths, corrected_series.__getitem__, ctx.count)
     details.append(
         f"corrected expansion matches brute force for n = 1..{n_max_oracle}"
-        if ok
+        if ok is None
         else "corrected expansion FAILED to match brute force (artifact bug)"
     )
-    if first_physical is not None:
-        n, claimed, ref, source = first_physical
+    return _refuted(claim, mismatch, corrected=format_gf(corrected_gf), details=tuple(details))
+
+
+def _check_state_gf(claim: Claim, ctx: _Context, i: int, gf: RationalGF) -> ClaimStatus:
+    series = gf.series(ctx.n_max_symbolic - 1)
+    mismatch = _first_mismatch(
+        ctx.lengths, lambda n: series[n - 1], lambda n: ctx.state_count(n, i)
+    )
+    if mismatch is None:
         return ClaimStatus(
             claim,
-            REFUTED,
-            witness=n,
-            claimed_value=claimed,
-            oracle_value=ref,
-            reference=source,
-            corrected=corrected,
-            details=tuple(details),
+            CONFIRMED,
+            details=(
+                f"matches oracle boundary classes for n = 1..{ctx.n_max_oracle} "
+                f"and the transfer states through n = {ctx.n_max_symbolic}",
+            ),
         )
-    claimed0, formal_value = formal_mismatch
-    return ClaimStatus(
+    corrected = format_gf(derived_state_gfs(ctx.family)[i])
+    return _refuted(
         claim,
-        REFUTED,
-        witness=0,
-        claimed_value=claimed0,
-        oracle_value=formal_value,
-        reference="printed formal seed",
+        mismatch,
         corrected=corrected,
-        details=tuple(details),
+        details=(f"corrected {_STATE_SHORT[i]} series: {corrected}",),
     )
 
 
-def _check_state_gfs(family, key, n_max_oracle, n_max_symbolic) -> list[ClaimStatus]:
-    printed = paper_state_gfs(family)
-    if printed is None:
-        return []
-    traj = state_trajectory(paper_transfer_system(family), n_max_symbolic)
-    out = []
-    for i, gf in enumerate(printed):
-        short = _STATE_SHORT[i]
-        claim = _claim_by_id(family, f"{key}-state-gf-{short}")
-        series = gf_coefficients(gf, n_max_symbolic - 1)
-        mismatch = None
-        for n in range(1, n_max_symbolic + 1):
-            claimed = series[n - 1]
-            if n <= n_max_oracle:
-                ref, source = _oracle_profile(family, n)[i], "oracle"
-            else:
-                ref, source = traj[n - 1][i], "transfer"
-            if claimed != ref:
-                mismatch = (n, claimed, ref, source)
-                break
-        if mismatch is None:
-            out.append(
-                ClaimStatus(
-                    claim,
-                    CONFIRMED,
-                    details=(
-                        f"matches oracle boundary classes for n = 1..{n_max_oracle} "
-                        f"and the transfer states through n = {n_max_symbolic}",
-                    ),
-                )
-            )
-            continue
-        n, claimed, ref, source = mismatch
-        corrected = format_gf(derived_state_gfs(family)[i])
-        out.append(
-            ClaimStatus(
-                claim,
-                REFUTED,
-                witness=n,
-                claimed_value=claimed,
-                oracle_value=ref,
-                reference=source,
-                corrected=corrected,
-                details=(f"corrected {short} series: {corrected}",),
-            )
+def _check_system(claim: Claim, ctx: _Context) -> ClaimStatus:
+    k = len(ctx.system.state_names)
+    absent = (0,) if k == 2 else ()  # a two-state system claims no set is extendable
+    mismatch = _first_mismatch(
+        ctx.oracle_lengths,
+        lambda n: ctx.trajectory[n - 1] + absent,
+        lambda n: (tuple(ctx.profile(n)), "oracle"),
+    )
+    if mismatch is None:
+        details = [
+            f"state vectors match brute-force boundary classes for n = 1..{ctx.n_max_oracle}"
+        ]
+        if k == 2:
+            details.append("oracle confirms the extendable class is empty for triangles")
+        return ClaimStatus(claim, CONFIRMED, details=tuple(details))
+    n, claimed, observed, source = mismatch
+    if claimed[:k] != observed[:k]:
+        return _refuted(
+            claim,
+            (n, str(claimed[:k]), str(observed[:k]), source),
+            details=("state vector disagrees with brute-force boundary classes",),
         )
-    return out
+    return _refuted(
+        claim,
+        (n, "extendable state absent", str(observed[2]), source),
+        details=("two-state system but extendable sets exist",),
+    )
 
 
-def _check_system(family, key, n_max_oracle, n_max_symbolic) -> ClaimStatus:
-    claim = _claim_by_id(family, f"{key}-system")
-    ts = paper_transfer_system(family)
-    traj = state_trajectory(ts, n_max_symbolic)
-    k = len(ts.state_names)
-    for n in range(1, n_max_oracle + 1):
-        profile = _oracle_profile(family, n)
-        observed = tuple(profile)[:k]
-        if traj[n - 1] != observed:
-            return ClaimStatus(
-                claim,
-                REFUTED,
-                witness=n,
-                claimed_value=str(traj[n - 1]),
-                oracle_value=str(observed),
-                reference="oracle",
-                details=("state vector disagrees with brute-force boundary classes",),
-            )
-        if k == 2 and profile.extendable_count != 0:
-            return ClaimStatus(
-                claim,
-                REFUTED,
-                witness=n,
-                claimed_value="extendable state absent",
-                oracle_value=str(profile.extendable_count),
-                reference="oracle",
-                details=("two-state system but extendable sets exist",),
-            )
-    details = [
-        f"state vectors match brute-force boundary classes for n = 1..{n_max_oracle}"
-    ]
-    if k == 2:
-        details.append("oracle confirms the extendable class is empty for triangles")
-    return ClaimStatus(claim, CONFIRMED, details=tuple(details))
-
-
-def _check_state_seeds(family, key) -> ClaimStatus:
-    claim = _claim_by_id(family, f"{key}-state-seeds")
-    ts = paper_transfer_system(family)
-    printed = _printed_seed_flags(family)
-    profile = _oracle_profile(family, 1)
+def _check_state_seeds(claim: Claim, ctx: _Context) -> ClaimStatus:
+    printed = _printed_seed_flags(ctx.family)
+    profile = ctx.profile(1)
     details = []
-    for i, (value, is_printed) in enumerate(zip(ts.initial_vector, printed)):
+    for i, (value, is_printed) in enumerate(zip(ctx.system.initial_vector, printed)):
         observed = profile[i]
         if not is_printed:
             details.append(
                 f"{_STATE_SHORT[i]}(1) not printed; oracle measures {observed}"
             )
-            continue
-        if value != observed:
-            return ClaimStatus(
+        elif value != observed:
+            return _refuted(
                 claim,
-                REFUTED,
-                witness=1,
-                claimed_value=value,
-                oracle_value=observed,
-                reference="oracle",
+                (1, value, observed, "oracle"),
                 details=(f"printed {_STATE_SHORT[i]}(1) disagrees with the oracle",),
             )
     details.insert(0, "printed length-1 state counts match the oracle")
     return ClaimStatus(claim, CONFIRMED, details=tuple(details))
 
 
-def _check_recurrence(family, key, n_max_oracle, n_max_symbolic) -> ClaimStatus:
-    claim = _claim_by_id(family, f"{key}-recurrence")
-    rec = paper_recurrence(family)
-    mismatch = None
-    for n in range(1, n_max_symbolic + 1):
-        value = eval_recurrence(rec, n)
-        ref, source = _reference(family, n, n_max_oracle)
-        if value != ref:
-            mismatch = (n, value, ref, source)
-            break
+def _check_recurrence(claim: Claim, ctx: _Context) -> ClaimStatus:
+    rec = paper_recurrence(ctx.family)
+    mismatch = _first_mismatch(ctx.lengths, lambda n: eval_recurrence(rec, n), ctx.count)
     if mismatch is None:
         return ClaimStatus(
             claim,
             CONFIRMED,
             details=(
-                f"values match brute force for n = 1..{n_max_oracle} "
-                f"and the transfer system through n = {n_max_symbolic}",
+                f"values match brute force for n = 1..{ctx.n_max_oracle} "
+                f"and the transfer system through n = {ctx.n_max_symbolic}",
             ),
         )
-    n, value, ref, source = mismatch
-    corrected_rec = derived_recurrence(family)
-    corrected = render_recurrence(_strip_zero_seed(corrected_rec))
-    return ClaimStatus(
+    corrected_rec = derived_recurrence(ctx.family)
+    return _refuted(
         claim,
-        REFUTED,
-        witness=n,
-        claimed_value=value,
-        oracle_value=ref,
-        reference=source,
-        corrected=corrected,
+        mismatch,
+        corrected=render_recurrence(_strip_zero_seed(corrected_rec)),
         details=(
             f"corrected recurrence has order {corrected_rec.order} and is valid "
             f"from n >= {corrected_rec.valid_from}",
@@ -659,57 +575,29 @@ def _strip_zero_seed(rec: LinearRecurrence) -> LinearRecurrence:
     return LinearRecurrence(rec.coefficients, initials, rec.valid_from, rec.formal_indices)
 
 
-def _check_initials(family, key, n_max_oracle) -> list[ClaimStatus]:
-    rec = paper_recurrence(family)
-    out = []
-    for idx, value in sorted(rec.initial_terms):
-        claim = _claim_by_id(family, f"{key}-initial-{idx}")
-        if idx in rec.formal_indices:
-            n0 = idx + rec.order
-            predicted = eval_recurrence(rec, n0)
-            ref, source = _reference(family, n0, n_max_oracle)
-            if predicted == ref:
-                detail = (
-                    f"formal seed; first dependent term a({n0}) = {predicted} "
-                    f"agrees with the {source}"
-                )
-            else:
-                detail = (
-                    f"formal seed feeding an inconsistent recurrence: a({n0}) = "
-                    f"{predicted} vs {source} {ref} (see {key}-recurrence)"
-                )
-            out.append(
-                ClaimStatus(
-                    claim,
-                    FORMAL_ONLY,
-                    claimed_value=value,
-                    details=(detail,),
-                )
-            )
-            continue
-        ref, source = _reference(family, idx, n_max_oracle)
-        if value == ref:
-            out.append(
-                ClaimStatus(
-                    claim,
-                    CONFIRMED,
-                    claimed_value=value,
-                    oracle_value=ref,
-                    reference=source,
-                )
+def _check_initial(claim: Claim, ctx: _Context, idx: int, value: int) -> ClaimStatus:
+    rec = paper_recurrence(ctx.family)
+    if idx in rec.formal_indices:
+        n0 = idx + rec.order
+        predicted = eval_recurrence(rec, n0)
+        ref, source = ctx.count(n0)
+        if predicted == ref:
+            detail = (
+                f"formal seed; first dependent term a({n0}) = {predicted} "
+                f"agrees with the {source}"
             )
         else:
-            out.append(
-                ClaimStatus(
-                    claim,
-                    REFUTED,
-                    witness=idx,
-                    claimed_value=value,
-                    oracle_value=ref,
-                    reference=source,
-                )
+            detail = (
+                f"formal seed feeding an inconsistent recurrence: a({n0}) = "
+                f"{predicted} vs {source} {ref} (see {ctx.family.value}-recurrence)"
             )
-    return out
+        return ClaimStatus(claim, FORMAL_ONLY, claimed_value=value, details=(detail,))
+    ref, source = ctx.count(idx)
+    if value != ref:
+        return _refuted(claim, (idx, value, ref, source))
+    return ClaimStatus(
+        claim, CONFIRMED, claimed_value=value, oracle_value=ref, reference=source
+    )
 
 
 def check_gamma_formula(
@@ -718,9 +606,10 @@ def check_gamma_formula(
     oracle_ceiling: int = DEFAULT_ORACLE_CEILING,
 ) -> ClaimStatus:
     """Compare the published domination-number formula against the oracle."""
-    if family not in _GAMMA_FAMILIES:
+    entry = _registry(family).get(f"{family.value}-gamma")
+    if entry is None:
         raise ValueError(f"no gamma formula is published for {family.value}")
-    claim = _claim_by_id(family, f"{family.value}-gamma")
+    claim = entry[0]
     limit = max_length_within(family, min(oracle_ceiling, DEFAULT_MAX_VERTICES))
     if n_max is None:
         n_max = limit
@@ -732,18 +621,13 @@ def check_gamma_formula(
         return ClaimStatus(
             claim, UNCHECKED, details=("oracle ceiling below the length-1 chain",)
         )
-    for n in range(1, n_max + 1):
-        expected = _gamma_formula(family, n)
-        observed = _oracle_gamma(family, n)
-        if expected != observed:
-            return ClaimStatus(
-                claim,
-                REFUTED,
-                witness=n,
-                claimed_value=expected,
-                oracle_value=observed,
-                reference="oracle",
-            )
+    mismatch = _first_mismatch(
+        range(1, n_max + 1),
+        lambda n: _gamma_formula(family, n),
+        lambda n: (_oracle_gamma(family, n), "oracle"),
+    )
+    if mismatch is not None:
+        return _refuted(claim, mismatch)
     return ClaimStatus(
         claim,
         CONFIRMED,
@@ -751,37 +635,29 @@ def check_gamma_formula(
     )
 
 
-def _check_meta_identity(family, key, n_max_oracle, n_max_symbolic) -> ClaimStatus:
-    claim = _claim_by_id(family, f"{key}-extendable-identity")
-    traj = state_trajectory(paper_transfer_system(family), n_max_symbolic)
-    for n in range(2, n_max_symbolic + 1):
-        if traj[n - 1][2] != traj[n - 2][0]:
-            return ClaimStatus(
-                claim,
-                REFUTED,
-                witness=n,
-                claimed_value=str(traj[n - 2][0]),
-                oracle_value=str(traj[n - 1][2]),
-                reference="transfer",
-            )
-    for n in range(2, n_max_oracle + 1):
-        ext = _oracle_profile(family, n).extendable_count
-        prev_contains = _oracle_profile(family, n - 1).in_count
-        if ext != prev_contains:
-            return ClaimStatus(
-                claim,
-                REFUTED,
-                witness=n,
-                claimed_value=prev_contains,
-                oracle_value=ext,
-                reference="oracle",
-            )
+def _check_gamma(claim: Claim, ctx: _Context) -> ClaimStatus:
+    return check_gamma_formula(ctx.family, oracle_ceiling=ctx.oracle_ceiling)
+
+
+def _check_meta_identity(claim: Claim, ctx: _Context) -> ClaimStatus:
+    traj = ctx.trajectory
+    mismatch = _first_mismatch(
+        range(2, ctx.n_max_symbolic + 1),
+        lambda n: str(traj[n - 2][0]),
+        lambda n: (str(traj[n - 1][2]), "transfer"),
+    ) or _first_mismatch(
+        range(2, ctx.n_max_oracle + 1),
+        lambda n: ctx.profile(n - 1).in_count,
+        lambda n: (ctx.profile(n).extendable_count, "oracle"),
+    )
+    if mismatch is not None:
+        return _refuted(claim, mismatch)
     return ClaimStatus(
         claim,
         CONFIRMED,
         details=(
-            f"identity holds in the transfer states (n <= {n_max_symbolic}) and "
-            f"against oracle boundary classes (n <= {n_max_oracle})",
+            f"identity holds in the transfer states (n <= {ctx.n_max_symbolic}) and "
+            f"against oracle boundary classes (n <= {ctx.n_max_oracle})",
         ),
     )
 
@@ -789,9 +665,8 @@ def _check_meta_identity(family, key, n_max_oracle, n_max_symbolic) -> ClaimStat
 _PHI_TEXT = "(1+sqrt(5))/2"
 
 
-def _check_growth_rate(family, key) -> ClaimStatus:
-    claim = _claim_by_id(family, f"{key}-growth-rate")
-    estimate = dominant_growth_rate(paper_recurrence(family), ratio_index=50)
+def _check_growth_rate(claim: Claim, ctx: _Context) -> ClaimStatus:
+    estimate = dominant_growth_rate(paper_recurrence(ctx.family), ratio_index=50)
     phi = (1 + math.sqrt(5)) / 2
     root_ok = abs(estimate.dominant_root - phi) <= 1e-9 * phi
     ratio_ok = abs(estimate.empirical_ratio - phi) <= 1e-9 * phi
@@ -808,53 +683,40 @@ def _check_growth_rate(family, key) -> ClaimStatus:
             reference="characteristic root",
             details=details,
         )
-    return ClaimStatus(
+    return _refuted(
         claim,
-        REFUTED,
-        witness=50,
-        claimed_value=_PHI_TEXT,
-        oracle_value=estimate.dominant_root,
-        reference="characteristic root",
+        (50, _PHI_TEXT, estimate.dominant_root, "characteristic root"),
         details=details,
     )
 
 
-def _check_asymptotic_form(family, key, n_max_oracle) -> ClaimStatus:
-    claim = _claim_by_id(family, f"{key}-asymptotic-form")
+def _check_asymptotic_form(claim: Claim, ctx: _Context) -> ClaimStatus:
     phi = (1 + math.sqrt(5)) / 2
     sqrt5 = math.sqrt(5)
-    witness = None
-    for n in range(1, n_max_oracle + 1):
-        approx = phi**n / sqrt5
-        actual = oracle_count(family, n)
-        if round(approx) != actual:
-            witness = (n, approx, actual)
-            break
+    n_max_oracle = ctx.n_max_oracle
+    mismatch = _first_mismatch(
+        ctx.oracle_lengths, lambda n: round(phi**n / sqrt5), ctx.count
+    )
     corrected = (
         "a(n) = nearest integer to r^(n+3)/sqrt(5), r = (1+sqrt(5))/2 "
         "(the counts are the Fibonacci numbers shifted by three)"
     )
-    corrected_ok = all(
-        round(phi ** (n + 3) / sqrt5) == oracle_count(family, n)
-        for n in range(1, n_max_oracle + 1)
-    )
-    ratio = oracle_count(family, n_max_oracle) / (phi**n_max_oracle / sqrt5)
+    corrected_ok = _first_mismatch(
+        ctx.oracle_lengths, lambda n: round(phi ** (n + 3) / sqrt5), ctx.count
+    ) is None
+    ratio = oracle_count(ctx.family, n_max_oracle) / (phi**n_max_oracle / sqrt5)
     details = (
         f"oracle/claimed ratio at n = {n_max_oracle} is {ratio:.6f}, tending to "
         f"r^3 = {phi**3:.6f}, not 1",
         "corrected closed form matches the oracle for n = 1.."
         f"{n_max_oracle}" if corrected_ok else "corrected closed form FAILED",
     )
-    if witness is None:
+    if mismatch is None:
         return ClaimStatus(claim, CONFIRMED, details=details)
-    n, approx, actual = witness
-    return ClaimStatus(
+    n, _, actual, source = mismatch
+    return _refuted(
         claim,
-        REFUTED,
-        witness=n,
-        claimed_value=f"{approx:.4f}",
-        oracle_value=actual,
-        reference="oracle",
+        (n, f"{phi**n / sqrt5:.4f}", actual, source),
         corrected=corrected,
         details=details,
     )
@@ -870,8 +732,7 @@ def cross_check_family(
     oracle_ceiling: int = DEFAULT_ORACLE_CEILING,
 ) -> VerificationReport:
     """Run every registered check for one linear family."""
-    if family not in LINEAR_FAMILIES:
-        raise ValueError(f"cross_check_family needs a linear family, not {family.value}")
+    registry = _registry(family)
     ceiling = min(oracle_ceiling, DEFAULT_MAX_VERTICES)
     limit = max_length_within(family, ceiling)
     if n_max_oracle is None:
@@ -886,27 +747,20 @@ def cross_check_family(
         raise OracleLimitError("oracle ceiling below the length-1 chain")
     n_max_symbolic = max(n_max_symbolic, n_max_oracle)
 
-    key = family.value
-    statuses = [_check_family_gf(family, key, n_max_oracle, n_max_symbolic)]
-    statuses.extend(_check_state_gfs(family, key, n_max_oracle, n_max_symbolic))
-    statuses.append(_check_system(family, key, n_max_oracle, n_max_symbolic))
-    statuses.append(_check_state_seeds(family, key))
-    statuses.append(_check_recurrence(family, key, n_max_oracle, n_max_symbolic))
-    statuses.extend(_check_initials(family, key, n_max_oracle))
-    if family in _GAMMA_FAMILIES:
-        statuses.append(
-            check_gamma_formula(family, n_max=None, oracle_ceiling=oracle_ceiling)
-        )
-    if family is Family.HEX_META:
-        statuses.append(_check_meta_identity(family, key, n_max_oracle, n_max_symbolic))
-    if family is Family.TRIANGULAR:
-        statuses.append(_check_growth_rate(family, key))
-        statuses.append(_check_asymptotic_form(family, key, n_max_oracle))
+    system = paper_transfer_system(family)
+    ctx = _Context(
+        family,
+        n_max_oracle,
+        n_max_symbolic,
+        oracle_ceiling,
+        system,
+        state_trajectory(system, n_max_symbolic),
+    )
     return VerificationReport(
-        scope=key,
+        scope=family.value,
         oracle_ceiling=ceiling,
         n_max_symbolic=n_max_symbolic,
-        statuses=statuses,
+        statuses=[check(claim, ctx) for claim, check in registry.values()],
     )
 
 
@@ -1013,15 +867,8 @@ def check_defect_formula(
             )
         else:
             details.append("boundary-class correction attempt did not reconcile")
-    return ClaimStatus(
-        claim,
-        REFUTED,
-        witness=(m, n),
-        claimed_value=formula,
-        oracle_value=oracle,
-        reference="oracle",
-        corrected=corrected,
-        details=tuple(details),
+    return _refuted(
+        claim, ((m, n), formula, oracle, "oracle"), corrected=corrected, details=tuple(details)
     )
 
 
@@ -1048,7 +895,7 @@ def verify_all(
     n_max_symbolic: int = DEFAULT_SYMBOLIC_MAX,
     defect_grid: Sequence[tuple[int, int]] = DEFECT_GRID,
 ) -> list[VerificationReport]:
-    """Run every registered claim check; returns one report per scope."""
+    """Run every registered claim check; returns one report per ctx."""
     reports = [
         cross_check_family(
             family, n_max_symbolic=n_max_symbolic, oracle_ceiling=oracle_ceiling
@@ -1066,22 +913,23 @@ def verify_all(
 # -- report rendering --------------------------------------------------------
 
 
-def _merged_statuses(reports: Sequence[VerificationReport]) -> list[ClaimStatus]:
-    statuses = [s for report in reports for s in report.statuses]
-    return sorted(statuses, key=lambda s: s.claim.id)
-
-
-def _merged_summary(statuses: Sequence[ClaimStatus]) -> dict:
+def _summary(statuses: Sequence[ClaimStatus]) -> dict:
     out = {"confirmed": 0, "refuted": 0, "formal_only": 0, "unchecked": 0}
     for status in statuses:
         out[status.verdict.replace("-", "_")] += 1
     return out
 
 
+def _witness_text(witness: Witness) -> str:
+    if isinstance(witness, tuple):
+        return f"({witness[0]},{witness[1]})"
+    return "" if witness is None else str(witness)
+
+
 def errata_report(reports: Sequence[VerificationReport], format: str = "markdown") -> str:
     """Deterministic document listing every claim status, errata first."""
-    statuses = _merged_statuses(reports)
-    summary = _merged_summary(statuses)
+    statuses = sorted((s for r in reports for s in r.statuses), key=lambda s: s.claim.id)
+    summary = _summary(statuses)
     ceiling = max((r.oracle_ceiling for r in reports), default=0)
     if format == "json":
         doc = {
@@ -1112,13 +960,8 @@ def errata_report(reports: Sequence[VerificationReport], format: str = "markdown
         lines.append("")
         lines.append(f"- location: {s.claim.location}")
         lines.append(f"- claimed: {s.claim.statement}")
-        witness = (
-            f"({s.witness[0]},{s.witness[1]})"
-            if isinstance(s.witness, tuple)
-            else s.witness
-        )
         lines.append(
-            f"- witness: n = {witness} "
+            f"- witness: n = {_witness_text(s.witness)} "
             f"(claimed {s.claimed_value}, {s.reference} {s.oracle_value})"
         )
         if s.corrected:
@@ -1131,11 +974,8 @@ def errata_report(reports: Sequence[VerificationReport], format: str = "markdown
     lines.append("| claim | kind | verdict | witness |")
     lines.append("|---|---|---|---|")
     for s in statuses:
-        witness = (
-            f"({s.witness[0]},{s.witness[1]})"
-            if isinstance(s.witness, tuple)
-            else ("" if s.witness is None else str(s.witness))
+        lines.append(
+            f"| {s.claim.id} | {s.claim.kind} | {s.verdict} | {_witness_text(s.witness)} |"
         )
-        lines.append(f"| {s.claim.id} | {s.claim.kind} | {s.verdict} | {witness} |")
     lines.append("")
     return "\n".join(lines)

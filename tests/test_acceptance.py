@@ -15,7 +15,6 @@ from cactusids.chains import ChainSpec, Family, build_chain
 from cactusids.cli import main as cli_main
 from cactusids.genfunc import (
     derived_gf,
-    gf_coefficients,
     gf_from_recurrence,
     paper_gf,
     paper_gf_system,
@@ -105,7 +104,7 @@ def test_criterion_3_self_consistent_gfs():
     try:
         for family in (Family.SQUARE_PARA, Family.SQUARE_ORTHO, Family.HEX_ORTHO):
             limit = max_length_within(family, 26)
-            series = gf_coefficients(paper_gf(family), limit)
+            series = paper_gf(family).series(limit)
             for n in range(1, limit + 1):
                 assert series[n] == oracle_count(family, n), (family, n)
     except AssertionError:
@@ -130,7 +129,7 @@ def test_criterion_4_errata_detection(full_verify, capsys):
 
         for family in (Family.TRIANGULAR, Family.HEX_META, Family.HEX_PARA):
             limit = max_length_within(family, 26)
-            corrected = gf_coefficients(derived_gf(family), limit)
+            corrected = derived_gf(family).series(limit)
             for n in range(1, limit + 1):
                 assert corrected[n] == oracle_count(family, n), (family, n)
 
@@ -223,7 +222,7 @@ def test_criterion_8_property_suites():
             initials = tuple((i, rng.randint(-9, 9)) for i in range(1, order + 1))
             rec = LinearRecurrence(coeffs, initials, order + 1)
             gf = gf_from_recurrence(rec, 1)
-            series = gf_coefficients(gf, 12)
+            series = gf.series(12)
             assert all(series[n] == eval_recurrence(rec, n) for n in range(1, 13))
             if gf.denominator.degree != order:
                 continue

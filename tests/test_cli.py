@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from decimal import Decimal
@@ -6,8 +7,8 @@ import pytest
 
 from cactusids import cli
 from cactusids.chains import Family, LINEAR_FAMILIES
-from cactusids.cli import MAX_LENGTH, MAX_SEQUENCE_LENGTH, main
-from cactusids.genfunc import derived_gf, gf_coefficients, paper_gf
+from cactusids.cli import MAX_BUILD_LENGTH, MAX_LENGTH, MAX_SEQUENCE_LENGTH, main
+from cactusids.genfunc import derived_gf, paper_gf
 from cactusids.recurrences import paper_transfer_system, run_transfer
 
 
@@ -141,7 +142,7 @@ class TestCount:
     @pytest.mark.parametrize("family", LINEAR_FAMILIES, ids=lambda f: f.value)
     def test_gf_method_equals_series(self, capsys, family):
         for source, gf in (("derived", derived_gf(family)), ("paper", paper_gf(family))):
-            series = gf_coefficients(gf, 40)
+            series = gf.series(40)
             for n in (1, 2, 3, 4, 5, 17, 40):
                 code, out, _ = run(
                     capsys, "count", "--family", family.value, "--n", str(n),
@@ -212,6 +213,38 @@ class TestSequence:
         )
         assert out == "n,count\n1,5\n2,19\n3,76\n4,309\n"
 
+    def test_paper_gf_warns_on_each_erratum(self, capsys):
+        code, out, err = run(
+            capsys,
+            "sequence", "--family", "tri", "--max-n", "3",
+            "--method", "gf", "--gf-source", "paper",
+        )
+        assert (code, out) == (0, "n,count\n1,1\n2,2\n3,3\n")
+        lines = err.splitlines()
+        assert len(lines) == 3 and all("(claim tri-gf)" in line for line in lines)
+        assert "gf value 1 differs from the transfer system value 3 at n = 1;" in lines[0]
+
+    def test_printed_recurrence_warns_where_it_differs(self, capsys):
+        code, out, err = run(
+            capsys,
+            "sequence", "--family", "hex-para", "--max-n", "5", "--method", "recurrence",
+        )
+        assert code == 0
+        assert out.splitlines()[1:5] == ["1,5", "2,19", "3,76", "4,311"]
+        lines = err.splitlines()
+        assert len(lines) == 2 and all("(claim hex-para-recurrence)" in line for line in lines)
+        assert "value 311 differs from the transfer system value 309 at n = 4;" in lines[0]
+
+    @pytest.mark.parametrize("method", ["transfer", "gf"])
+    def test_exact_routes_are_silent(self, capsys, method):
+        code, out, err = run(
+            capsys, "sequence", "--family", "hex-para", "--max-n", "8", "--method", method,
+        )
+        assert (code, err) == (0, "")
+        expected = [f"{n},{run_transfer(paper_transfer_system(Family.HEX_PARA), n)}"
+                    for n in range(1, 9)]
+        assert out.splitlines() == ["n,count"] + expected
+
 
 class TestGf:
     def test_published_hex_meta(self, capsys):
@@ -260,6 +293,27 @@ class TestBuild:
         assert doc["n_vertices"] == 10
         assert len(doc["blocks"]) == 3
         assert len(doc["edges"]) == 12
+
+
+    def test_lengths_above_the_cap_are_refused_before_building(self, capsys, monkeypatch):
+        def no_build(spec):
+            raise AssertionError("chain built above the cap")
+
+        monkeypatch.setattr(cli, "build_chain", no_build)
+        too_long = str(MAX_BUILD_LENGTH + 1)
+        for argv in (
+            ("build", "--family", "hex-para", "--n", too_long),
+            ("build", "--family", "p-defect", "--m", too_long, "--n", "1"),
+            ("build", "--family", "s-defect", "--m", "1", "--n", too_long),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "resource limit" in err and "above the cap" in err
+
+    def test_length_at_the_cap_builds(self, capsys):
+        code, out, err = run(capsys, "build", "--family", "tri", "--n", str(MAX_BUILD_LENGTH))
+        assert (code, err) == (0, "")
+        assert f"# vertices={2 * MAX_BUILD_LENGTH + 1}" in out.splitlines()
 
 
 class TestGamma:
@@ -339,6 +393,15 @@ class TestVerify:
         )
         assert code == 3
         assert json.loads(out)["oracle_ceiling"] == 22
+
+    @pytest.mark.parametrize("report, digest", [
+        ("json", "68edc2755fc462f46b2191a09b8c7f1145103835295fee5f02725c0bc8a5be1e"),
+        ("markdown", "23489da56825ca555258eb1a6a0b608e4bacba31aa75e205edb60da64156c8c9"),
+    ])
+    def test_report_digest_at_the_defaults(self, capsys, report, digest):
+        code, out, _ = run(capsys, "verify", "--report", report)
+        assert code == 3
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_ceiling_cap(self, capsys):
         code, _, err = run(capsys, "verify", "--oracle-max-vertices", "90")

@@ -12,7 +12,6 @@ from cactusids.genfunc import (
     derived_recurrence,
     derived_state_gfs,
     dominant_growth_rate,
-    gf_coefficients,
     gf_from_recurrence,
     paper_gf,
     paper_gf_system,
@@ -81,14 +80,14 @@ class TestSolveSystem:
 
 class TestCoefficients:
     def test_examples(self):
-        assert gf_coefficients(paper_gf(Family.SQUARE_ORTHO), 4) == [1, 2, 4, 8, 16]
-        assert gf_coefficients(paper_gf(Family.SQUARE_PARA), 3) == [1, 2, 4, 7]
+        assert paper_gf(Family.SQUARE_ORTHO).series(4) == [1, 2, 4, 8, 16]
+        assert paper_gf(Family.SQUARE_PARA).series(3) == [1, 2, 4, 7]
         # the printed triangular expansion contradicts the real counts
-        assert gf_coefficients(paper_gf(Family.TRIANGULAR), 3) == [0, 1, 2, 3]
+        assert paper_gf(Family.TRIANGULAR).series(3) == [0, 1, 2, 3]
 
     def test_zero_den_constant(self):
         with pytest.raises(ValueError):
-            gf_coefficients(RationalGF(P(1), P(0, 1)), 2)
+            RationalGF(P(1), P(0, 1)).series(2)
 
 
 class TestConversions:
@@ -132,7 +131,7 @@ class TestConversions:
             rec = LinearRecurrence(coeffs, initials, order + 1)
             gf = gf_from_recurrence(rec, 1)
             # sequence-level equality holds even for reducible cases
-            series = gf_coefficients(gf, 14)
+            series = gf.series(14)
             for n in range(1, 15):
                 assert series[n] == eval_recurrence(rec, n)
             if gf.denominator.degree != order:
@@ -157,7 +156,7 @@ class TestDerived:
         for family in LINEAR_FAMILIES:
             traj = state_trajectory(paper_transfer_system(family), 30)
             for i, gf in enumerate(derived_state_gfs(family)):
-                series = gf_coefficients(gf, 29)
+                series = gf.series(29)
                 assert all(series[k] == traj[k][i] for k in range(30))
 
     def test_derived_recurrence_hex_para(self):
@@ -173,8 +172,8 @@ class TestDerived:
     def test_self_consistent_printed_gfs_match_derived_from_n1(self):
         # Q, S, O printed expansions agree with the derived ones at n >= 1
         for family in (Family.SQUARE_PARA, Family.SQUARE_ORTHO, Family.HEX_ORTHO):
-            printed = gf_coefficients(paper_gf(family), 25)
-            corrected = gf_coefficients(derived_gf(family), 25)
+            printed = paper_gf(family).series(25)
+            corrected = derived_gf(family).series(25)
             assert printed[1:] == corrected[1:]
 
 

@@ -1,9 +1,11 @@
 import json
+import sys
 
 import pytest
 
-from cactusids.chains import Family
-from cactusids.genfunc import derived_gf, gf_coefficients
+from cactusids import recurrences, verify
+from cactusids.chains import Family, LINEAR_FAMILIES
+from cactusids.genfunc import derived_gf
 from cactusids.graphs import OracleLimitError
 from cactusids.verify import (
     DEFECT_GRID,
@@ -11,6 +13,7 @@ from cactusids.verify import (
     all_claims,
     check_defect_formula,
     check_gamma_formula,
+    claims_for_family,
     cross_check_family,
     defect_formula_value,
     errata_report,
@@ -38,6 +41,10 @@ class TestRegistry:
         reported = sorted(s.claim.id for r in full_run for s in r.statuses)
         registered = sorted(c.id for c in all_claims())
         assert reported == registered
+        for family, report in zip(LINEAR_FAMILIES, full_run):
+            assert [s.claim.id for s in report.statuses] == [
+                c.id for c in claims_for_family(family)
+            ]
 
     def test_kinds_are_valid(self):
         allowed = {
@@ -132,7 +139,7 @@ class TestCrossCheckFamily:
     def test_corrected_gfs_match_oracle_everywhere(self):
         for family in (Family.TRIANGULAR, Family.HEX_META, Family.HEX_PARA):
             limit = max_length_within(family, 26)
-            series = gf_coefficients(derived_gf(family), limit)
+            series = derived_gf(family).series(limit)
             for n in range(1, limit + 1):
                 assert series[n] == oracle_count(family, n)
 
@@ -260,3 +267,129 @@ class TestReports:
         assert total["formal_only"] == 4
         assert total["unchecked"] == 0
         assert sum(total.values()) == len(all_claims())
+
+
+def _clear_package_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cactusids"):
+            for value in list(vars(module).values()):
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+@pytest.fixture
+def patched(monkeypatch):
+    """monkeypatch, with every package cache emptied before and after, so a
+    patched datum neither meets stale cached values nor leaks into other tests."""
+    _clear_package_caches()
+    yield monkeypatch
+    monkeypatch.undo()
+    _clear_package_caches()
+
+
+class TestRefutedBranches:
+    """Branches no published claim reaches, driven by a patched datum."""
+
+    def test_system_state_vector(self, patched):
+        # contains(n+1) = avoids(n), avoids(n+1) = contains(n) + 2*avoids(n)
+        patched.setitem(recurrences._SYSTEM_DATA, Family.TRIANGULAR, (((0, 1), (1, 2)), (1, 2)))
+        by_id = status_map(cross_check_family(Family.TRIANGULAR, n_max_oracle=4))
+        status = by_id["tri-system"]
+        assert status.verdict == "refuted"
+        assert (status.witness, status.claimed_value, status.oracle_value) == (
+            2, "(2, 5)", "(2, 3)"
+        )
+        assert status.reference == "oracle"
+        assert by_id["tri-state-seeds"].verdict == "confirmed"
+
+    def test_system_two_states_with_extendable_sets(self, patched):
+        # the hexagon has one extendable set at its terminal vertex
+        patched.setitem(recurrences._SYSTEM_DATA, Family.HEX_ORTHO, (((0, 2), (2, 2)), (2, 3)))
+        report = cross_check_family(Family.HEX_ORTHO, n_max_oracle=1, n_max_symbolic=1)
+        status = status_map(report)["hex-ortho-system"]
+        assert status.verdict == "refuted"
+        assert (status.witness, status.claimed_value, status.oracle_value) == (
+            1, "extendable state absent", "1"
+        )
+        assert status.reference == "oracle"
+
+    def test_state_seeds(self, patched):
+        patched.setitem(recurrences._SYSTEM_DATA, Family.TRIANGULAR, (((0, 1), (1, 1)), (1, 3)))
+        status = status_map(cross_check_family(Family.TRIANGULAR, n_max_oracle=4))[
+            "tri-state-seeds"
+        ]
+        assert status.verdict == "refuted"
+        assert (status.witness, status.claimed_value, status.oracle_value) == (1, 3, 2)
+        assert status.reference == "oracle"
+        assert status.details == ("printed avoids(1) disagrees with the oracle",)
+
+    @pytest.mark.parametrize("n_max_oracle, source", [(4, "oracle"), (2, "transfer")])
+    def test_initial_term(self, patched, n_max_oracle, source):
+        patched.setitem(
+            recurrences._RECURRENCE_DATA,
+            Family.HEX_PARA,
+            ((6, -9, 6, -1), ((0, 4), (1, 5), (2, 19), (3, 75)), 4, (0,)),
+        )
+        status = status_map(cross_check_family(Family.HEX_PARA, n_max_oracle=n_max_oracle))[
+            "hex-para-initial-3"
+        ]
+        assert status.verdict == "refuted"
+        assert (status.witness, status.claimed_value, status.oracle_value) == (3, 75, 76)
+        assert status.reference == source
+
+    def test_gf_formal_seed_only(self, patched):
+        # the printed series 1/(1 - 2x) stays right for n >= 1; only a(0) clashes
+        patched.setitem(
+            recurrences._RECURRENCE_DATA, Family.SQUARE_ORTHO, ((2,), ((0, 2),), 1, (0,))
+        )
+        status = status_map(cross_check_family(Family.SQUARE_ORTHO, n_max_oracle=4))[
+            "sq-ortho-gf"
+        ]
+        assert status.verdict == "refuted"
+        assert (status.witness, status.claimed_value, status.oracle_value) == (0, 1, 2)
+        assert status.reference == "printed formal seed"
+
+    def test_gamma(self, patched):
+        formula = verify._gamma_formula
+        patched.setattr(verify, "_gamma_formula", lambda f, n: formula(f, n) + (n == 3))
+        status = check_gamma_formula(Family.TRIANGULAR, 5)
+        assert status.verdict == "refuted"
+        assert (status.witness, status.claimed_value, status.oracle_value) == (3, 3, 2)
+        assert status.reference == "oracle"
+
+    def test_meta_identity_transfer_half(self, patched):
+        # extendable(n+1) = contains(n) + avoids(n) instead of contains(n)
+        patched.setitem(
+            recurrences._SYSTEM_DATA,
+            Family.HEX_META,
+            (((1, 2, 1), (1, 2, 2), (1, 1, 0)), (2, 3, None)),
+        )
+        status = status_map(cross_check_family(Family.HEX_META, n_max_oracle=3))[
+            "hex-meta-extendable-identity"
+        ]
+        assert status.verdict == "refuted"
+        assert (status.witness, status.claimed_value, status.oracle_value) == (2, "2", "5")
+        assert status.reference == "transfer"
+
+    def test_meta_identity_oracle_half(self, patched):
+        # the identity reads no transcribed datum on its oracle side, so the
+        # oracle's boundary classes are patched: one extra extendable set at n = 3
+        profile = verify._oracle_profile
+
+        def shifted(family, n):
+            counts = profile(family, n)
+            if family is Family.HEX_META and n == 3:
+                return counts._replace(extendable_count=counts.extendable_count + 1)
+            return counts
+
+        patched.setattr(verify, "_oracle_profile", shifted)
+        contains_2 = profile(Family.HEX_META, 2).in_count
+        extendable_3 = profile(Family.HEX_META, 3).extendable_count + 1
+        status = status_map(cross_check_family(Family.HEX_META, n_max_oracle=3))[
+            "hex-meta-extendable-identity"
+        ]
+        assert status.verdict == "refuted"
+        assert (status.witness, status.claimed_value, status.oracle_value) == (
+            3, contains_2, extendable_3
+        )
+        assert status.reference == "oracle"
