@@ -167,13 +167,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_spec(parser, args) -> ChainSpec:
     family = _FAMILY_BY_FLAG[args.family]
-    if family in LINEAR_FAMILIES:
-        if getattr(args, "m", None) is not None:
-            parser.error(f"--m is only valid for defect families, not {args.family}")
-        return ChainSpec(family, length=args.n)
-    if getattr(args, "m", None) is None:
+    m = getattr(args, "m", None)
+    if family in LINEAR_FAMILIES and m is not None:
+        parser.error(f"--m is only valid for defect families, not {args.family}")
+    if family not in LINEAR_FAMILIES and m is None:
         parser.error(f"{args.family} requires --m and --n")
-    return ChainSpec(family, m=args.m, n=args.n)
+    for flag, value in (("--m", m), ("--n", args.n)):
+        if value is not None and value < 1:
+            parser.error(f"{flag} must be at least 1")
+    if family in LINEAR_FAMILIES:
+        return ChainSpec(family, length=args.n)
+    return ChainSpec(family, m=m, n=args.n)
 
 
 def _check_ceiling(parser, args) -> int:
@@ -257,8 +261,6 @@ def _cmd_count(parser, args) -> int:
     if family in LINEAR_FAMILIES:
         if args.method == "formula":
             parser.error("--method formula applies only to defect families")
-        if args.n < 1:
-            parser.error("--n must be at least 1")
         _check_length("--n", args.n, MAX_LENGTH)
         value = _linear_count(family, args.n, args.method, args.gf_source, ceiling)
     else:

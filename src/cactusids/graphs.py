@@ -1,26 +1,43 @@
 """Bitset graphs and the brute-force oracle for maximal independent sets.
 
 A maximal independent set is exactly an independent dominating set, so the
-oracle doubles as ground truth for every counting claim in the package. Two
-independent strategies are kept deliberately separate:
+oracle doubles as ground truth for every counting claim in the package. It
+reads nothing but the graph, so it stays independent of the transfer
+systems and formulas it judges. Three strategies are kept deliberately
+separate:
 
+* ``dp``    - a frontier DP over the vertices in id order (Telle &
+  Proskurowski 1997): each live vertex is in the set, dominated, or waiting
+  to be dominated. It counts and minimises but cannot enumerate. ``auto``
+  picks it for ``count_ids``, ``count_boundary_classes`` and
+  ``independent_domination_number`` when the id order keeps at most
+  ``DP_MAX_WIDTH`` vertices live at once; every chain family keeps at most
+  3, so the work is linear in the number of vertices;
 * ``pivot`` - maximal-clique enumeration on the complement graph with
-  Tomita-style pivoting; the ``auto`` strategy at every size;
+  Tomita-style pivoting; ``auto`` for ``enumerate_mis`` and for counting
+  when the frontier is wider than ``DP_MAX_WIDTH``;
 * ``scan``  - literal subset scan over all 2^n vertex subsets, checking the
   definition (independent, closed neighbourhood covers everything); kept as
   the cross-check.
 
-Both must agree; tests cross-check them. Vertex sets are plain ints used as
+All must agree; tests cross-check them. Vertex sets are plain ints used as
 bitmasks (bit i = vertex i). All functions are pure; shared graphs are safe
 to use concurrently.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 DEFAULT_MAX_VERTICES = 40  # hard resource cap for any oracle call
+# Widest id-order frontier for which ``auto`` picks the DP. A live vertex is
+# in the set, dominated or waiting, so a frontier of w vertices has at most
+# 3^w states. At 10, a 40-vertex graph costs at most 40 * 3^10 (about 2.4M)
+# state updates, on the order of the pivot oracle's own worst case there
+# (up to 3^(40/3), about 2.3M, maximal independent sets).
+DP_MAX_WIDTH = 10
 
 
 class OracleLimitError(RuntimeError):
@@ -157,12 +174,71 @@ def _require_within(g: Graph, max_vertices: int) -> None:
         )
 
 
-def _resolve_strategy(g: Graph, strategy: str) -> str:
+def _resolve_strategy(g: Graph, strategy: str, keep: int | None = None) -> str:
     if strategy == "auto":
-        return "pivot"
-    if strategy not in ("scan", "pivot"):
+        return "dp" if _frontier_width(g, keep) <= DP_MAX_WIDTH else "pivot"
+    if strategy not in ("dp", "pivot", "scan"):
         raise ValueError(f"unknown strategy {strategy!r}")
     return strategy
+
+
+def _retire_masks(g: Graph, keep: int | None) -> list[int]:
+    """retire[v]: the vertices the frontier DP drops after processing v.
+
+    A vertex leaves once it and all its neighbours are processed, i.e. at its
+    own id or its highest neighbour's, whichever is larger; ``keep`` never
+    leaves.
+    """
+    retire = [0] * g.n_vertices
+    for u, a in enumerate(g.adjacency):
+        if u != keep:
+            retire[max(u, a.bit_length() - 1)] |= 1 << u
+    return retire
+
+
+def _frontier_width(g: Graph, keep: int | None = None) -> int:
+    """Most vertices the frontier DP keeps live at once, in id order."""
+    live = width = 0
+    for v, gone in enumerate(_retire_masks(g, keep)):
+        live = (live | 1 << v) & ~gone
+        width = max(width, live.bit_count())
+    return width
+
+
+def _dp_states(
+    g: Graph, keep: int | None = None, minimise: bool = False
+) -> dict[tuple[int, int], int]:
+    """Frontier DP over the vertices in id order (Telle & Proskurowski 1997).
+
+    A state is ``(in_set, undominated)``, two masks over the live vertices;
+    its value is the number of independent sets of the processed vertices
+    that reach it, or with ``minimise`` the least size of such a set. A
+    vertex that leaves the frontier undominated ends its states, so once
+    every vertex is processed only ``keep``'s bits are left: the states say
+    whether ``keep`` is in the set, out and dominated, or out and not.
+    """
+    combine, step = (min, 1) if minimise else (operator.add, 0)
+    states = {(0, 0): 0 if minimise else 1}
+    for v, gone in enumerate(_retire_masks(g, keep)):
+        vbit = 1 << v
+        earlier = g.adjacency[v] & (vbit - 1)
+        nxt: dict[tuple[int, int], int] = {}
+        for (ins, undom), value in states.items():
+            if ins & earlier:  # v is out, dominated by an earlier neighbour
+                choices = ((ins, undom, value),)
+            else:  # v joins and dominates its earlier neighbours, or is out and waits
+                choices = (
+                    (ins | vbit, undom & ~earlier, value + step),
+                    (ins, undom | vbit, value),
+                )
+            for ins2, undom2, value2 in choices:
+                if undom2 & gone:
+                    continue
+                key = (ins2 & ~gone, undom2)
+                old = nxt.get(key)
+                nxt[key] = value2 if old is None else combine(old, value2)
+        states = nxt
+    return states
 
 
 def _independent_subsets(g: Graph) -> Iterator[tuple[int, int]]:
@@ -246,13 +322,17 @@ def enumerate_mis(
     strategy: str = "auto",
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> Iterator[int]:
-    """Yield every maximal independent set once, ascending by bitset value."""
+    """Every maximal independent set once, ascending by bitset value.
+
+    ``auto`` is ``pivot`` here; the ``dp`` strategy only counts.
+    """
+    if strategy == "dp":
+        raise ValueError("the dp strategy counts sets; enumerate with pivot or scan")
     _require_within(g, max_vertices)
     if _resolve_strategy(g, strategy) == "scan":
         full = g.full_mask
-        yield from (mask for mask, closed in _independent_subsets(g) if closed == full)
-    else:
-        yield from _mis_masks_pivot(g.adjacency, g.full_mask)
+        return (mask for mask, closed in _independent_subsets(g) if closed == full)
+    return iter(_mis_masks_pivot(g.adjacency, g.full_mask))
 
 
 def count_ids(
@@ -266,7 +346,10 @@ def count_ids(
     family ever exercises that case.
     """
     _require_within(g, max_vertices)
-    if _resolve_strategy(g, strategy) == "scan":
+    strategy = _resolve_strategy(g, strategy)
+    if strategy == "dp":
+        return sum(_dp_states(g).values())
+    if strategy == "scan":
         total, _ = _scan_counts(g, 0)
         return total
     return len(_mis_masks_pivot(g.adjacency, g.full_mask))
@@ -280,13 +363,11 @@ def independent_domination_number(
     """Minimum cardinality over all maximal independent sets."""
     if g.n_vertices == 0:
         raise ValueError("empty graph has no dominating set")
-    best = None
-    for mask in enumerate_mis(g, strategy=strategy, max_vertices=max_vertices):
-        size = mask.bit_count()
-        if best is None or size < best:
-            best = size
-    assert best is not None  # every nonempty graph has a maximal independent set
-    return best
+    _require_within(g, max_vertices)
+    strategy = _resolve_strategy(g, strategy)
+    if strategy == "dp":
+        return min(_dp_states(g, minimise=True).values())
+    return min(mask.bit_count() for mask in enumerate_mis(g, strategy, max_vertices))
 
 
 def count_boundary_classes(
@@ -304,7 +385,13 @@ def count_boundary_classes(
         raise ValueError(f"vertex {v} out of range")
     _require_within(g, max_vertices)
     vbit = 1 << v
-    if _resolve_strategy(g, strategy) == "scan":
+    strategy = _resolve_strategy(g, strategy, keep=v)
+    if strategy == "dp":
+        states = _dp_states(g, keep=v)
+        return BoundaryCounts(
+            states.get((vbit, 0), 0), states.get((0, 0), 0), states.get((0, vbit), 0)
+        )
+    if strategy == "scan":
         _, counts = _scan_counts(g, vbit)
         return counts
     all_mis = _mis_masks_pivot(g.adjacency, g.full_mask)

@@ -45,6 +45,7 @@ from .graphs import (
     BoundaryCounts,
     OracleLimitError,
     count_boundary_classes,
+    count_ids,
     independent_domination_number,
 )
 from .polynomials import RationalGF, format_gf
@@ -350,8 +351,6 @@ def _oracle_gamma(family: Family, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _oracle_defect_count(family: Family, m: int, n: int) -> int:
-    from .graphs import count_ids
-
     chain = build_chain(ChainSpec(family, m=m, n=n))
     return count_ids(chain.graph)
 

@@ -92,6 +92,20 @@ class TestCount:
         assert run(capsys, "count", "--family", "tri", "--n", "2", "--m", "1")[0] == 1
         assert run(capsys, "count", "--family", "nope", "--n", "1")[0] == 1
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("count", "--family", "tri", "--n", "0"), "--n"),
+        (("count", "--family", "tri", "--n", "-2", "--method", "oracle"), "--n"),
+        (("count", "--family", "s-defect", "--m", "0", "--n", "1", "--method", "formula"), "--m"),
+        (("count", "--family", "p-defect", "--m", "1", "--n", "0", "--method", "oracle"), "--n"),
+        (("build", "--family", "tri", "--n", "0"), "--n"),
+        (("build", "--family", "p-defect", "--m", "0", "--n", "2"), "--m"),
+        (("build", "--family", "s-defect", "--m", "2", "--n", "-1"), "--n"),
+    ])
+    def test_lengths_below_one_are_usage_errors(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == f"cactusids: error: {flag} must be at least 1"
+
     def test_resource_limit_exit_code(self, capsys):
         code, out, err = run(
             capsys, "count", "--family", "hex-para", "--n", "10", "--method", "oracle"

@@ -2,10 +2,20 @@ import gc
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cactusids.chains import ChainSpec, Family, build_chain
+from cactusids import graphs as graphs_module
+from cactusids.chains import (
+    DEFECT_FAMILIES,
+    LINEAR_FAMILIES,
+    ChainSpec,
+    Family,
+    build_chain,
+    expected_vertex_count,
+)
 from cactusids.graphs import (
+    DEFAULT_MAX_VERTICES,
+    DP_MAX_WIDTH,
     BoundaryCounts,
     Graph,
     OracleLimitError,
@@ -167,18 +177,19 @@ class TestCounting:
             )
 
     def test_strategies_agree_at_20_vertices(self):
-        # auto picks pivot at every size; scan is the literal-definition
-        # cross-check, compared here on a 20-vertex graph (2^20 subsets)
+        # scan is the literal-definition cross-check, compared here with
+        # pivot and dp on a 20-vertex graph (2^20 subsets)
         rng = random.Random(41)
         g = random_graph(rng, 20, p=0.15)
         assert count_ids(g, strategy="scan") == count_ids(g, strategy="pivot")
+        assert count_ids(g, strategy="dp") == count_ids(g, strategy="pivot")
 
     def test_pivot_leaves_no_reference_cycle(self):
         g = build_chain(ChainSpec(Family.HEX_PARA, length=7)).graph
         gc.collect()
         gc.disable()
         try:
-            assert count_ids(g) == 20969
+            assert count_ids(g, strategy="pivot") == 20969
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -255,3 +266,112 @@ class TestIsomorphism:
 
     def test_size_mismatch(self):
         assert not is_isomorphic(C4, C6)
+
+
+def _largest_length(family: Family) -> int:
+    n = 1
+    while expected_vertex_count(ChainSpec(family, length=n + 1)) <= DEFAULT_MAX_VERTICES:
+        n += 1
+    return n
+
+
+def _oracle_values(g: Graph, v: int, strategy: str):
+    return (
+        count_ids(g, strategy=strategy),
+        count_boundary_classes(g, v, strategy=strategy),
+        independent_domination_number(g, strategy=strategy),
+    )
+
+
+class TestFrontierDP:
+    @given(graphs(max_n=12))
+    @example(Graph.from_edges(1, []))
+    @example(Graph.from_edges(5, []))
+    @example(Graph.from_edges(7, [(1, 4), (4, 6)]))
+    @example(Graph.from_edges(6, [(0, 5), (2, 5)]))
+    @settings(max_examples=80, deadline=None)
+    def test_strategies_agree(self, g):
+        # isolated vertices must join every set; vertex 3 of the third example
+        # is isolated in the middle of the id order
+        for strategy in ("pivot", "scan"):
+            assert count_ids(g, strategy="dp") == count_ids(g, strategy=strategy)
+            assert independent_domination_number(g, strategy="dp") == (
+                independent_domination_number(g, strategy=strategy)
+            )
+            for v in range(g.n_vertices):
+                assert count_boundary_classes(g, v, strategy="dp") == (
+                    count_boundary_classes(g, v, strategy=strategy)
+                )
+
+    def test_empty_graph(self):
+        empty = Graph.from_edges(0, [])
+        assert count_ids(empty, strategy="dp") == count_ids(empty, strategy="scan") == 1
+        with pytest.raises(ValueError):
+            independent_domination_number(empty, strategy="dp")
+
+    def test_edgeless_graph(self):
+        g = Graph.from_edges(4, [])
+        assert count_ids(g, strategy="dp") == 1
+        assert independent_domination_number(g, strategy="dp") == 4
+        assert count_boundary_classes(g, 2, strategy="dp") == BoundaryCounts(1, 0, 1)
+
+    @pytest.mark.parametrize("family", LINEAR_FAMILIES, ids=lambda f: f.value)
+    def test_linear_chains_at_the_ceiling(self, family):
+        chain = build_chain(ChainSpec(family, length=_largest_length(family)))
+        assert chain.graph.n_vertices <= DEFAULT_MAX_VERTICES
+        assert _oracle_values(chain.graph, chain.terminal_vertex, "dp") == (
+            _oracle_values(chain.graph, chain.terminal_vertex, "pivot")
+        )
+
+    @pytest.mark.parametrize("family", DEFECT_FAMILIES, ids=lambda f: f.value)
+    def test_defect_chains_at_arm_total_12(self, family):
+        for m in range(1, 12):
+            chain = build_chain(ChainSpec(family, m=m, n=12 - m))
+            g, t = chain.graph, chain.terminal_vertex
+            assert g.n_vertices == DEFAULT_MAX_VERTICES
+            assert count_boundary_classes(g, t, strategy="dp") == (
+                count_boundary_classes(g, t, strategy="pivot")
+            ), m
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_auto_picks_dp_for_every_chain(self, family):
+        spec = (
+            ChainSpec(family, length=_largest_length(family))
+            if family in LINEAR_FAMILIES
+            else ChainSpec(family, m=6, n=6)
+        )
+        chain = build_chain(spec)
+        for keep in (None, chain.terminal_vertex):
+            assert graphs_module._frontier_width(chain.graph, keep) <= 3
+            assert graphs_module._resolve_strategy(chain.graph, "auto", keep) == "dp"
+
+    def test_wide_frontier_falls_back_to_pivot(self, monkeypatch):
+        # complete bipartite K(w, w): the first side stays live until the last
+        # vertex, so the id-order frontier is w wide
+        w = DP_MAX_WIDTH + 2
+        g = Graph.from_edges(2 * w, [(i, w + j) for i in range(w) for j in range(w)])
+        assert graphs_module._frontier_width(g) > DP_MAX_WIDTH
+
+        def no_dp(*args, **kwargs):
+            raise AssertionError("auto ran the DP above its width")
+
+        monkeypatch.setattr(graphs_module, "_dp_states", no_dp)
+        assert count_ids(g) == 2
+        assert independent_domination_number(g) == w
+        assert count_boundary_classes(g, 0) == BoundaryCounts(1, 1, 1)
+        monkeypatch.undo()
+        assert _oracle_values(g, 0, "dp") == (2, BoundaryCounts(1, 1, 1), w)
+
+    def test_enumerate_refuses_dp(self):
+        with pytest.raises(ValueError, match="dp"):
+            enumerate_mis(C4, strategy="dp")
+
+    def test_unknown_strategy(self):
+        for call in (
+            lambda: count_ids(C4, strategy="nope"),
+            lambda: count_boundary_classes(C4, 0, strategy="nope"),
+            lambda: independent_domination_number(C4, strategy="nope"),
+            lambda: enumerate_mis(C4, strategy="nope"),
+        ):
+            with pytest.raises(ValueError, match="unknown strategy"):
+                call()
