@@ -2,11 +2,11 @@
 
 Exit codes: 0 success, 1 usage error, 2 resource limit (a graph above the
 oracle vertex ceiling, a ``count --n``/``--m`` above MAX_LENGTH, a ``build
---n``/``--m`` above MAX_BUILD_LENGTH or a ``--max-n`` above
-MAX_SEQUENCE_LENGTH), 3 when ``verify`` finds refuted claims (so CI can gate
-on consistency). Output is deterministic: identical invocations produce
-byte-identical output, and every count is printed exactly, however many
-digits it has.
+--n``/``--m`` above MAX_BUILD_LENGTH, or a ``sequence --max-n`` or ``verify
+--symbolic-max`` above MAX_SEQUENCE_LENGTH), 3 when ``verify`` finds refuted
+claims (so CI can gate on consistency). Output is deterministic: identical
+invocations produce byte-identical output, and every count is printed
+exactly, however many digits it has.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .recurrences import (
     eval_recurrence,
     paper_recurrence,
     paper_transfer_system,
+    recurrence_values,
     run_transfer,
     state_trajectory,
 )
@@ -58,11 +59,9 @@ _FAMILY_BY_FLAG = {f.value: f for f in Family}
 # about 62k digits and computing plus printing it takes about 0.2 s, at 10^6
 # about 11 s.
 MAX_LENGTH = 100_000
-# Largest --max-n that ``sequence`` accepts. It computes every count up to
-# max-n, one recurrence evaluation per length by the recurrence route, and
-# prints about 0.3 * max-n^2 digits for hex-para: at 2000, 1.2 MB in under
-# 3 s by any route; at 10^4, 30 MB and about a minute by the printed
-# recurrence.
+# Largest ``sequence --max-n`` and ``verify --symbolic-max``. Both keep every
+# count up to that length: hex-para prints 1.2 MB at 2000, and ``verify``, which
+# also keeps every state and series term, took 0.8 s at 1000 and 1.4 s at 2000.
 MAX_SEQUENCE_LENGTH = 2_000
 # Largest --n (and --m) that ``build`` accepts. The bitset graph keeps one
 # int per vertex as wide as its highest neighbour id, so memory grows as n^2:
@@ -306,8 +305,7 @@ def _cmd_sequence(parser, args) -> int:
         if args.method == "transfer":
             counts = reference
         elif args.method == "recurrence":
-            rec = paper_recurrence(family)
-            counts = [eval_recurrence(rec, n) for n in lengths]
+            counts = recurrence_values(paper_recurrence(family), 1, args.max_n)
         else:
             gf = paper_gf(family) if args.gf_source == "paper" else derived_gf(family)
             counts = gf.series(args.max_n)[1:]
@@ -416,6 +414,7 @@ def _cmd_defect(parser, args) -> int:
 
 def _cmd_verify(parser, args) -> int:
     ceiling = _check_ceiling(parser, args)
+    _check_length("--symbolic-max", args.symbolic_max, MAX_SEQUENCE_LENGTH)
     reports = verify_all(oracle_ceiling=ceiling, n_max_symbolic=args.symbolic_max)
     print(errata_report(reports, format=args.report))
     refuted = sum(1 for r in reports for s in r.statuses if s.verdict == "refuted")

@@ -9,7 +9,7 @@ Covers four jobs:
 * a claims store holding the published generating functions verbatim,
   including the erroneous ones, plus systems re-derived from the transfer
   matrices (the corrected versions);
-* dominant growth-rate estimation for a recurrence.
+* dominant growth rate of a recurrence, from its largest root modulus.
 
 Series index convention: physical chain lengths start at n = 1; coefficient
 0 of a claimed generating function is compared only against a printed formal
@@ -23,14 +23,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .chains import Family
 from .polynomials import (
     Polynomial,
     RationalGF,
     as_poly,
     poly_divmod_exact,
+    poly_gcd,
 )
 from .recurrences import (
     LinearRecurrence,
@@ -352,30 +351,35 @@ def characteristic_polynomial(rec: LinearRecurrence) -> Polynomial:
 
 
 def dominant_growth_rate(rec: LinearRecurrence, ratio_index: int = 50) -> GrowthEstimate:
-    """Largest-magnitude real characteristic root plus an empirical ratio.
+    """Largest-modulus real characteristic root plus an empirical ratio.
 
-    Roots are localised numerically, then the dominant real root is polished
-    by bisection on the exact integer polynomial to relative tolerance 1e-12.
-    Raises NoRealDominantRootError when the dominant roots are a complex
-    pair, instead of reporting a meaningless number.
+    The largest root modulus M of the characteristic polynomial's square-free
+    part is bracketed, lo <= M < hi with hi - lo < 2^-64, by halving [0, Cauchy
+    bound] with a Schur-Cohn test. A sign change on [lo, hi] (tried first, so
+    +M wins a tie) or on [-hi, -lo] marks a real root of modulus M to within
+    the bracket; its nearest float seeds a bisection to relative tolerance
+    1e-12, and is the result if another root in the bisection's window draws
+    it away. Raises NoRealDominantRootError when the dominant roots are a
+    complex pair.
     """
     char = characteristic_polynomial(rec)
-    coeffs_desc = list(reversed(char.coeffs))
-    roots = np.roots(coeffs_desc)
-    magnitudes = np.abs(roots)
-    top = float(magnitudes.max())
-    real_candidates = [
-        float(r.real)
-        for r, m in zip(roots, magnitudes)
-        if abs(r.imag) <= 1e-9 * max(1.0, abs(r)) and m >= top * (1 - 1e-9)
-    ]
-    if not real_candidates:
+    derivative = Polynomial(i * c for i, c in enumerate(char.coeffs) if i)
+    squarefree = poly_divmod_exact(char, poly_gcd(char, derivative))
+    lo, hi = 0, 1 + Fraction(max(map(abs, squarefree.coeffs[:-1])), squarefree.leading())
+    for _ in range(64 + int(hi).bit_length()):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if _roots_inside(squarefree, mid) else (mid, hi)
+    for sign in (1, -1):
+        if squarefree(sign * lo) * squarefree(sign * hi) <= 0:
+            seed = sign * float((lo + hi) / 2)
+            break
+    else:
         raise NoRealDominantRootError(
-            "dominant characteristic roots are a complex pair "
-            f"of magnitude {top:.12g}"
+            f"dominant characteristic roots are a complex pair of magnitude {float(hi):.12g}"
         )
-    approx = max(real_candidates, key=abs)
-    root = _polish_real_root(char, approx)
+    root = _polish_real_root(squarefree, seed)
+    if abs(root - seed) > 1e-12 * max(abs(seed), 1):
+        root = seed
 
     a = eval_recurrence(rec, ratio_index)
     b = eval_recurrence(rec, ratio_index + 1)
@@ -385,29 +389,32 @@ def dominant_growth_rate(rec: LinearRecurrence, ratio_index: int = 50) -> Growth
     return GrowthEstimate(root, ratio, ratio_index)
 
 
-def _polish_real_root(poly: Polynomial, approx: float, rel_tol: float = 1e-12) -> float:
-    def f(x: Fraction) -> Fraction:
-        return poly(x)
+def _roots_inside(poly: Polynomial, radius: Fraction) -> bool:
+    """Schur-Cohn test: whether every root of ``poly`` has modulus below ``radius``.
 
+    For p(radius z), scaled to integer coefficients a_0..a_n, that needs |a_0| <
+    |a_n|, and then holds just when it holds for (a_n p - a_0 p*)/z, p* = p reversed."""
+    n, s, t = poly.degree, radius.numerator, radius.denominator
+    p = Polynomial(c * s**k * t ** (n - k) for k, c in enumerate(poly.coeffs))
+    while p.degree > 0:
+        a0, an = p[0], p.leading()
+        if abs(a0) >= abs(an):
+            return False
+        high, low = p.coeffs[1:], reversed(p.coeffs[:-1])
+        p = Polynomial(an * x - a0 * y for x, y in zip(high, low)).primitive_part()
+    return True
+
+
+def _polish_real_root(poly: Polynomial, approx: float, rel_tol: float = 1e-12) -> float:
     x0 = Fraction(approx).limit_denominator(10**15)
     step = Fraction(max(abs(approx), 1.0)).limit_denominator(10**6) * Fraction(1, 10**6)
     lo, hi = x0 - step, x0 + step
-    for _ in range(80):
-        if f(lo) == 0:
-            return float(lo)
-        if f(hi) == 0:
-            return float(hi)
-        if (f(lo) < 0) != (f(hi) < 0):
-            break
-        step *= 2
-        lo, hi = x0 - step, x0 + step
-    else:
-        # no bracketing sign change (even multiplicity); fall back to Newton
-        return _newton_float(poly, approx)
-    flo = f(lo)
+    if (poly(lo) < 0) == (poly(hi) < 0):
+        return approx
+    flo = poly(lo)
     while (hi - lo) > Fraction(rel_tol).limit_denominator(10**18) * max(abs(hi), Fraction(1)):
         mid = (lo + hi) / 2
-        fm = f(mid)
+        fm = poly(mid)
         if fm == 0:
             return float(mid)
         if (fm < 0) == (flo < 0):
@@ -415,19 +422,3 @@ def _polish_real_root(poly: Polynomial, approx: float, rel_tol: float = 1e-12) -
         else:
             hi = mid
     return float((lo + hi) / 2)
-
-
-def _newton_float(poly: Polynomial, x: float) -> float:
-    deriv = Polynomial(
-        tuple(i * c for i, c in enumerate(poly.coeffs) if i >= 1)
-    )
-    for _ in range(200):
-        fx = poly(x)
-        dx = deriv(x)
-        if dx == 0:
-            break
-        nxt = x - fx / dx
-        if abs(nxt - x) <= 1e-13 * max(1.0, abs(nxt)):
-            return nxt
-        x = nxt
-    return x

@@ -229,30 +229,33 @@ def _companion(coefficients: tuple[int, ...]) -> Matrix:
     return (tuple(coefficients),) + shift
 
 
-def eval_recurrence(rec: LinearRecurrence, n: int) -> int:
-    """Value at index n: an initial term if supplied, else advanced exactly.
+def recurrence_values(rec: LinearRecurrence, first: int, last: int) -> list[int]:
+    """Values at indices first..last in one pass of k products per term,
+    starting after the contiguous window of initial terms; a term supplied
+    beyond that window overrides the relation."""
+    values, base = rec.initial_map, rec.min_index
+    if first < base:
+        raise ValueError(f"index {first} below the smallest initial index {base}")
+    terms: list[int] = []
+    for i in range(base, last + 1):
+        if i in values:
+            terms.append(values[i])
+        elif i < base + rec.order:
+            raise ValueError(f"initial terms do not cover index {i}")
+        else:
+            terms.append(sum(c * terms[-j] for j, c in enumerate(rec.coefficients, 1)))
+    return terms[first - base:]
 
-    Advancing starts right after the contiguous window of initial terms, so
-    gaps between a printed validity index and the first computable term are
-    bridged by the recurrence itself. A term supplied beyond that window
-    overrides the relation: the window is advanced by companion-matrix powers
-    up to it, restarted from it, and so on up to n, with O(log n) matrix
-    products and memory for k terms.
-    """
+
+def eval_recurrence(rec: LinearRecurrence, n: int) -> int:
+    """Value at index n as :func:`recurrence_values` gives it: stepped up to
+    the last supplied term, then advanced by companion-matrix powers in
+    O(log n) matrix products."""
     values = rec.initial_map
     if n in values:
         return values[n]
-    base = rec.min_index
-    if n < base:
-        raise ValueError(f"index {n} below the smallest initial index {base}")
-    k = rec.order
-    for i in range(base, base + k):
-        if i not in values:
-            raise ValueError(f"initial terms do not cover index {i}")
-    companion = _companion(rec.coefficients)
-    top = base + k - 1  # window = (a(top), a(top-1), ..., a(top-k+1))
-    window = tuple(values[top - j] for j in range(k))
-    for i in sorted(i for i in values if top < i < n):
-        window = (values[i],) + mat_pow_vec(companion, i - 1 - top, window)[:-1]
-        top = i
-    return mat_pow_vec(companion, n - top, window)[0]
+    top = max(max(values), rec.min_index + rec.order - 1)
+    if n <= top:
+        return recurrence_values(rec, n, n)[0]
+    window = tuple(reversed(recurrence_values(rec, top - rec.order + 1, top)))
+    return mat_pow_vec(_companion(rec.coefficients), n - top, window)[0]

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from decimal import Decimal
 
@@ -16,6 +18,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_leaves_numpy_out():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, cactusids.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
 
 
 class TestCount:
@@ -135,6 +147,7 @@ class TestCount:
             ("count", "--family", "s-defect", "--m", str(MAX_LENGTH + 1), "--n", "1",
              "--method", "formula"),
             ("sequence", "--family", "tri", "--max-n", str(MAX_SEQUENCE_LENGTH + 1)),
+            ("verify", "--symbolic-max", str(MAX_SEQUENCE_LENGTH + 1)),
         ):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, ""), argv

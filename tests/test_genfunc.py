@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cactusids.chains import Family, LINEAR_FAMILIES
 from cactusids.genfunc import (
@@ -206,7 +207,63 @@ class TestGrowthRate:
             dominant_growth_rate(rec)
 
     def test_even_multiplicity_root(self):
-        # characteristic polynomial (x - 2)^2 has no sign change to bisect
+        # (x - 2)^2 has no sign change, but its square-free part x - 2 has
         rec = LinearRecurrence((4, -4), ((1, 2), (2, 8)), 3)
         estimate = dominant_growth_rate(rec, ratio_index=30)
         assert abs(estimate.dominant_root - 2.0) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "factors, root",
+        [
+            ([(-4, 0, 1)], 2.0),  # a(n) = 4a(n-2): roots +2 and -2, +2 wins the tie
+            ([(2, 1), (-2, 1), (-3, 0, 1)], 2.0),  # +-2 beats +-sqrt(3)
+            ([(3, 1), (3, 1), (-1, 1)], -3.0),  # repeated negative root
+            ([(-5, 1)], 5.0),  # degree 1
+            ([(3, 1)], -3.0),
+            ([(-8, 0, 0, 1)], 2.0),  # x^3 - 8: 2 and a complex pair, all of modulus 2
+            # roots a millionth apart share the polishing bisection's first window
+            ([(-10**6, 1), (-10**6 - 1, 1)], 10**6 + 1.0),
+            ([(-3 * 10**6 - d, 1) for d in range(3)], 3 * 10**6 + 2.0),
+            ([(-10**7, 1), (10**14 - 2, -2 * 10**7, 1)], 10**7 + 2**0.5),
+        ],
+    )
+    def test_known_roots(self, factors, root):
+        estimate = dominant_growth_rate(_recurrence_with_roots(factors), ratio_index=30)
+        assert abs(estimate.dominant_root - root) <= 1e-9
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-12, 12).map(lambda a: ((-a, 1), a)),
+                st.tuples(st.integers(-12, 12), st.integers(1, 12)).map(
+                    lambda ab: ((ab[0] ** 2 + ab[1] ** 2, -2 * ab[0], 1), None)
+                ),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_roots_of_known_factors(self, factors):
+        # integer roots a and complex pairs a +- bi, b >= 1, of modulus^2 a^2 + b^2
+        rec = _recurrence_with_roots([f for f, _ in factors])
+        assume(eval_recurrence(rec, 30) != 0)
+        largest = max(c[0] if r is None else r * r for c, r in factors)
+        real = [r for _, r in factors if r is not None and r * r == largest]
+        if not real:
+            with pytest.raises(NoRealDominantRootError):
+                dominant_growth_rate(rec, ratio_index=30)
+            return
+        estimate = dominant_growth_rate(rec, ratio_index=30)
+        assert abs(estimate.dominant_root - max(real)) <= 1e-9
+
+
+def _recurrence_with_roots(factors):
+    """Recurrence whose characteristic polynomial is the product of the given
+    monic factors (ascending coefficients), seeded with 1, 2, ..., k."""
+    char = Polynomial((1,))
+    for f in factors:
+        char = char * Polynomial(f)
+    k = char.degree
+    coefficients = tuple(-char[k - i] for i in range(1, k + 1))
+    return LinearRecurrence(coefficients, tuple((i, i) for i in range(1, k + 1)), k + 1)

@@ -10,6 +10,7 @@ from cactusids.recurrences import (
     measured_extendable_seed,
     paper_recurrence,
     paper_transfer_system,
+    recurrence_values,
     run_transfer,
     state_trajectory,
     transfer_state,
@@ -147,6 +148,18 @@ class TestEvalRecurrenceAgainstStepping:
         got = [eval_recurrence(rec, n) for n in range(12)]
         assert got == [1, 1, 2, 3, 5, 100, 105, -4, 101, 97, 198, 295]
         assert got == [_stepped(rec, n) for n in range(12)]
+        assert recurrence_values(rec, 0, 11) == got
+        assert recurrence_values(rec, 6, 9) == got[6:10]
+
+    @pytest.mark.parametrize("rec", _ALL_RECURRENCES)
+    def test_values_in_one_pass(self, rec):
+        lengths = range(1, 401)
+        values = recurrence_values(rec, 1, 400)
+        assert values == [eval_recurrence(rec, n) for n in lengths]
+        assert values == [_stepped(rec, n) for n in lengths]
+        assert recurrence_values(rec, rec.min_index, 3) == [
+            eval_recurrence(rec, n) for n in range(rec.min_index, 4)
+        ]
 
     def test_negative_coefficients(self):
         for family in (Family.SQUARE_PARA, Family.HEX_PARA):
@@ -231,11 +244,15 @@ class TestPaperRecurrences:
         assert eval_recurrence(rec, 2) == 5  # bridged by the recurrence itself
         with pytest.raises(ValueError):
             eval_recurrence(rec, -1)
+        with pytest.raises(ValueError):
+            recurrence_values(rec, -1, 3)
 
     def test_incomplete_initials(self):
         rec = LinearRecurrence((1, 1), ((0, 1),), 2)
         with pytest.raises(ValueError):
             eval_recurrence(rec, 3)
+        with pytest.raises(ValueError):
+            recurrence_values(rec, 0, 3)
 
     def test_duplicate_initials_rejected(self):
         with pytest.raises(ValueError):
