@@ -350,8 +350,9 @@ def characteristic_polynomial(rec: LinearRecurrence) -> Polynomial:
     return Polynomial(tuple(-c for c in reversed(rec.coefficients)) + (1,))
 
 
-def dominant_growth_rate(rec: LinearRecurrence, ratio_index: int = 50) -> GrowthEstimate:
-    """Largest-modulus real characteristic root plus an empirical ratio.
+def dominant_growth_rate(rec: LinearRecurrence) -> GrowthEstimate:
+    """Largest-modulus real characteristic root plus the empirical ratio
+    a(51)/a(50).
 
     The largest root modulus M of the characteristic polynomial's square-free
     part is bracketed, lo <= M < hi with hi - lo < 2^-64, by halving [0, Cauchy
@@ -381,12 +382,11 @@ def dominant_growth_rate(rec: LinearRecurrence, ratio_index: int = 50) -> Growth
     if abs(root - seed) > 1e-12 * max(abs(seed), 1):
         root = seed
 
-    a = eval_recurrence(rec, ratio_index)
-    b = eval_recurrence(rec, ratio_index + 1)
+    a = eval_recurrence(rec, 50)
+    b = eval_recurrence(rec, 51)
     if a == 0:
-        raise ValueError(f"sequence value at index {ratio_index} is zero")
-    ratio = float(Fraction(b, a))
-    return GrowthEstimate(root, ratio, ratio_index)
+        raise ValueError("sequence value at index 50 is zero")
+    return GrowthEstimate(root, float(Fraction(b, a)), 50)
 
 
 def _roots_inside(poly: Polynomial, radius: Fraction) -> bool:
@@ -405,14 +405,14 @@ def _roots_inside(poly: Polynomial, radius: Fraction) -> bool:
     return True
 
 
-def _polish_real_root(poly: Polynomial, approx: float, rel_tol: float = 1e-12) -> float:
+def _polish_real_root(poly: Polynomial, approx: float) -> float:
     x0 = Fraction(approx).limit_denominator(10**15)
     step = Fraction(max(abs(approx), 1.0)).limit_denominator(10**6) * Fraction(1, 10**6)
     lo, hi = x0 - step, x0 + step
     if (poly(lo) < 0) == (poly(hi) < 0):
         return approx
     flo = poly(lo)
-    while (hi - lo) > Fraction(rel_tol).limit_denominator(10**18) * max(abs(hi), Fraction(1)):
+    while (hi - lo) > Fraction(1e-12).limit_denominator(10**18) * max(abs(hi), Fraction(1)):
         mid = (lo + hi) / 2
         fm = poly(mid)
         if fm == 0:

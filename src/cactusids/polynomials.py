@@ -173,7 +173,7 @@ class Polynomial:
         return format_poly(self)
 
 
-def format_poly(p: Polynomial, var: str = "x") -> str:
+def format_poly(p: Polynomial) -> str:
     """Render ascending-power text like ``1 - 3x - x^2 - 2x^3``."""
     if p.is_zero:
         return "0"
@@ -185,9 +185,9 @@ def format_poly(p: Polynomial, var: str = "x") -> str:
         if k == 0:
             body = str(mag)
         elif k == 1:
-            body = var if mag == 1 else f"{mag}{var}"
+            body = "x" if mag == 1 else f"{mag}x"
         else:
-            body = f"{var}^{k}" if mag == 1 else f"{mag}{var}^{k}"
+            body = f"x^{k}" if mag == 1 else f"{mag}x^{k}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -462,10 +462,10 @@ def _coerce_gf(value):
     return NotImplemented
 
 
-def format_gf(gf: RationalGF, var: str = "x") -> str:
+def format_gf(gf: RationalGF) -> str:
     """Render like ``(1 - x + 2x^2)/(1 - 3x - x^2 - 2x^3)``."""
-    num = format_poly(gf.numerator, var)
-    den = format_poly(gf.denominator, var)
+    num = format_poly(gf.numerator)
+    den = format_poly(gf.denominator)
     num_terms = sum(1 for c in gf.numerator.coeffs if c)
     den_terms = sum(1 for c in gf.denominator.coeffs if c)
     num_txt = f"({num})" if num_terms > 1 else num

@@ -52,11 +52,13 @@ from .polynomials import RationalGF, format_gf
 from .recurrences import (
     STATE_AVOIDS,
     STATE_CONTAINS,
+    _SYSTEM_DATA,
     LinearRecurrence,
     TransferSystem,
     eval_recurrence,
     paper_recurrence,
     paper_transfer_system,
+    recurrence_values,
     run_transfer,
     state_trajectory,
     transfer_state,
@@ -68,7 +70,6 @@ DEFAULT_SYMBOLIC_MAX = 30
 CONFIRMED = "confirmed"
 REFUTED = "refuted"
 FORMAL_ONLY = "formal-only"
-UNCHECKED = "unchecked"
 
 Witness = Union[int, tuple[int, int], None]
 
@@ -136,7 +137,6 @@ class VerificationReport:
 
     scope: str
     oracle_ceiling: int
-    n_max_symbolic: int
     statuses: list[ClaimStatus] = field(default_factory=list)
 
     def summary(self) -> dict:
@@ -157,14 +157,14 @@ def _seq_term(coeff: int, lag: int, first: bool) -> str:
     return f"+ {body}" if coeff > 0 else f"- {body}"
 
 
-def render_recurrence(rec: LinearRecurrence, with_initials: bool = True) -> str:
+def render_recurrence(rec: LinearRecurrence) -> str:
     terms = [
         _seq_term(c, i + 1, i == 0)
         for i, c in enumerate(rec.coefficients)
         if c != 0
     ]
     text = f"a(n) = {' '.join(terms)} for n >= {rec.valid_from}"
-    if with_initials and rec.initial_terms:
+    if rec.initial_terms:
         seeds = ", ".join(f"a({i}) = {v}" for i, v in sorted(rec.initial_terms))
         text += f", with {seeds}"
     return text
@@ -197,12 +197,8 @@ def _printed_seed_text(family: Family) -> str:
 
 
 def _printed_seed_flags(family: Family) -> tuple[bool, ...]:
-    # the extendable seed is never printed for the 3-state families except
-    # the para-square chain, whose three seeds are all stated
-    ts = paper_transfer_system(family)
-    if len(ts.state_names) == 2 or family is Family.SQUARE_PARA:
-        return tuple(True for _ in ts.state_names)
-    return (True, True, False)
+    # None marks a seed the source never states
+    return tuple(seed is not None for seed in _SYSTEM_DATA[family][1])
 
 
 # -- claim registry ----------------------------------------------------------
@@ -311,12 +307,12 @@ def defect_claim(kind: str, m: int, n: int) -> Claim:
 DEFECT_GRID = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
-def all_claims(defect_grid: Sequence[tuple[int, int]] = DEFECT_GRID) -> tuple[Claim, ...]:
+def all_claims() -> tuple[Claim, ...]:
     claims: list[Claim] = []
     for family in LINEAR_FAMILIES:
         claims.extend(claims_for_family(family))
     for kind in ("ortho-defect", "para-defect"):
-        for m, n in defect_grid:
+        for m, n in DEFECT_GRID:
             claims.append(defect_claim(kind, m, n))
     return tuple(claims)
 
@@ -330,6 +326,39 @@ def max_length_within(family: Family, ceiling_vertices: int) -> int:
     per_block = cycle - 1
     n = (ceiling_vertices - cycle) // per_block + 1
     return max(n, 0)
+
+
+def _chain_name(spec: ChainSpec) -> str:
+    if spec.family in LINEAR_FAMILIES:
+        return f"length-{spec.length} {spec.family.value} chain"
+    return f"{spec.family.value} chain ({spec.m},{spec.n})"
+
+
+def require_oracle_fit(spec: ChainSpec, oracle_ceiling: int) -> None:
+    """Refuse, before anything is built, a chain with more vertices than the
+    oracle ceiling (itself capped at DEFAULT_MAX_VERTICES): the one check
+    made before every oracle run of the verifier and the CLI."""
+    ceiling = min(oracle_ceiling, DEFAULT_MAX_VERTICES)
+    vertices = expected_vertex_count(spec)
+    if vertices <= ceiling:
+        return
+    if spec.n_blocks == 1:  # no chain of the family fits
+        raise OracleLimitError(
+            f"oracle ceiling {ceiling} is below the {vertices} vertices "
+            f"of the {_chain_name(spec)}"
+        )
+    raise OracleLimitError(
+        f"the {_chain_name(spec)} has {vertices} vertices, above the oracle ceiling {ceiling}"
+    )
+
+
+def oracle_lengths(family: Family, oracle_ceiling: int, n_max: Optional[int] = None) -> range:
+    """Lengths 1..n_max of a linear family, every chain under the oracle
+    ceiling; n_max defaults to the longest that fits. Refused as by require_oracle_fit."""
+    if n_max is None:
+        n_max = max(max_length_within(family, oracle_ceiling), 1)
+    require_oracle_fit(ChainSpec(family, length=n_max), oracle_ceiling)
+    return range(1, n_max + 1)
 
 
 @lru_cache(maxsize=None)
@@ -347,6 +376,18 @@ def oracle_count(family: Family, n: int) -> int:
 def _oracle_gamma(family: Family, n: int) -> int:
     chain = build_chain(ChainSpec(family, length=n))
     return independent_domination_number(chain.graph)
+
+
+def gamma_rows(
+    family: Family, oracle_ceiling: int, n_max: Optional[int] = None
+) -> list[tuple[int, int, int]]:
+    """(n, formula value, oracle minimum) at the oracle_lengths of a family
+    with a published domination-number formula."""
+    _gamma_claim(family)
+    return [
+        (n, _gamma_formula(family, n), _oracle_gamma(family, n))
+        for n in oracle_lengths(family, oracle_ceiling, n_max)
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -397,9 +438,8 @@ class _Context:
     family: Family
     n_max_oracle: int
     n_max_symbolic: int
-    oracle_ceiling: int
     system: TransferSystem
-    trajectory: list  # transfer state vectors at lengths 1..n_max_symbolic
+    trajectory: list  # transfer state vectors from length 1 through every length read
 
     @property
     def lengths(self) -> range:
@@ -415,9 +455,7 @@ class _Context:
     def count(self, n: int) -> tuple[int, str]:
         if n <= self.n_max_oracle:
             return oracle_count(self.family, n), "oracle"
-        if n <= self.n_max_symbolic:
-            return self.system.count(self.trajectory[n - 1]), "transfer"
-        return run_transfer(self.system, n), "transfer"  # a printed term past the range
+        return self.system.count(self.trajectory[n - 1]), "transfer"
 
     def state_count(self, n: int, i: int) -> tuple[int, str]:
         if n <= self.n_max_oracle:
@@ -545,8 +583,8 @@ def _check_state_seeds(claim: Claim, ctx: _Context) -> ClaimStatus:
 
 
 def _check_recurrence(claim: Claim, ctx: _Context) -> ClaimStatus:
-    rec = paper_recurrence(ctx.family)
-    mismatch = _first_mismatch(ctx.lengths, lambda n: eval_recurrence(rec, n), ctx.count)
+    values = recurrence_values(paper_recurrence(ctx.family), 1, ctx.n_max_symbolic)
+    mismatch = _first_mismatch(ctx.lengths, lambda n: values[n - 1], ctx.count)
     if mismatch is None:
         return ClaimStatus(
             claim,
@@ -574,12 +612,18 @@ def _strip_zero_seed(rec: LinearRecurrence) -> LinearRecurrence:
     return LinearRecurrence(rec.coefficients, initials, rec.valid_from, rec.formal_indices)
 
 
+def _judged_at(rec: LinearRecurrence, idx: int) -> int:
+    """The length a printed term a(idx) is judged at: a formal seed, which
+    counts no graph, at the first term that depends on it."""
+    return idx + rec.order if idx in rec.formal_indices else idx
+
+
 def _check_initial(claim: Claim, ctx: _Context, idx: int, value: int) -> ClaimStatus:
     rec = paper_recurrence(ctx.family)
-    if idx in rec.formal_indices:
-        n0 = idx + rec.order
+    n0 = _judged_at(rec, idx)
+    ref, source = ctx.count(n0)
+    if n0 != idx:
         predicted = eval_recurrence(rec, n0)
-        ref, source = ctx.count(n0)
         if predicted == ref:
             detail = (
                 f"formal seed; first dependent term a({n0}) = {predicted} "
@@ -591,7 +635,6 @@ def _check_initial(claim: Claim, ctx: _Context, idx: int, value: int) -> ClaimSt
                 f"{predicted} vs {source} {ref} (see {ctx.family.value}-recurrence)"
             )
         return ClaimStatus(claim, FORMAL_ONLY, claimed_value=value, details=(detail,))
-    ref, source = ctx.count(idx)
     if value != ref:
         return _refuted(claim, (idx, value, ref, source))
     return ClaimStatus(
@@ -605,23 +648,20 @@ def check_gamma_formula(
     oracle_ceiling: int = DEFAULT_ORACLE_CEILING,
 ) -> ClaimStatus:
     """Compare the published domination-number formula against the oracle."""
+    claim = _gamma_claim(family)
+    return _gamma_status(claim, family, oracle_lengths(family, oracle_ceiling, n_max))
+
+
+def _gamma_claim(family: Family) -> Claim:
     entry = _registry(family).get(f"{family.value}-gamma")
     if entry is None:
         raise ValueError(f"no gamma formula is published for {family.value}")
-    claim = entry[0]
-    limit = max_length_within(family, min(oracle_ceiling, DEFAULT_MAX_VERTICES))
-    if n_max is None:
-        n_max = limit
-    if n_max > limit:
-        raise OracleLimitError(
-            f"gamma check at n = {n_max} exceeds the oracle ceiling ({limit})"
-        )
-    if n_max < 1:
-        return ClaimStatus(
-            claim, UNCHECKED, details=("oracle ceiling below the length-1 chain",)
-        )
+    return entry[0]
+
+
+def _gamma_status(claim: Claim, family: Family, lengths: range) -> ClaimStatus:
     mismatch = _first_mismatch(
-        range(1, n_max + 1),
+        lengths,
         lambda n: _gamma_formula(family, n),
         lambda n: (_oracle_gamma(family, n), "oracle"),
     )
@@ -630,12 +670,12 @@ def check_gamma_formula(
     return ClaimStatus(
         claim,
         CONFIRMED,
-        details=(f"formula matches the oracle minimum for n = 1..{n_max}",),
+        details=(f"formula matches the oracle minimum for n = 1..{lengths[-1]}",),
     )
 
 
 def _check_gamma(claim: Claim, ctx: _Context) -> ClaimStatus:
-    return check_gamma_formula(ctx.family, oracle_ceiling=ctx.oracle_ceiling)
+    return _gamma_status(claim, ctx.family, ctx.oracle_lengths)
 
 
 def _check_meta_identity(claim: Claim, ctx: _Context) -> ClaimStatus:
@@ -665,13 +705,14 @@ _PHI_TEXT = "(1+sqrt(5))/2"
 
 
 def _check_growth_rate(claim: Claim, ctx: _Context) -> ClaimStatus:
-    estimate = dominant_growth_rate(paper_recurrence(ctx.family), ratio_index=50)
+    estimate = dominant_growth_rate(paper_recurrence(ctx.family))
+    i = estimate.ratio_index
     phi = (1 + math.sqrt(5)) / 2
     root_ok = abs(estimate.dominant_root - phi) <= 1e-9 * phi
     ratio_ok = abs(estimate.empirical_ratio - phi) <= 1e-9 * phi
     details = (
         f"dominant real root {estimate.dominant_root!r}",
-        f"empirical ratio a(51)/a(50) = {estimate.empirical_ratio!r}",
+        f"empirical ratio a({i + 1})/a({i}) = {estimate.empirical_ratio!r}",
     )
     if root_ok and ratio_ok:
         return ClaimStatus(
@@ -684,7 +725,7 @@ def _check_growth_rate(claim: Claim, ctx: _Context) -> ClaimStatus:
         )
     return _refuted(
         claim,
-        (50, _PHI_TEXT, estimate.dominant_root, "characteristic root"),
+        (i, _PHI_TEXT, estimate.dominant_root, "characteristic root"),
         details=details,
     )
 
@@ -726,39 +767,23 @@ def _check_asymptotic_form(claim: Claim, ctx: _Context) -> ClaimStatus:
 
 def cross_check_family(
     family: Family,
-    n_max_oracle: Optional[int] = None,
     n_max_symbolic: int = DEFAULT_SYMBOLIC_MAX,
     oracle_ceiling: int = DEFAULT_ORACLE_CEILING,
 ) -> VerificationReport:
-    """Run every registered check for one linear family."""
+    """Run every registered check for one linear family: against the oracle
+    at every length under the ceiling, against the transfer system beyond."""
     registry = _registry(family)
-    ceiling = min(oracle_ceiling, DEFAULT_MAX_VERTICES)
-    limit = max_length_within(family, ceiling)
-    if n_max_oracle is None:
-        n_max_oracle = limit
-    elif n_max_oracle > limit:
-        raise OracleLimitError(
-            f"n_max_oracle = {n_max_oracle} needs "
-            f"{expected_vertex_count(ChainSpec(family, length=n_max_oracle))} vertices, "
-            f"above the ceiling {ceiling}"
-        )
-    if n_max_oracle < 1:
-        raise OracleLimitError("oracle ceiling below the length-1 chain")
+    n_max_oracle = len(oracle_lengths(family, oracle_ceiling))
     n_max_symbolic = max(n_max_symbolic, n_max_oracle)
-
+    rec = paper_recurrence(family)
+    reach = max([n_max_symbolic] + [_judged_at(rec, idx) for idx, _ in rec.initial_terms])
     system = paper_transfer_system(family)
     ctx = _Context(
-        family,
-        n_max_oracle,
-        n_max_symbolic,
-        oracle_ceiling,
-        system,
-        state_trajectory(system, n_max_symbolic),
+        family, n_max_oracle, n_max_symbolic, system, state_trajectory(system, reach)
     )
     return VerificationReport(
         scope=family.value,
-        oracle_ceiling=ceiling,
-        n_max_symbolic=n_max_symbolic,
+        oracle_ceiling=oracle_ceiling,
         statuses=[check(claim, ctx) for claim, check in registry.values()],
     )
 
@@ -796,9 +821,15 @@ def defect_formula_value(kind: str, m: int, n: int) -> int:
 
 def ortho_square_contains(k: int) -> int:
     """s'(k): sets of the length-k ortho-square chain containing its terminal
-    vertex. The published para-defect formula omits s'(m)*s'(n), the sets
-    containing both cut vertices of the defect square."""
+    vertex."""
     return transfer_state(paper_transfer_system(Family.SQUARE_ORTHO), k)[STATE_CONTAINS]
+
+
+def corrected_para_defect_value(m: int, n: int) -> int:
+    """The para-defect formula plus s'(m)*s'(n), the sets containing both cut
+    vertices of the defect square, which the published formula omits."""
+    contains_both = ortho_square_contains(m) * ortho_square_contains(n)
+    return defect_formula_value("para-defect", m, n) + contains_both
 
 
 def check_defect_formula(
@@ -810,12 +841,7 @@ def check_defect_formula(
     """Compare a defect composition formula against the oracle at (m, n)."""
     family = _defect_family(kind)
     claim = defect_claim(kind, m, n)
-    vertices = expected_vertex_count(ChainSpec(family, m=m, n=n))
-    ceiling = min(oracle_ceiling, DEFAULT_MAX_VERTICES)
-    if vertices > ceiling:
-        raise OracleLimitError(
-            f"defect chain ({m},{n}) has {vertices} vertices, above ceiling {ceiling}"
-        )
+    require_oracle_fit(ChainSpec(family, m=m, n=n), oracle_ceiling)
     formula = defect_formula_value(kind, m, n)
     oracle = _oracle_defect_count(family, m, n)
     if formula == oracle:
@@ -850,8 +876,7 @@ def check_defect_formula(
 
     corrected = None
     if kind == "para-defect":
-        cm, cn = ortho_square_contains(m), ortho_square_contains(n)
-        candidate = formula + cm * cn
+        candidate = corrected_para_defect_value(m, n)
         if candidate == oracle:
             corrected = (
                 "s(m)*s(n) + 2*s(m-1)*s(n-1) + s'(m)*s'(n), where s'(k) counts the "
@@ -862,7 +887,8 @@ def check_defect_formula(
             )
             details.append(
                 "adding the contains-both-cut-vertices case reconciles the "
-                f"formula: {formula} + {cm}*{cn} = {candidate}"
+                f"formula: {formula} + {ortho_square_contains(m)}*"
+                f"{ortho_square_contains(n)} = {candidate}"
             )
         else:
             details.append("boundary-class correction attempt did not reconcile")
@@ -871,41 +897,28 @@ def check_defect_formula(
     )
 
 
-def check_defect_grid(
-    grid: Sequence[tuple[int, int]] = DEFECT_GRID,
-    oracle_ceiling: int = DEFAULT_ORACLE_CEILING,
-    n_max_symbolic: int = DEFAULT_SYMBOLIC_MAX,
-) -> VerificationReport:
+def check_defect_grid(oracle_ceiling: int = DEFAULT_ORACLE_CEILING) -> VerificationReport:
     statuses = [
         check_defect_formula(kind, m, n, oracle_ceiling=oracle_ceiling)
         for kind in ("ortho-defect", "para-defect")
-        for m, n in grid
+        for m, n in DEFECT_GRID
     ]
-    return VerificationReport(
-        scope="defects",
-        oracle_ceiling=min(oracle_ceiling, DEFAULT_MAX_VERTICES),
-        n_max_symbolic=n_max_symbolic,
-        statuses=statuses,
-    )
+    return VerificationReport(scope="defects", oracle_ceiling=oracle_ceiling, statuses=statuses)
 
 
 def verify_all(
     oracle_ceiling: int = DEFAULT_ORACLE_CEILING,
     n_max_symbolic: int = DEFAULT_SYMBOLIC_MAX,
-    defect_grid: Sequence[tuple[int, int]] = DEFECT_GRID,
 ) -> list[VerificationReport]:
-    """Run every registered claim check; returns one report per ctx."""
+    """Run every registered claim check; returns one report per family and
+    one for the defect grid."""
     reports = [
         cross_check_family(
             family, n_max_symbolic=n_max_symbolic, oracle_ceiling=oracle_ceiling
         )
         for family in LINEAR_FAMILIES
     ]
-    reports.append(
-        check_defect_grid(
-            defect_grid, oracle_ceiling=oracle_ceiling, n_max_symbolic=n_max_symbolic
-        )
-    )
+    reports.append(check_defect_grid(oracle_ceiling))
     return reports
 
 

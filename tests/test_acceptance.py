@@ -149,7 +149,7 @@ def test_criterion_4_errata_detection(full_verify, capsys):
 def test_criterion_5_fibonacci_asymptotic():
     try:
         rec = paper_recurrence(Family.TRIANGULAR)
-        estimate = dominant_growth_rate(rec, ratio_index=50)
+        estimate = dominant_growth_rate(rec)
         assert abs(estimate.dominant_root - PHI) <= 1e-9 * PHI
         ratio = eval_recurrence(rec, 51) / eval_recurrence(rec, 50)
         assert abs(ratio - PHI) <= 1e-9 * PHI

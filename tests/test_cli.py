@@ -7,7 +7,7 @@ from decimal import Decimal
 
 import pytest
 
-from cactusids import cli
+from cactusids import cli, verify
 from cactusids.chains import Family, LINEAR_FAMILIES
 from cactusids.cli import MAX_BUILD_LENGTH, MAX_LENGTH, MAX_SEQUENCE_LENGTH, main
 from cactusids.genfunc import derived_gf, paper_gf
@@ -158,6 +158,7 @@ class TestCount:
             raise AssertionError("chain built above the ceiling")
 
         monkeypatch.setattr(cli, "build_chain", no_build)
+        monkeypatch.setattr(verify, "build_chain", no_build)
         for argv in (
             ("count", "--family", "hex-para", "--n", str(MAX_LENGTH), "--method", "oracle"),
             ("count", "--family", "p-defect", "--m", "500", "--n", "500",
@@ -421,12 +422,29 @@ class TestVerify:
         assert code == 3
         assert json.loads(out)["oracle_ceiling"] == 22
 
-    @pytest.mark.parametrize("report, digest", [
-        ("json", "68edc2755fc462f46b2191a09b8c7f1145103835295fee5f02725c0bc8a5be1e"),
-        ("markdown", "23489da56825ca555258eb1a6a0b608e4bacba31aa75e205edb60da64156c8c9"),
+    # --oracle-max 16 --symbolic-max 3 judges hex-para's formal seed a(0) at
+    # n = 4, past both the oracle and the symbolic range
+    @pytest.mark.parametrize("report, digest, settings", [
+        pytest.param(report, digest, settings, id=f"{report}-{digest}")
+        for report, digest, settings in (
+            ("json", "68edc2755fc462f46b2191a09b8c7f1145103835295fee5f02725c0bc8a5be1e", ()),
+            ("markdown", "23489da56825ca555258eb1a6a0b608e4bacba31aa75e205edb60da64156c8c9", ()),
+            ("json", "faf56aafb8105dc9529d551ba8c64d6c6794084ec04268d5ce21109c92d52be0",
+             ("--oracle-max", "16", "--symbolic-max", "3")),
+            ("markdown", "9d580666a2c3a71e72fa015f04411ed797bde937d335154c8b28fd21e33ea9d0",
+             ("--oracle-max", "16", "--symbolic-max", "3")),
+            ("json", "e1faa95ad4007c0fd6f77c9be13bdc0fb2e00fcd668dbeed4a4d448089da1086",
+             ("--oracle-max", "22")),
+            ("markdown", "e2e3734cbef35bd92c006f8321e1be062886a915f4193c93dcb25a3eec7c8d5b",
+             ("--oracle-max", "22")),
+            ("json", "deb404c2fe707e0832e8c8a3aeb0e487bd6e15017367df1ae7c16a61c4314152",
+             ("--symbolic-max", "60")),
+            ("json", "f8d72b14b18efd2b669da44e41613b0ae50a3f32d679ce3d4a75a84d233d52d1",
+             ("--symbolic-max", "2000")),
+        )
     ])
-    def test_report_digest_at_the_defaults(self, capsys, report, digest):
-        code, out, _ = run(capsys, "verify", "--report", report)
+    def test_report_digest_at_the_defaults(self, capsys, report, digest, settings):
+        code, out, _ = run(capsys, "verify", "--report", report, *settings)
         assert code == 3
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -434,3 +452,8 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--oracle-max-vertices", "90")
         assert code == 2
         assert "hard cap" in err
+
+    def test_ceiling_below_the_defect_grid(self, capsys):
+        code, out, err = run(capsys, "verify", "--oracle-max", "15")
+        assert (code, out) == (2, "")
+        assert "p-defect chain (2,2) has 16 vertices, above the oracle ceiling 15" in err

@@ -196,7 +196,7 @@ class TestGrowthRate:
 
     def test_empirical_ratio_near_root_for_all_families(self):
         for family in LINEAR_FAMILIES:
-            estimate = dominant_growth_rate(paper_recurrence(family), ratio_index=50)
+            estimate = dominant_growth_rate(paper_recurrence(family))
             assert abs(estimate.empirical_ratio - estimate.dominant_root) < (
                 1e-9 * estimate.dominant_root
             )
@@ -209,7 +209,7 @@ class TestGrowthRate:
     def test_even_multiplicity_root(self):
         # (x - 2)^2 has no sign change, but its square-free part x - 2 has
         rec = LinearRecurrence((4, -4), ((1, 2), (2, 8)), 3)
-        estimate = dominant_growth_rate(rec, ratio_index=30)
+        estimate = dominant_growth_rate(rec)
         assert abs(estimate.dominant_root - 2.0) <= 1e-9
 
     @pytest.mark.parametrize(
@@ -228,7 +228,7 @@ class TestGrowthRate:
         ],
     )
     def test_known_roots(self, factors, root):
-        estimate = dominant_growth_rate(_recurrence_with_roots(factors), ratio_index=30)
+        estimate = dominant_growth_rate(_recurrence_with_roots(factors))
         assert abs(estimate.dominant_root - root) <= 1e-9
 
     @given(
@@ -247,14 +247,14 @@ class TestGrowthRate:
     def test_roots_of_known_factors(self, factors):
         # integer roots a and complex pairs a +- bi, b >= 1, of modulus^2 a^2 + b^2
         rec = _recurrence_with_roots([f for f, _ in factors])
-        assume(eval_recurrence(rec, 30) != 0)
+        assume(eval_recurrence(rec, 50) != 0)
         largest = max(c[0] if r is None else r * r for c, r in factors)
         real = [r for _, r in factors if r is not None and r * r == largest]
         if not real:
             with pytest.raises(NoRealDominantRootError):
-                dominant_growth_rate(rec, ratio_index=30)
+                dominant_growth_rate(rec)
             return
-        estimate = dominant_growth_rate(rec, ratio_index=30)
+        estimate = dominant_growth_rate(rec)
         assert abs(estimate.dominant_root - max(real)) <= 1e-9
 
 

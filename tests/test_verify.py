@@ -3,8 +3,8 @@ import sys
 
 import pytest
 
-from cactusids import recurrences, verify
-from cactusids.chains import Family, LINEAR_FAMILIES
+from cactusids import genfunc, recurrences, verify
+from cactusids.chains import ChainSpec, Family, LINEAR_FAMILIES, expected_vertex_count
 from cactusids.genfunc import derived_gf
 from cactusids.graphs import OracleLimitError
 from cactusids.verify import (
@@ -25,6 +25,12 @@ from cactusids.verify import (
 
 def status_map(report):
     return {s.claim.id: s for s in report.statuses}
+
+
+def checked_through(family, n, **kwargs):
+    """cross_check_family under the oracle ceiling whose longest chain has length n."""
+    ceiling = expected_vertex_count(ChainSpec(family, length=n))
+    return cross_check_family(family, oracle_ceiling=ceiling, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -60,12 +66,12 @@ class TestRegistry:
 
 class TestCrossCheckFamily:
     def test_square_para_all_confirmed(self):
-        report = cross_check_family(Family.SQUARE_PARA, n_max_oracle=5)
+        report = checked_through(Family.SQUARE_PARA, 5)
         assert not report.refuted()
         assert report.summary()["refuted"] == 0
 
     def test_triangular_gf_refuted_with_minimal_witness(self):
-        report = cross_check_family(Family.TRIANGULAR, n_max_oracle=6)
+        report = checked_through(Family.TRIANGULAR, 6)
         by_id = status_map(report)
         gf = by_id["tri-gf"]
         assert gf.verdict == "refuted"
@@ -77,7 +83,7 @@ class TestCrossCheckFamily:
         assert by_id["tri-recurrence"].verdict == "confirmed"
 
     def test_hex_ortho_all_confirmed(self):
-        report = cross_check_family(Family.HEX_ORTHO, n_max_oracle=4)
+        report = checked_through(Family.HEX_ORTHO, 4)
         assert not report.refuted()
 
     def test_hex_meta_gf_witness(self, full_run):
@@ -117,8 +123,8 @@ class TestCrossCheckFamily:
             assert statuses[claim_id].verdict == "confirmed"
 
     def test_witness_independent_of_range(self):
-        small = status_map(cross_check_family(Family.TRIANGULAR, n_max_oracle=3))
-        large = status_map(cross_check_family(Family.TRIANGULAR, n_max_oracle=8))
+        small = status_map(checked_through(Family.TRIANGULAR, 3))
+        large = status_map(checked_through(Family.TRIANGULAR, 8))
         assert small["tri-gf"].witness == large["tri-gf"].witness == 1
 
     def test_refuted_carry_witness_and_values(self, full_run):
@@ -129,8 +135,8 @@ class TestCrossCheckFamily:
                 assert status.oracle_value is not None
 
     def test_ceiling_respected(self):
-        with pytest.raises(OracleLimitError):
-            cross_check_family(Family.HEX_PARA, n_max_oracle=12, oracle_ceiling=26)
+        with pytest.raises(OracleLimitError, match="below the 6 vertices"):
+            cross_check_family(Family.HEX_PARA, oracle_ceiling=5)
 
     def test_rejects_defect_family(self):
         with pytest.raises(ValueError):
@@ -213,7 +219,7 @@ class TestReports:
         }
 
     def test_confirmed_only_report(self):
-        report = cross_check_family(Family.SQUARE_PARA, n_max_oracle=4)
+        report = checked_through(Family.SQUARE_PARA, 4)
         text = errata_report([report], "markdown")
         assert "## Errata (0)" in text
         assert "No refuted claims." in text
@@ -293,7 +299,7 @@ class TestRefutedBranches:
     def test_system_state_vector(self, patched):
         # contains(n+1) = avoids(n), avoids(n+1) = contains(n) + 2*avoids(n)
         patched.setitem(recurrences._SYSTEM_DATA, Family.TRIANGULAR, (((0, 1), (1, 2)), (1, 2)))
-        by_id = status_map(cross_check_family(Family.TRIANGULAR, n_max_oracle=4))
+        by_id = status_map(checked_through(Family.TRIANGULAR, 4))
         status = by_id["tri-system"]
         assert status.verdict == "refuted"
         assert (status.witness, status.claimed_value, status.oracle_value) == (
@@ -305,7 +311,7 @@ class TestRefutedBranches:
     def test_system_two_states_with_extendable_sets(self, patched):
         # the hexagon has one extendable set at its terminal vertex
         patched.setitem(recurrences._SYSTEM_DATA, Family.HEX_ORTHO, (((0, 2), (2, 2)), (2, 3)))
-        report = cross_check_family(Family.HEX_ORTHO, n_max_oracle=1, n_max_symbolic=1)
+        report = checked_through(Family.HEX_ORTHO, 1, n_max_symbolic=1)
         status = status_map(report)["hex-ortho-system"]
         assert status.verdict == "refuted"
         assert (status.witness, status.claimed_value, status.oracle_value) == (
@@ -315,7 +321,7 @@ class TestRefutedBranches:
 
     def test_state_seeds(self, patched):
         patched.setitem(recurrences._SYSTEM_DATA, Family.TRIANGULAR, (((0, 1), (1, 1)), (1, 3)))
-        status = status_map(cross_check_family(Family.TRIANGULAR, n_max_oracle=4))[
+        status = status_map(checked_through(Family.TRIANGULAR, 4))[
             "tri-state-seeds"
         ]
         assert status.verdict == "refuted"
@@ -323,14 +329,14 @@ class TestRefutedBranches:
         assert status.reference == "oracle"
         assert status.details == ("printed avoids(1) disagrees with the oracle",)
 
-    @pytest.mark.parametrize("n_max_oracle, source", [(4, "oracle"), (2, "transfer")])
-    def test_initial_term(self, patched, n_max_oracle, source):
+    @pytest.mark.parametrize("oracle_length, source", [(4, "oracle"), (2, "transfer")])
+    def test_initial_term(self, patched, oracle_length, source):
         patched.setitem(
             recurrences._RECURRENCE_DATA,
             Family.HEX_PARA,
             ((6, -9, 6, -1), ((0, 4), (1, 5), (2, 19), (3, 75)), 4, (0,)),
         )
-        status = status_map(cross_check_family(Family.HEX_PARA, n_max_oracle=n_max_oracle))[
+        status = status_map(checked_through(Family.HEX_PARA, oracle_length))[
             "hex-para-initial-3"
         ]
         assert status.verdict == "refuted"
@@ -342,7 +348,7 @@ class TestRefutedBranches:
         patched.setitem(
             recurrences._RECURRENCE_DATA, Family.SQUARE_ORTHO, ((2,), ((0, 2),), 1, (0,))
         )
-        status = status_map(cross_check_family(Family.SQUARE_ORTHO, n_max_oracle=4))[
+        status = status_map(checked_through(Family.SQUARE_ORTHO, 4))[
             "sq-ortho-gf"
         ]
         assert status.verdict == "refuted"
@@ -364,7 +370,7 @@ class TestRefutedBranches:
             Family.HEX_META,
             (((1, 2, 1), (1, 2, 2), (1, 1, 0)), (2, 3, None)),
         )
-        status = status_map(cross_check_family(Family.HEX_META, n_max_oracle=3))[
+        status = status_map(checked_through(Family.HEX_META, 3))[
             "hex-meta-extendable-identity"
         ]
         assert status.verdict == "refuted"
@@ -385,7 +391,7 @@ class TestRefutedBranches:
         patched.setattr(verify, "_oracle_profile", shifted)
         contains_2 = profile(Family.HEX_META, 2).in_count
         extendable_3 = profile(Family.HEX_META, 3).extendable_count + 1
-        status = status_map(cross_check_family(Family.HEX_META, n_max_oracle=3))[
+        status = status_map(checked_through(Family.HEX_META, 3))[
             "hex-meta-extendable-identity"
         ]
         assert status.verdict == "refuted"
@@ -393,3 +399,39 @@ class TestRefutedBranches:
             3, contains_2, extendable_3
         )
         assert status.reference == "oracle"
+
+
+class TestOneReferencePass:
+    """Each family's references are computed once, however far the checks reach."""
+
+    def test_recurrence_calls_do_not_grow_with_the_range(self, patched):
+        calls = []
+        for module in (verify, genfunc):
+            evaluate = module.eval_recurrence
+
+            def counted(rec, n, evaluate=evaluate):
+                calls.append(n)
+                return evaluate(rec, n)
+
+            patched.setattr(module, "eval_recurrence", counted)
+        counts = []
+        for n_max_symbolic in (verify.DEFAULT_SYMBOLIC_MAX, 2000):
+            _clear_package_caches()
+            calls.clear()
+            verify_all(n_max_symbolic=n_max_symbolic)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    def test_terms_past_the_range_read_the_trajectory(self, patched):
+        def no_run(system, n):
+            raise AssertionError(f"transfer run at n = {n}")
+
+        patched.setattr(verify, "run_transfer", no_run)
+        reports = {
+            family: cross_check_family(family, n_max_symbolic=1, oracle_ceiling=16)
+            for family in LINEAR_FAMILIES
+        }
+        # hex-para's formal seed a(0) is judged at n = 4, past the oracle's n = 3
+        status = status_map(reports[Family.HEX_PARA])["hex-para-initial-0"]
+        assert status.verdict == "formal-only"
+        assert "a(4) = 311 vs transfer 309" in status.details[0]
