@@ -8,14 +8,14 @@ separate:
 
 * ``dp``    - a frontier DP over the vertices in id order (Telle &
   Proskurowski 1997): each live vertex is in the set, dominated, or waiting
-  to be dominated. It counts and minimises but cannot enumerate. ``auto``
-  picks it for ``count_ids``, ``count_boundary_classes`` and
-  ``independent_domination_number`` when the id order keeps at most
+  to be dominated. One loop counts, minimises and lists the sets. ``auto``
+  picks it for every oracle function when the id order keeps at most
   ``DP_MAX_WIDTH`` vertices live at once; every chain family keeps at most
-  3, so the work is linear in the number of vertices;
+  3, so the work is linear in the number of vertices (and, when listing, in
+  the number of sets);
 * ``pivot`` - maximal-clique enumeration on the complement graph with
-  Tomita-style pivoting; ``auto`` for ``enumerate_mis`` and for counting
-  when the frontier is wider than ``DP_MAX_WIDTH``;
+  Tomita-style pivoting; ``auto`` when the frontier is wider than
+  ``DP_MAX_WIDTH``;
 * ``scan``  - literal subset scan over all 2^n vertex subsets, checking the
   definition (independent, closed neighbourhood covers everything); kept as
   the cross-check.
@@ -205,30 +205,43 @@ def _frontier_width(g: Graph, keep: int | None = None) -> int:
     return width
 
 
-def _dp_states(
-    g: Graph, keep: int | None = None, minimise: bool = False
-) -> dict[tuple[int, int], int]:
+# Modes of the frontier DP, ``(start, join, combine)``: the value of the
+# empty prefix, the value once vertex v (bit ``vbit``) joins the set, and the
+# merge of two values that reach one state.
+_COUNT = (1, lambda value, vbit: value, operator.add)
+_MIN = (0, lambda value, vbit: value + 1, min)
+
+
+def _sets_mode() -> tuple:
+    """The listing mode, built on every call: its lists are merged in place,
+    so no list may be shared between calls."""
+    return [0], lambda value, vbit: [m | vbit for m in value], operator.iadd
+
+
+def _dp_states(g: Graph, keep: int | None = None, mode: tuple = _COUNT) -> dict:
     """Frontier DP over the vertices in id order (Telle & Proskurowski 1997).
 
-    A state is ``(in_set, undominated)``, two masks over the live vertices;
-    its value is the number of independent sets of the processed vertices
-    that reach it, or with ``minimise`` the least size of such a set. A
+    A state is ``(in_set, undominated)``, two masks over the live vertices.
+    Its value depends on the mode: the number of independent sets of the
+    processed vertices that reach it (``_COUNT``), the least size of such a
+    set (``_MIN``), or the list of those sets as bitsets (``_sets_mode()``;
+    each list belongs to one state, so merging extends it in place). A
     vertex that leaves the frontier undominated ends its states, so once
     every vertex is processed only ``keep``'s bits are left: the states say
     whether ``keep`` is in the set, out and dominated, or out and not.
     """
-    combine, step = (min, 1) if minimise else (operator.add, 0)
-    states = {(0, 0): 0 if minimise else 1}
+    start, join, combine = mode
+    states = {(0, 0): start}
     for v, gone in enumerate(_retire_masks(g, keep)):
         vbit = 1 << v
         earlier = g.adjacency[v] & (vbit - 1)
-        nxt: dict[tuple[int, int], int] = {}
+        nxt: dict = {}
         for (ins, undom), value in states.items():
             if ins & earlier:  # v is out, dominated by an earlier neighbour
                 choices = ((ins, undom, value),)
             else:  # v joins and dominates its earlier neighbours, or is out and waits
                 choices = (
-                    (ins | vbit, undom & ~earlier, value + step),
+                    (ins | vbit, undom & ~earlier, join(value, vbit)),
                     (ins, undom | vbit, value),
                 )
             for ins2, undom2, value2 in choices:
@@ -324,12 +337,17 @@ def enumerate_mis(
 ) -> Iterator[int]:
     """Every maximal independent set once, ascending by bitset value.
 
-    ``auto`` is ``pivot`` here; the ``dp`` strategy only counts.
+    ``auto`` chooses as for counting: the DP up to ``DP_MAX_WIDTH``, pivoting
+    above it.
     """
-    if strategy == "dp":
-        raise ValueError("the dp strategy counts sets; enumerate with pivot or scan")
     _require_within(g, max_vertices)
-    if _resolve_strategy(g, strategy) == "scan":
+    strategy = _resolve_strategy(g, strategy)
+    if strategy == "dp":
+        # every vertex leaves the frontier, so (0, 0) is the one final state
+        masks = _dp_states(g, mode=_sets_mode())[(0, 0)]
+        masks.sort()
+        return iter(masks)
+    if strategy == "scan":
         full = g.full_mask
         return (mask for mask, closed in _independent_subsets(g) if closed == full)
     return iter(_mis_masks_pivot(g.adjacency, g.full_mask))
@@ -366,7 +384,7 @@ def independent_domination_number(
     _require_within(g, max_vertices)
     strategy = _resolve_strategy(g, strategy)
     if strategy == "dp":
-        return min(_dp_states(g, minimise=True).values())
+        return min(_dp_states(g, mode=_MIN).values())
     return min(mask.bit_count() for mask in enumerate_mis(g, strategy, max_vertices))
 
 

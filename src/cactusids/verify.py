@@ -70,6 +70,7 @@ DEFAULT_SYMBOLIC_MAX = 30
 CONFIRMED = "confirmed"
 REFUTED = "refuted"
 FORMAL_ONLY = "formal-only"
+UNCHECKED = "unchecked"  # a defect grid point whose chain is above the oracle ceiling
 
 Witness = Union[int, tuple[int, int], None]
 
@@ -898,11 +899,17 @@ def check_defect_formula(
 
 
 def check_defect_grid(oracle_ceiling: int = DEFAULT_ORACLE_CEILING) -> VerificationReport:
-    statuses = [
-        check_defect_formula(kind, m, n, oracle_ceiling=oracle_ceiling)
-        for kind in ("ortho-defect", "para-defect")
-        for m, n in DEFECT_GRID
-    ]
+    """Both defect formulas at every DEFECT_GRID point. A point whose chain
+    is above the oracle ceiling is unchecked, with the refusal as its
+    details, so the rest of the report still stands."""
+    statuses = []
+    for kind in ("ortho-defect", "para-defect"):
+        for m, n in DEFECT_GRID:
+            try:
+                status = check_defect_formula(kind, m, n, oracle_ceiling=oracle_ceiling)
+            except OracleLimitError as exc:
+                status = ClaimStatus(defect_claim(kind, m, n), UNCHECKED, details=(str(exc),))
+            statuses.append(status)
     return VerificationReport(scope="defects", oracle_ceiling=oracle_ceiling, statuses=statuses)
 
 

@@ -454,6 +454,17 @@ class TestVerify:
         assert "hard cap" in err
 
     def test_ceiling_below_the_defect_grid(self, capsys):
-        code, out, err = run(capsys, "verify", "--oracle-max", "15")
+        # a defect chain above the ceiling leaves only its grid point unchecked
+        code, out, _ = run(capsys, "verify", "--report", "json", "--oracle-max", "15")
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["summary"]["unchecked"] == 2
+        status = {c["id"]: c for c in doc["claims"]}["p-defect-2-2"]
+        assert status["verdict"] == "unchecked"
+        assert status["details"] == [
+            "the p-defect chain (2,2) has 16 vertices, above the oracle ceiling 15"
+        ]
+        # a family with no chain under the ceiling still refuses the whole run
+        code, out, err = run(capsys, "verify", "--oracle-max", "5")
         assert (code, out) == (2, "")
-        assert "p-defect chain (2,2) has 16 vertices, above the oracle ceiling 15" in err
+        assert "below the 6 vertices of the length-1 hex-ortho chain" in err

@@ -174,7 +174,7 @@ class TestCounting:
             assert count_ids(g, strategy="scan") == count_ids(g, strategy="pivot")
             assert list(enumerate_mis(g, strategy="scan")) == list(
                 enumerate_mis(g, strategy="pivot")
-            )
+            ) == list(enumerate_mis(g, strategy="dp"))
 
     def test_strategies_agree_at_20_vertices(self):
         # scan is the literal-definition cross-check, compared here with
@@ -283,6 +283,15 @@ def _oracle_values(g: Graph, v: int, strategy: str):
     )
 
 
+def _assert_dp_listing(g: Graph):
+    """The DP lists exactly pivot's sets, ascending, as many as the count
+    and with gamma as the least size."""
+    masks = list(enumerate_mis(g, strategy="dp"))
+    assert masks == list(enumerate_mis(g, strategy="pivot"))
+    assert len(masks) == count_ids(g)
+    assert min(m.bit_count() for m in masks) == independent_domination_number(g)
+
+
 class TestFrontierDP:
     @given(graphs(max_n=12))
     @example(Graph.from_edges(1, []))
@@ -295,6 +304,9 @@ class TestFrontierDP:
         # is isolated in the middle of the id order
         for strategy in ("pivot", "scan"):
             assert count_ids(g, strategy="dp") == count_ids(g, strategy=strategy)
+            assert list(enumerate_mis(g, strategy="dp")) == list(
+                enumerate_mis(g, strategy=strategy)
+            )
             assert independent_domination_number(g, strategy="dp") == (
                 independent_domination_number(g, strategy=strategy)
             )
@@ -306,12 +318,15 @@ class TestFrontierDP:
     def test_empty_graph(self):
         empty = Graph.from_edges(0, [])
         assert count_ids(empty, strategy="dp") == count_ids(empty, strategy="scan") == 1
+        assert list(enumerate_mis(empty, strategy="dp")) == [0]
+        assert list(enumerate_mis(empty, strategy="scan")) == [0]
         with pytest.raises(ValueError):
             independent_domination_number(empty, strategy="dp")
 
     def test_edgeless_graph(self):
         g = Graph.from_edges(4, [])
         assert count_ids(g, strategy="dp") == 1
+        assert list(enumerate_mis(g, strategy="dp")) == [0b1111]
         assert independent_domination_number(g, strategy="dp") == 4
         assert count_boundary_classes(g, 2, strategy="dp") == BoundaryCounts(1, 0, 1)
 
@@ -322,6 +337,7 @@ class TestFrontierDP:
         assert _oracle_values(chain.graph, chain.terminal_vertex, "dp") == (
             _oracle_values(chain.graph, chain.terminal_vertex, "pivot")
         )
+        _assert_dp_listing(chain.graph)
 
     @pytest.mark.parametrize("family", DEFECT_FAMILIES, ids=lambda f: f.value)
     def test_defect_chains_at_arm_total_12(self, family):
@@ -332,9 +348,10 @@ class TestFrontierDP:
             assert count_boundary_classes(g, t, strategy="dp") == (
                 count_boundary_classes(g, t, strategy="pivot")
             ), m
+            _assert_dp_listing(g)
 
     @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
-    def test_auto_picks_dp_for_every_chain(self, family):
+    def test_auto_picks_dp_for_every_chain(self, family, monkeypatch):
         spec = (
             ChainSpec(family, length=_largest_length(family))
             if family in LINEAR_FAMILIES
@@ -344,6 +361,14 @@ class TestFrontierDP:
         for keep in (None, chain.terminal_vertex):
             assert graphs_module._frontier_width(chain.graph, keep) <= 3
             assert graphs_module._resolve_strategy(chain.graph, "auto", keep) == "dp"
+
+        def no_pivot(*args):
+            raise AssertionError("auto listed the sets by pivot")
+
+        # enumeration resolves without a kept vertex, and lists by the DP
+        expected = list(enumerate_mis(chain.graph, strategy="pivot"))
+        monkeypatch.setattr(graphs_module, "_mis_masks_pivot", no_pivot)
+        assert list(enumerate_mis(chain.graph)) == expected
 
     def test_wide_frontier_falls_back_to_pivot(self, monkeypatch):
         # complete bipartite K(w, w): the first side stays live until the last
@@ -357,14 +382,14 @@ class TestFrontierDP:
 
         monkeypatch.setattr(graphs_module, "_dp_states", no_dp)
         assert count_ids(g) == 2
+        assert list(enumerate_mis(g)) == [(1 << w) - 1, ((1 << w) - 1) << w]
         assert independent_domination_number(g) == w
         assert count_boundary_classes(g, 0) == BoundaryCounts(1, 1, 1)
         monkeypatch.undo()
         assert _oracle_values(g, 0, "dp") == (2, BoundaryCounts(1, 1, 1), w)
 
-    def test_enumerate_refuses_dp(self):
-        with pytest.raises(ValueError, match="dp"):
-            enumerate_mis(C4, strategy="dp")
+    def test_enumerate_by_dp(self):
+        assert list(enumerate_mis(C4, strategy="dp")) == [0b0101, 0b1010]
 
     def test_unknown_strategy(self):
         for call in (
