@@ -392,6 +392,8 @@ def _cmd_defect(parser, args) -> int:
 
 def _cmd_verify(parser, args) -> int:
     ceiling = _check_ceiling(parser, args)
+    if args.symbolic_max < 1:
+        parser.error("--symbolic-max must be at least 1")
     _check_length("--symbolic-max", args.symbolic_max, MAX_SEQUENCE_LENGTH)
     reports = verify_all(oracle_ceiling=ceiling, n_max_symbolic=args.symbolic_max)
     print(errata_report(reports, format=args.report))

@@ -3,26 +3,30 @@
 A maximal independent set is exactly an independent dominating set, so the
 oracle doubles as ground truth for every counting claim in the package. It
 reads nothing but the graph, so it stays independent of the transfer
-systems and formulas it judges. Three strategies are kept deliberately
-separate:
+systems and formulas it judges.
 
-* ``dp``    - a frontier DP over the vertices in id order (Telle &
+The four public oracle functions (``count_ids``, ``count_boundary_classes``,
+``independent_domination_number``, ``enumerate_mis``) take no engine choice:
+each refuses a graph above ``DEFAULT_MAX_VERTICES`` and lets the graph pick
+one of three private engines. All three share one signature, ``(g,
+keep=None, mode=_COUNT) -> final states``, and return equal states:
+
+* ``_dp_states``    - a frontier DP over the vertices in id order (Telle &
   Proskurowski 1997): each live vertex is in the set, dominated, or waiting
-  to be dominated. One loop counts, minimises and lists the sets. ``auto``
-  picks it for every oracle function when the id order keeps at most
-  ``DP_MAX_WIDTH`` vertices live at once; every chain family keeps at most
-  3, so the work is linear in the number of vertices (and, when listing, in
-  the number of sets);
-* ``pivot`` - maximal-clique enumeration on the complement graph with
-  Tomita-style pivoting; ``auto`` when the frontier is wider than
-  ``DP_MAX_WIDTH``;
-* ``scan``  - literal subset scan over all 2^n vertex subsets, checking the
-  definition (independent, closed neighbourhood covers everything); kept as
-  the cross-check.
+  to be dominated. One loop counts, minimises and lists the sets. It runs
+  whenever the id order keeps at most ``DP_MAX_WIDTH`` vertices live at
+  once; every chain family keeps at most 3, so the work is linear in the
+  number of vertices (and, when listing, in the number of sets);
+* ``_pivot_states`` - maximal-clique enumeration on the complement graph
+  with Tomita-style pivoting; it runs when the frontier is wider;
+* ``_scan_counts``  - literal subset scan over all 2^n vertex subsets,
+  checking the definition (independent, closed neighbourhood covers
+  everything). No public call reaches it; tests use it as the cross-check.
 
-All must agree; tests cross-check them. Vertex sets are plain ints used as
-bitmasks (bit i = vertex i). All functions are pure; shared graphs are safe
-to use concurrently.
+Since no caller can force an engine, the cost bound documented at
+``DP_MAX_WIDTH`` holds for every public call. Vertex sets are plain ints
+used as bitmasks (bit i = vertex i). All functions are pure; shared graphs
+are safe to use concurrently.
 """
 
 from __future__ import annotations
@@ -31,12 +35,14 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-DEFAULT_MAX_VERTICES = 40  # hard resource cap for any oracle call
-# Widest id-order frontier for which ``auto`` picks the DP. A live vertex is
-# in the set, dominated or waiting, so a frontier of w vertices has at most
-# 3^w states. At 10, a 40-vertex graph costs at most 40 * 3^10 (about 2.4M)
-# state updates, on the order of the pivot oracle's own worst case there
-# (up to 3^(40/3), about 2.3M, maximal independent sets).
+DEFAULT_MAX_VERTICES = 40  # hard resource cap for every oracle call
+# Widest id-order frontier at which the oracle runs the DP rather than
+# pivoting. A live vertex is in the set, dominated or waiting, so a frontier
+# of w vertices has at most 3^w states. At 10, a 40-vertex graph costs at
+# most 40 * 3^10 (about 2.4M) state updates, on the order of the pivot
+# engine's own worst case there (up to 3^(40/3), about 2.3M, maximal
+# independent sets). The 2^n scan is never public, so this bound holds for
+# every oracle call.
 DP_MAX_WIDTH = 10
 
 
@@ -166,22 +172,6 @@ class BoundaryCounts(NamedTuple):
     extendable_count: int  # independent sets dominating exactly V minus v, v excluded
 
 
-def _require_within(g: Graph, max_vertices: int) -> None:
-    cap = min(max_vertices, DEFAULT_MAX_VERTICES)
-    if g.n_vertices > cap:
-        raise OracleLimitError(
-            f"graph has {g.n_vertices} vertices, above the oracle ceiling {cap}"
-        )
-
-
-def _resolve_strategy(g: Graph, strategy: str, keep: int | None = None) -> str:
-    if strategy == "auto":
-        return "dp" if _frontier_width(g, keep) <= DP_MAX_WIDTH else "pivot"
-    if strategy not in ("dp", "pivot", "scan"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return strategy
-
-
 def _retire_masks(g: Graph, keep: int | None) -> list[int]:
     """retire[v]: the vertices the frontier DP drops after processing v.
 
@@ -205,17 +195,17 @@ def _frontier_width(g: Graph, keep: int | None = None) -> int:
     return width
 
 
-# Modes of the frontier DP, ``(start, join, combine)``: the value of the
-# empty prefix, the value once vertex v (bit ``vbit``) joins the set, and the
-# merge of two values that reach one state.
-_COUNT = (1, lambda value, vbit: value, operator.add)
-_MIN = (0, lambda value, vbit: value + 1, min)
+# Modes of the engines, ``(start, join, combine)``: the value of the empty
+# set, the value once the vertices of the bitmask ``members`` join it, and
+# the merge of two values that reach one state.
+_COUNT = (1, lambda value, members: value, operator.add)
+_MIN = (0, lambda value, members: value + members.bit_count(), min)
 
 
 def _sets_mode() -> tuple:
     """The listing mode, built on every call: its lists are merged in place,
     so no list may be shared between calls."""
-    return [0], lambda value, vbit: [m | vbit for m in value], operator.iadd
+    return [0], lambda value, members: [m | members for m in value], operator.iadd
 
 
 def _dp_states(g: Graph, keep: int | None = None, mode: tuple = _COUNT) -> dict:
@@ -254,6 +244,18 @@ def _dp_states(g: Graph, keep: int | None = None, mode: tuple = _COUNT) -> dict:
     return states
 
 
+def _fold(listed: Iterable[tuple[tuple[int, int], int]], mode: tuple) -> dict:
+    """The DP's final states from whole sets: each ``(key, mask)`` pair adds
+    the set ``mask`` to state ``key``, valued ``join(start, mask)``."""
+    start, join, combine = mode
+    states: dict = {}
+    for key, mask in listed:
+        value = join(start, mask)
+        old = states.get(key)
+        states[key] = value if old is None else combine(old, value)
+    return states
+
+
 def _independent_subsets(g: Graph) -> Iterator[tuple[int, int]]:
     """Literal scan over all 2^n subsets: each independent one, with its
     closed neighbourhood."""
@@ -272,19 +274,21 @@ def _independent_subsets(g: Graph) -> Iterator[tuple[int, int]]:
             yield mask, closed
 
 
-def _scan_counts(g: Graph, vbit: int) -> tuple[int, BoundaryCounts]:
-    """Single pass over every subset: total MIS plus boundary classes for vbit."""
+def _scan_counts(g: Graph, keep: int | None = None, mode: tuple = _COUNT) -> dict:
+    """The DP's final states by the definition, over all 2^n subsets.
+
+    An independent set that dominates every vertex goes to ``(in_set, 0)``,
+    with ``in_set`` its ``keep`` bit; one that dominates every vertex but
+    ``keep`` goes to ``(0, keep bit)``.
+    """
+    kbit = 0 if keep is None else 1 << keep
     full = g.full_mask
-    near = full ^ vbit
-    total = inside = extendable = 0
-    for mask, closed in _independent_subsets(g):
-        if closed == full:
-            total += 1
-            if mask & vbit:
-                inside += 1
-        elif vbit and closed == near and not (mask & vbit):
-            extendable += 1
-    return total, BoundaryCounts(inside, total - inside, extendable)
+    listed = (
+        ((mask & kbit, 0) if closed == full else (0, kbit), mask)
+        for mask, closed in _independent_subsets(g)
+        if closed | kbit == full
+    )
+    return _fold(listed, mode)
 
 
 def _mis_masks_pivot(adjacency: tuple[int, ...], allowed: int) -> list[int]:
@@ -330,70 +334,65 @@ def _mis_masks_pivot(adjacency: tuple[int, ...], allowed: int) -> list[int]:
     return out
 
 
-def enumerate_mis(
-    g: Graph,
-    strategy: str = "auto",
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-) -> Iterator[int]:
-    """Every maximal independent set once, ascending by bitset value.
+def _pivot_states(g: Graph, keep: int | None = None, mode: tuple = _COUNT) -> dict:
+    """The DP's final states from the pivot engine's sets.
 
-    ``auto`` chooses as for counting: the DP up to ``DP_MAX_WIDTH``, pivoting
-    above it.
+    Each maximal independent set goes to ``(in_set, 0)``, with ``in_set`` its
+    ``keep`` bit. The maximal independent sets of g minus ``keep`` with no
+    member next to ``keep`` are the sets that dominate all but ``keep``; they
+    go to ``(0, keep bit)``.
     """
-    _require_within(g, max_vertices)
-    strategy = _resolve_strategy(g, strategy)
-    if strategy == "dp":
-        # every vertex leaves the frontier, so (0, 0) is the one final state
-        masks = _dp_states(g, mode=_sets_mode())[(0, 0)]
-        masks.sort()
-        return iter(masks)
-    if strategy == "scan":
-        full = g.full_mask
-        return (mask for mask, closed in _independent_subsets(g) if closed == full)
-    return iter(_mis_masks_pivot(g.adjacency, g.full_mask))
+    kbit = 0 if keep is None else 1 << keep
+    full = g.full_mask
+    listed = [((mask & kbit, 0), mask) for mask in _mis_masks_pivot(g.adjacency, full)]
+    if keep is not None:
+        near = g.adjacency[keep]
+        listed += [
+            ((0, kbit), mask)
+            for mask in _mis_masks_pivot(g.adjacency, full ^ kbit)
+            if not mask & near
+        ]
+    return _fold(listed, mode)
 
 
-def count_ids(
-    g: Graph,
-    strategy: str = "auto",
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-) -> int:
+def _oracle_states(g: Graph, keep: int | None = None, mode: tuple = _COUNT) -> dict:
+    """The final states of g: refused above ``DEFAULT_MAX_VERTICES``, from the
+    DP when the id-order frontier is at most ``DP_MAX_WIDTH`` wide and from
+    the pivot engine when it is wider."""
+    if g.n_vertices > DEFAULT_MAX_VERTICES:
+        raise OracleLimitError(
+            f"graph has {g.n_vertices} vertices, above the oracle ceiling "
+            f"{DEFAULT_MAX_VERTICES}"
+        )
+    engine = _dp_states if _frontier_width(g, keep) <= DP_MAX_WIDTH else _pivot_states
+    return engine(g, keep, mode)
+
+
+def enumerate_mis(g: Graph) -> Iterator[int]:
+    """Every maximal independent set once, ascending by bitset value."""
+    # with no kept vertex, (0, 0) is the one final state
+    masks = _oracle_states(g, mode=_sets_mode())[(0, 0)]
+    masks.sort()
+    return iter(masks)
+
+
+def count_ids(g: Graph) -> int:
     """Exact number of independent dominating (= maximal independent) sets.
 
     The empty graph counts 1 (the empty set is vacuously maximal); no chain
     family ever exercises that case.
     """
-    _require_within(g, max_vertices)
-    strategy = _resolve_strategy(g, strategy)
-    if strategy == "dp":
-        return sum(_dp_states(g).values())
-    if strategy == "scan":
-        total, _ = _scan_counts(g, 0)
-        return total
-    return len(_mis_masks_pivot(g.adjacency, g.full_mask))
+    return _oracle_states(g)[(0, 0)]
 
 
-def independent_domination_number(
-    g: Graph,
-    strategy: str = "auto",
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-) -> int:
+def independent_domination_number(g: Graph) -> int:
     """Minimum cardinality over all maximal independent sets."""
     if g.n_vertices == 0:
         raise ValueError("empty graph has no dominating set")
-    _require_within(g, max_vertices)
-    strategy = _resolve_strategy(g, strategy)
-    if strategy == "dp":
-        return min(_dp_states(g, mode=_MIN).values())
-    return min(mask.bit_count() for mask in enumerate_mis(g, strategy, max_vertices))
+    return _oracle_states(g, mode=_MIN)[(0, 0)]
 
 
-def count_boundary_classes(
-    g: Graph,
-    v: int,
-    strategy: str = "auto",
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-) -> BoundaryCounts:
+def count_boundary_classes(g: Graph, v: int) -> BoundaryCounts:
     """Counts of MIS containing v, MIS avoiding v, and extendable sets at v.
 
     An extendable set is independent, excludes v, and dominates every vertex
@@ -401,24 +400,11 @@ def count_boundary_classes(
     """
     if not 0 <= v < g.n_vertices:
         raise ValueError(f"vertex {v} out of range")
-    _require_within(g, max_vertices)
     vbit = 1 << v
-    strategy = _resolve_strategy(g, strategy, keep=v)
-    if strategy == "dp":
-        states = _dp_states(g, keep=v)
-        return BoundaryCounts(
-            states.get((vbit, 0), 0), states.get((0, 0), 0), states.get((0, vbit), 0)
-        )
-    if strategy == "scan":
-        _, counts = _scan_counts(g, vbit)
-        return counts
-    all_mis = _mis_masks_pivot(g.adjacency, g.full_mask)
-    inside = sum(1 for m in all_mis if m & vbit)
-    # extendable sets are the MIS of g minus v that leave v undominated
-    sub = _mis_masks_pivot(g.adjacency, g.full_mask ^ vbit)
-    nv = g.adjacency[v]
-    extendable = sum(1 for m in sub if not m & nv)
-    return BoundaryCounts(inside, len(all_mis) - inside, extendable)
+    states = _oracle_states(g, keep=v)
+    return BoundaryCounts(
+        states.get((vbit, 0), 0), states.get((0, 0), 0), states.get((0, vbit), 0)
+    )
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:

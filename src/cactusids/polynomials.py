@@ -1,7 +1,7 @@
 """Exact univariate polynomial and rational-function arithmetic over the integers.
 
 Polynomials are immutable ascending coefficient tuples with no trailing zeros.
-Rational functions reduce on construction (polynomial gcd via the subresultant
+Rational functions reduce on construction (polynomial gcd via the primitive
 PRS, joint integer content, sign normalisation), so equal functions compare
 equal structurally. Everything here is pure and safe to share across threads.
 """
@@ -227,78 +227,40 @@ def poly_divmod_exact(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(out)
 
 
-def pseudo_rem(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Pseudo-remainder prem(a, b) = lc(b)^(deg a - deg b + 1) * a  mod  b."""
-    if b.is_zero:
-        raise ZeroDivisionError("pseudo-remainder by zero")
-    da, db = a.degree, b.degree
-    if da < db:
-        return a
-    lb = b.leading()
+def _rem(a: Polynomial, b: Polynomial) -> Polynomial:
+    """A positive integer multiple of ``a`` mod ``b``, for nonzero ``b``.
+
+    Long division over the integers: the remainder is scaled up, by the
+    least factor, only at a step whose quotient coefficient would not be an
+    integer.
+    """
     rem = list(a.coeffs)
-    for i in range(da, db - 1, -1):
-        c = rem[i]
-        # one full scaling per elimination step keeps the textbook scale factor
-        for j in range(i):
-            rem[j] *= lb
-        if c:
-            for j in range(db):
-                rem[i - db + j] -= c * b.coeffs[j]
-        rem[i] = 0
+    db, lb = b.degree, b.leading()
+    for i in range(len(rem) - 1, db - 1, -1):
+        scale = abs(lb) // gcd(rem[i], lb)
+        if scale != 1:
+            rem = [c * scale for c in rem]
+        q = rem[i] // lb
+        for j, bc in enumerate(b.coeffs):
+            rem[i - db + j] -= q * bc
     return Polynomial(rem[:db])
 
 
-def _int_div_exact(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError("inexact integer division in subresultant PRS")
-    return q
-
-
-def _scalar_div_exact(p: Polynomial, k: int) -> Polynomial:
-    return Polynomial(_int_div_exact(c, k) for c in p.coeffs)
-
-
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Greatest common divisor via the subresultant PRS.
+    """Greatest common divisor via the primitive PRS.
 
     Result is primitive with positive leading coefficient, scaled by the gcd
     of the two contents. gcd(0, 0) = 0.
     """
-    if a.is_zero and b.is_zero:
-        return Polynomial()
     if a.is_zero:
         return _positive(b)
     if b.is_zero:
         return _positive(a)
-
     cont = gcd(a.content(), b.content())
-    prev, cur = a.primitive_part(), b.primitive_part()
-    if prev.degree < cur.degree:
-        prev, cur = cur, prev
-
-    delta = prev.degree - cur.degree
-    beta = -1 if delta % 2 == 0 else 1  # (-1)^(delta+1)
-    psi = -1
-    while True:
-        r = pseudo_rem(prev, cur)
-        if r.is_zero:
-            result = cur
-            break
-        if cur.degree == 0:
-            result = Polynomial.one()
-            break
-        nxt = _scalar_div_exact(r, beta)
-        lc_cur = cur.leading()
-        d_old = delta
-        prev, cur = cur, nxt
-        delta = prev.degree - cur.degree
-        if d_old == 1:
-            psi = -lc_cur
-        elif d_old > 1:
-            psi = _int_div_exact((-lc_cur) ** d_old, psi ** (d_old - 1))
-        beta = -lc_cur * psi**delta
-    return _positive(result.primitive_part()) * cont
+    a, b = a.primitive_part(), b.primitive_part()
+    while not b.is_zero:
+        a, b = b, _rem(a, b).primitive_part()
+    return _positive(a) * cont
 
 
 def _positive(p: Polynomial) -> Polynomial:

@@ -112,6 +112,8 @@ class TestCount:
         (("build", "--family", "tri", "--n", "0"), "--n"),
         (("build", "--family", "p-defect", "--m", "0", "--n", "2"), "--m"),
         (("build", "--family", "s-defect", "--m", "2", "--n", "-1"), "--n"),
+        (("verify", "--symbolic-max", "0"), "--symbolic-max"),
+        (("verify", "--symbolic-max", "-5"), "--symbolic-max"),
     ])
     def test_lengths_below_one_are_usage_errors(self, capsys, argv, flag):
         code, out, err = run(capsys, *argv)

@@ -34,6 +34,8 @@ from cactusids.graphs import (
     vertices_of,
 )
 
+ENGINES = (graphs_module._dp_states, graphs_module._pivot_states, graphs_module._scan_counts)
+
 K3 = complete_graph(3)
 C4 = cycle_graph(4)
 C6 = cycle_graph(6)
@@ -43,6 +45,20 @@ P3 = path_graph(3)
 def random_graph(rng: random.Random, n: int, p: float = 0.3) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def complete_bipartite(w: int) -> Graph:
+    return Graph.from_edges(2 * w, [(i, w + j) for i in range(w) for j in range(w)])
+
+
+def states(engine, g: Graph, keep=None) -> tuple:
+    """An engine's final states in every mode, listed sets sorted."""
+    listed = engine(g, keep, graphs_module._sets_mode())
+    return (
+        engine(g, keep, graphs_module._COUNT),
+        engine(g, keep, graphs_module._MIN),
+        {key: sorted(masks) for key, masks in listed.items()},
+    )
 
 
 @st.composite
@@ -162,41 +178,58 @@ class TestCounting:
 
     def test_oracle_limit(self):
         big = path_graph(41)
-        with pytest.raises(OracleLimitError):
-            count_ids(big)
-        with pytest.raises(OracleLimitError):
-            count_ids(path_graph(30), max_vertices=26)
+        for call in (
+            lambda: count_ids(big),
+            lambda: count_boundary_classes(big, 0),
+            lambda: independent_domination_number(big),
+            lambda: enumerate_mis(big),
+        ):
+            with pytest.raises(OracleLimitError, match="above the oracle ceiling 40"):
+                call()
 
     def test_strategies_agree(self):
+        # the public functions against the literal definition
         rng = random.Random(23)
         for _ in range(30):
             g = random_graph(rng, rng.randint(1, 13))
-            assert count_ids(g, strategy="scan") == count_ids(g, strategy="pivot")
-            assert list(enumerate_mis(g, strategy="scan")) == list(
-                enumerate_mis(g, strategy="pivot")
-            ) == list(enumerate_mis(g, strategy="dp"))
+            count, least, listed = states(graphs_module._scan_counts, g)
+            assert count_ids(g) == count[(0, 0)]
+            assert independent_domination_number(g) == least[(0, 0)]
+            assert list(enumerate_mis(g)) == listed[(0, 0)]
 
     def test_strategies_agree_at_20_vertices(self):
         # scan is the literal-definition cross-check, compared here with
         # pivot and dp on a 20-vertex graph (2^20 subsets)
         rng = random.Random(41)
         g = random_graph(rng, 20, p=0.15)
-        assert count_ids(g, strategy="scan") == count_ids(g, strategy="pivot")
-        assert count_ids(g, strategy="dp") == count_ids(g, strategy="pivot")
+        scan = graphs_module._scan_counts(g)
+        assert scan == graphs_module._pivot_states(g) == graphs_module._dp_states(g)
 
     def test_pivot_leaves_no_reference_cycle(self):
         g = build_chain(ChainSpec(Family.HEX_PARA, length=7)).graph
         gc.collect()
         gc.disable()
         try:
-            assert count_ids(g, strategy="pivot") == 20969
+            assert graphs_module._pivot_states(g) == {(0, 0): 20969}
             assert gc.collect() == 0
         finally:
             gc.enable()
 
-    def test_enumerate_respects_ceiling(self):
-        with pytest.raises(OracleLimitError):
-            list(enumerate_mis(path_graph(30), max_vertices=26))
+    def test_no_public_call_scans(self, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a public oracle call ran the 2^n scan")
+
+        monkeypatch.setattr(graphs_module, "_scan_counts", no_scan)
+        monkeypatch.setattr(graphs_module, "_independent_subsets", no_scan)
+        rng = random.Random(29)
+        for g in [complete_bipartite(12)] + [
+            random_graph(rng, rng.randint(1, 16)) for _ in range(20)
+        ]:
+            count_ids(g)
+            independent_domination_number(g)
+            list(enumerate_mis(g))
+            for v in range(g.n_vertices):
+                count_boundary_classes(g, v)
 
     @given(graphs(max_n=9))
     @settings(max_examples=100, deadline=None)
@@ -245,12 +278,14 @@ class TestBoundaryClasses:
         assert count_boundary_classes(g, v).extendable_count == expected
 
     def test_strategies_agree(self):
+        # the public classes against the literal definition
         rng = random.Random(3)
         for _ in range(25):
             g = random_graph(rng, rng.randint(2, 12))
             v = rng.randrange(g.n_vertices)
-            assert count_boundary_classes(g, v, strategy="scan") == (
-                count_boundary_classes(g, v, strategy="pivot")
+            scan = graphs_module._scan_counts(g, v)
+            assert count_boundary_classes(g, v) == BoundaryCounts(
+                scan.get((1 << v, 0), 0), scan.get((0, 0), 0), scan.get((0, 1 << v), 0)
             )
 
 
@@ -275,23 +310,6 @@ def _largest_length(family: Family) -> int:
     return n
 
 
-def _oracle_values(g: Graph, v: int, strategy: str):
-    return (
-        count_ids(g, strategy=strategy),
-        count_boundary_classes(g, v, strategy=strategy),
-        independent_domination_number(g, strategy=strategy),
-    )
-
-
-def _assert_dp_listing(g: Graph):
-    """The DP lists exactly pivot's sets, ascending, as many as the count
-    and with gamma as the least size."""
-    masks = list(enumerate_mis(g, strategy="dp"))
-    assert masks == list(enumerate_mis(g, strategy="pivot"))
-    assert len(masks) == count_ids(g)
-    assert min(m.bit_count() for m in masks) == independent_domination_number(g)
-
-
 class TestFrontierDP:
     @given(graphs(max_n=12))
     @example(Graph.from_edges(1, []))
@@ -300,44 +318,37 @@ class TestFrontierDP:
     @example(Graph.from_edges(6, [(0, 5), (2, 5)]))
     @settings(max_examples=80, deadline=None)
     def test_strategies_agree(self, g):
-        # isolated vertices must join every set; vertex 3 of the third example
-        # is isolated in the middle of the id order
-        for strategy in ("pivot", "scan"):
-            assert count_ids(g, strategy="dp") == count_ids(g, strategy=strategy)
-            assert list(enumerate_mis(g, strategy="dp")) == list(
-                enumerate_mis(g, strategy=strategy)
-            )
-            assert independent_domination_number(g, strategy="dp") == (
-                independent_domination_number(g, strategy=strategy)
-            )
-            for v in range(g.n_vertices):
-                assert count_boundary_classes(g, v, strategy="dp") == (
-                    count_boundary_classes(g, v, strategy=strategy)
-                )
+        # every engine gives the same final states for every kept vertex and
+        # mode; isolated vertices must join every set, and vertex 3 of the
+        # third example is isolated in the middle of the id order
+        for keep in (None, *range(g.n_vertices)):
+            dp, pivot, scan = (states(engine, g, keep) for engine in ENGINES)
+            assert dp == pivot == scan, keep
 
     def test_empty_graph(self):
         empty = Graph.from_edges(0, [])
-        assert count_ids(empty, strategy="dp") == count_ids(empty, strategy="scan") == 1
-        assert list(enumerate_mis(empty, strategy="dp")) == [0]
-        assert list(enumerate_mis(empty, strategy="scan")) == [0]
+        for engine in ENGINES:
+            assert states(engine, empty) == ({(0, 0): 1}, {(0, 0): 0}, {(0, 0): [0]})
+        assert count_ids(empty) == 1
+        assert list(enumerate_mis(empty)) == [0]
         with pytest.raises(ValueError):
-            independent_domination_number(empty, strategy="dp")
+            independent_domination_number(empty)
 
     def test_edgeless_graph(self):
         g = Graph.from_edges(4, [])
-        assert count_ids(g, strategy="dp") == 1
-        assert list(enumerate_mis(g, strategy="dp")) == [0b1111]
-        assert independent_domination_number(g, strategy="dp") == 4
-        assert count_boundary_classes(g, 2, strategy="dp") == BoundaryCounts(1, 0, 1)
+        assert count_ids(g) == 1
+        assert list(enumerate_mis(g)) == [0b1111]
+        assert independent_domination_number(g) == 4
+        assert count_boundary_classes(g, 2) == BoundaryCounts(1, 0, 1)
 
     @pytest.mark.parametrize("family", LINEAR_FAMILIES, ids=lambda f: f.value)
     def test_linear_chains_at_the_ceiling(self, family):
         chain = build_chain(ChainSpec(family, length=_largest_length(family)))
-        assert chain.graph.n_vertices <= DEFAULT_MAX_VERTICES
-        assert _oracle_values(chain.graph, chain.terminal_vertex, "dp") == (
-            _oracle_values(chain.graph, chain.terminal_vertex, "pivot")
-        )
-        _assert_dp_listing(chain.graph)
+        g = chain.graph
+        assert g.n_vertices <= DEFAULT_MAX_VERTICES
+        assert states(graphs_module._dp_states, g) == states(graphs_module._pivot_states, g)
+        t = chain.terminal_vertex
+        assert graphs_module._dp_states(g, t) == graphs_module._pivot_states(g, t)
 
     @pytest.mark.parametrize("family", DEFECT_FAMILIES, ids=lambda f: f.value)
     def test_defect_chains_at_arm_total_12(self, family):
@@ -345,10 +356,9 @@ class TestFrontierDP:
             chain = build_chain(ChainSpec(family, m=m, n=12 - m))
             g, t = chain.graph, chain.terminal_vertex
             assert g.n_vertices == DEFAULT_MAX_VERTICES
-            assert count_boundary_classes(g, t, strategy="dp") == (
-                count_boundary_classes(g, t, strategy="pivot")
-            ), m
-            _assert_dp_listing(g)
+            assert graphs_module._dp_states(g, t) == graphs_module._pivot_states(g, t), m
+            listed = graphs_module._dp_states(g, mode=graphs_module._sets_mode())[(0, 0)]
+            assert sorted(listed) == graphs_module._mis_masks_pivot(g.adjacency, g.full_mask)
 
     @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
     def test_auto_picks_dp_for_every_chain(self, family, monkeypatch):
@@ -358,27 +368,29 @@ class TestFrontierDP:
             else ChainSpec(family, m=6, n=6)
         )
         chain = build_chain(spec)
-        for keep in (None, chain.terminal_vertex):
-            assert graphs_module._frontier_width(chain.graph, keep) <= 3
-            assert graphs_module._resolve_strategy(chain.graph, "auto", keep) == "dp"
+        g, t = chain.graph, chain.terminal_vertex
+        for keep in (None, t):
+            assert graphs_module._frontier_width(g, keep) <= 3
+        expected = graphs_module._mis_masks_pivot(g.adjacency, g.full_mask)
 
         def no_pivot(*args):
-            raise AssertionError("auto listed the sets by pivot")
+            raise AssertionError("a public oracle call pivoted on a chain")
 
-        # enumeration resolves without a kept vertex, and lists by the DP
-        expected = list(enumerate_mis(chain.graph, strategy="pivot"))
-        monkeypatch.setattr(graphs_module, "_mis_masks_pivot", no_pivot)
-        assert list(enumerate_mis(chain.graph)) == expected
+        monkeypatch.setattr(graphs_module, "_pivot_states", no_pivot)
+        assert list(enumerate_mis(g)) == expected
+        assert count_ids(g) == len(expected)
+        assert independent_domination_number(g) == min(m.bit_count() for m in expected)
+        assert sum(count_boundary_classes(g, t)[:2]) == len(expected)
 
     def test_wide_frontier_falls_back_to_pivot(self, monkeypatch):
         # complete bipartite K(w, w): the first side stays live until the last
         # vertex, so the id-order frontier is w wide
         w = DP_MAX_WIDTH + 2
-        g = Graph.from_edges(2 * w, [(i, w + j) for i in range(w) for j in range(w)])
+        g = complete_bipartite(w)
         assert graphs_module._frontier_width(g) > DP_MAX_WIDTH
 
         def no_dp(*args, **kwargs):
-            raise AssertionError("auto ran the DP above its width")
+            raise AssertionError("the oracle ran the DP above its width")
 
         monkeypatch.setattr(graphs_module, "_dp_states", no_dp)
         assert count_ids(g) == 2
@@ -386,17 +398,8 @@ class TestFrontierDP:
         assert independent_domination_number(g) == w
         assert count_boundary_classes(g, 0) == BoundaryCounts(1, 1, 1)
         monkeypatch.undo()
-        assert _oracle_values(g, 0, "dp") == (2, BoundaryCounts(1, 1, 1), w)
+        assert graphs_module._dp_states(g, 0) == {(1, 0): 1, (0, 0): 1, (0, 1): 1}
 
     def test_enumerate_by_dp(self):
-        assert list(enumerate_mis(C4, strategy="dp")) == [0b0101, 0b1010]
-
-    def test_unknown_strategy(self):
-        for call in (
-            lambda: count_ids(C4, strategy="nope"),
-            lambda: count_boundary_classes(C4, 0, strategy="nope"),
-            lambda: independent_domination_number(C4, strategy="nope"),
-            lambda: enumerate_mis(C4, strategy="nope"),
-        ):
-            with pytest.raises(ValueError, match="unknown strategy"):
-                call()
+        listed = graphs_module._dp_states(C4, mode=graphs_module._sets_mode())
+        assert sorted(listed[(0, 0)]) == [0b0101, 0b1010]

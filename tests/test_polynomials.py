@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cactusids.polynomials import (
     Polynomial,
@@ -88,6 +88,7 @@ class TestGcd:
         st.lists(st.integers(-8, 8), min_size=1, max_size=5),
         st.lists(st.integers(-3, 3), min_size=1, max_size=3),
     )
+    @example([2, 3], [-1, 5], [1, 2])  # (2x+1)(3x+2), (2x+1)(5x-1): the remainder scales
     @settings(max_examples=150, deadline=None)
     def test_matches_rational_euclid(self, ca, cb, cm):
         a, b, m = Polynomial(ca), Polynomial(cb), Polynomial(cm)
@@ -99,6 +100,7 @@ class TestGcd:
             return
         # both divide and match up to the content convention
         assert got.primitive_part() == want
+        assert got.content() == int_gcd(a.content(), b.content())
         if not a.is_zero:
             poly_divmod_exact(a * got.content(), got * int_gcd(1, 1))
 
