@@ -31,6 +31,7 @@ are safe to use concurrently.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
@@ -344,14 +345,14 @@ def _pivot_states(g: Graph, keep: int | None = None, mode: tuple = _COUNT) -> di
     """
     kbit = 0 if keep is None else 1 << keep
     full = g.full_mask
-    listed = [((mask & kbit, 0), mask) for mask in _mis_masks_pivot(g.adjacency, full)]
+    listed = (((mask & kbit, 0), mask) for mask in _mis_masks_pivot(g.adjacency, full))
     if keep is not None:
         near = g.adjacency[keep]
-        listed += [
+        listed = itertools.chain(listed, (
             ((0, kbit), mask)
             for mask in _mis_masks_pivot(g.adjacency, full ^ kbit)
             if not mask & near
-        ]
+        ))
     return _fold(listed, mode)
 
 

@@ -357,8 +357,7 @@ class TestFrontierDP:
             g, t = chain.graph, chain.terminal_vertex
             assert g.n_vertices == DEFAULT_MAX_VERTICES
             assert graphs_module._dp_states(g, t) == graphs_module._pivot_states(g, t), m
-            listed = graphs_module._dp_states(g, mode=graphs_module._sets_mode())[(0, 0)]
-            assert sorted(listed) == graphs_module._mis_masks_pivot(g.adjacency, g.full_mask)
+            assert states(graphs_module._dp_states, g) == states(graphs_module._pivot_states, g), m
 
     @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
     def test_auto_picks_dp_for_every_chain(self, family, monkeypatch):
