@@ -2,9 +2,9 @@
 
 Covers four jobs:
 
-* exact solution of linear systems over the rational function field
-  (Bareiss fraction-free forward elimination, rational back-substitution
-  with gcd normalisation at every step);
+* exact solution of linear systems over the rational function field by
+  Cramer's rule: each unknown is a ratio of two polynomial determinants, both
+  taken by Bareiss fraction-free elimination, reduced once;
 * conversion between generating functions and linear recurrences;
 * a claims store holding the published generating functions verbatim,
   including the erroneous ones, plus systems re-derived from the transfer
@@ -71,44 +71,49 @@ def _system(rows: Sequence[Sequence], rhs: Sequence, unknowns: Sequence[str]) ->
     )
 
 
-def solve_gf_system(system: GFLinearSystem) -> list[RationalGF]:
-    """Exact solution over the rational function field.
+def _det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
+    """Determinant by Bareiss fraction-free elimination, 0 when singular.
 
-    Forward elimination is fraction-free (Bareiss), so intermediate entries
-    stay integer polynomials; back-substitution works in reduced rational
-    functions.
+    Every intermediate entry is an integer polynomial (each division is
+    exact), and the last pivot is the determinant up to the row-swap sign.
     """
-    k = len(system.rhs)
-    m: list[list[Polynomial]] = [
-        list(system.matrix[i]) + [system.rhs[i]] for i in range(k)
-    ]
-    prev = Polynomial.one()
+    m = [list(row) for row in rows]
+    k, sign, prev = len(m), 1, Polynomial.one()
     for col in range(k):
-        pivot_row = next(
-            (r for r in range(col, k) if not m[r][col].is_zero), None
-        )
+        pivot_row = next((r for r in range(col, k) if m[r][col]), None)
         if pivot_row is None:
-            raise SingularSystemError(f"no pivot in column {col}")
+            return Polynomial.zero()
         if pivot_row != col:
             m[col], m[pivot_row] = m[pivot_row], m[col]
+            sign = -sign
         pivot = m[col][col]
         for r in range(col + 1, k):
-            for c in range(col + 1, k + 1):
-                m[r][c] = poly_divmod_exact(
-                    pivot * m[r][c] - m[r][col] * m[col][c], prev
-                )
-            m[r][col] = Polynomial.zero()
+            for c in range(col + 1, k):
+                m[r][c] = poly_divmod_exact(pivot * m[r][c] - m[r][col] * m[col][c], prev)
         prev = pivot
-    if m[k - 1][k - 1].is_zero:
-        raise SingularSystemError("zero determinant")
+    return prev * sign
 
-    solution: list[Optional[RationalGF]] = [None] * k
-    for i in range(k - 1, -1, -1):
-        acc = RationalGF(m[i][k], 1)
-        for j in range(i + 1, k):
-            acc = acc - RationalGF(m[i][j], 1) * solution[j]
-        solution[i] = acc / RationalGF(m[i][i], 1)
-    return solution  # type: ignore[return-value]
+
+def _cramer(system: GFLinearSystem) -> tuple[list[Polynomial], Polynomial]:
+    """Cramer numerators det(M_i), M with column i replaced by the rhs, and det(M)."""
+    den = _det(system.matrix)
+    if den.is_zero:
+        raise SingularSystemError("zero determinant")
+    nums = [
+        _det([row[:i] + (b,) + row[i + 1:] for row, b in zip(system.matrix, system.rhs)])
+        for i in range(len(system.rhs))
+    ]
+    return nums, den
+
+
+def solve_gf_system(system: GFLinearSystem) -> list[RationalGF]:
+    """Exact solution over the rational function field, by Cramer's rule.
+
+    Unknown i is det(M_i)/det(M), both determinants taken fraction-free
+    (Bareiss) in integer polynomials, so each result is reduced once.
+    """
+    nums, den = _cramer(system)
+    return [RationalGF(num, den) for num in nums]
 
 
 def gf_from_recurrence(rec: LinearRecurrence, first_index: int) -> RationalGF:
@@ -322,12 +327,9 @@ def derived_gf(family: Family) -> RationalGF:
     coefficient 0 is zero.
     """
     ts = paper_transfer_system(family)
-    states = derived_state_gfs(family)
-    total = RationalGF(0, 1)
-    for weight, gf in zip(ts.output_weights, states):
-        if weight:
-            total = total + gf * weight
-    return total * RationalGF(Polynomial.x(), 1)
+    nums, den = _cramer(transfer_gf_system(ts))
+    total = sum((num * w for w, num in zip(ts.output_weights, nums)), Polynomial())
+    return RationalGF(Polynomial.x() * total, den)
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,11 @@
-"""Exact univariate polynomial and rational-function arithmetic over the integers.
+"""Exact univariate polynomials over the integers, and reduced rational functions.
 
-Polynomials are immutable ascending coefficient tuples with no trailing zeros.
-Rational functions reduce on construction (polynomial gcd via the primitive
-PRS, joint integer content, sign normalisation), so equal functions compare
-equal structurally. Everything here is pure and safe to share across threads.
+Polynomials are immutable ascending coefficient tuples with no trailing zeros,
+and support +, - and *. Rational functions have no arithmetic: each is built
+once from a numerator and a denominator and reduces on construction
+(polynomial gcd via the primitive PRS, joint integer content, sign
+normalisation), so equal functions compare equal structurally. Everything
+here is pure and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -134,24 +136,6 @@ class Polynomial:
         return Polynomial(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = Polynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def shift(self, k: int) -> "Polynomial":
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return Polynomial((0,) * k + self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -286,8 +270,8 @@ class RationalGF:
     Canonical form: numerator and denominator share no polynomial factor and
     no integer content, and the denominator's lowest nonzero coefficient is
     positive. Power-series extraction additionally requires a nonzero
-    denominator constant term (checked in :func:`series`, not here, so the
-    type can also carry intermediate Gaussian-elimination values).
+    denominator constant term (checked in :func:`series`, not here, so any
+    Cramer quotient det(M_i)/det(M) can be held).
     """
 
     __slots__ = ("numerator", "denominator")
@@ -307,10 +291,8 @@ class RationalGF:
             if c > 1:
                 num = Polynomial(v // c for v in num.coeffs)
                 den = Polynomial(v // c for v in den.coeffs)
-        if not den.is_zero:
-            low = next(c for c in den.coeffs if c != 0)
-            if low < 0:
-                num, den = -num, -den
+        if next(c for c in den.coeffs if c != 0) < 0:
+            num, den = -num, -den
         self.numerator = num
         self.denominator = den
 
@@ -328,52 +310,6 @@ class RationalGF:
 
     def __hash__(self):
         return hash(("RationalGF", self.numerator.coeffs, self.denominator.coeffs))
-
-    def __add__(self, other):
-        other = _coerce_gf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalGF(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalGF(-self.numerator, self.denominator)
-
-    def __sub__(self, other):
-        other = _coerce_gf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce_gf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _coerce_gf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalGF(
-            self.numerator * other.numerator, self.denominator * other.denominator
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce_gf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalGF(
-            self.numerator * other.denominator, self.denominator * other.numerator
-        )
 
     def __repr__(self):
         return (
@@ -414,14 +350,6 @@ class RationalGF:
                 val = acc / d0
                 out.append(int(val) if val.denominator == 1 else val)
         return out
-
-
-def _coerce_gf(value):
-    if isinstance(value, RationalGF):
-        return value
-    if isinstance(value, (Polynomial, int)):
-        return RationalGF(value, 1)
-    return NotImplemented
 
 
 def format_gf(gf: RationalGF) -> str:

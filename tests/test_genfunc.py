@@ -1,5 +1,7 @@
 import math
 import random
+from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -35,6 +37,9 @@ PHI = (1 + math.sqrt(5)) / 2
 
 def P(*coeffs):
     return Polynomial(coeffs)
+
+
+_SMALL_POLY = st.lists(st.integers(-3, 3), max_size=3).map(Polynomial)
 
 
 class TestSolveSystem:
@@ -77,6 +82,41 @@ class TestSolveSystem:
         solved = tuple(solve_gf_system(paper_gf_system(Family.HEX_PARA)))
         assert solved != paper_state_gfs(Family.HEX_PARA)
         assert solved == derived_state_gfs(Family.HEX_PARA)
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda k: st.tuples(
+                st.lists(st.lists(_SMALL_POLY, min_size=k, max_size=k), min_size=k, max_size=k),
+                st.lists(_SMALL_POLY, min_size=k, max_size=k),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_systems_solve_exactly(self, data):
+        rows, rhs = data
+        k = len(rhs)
+        system = GFLinearSystem(
+            tuple(map(tuple, rows)), tuple(rhs), tuple(f"u{i}" for i in range(k))
+        )
+        # Leibniz determinant, independent of the solver's elimination
+        det = Polynomial()
+        for perm in permutations(range(k)):
+            inversions = sum(perm[i] > perm[j] for j in range(k) for i in range(j))
+            term = P((-1) ** inversions)
+            for i, j in enumerate(perm):
+                term = term * rows[i][j]
+            det = det + term
+        if det.is_zero:
+            with pytest.raises(SingularSystemError):
+                solve_gf_system(system)
+            return
+        solution = solve_gf_system(system)
+        for t in (Fraction(1, 7), Fraction(-2, 3), Fraction(5)):
+            if det(t) == 0:
+                continue
+            values = [gf.numerator(t) / gf.denominator(t) for gf in solution]
+            for row, b in zip(rows, rhs):
+                assert sum(m(t) * v for m, v in zip(row, values)) == b(t)
 
 
 class TestCoefficients:
