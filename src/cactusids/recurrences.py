@@ -118,27 +118,76 @@ def _step(matrix: Matrix, vec: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(row[j] * vec[j] for j in range(len(vec))) for row in matrix)
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+@lru_cache
+def _charpoly(matrix: Matrix) -> tuple[int, ...]:
+    """(c_1, ..., c_k) with det(xI - A) = x^k + c_1 x^(k-1) + ... + c_k, by
+    Faddeev-LeVerrier: M_i = A M_(i-1) + c_(i-1) I and c_i = -tr(A M_i) / i.
+
+    The c_i are integers, so every division by i is exact. Matrices are held
+    as columns, so each product with A is k calls of :func:`_step`. Cached:
+    its k^2 steps would cost more than a short power itself, and the audit
+    powers the same few matrices to many small exponents.
+    """
+    k = len(matrix)
+    a_m = [(0,) * k] * k  # columns of A M_0 = 0
+    coeffs, c = [], 1
+    for i in range(1, k + 1):
+        m = [tuple(v + c * (r == j) for r, v in enumerate(col)) for j, col in enumerate(a_m)]
+        a_m = [_step(matrix, col) for col in m]
+        c = -sum(col[j] for j, col in enumerate(a_m)) // i
+        coeffs.append(c)
+    return tuple(coeffs)
+
+
+def _x_pow_mod(e: int, c: tuple[int, ...]) -> list[int]:
+    """Coefficients r_0..r_(k-1) of x^e mod x^k + c_1 x^(k-1) + ... + c_k.
+
+    Left-to-right binary powering: a squaring takes k(k+1)/2 products of
+    large coefficients (r_i^2 once, 2 r_i r_j for i < j), a multiplication by
+    x is a shift, and reduction by the monic modulus multiplies large
+    coefficients only by the small c_i.
+    """
+    k = len(c)
+    r = [1] + [0] * (k - 1)
+    for bit in bin(e)[2:]:
+        sq = [0] * (2 * k - 1)
+        for i, ri in enumerate(r):
+            if ri:
+                sq[2 * i] += ri * ri
+                twice = 2 * ri
+                for j in range(i + 1, k):
+                    sq[i + j] += twice * r[j]
+        if bit == "1":
+            sq.insert(0, 0)
+        for d in range(len(sq) - 1, k - 1, -1):
+            top = sq[d]
+            if top:
+                for i, ci in enumerate(c, 1):
+                    sq[d - i] -= ci * top
+        r = sq[:k]
+    return r
 
 
 def mat_pow_vec(matrix: Matrix, e: int, vec: tuple[int, ...]) -> tuple[int, ...]:
-    """A^e v exactly, by repeated squaring: O(log e) matrix products.
+    """A^e v exactly, as r(A) v with r = x^e mod the characteristic polynomial
+    of A (Fiduccia's method): O(log e) polynomial squarings of k(k+1)/2 large
+    products each, then at most k - 1 single steps for the A^i v.
 
-    Left-to-right binary powering, so each step squares the partial power and
-    at most multiplies it by ``matrix`` itself, whose entries stay small.
+    By Cayley-Hamilton A^e = r(A), so A^e v = sum r_i A^i v.
     """
     if e < 0:
         raise ValueError("exponent must be nonnegative")
-    if e == 0:
-        return tuple(vec)
-    power = matrix
-    for bit in bin(e)[3:]:
-        power = _mat_mul(power, power)
-        if bit == "1":
-            power = _mat_mul(power, matrix)
-    return _step(power, vec)
+    r = _x_pow_mod(e, _charpoly(matrix))
+    while len(r) > 1 and not r[-1]:
+        r.pop()  # so a short power, r = x^e with e < k, takes e steps, not k - 1
+    out = [0] * len(vec)
+    power = tuple(vec)
+    for i, ri in enumerate(r):
+        if i:
+            power = _step(matrix, power)
+        if ri:
+            out = [o + ri * p for o, p in zip(out, power)]
+    return tuple(out)
 
 
 def state_trajectory(system: TransferSystem, n: int) -> list[tuple[int, ...]]:
@@ -154,7 +203,8 @@ def state_trajectory(system: TransferSystem, n: int) -> list[tuple[int, ...]]:
 
 
 def transfer_state(system: TransferSystem, n: int) -> tuple[int, ...]:
-    """State vector at length n: A^(n-1) v(1), with O(log n) matrix products."""
+    """State vector at length n: A^(n-1) v(1), by :func:`mat_pow_vec` in
+    O(log n) polynomial squarings."""
     if n < 1:
         raise ValueError("length must be at least 1")
     return mat_pow_vec(system.update_matrix, n - 1, system.initial_vector)
@@ -249,8 +299,9 @@ def recurrence_values(rec: LinearRecurrence, first: int, last: int) -> list[int]
 
 def eval_recurrence(rec: LinearRecurrence, n: int) -> int:
     """Value at index n as :func:`recurrence_values` gives it: stepped up to
-    the last supplied term, then advanced by companion-matrix powers in
-    O(log n) matrix products."""
+    the last supplied term, then advanced by a power of the companion matrix,
+    whose characteristic polynomial is the recurrence's own, in O(log n)
+    polynomial squarings."""
     values = rec.initial_map
     if n in values:
         return values[n]

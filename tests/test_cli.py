@@ -275,6 +275,22 @@ class TestSequence:
                     for n in range(1, 9)]
         assert out.splitlines() == ["n,count"] + expected
 
+    def test_closed_pipe_exits_141_without_traceback(self):
+        # 1.2 MB of output: far more than a pipe buffers, so the write fails
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cactusids.cli",
+             "sequence", "--family", "hex-para", "--max-n", "2000"],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert proc.stdout.readline() == "n,count\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert "Traceback" not in err, err
+
 
 class TestGf:
     def test_published_hex_meta(self, capsys):

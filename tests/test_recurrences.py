@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cactusids.chains import ChainSpec, Family, LINEAR_FAMILIES, build_chain
-from cactusids.genfunc import derived_recurrence
+from cactusids.genfunc import characteristic_polynomial, derived_recurrence
 from cactusids.graphs import count_boundary_classes, count_ids
 from cactusids.recurrences import (
     LinearRecurrence,
+    _charpoly,
+    _companion,
+    _step,
     eval_recurrence,
     mat_pow_vec,
     measured_extendable_seed,
@@ -92,6 +96,14 @@ class TestRunTransfer:
             assert all(w == 0 for w in ts.output_weights[2:])
 
 
+@st.composite
+def _matrix_and_vector(draw):
+    k = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    matrix = tuple(tuple(draw(entry) for _ in range(k)) for _ in range(k))
+    return matrix, tuple(draw(st.integers(-50, 50)) for _ in range(k))
+
+
 class TestMatrixPowerEngine:
     @pytest.mark.parametrize("family", LINEAR_FAMILIES)
     def test_powering_matches_stepping(self, family):
@@ -109,6 +121,21 @@ class TestMatrixPowerEngine:
         assert mat_pow_vec(((2, 0), (0, 3)), 5, (1, 1)) == (32, 243)
         with pytest.raises(ValueError):
             mat_pow_vec(((1,),), -1, (1,))
+
+    @given(_matrix_and_vector(), st.integers(0, 300))
+    @example((((0,),), (-4,)), 0)
+    @example((((0,),), (-4,)), 3)
+    @example((((0, 1, 0), (0, 0, 1), (0, 0, 0)), (1, -2, 3)), 2)  # nilpotent
+    @example((((0, 1, 0), (0, 0, 1), (0, 0, 0)), (1, -2, 3)), 3)
+    @example((((1, 2), (2, 4)), (-1, 1)), 9)  # singular
+    @example((((-3, 3, 0, 1), (2, -1, 3, -3), (0, 0, -2, 1), (3, -3, 1, 0)), (-7, 0, 5, 2)), 300)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive_stepping(self, system, e):
+        matrix, vec = system
+        expected = vec
+        for _ in range(e):
+            expected = _step(matrix, expected)
+        assert mat_pow_vec(matrix, e, vec) == expected
 
 
 def _stepped(rec, n):
@@ -185,6 +212,23 @@ def _mat_mul(a, b):
     return [
         [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(k)] for i in range(k)
     ]
+
+
+class TestCharacteristicPolynomial:
+    @pytest.mark.parametrize("rec", _ALL_RECURRENCES)
+    def test_companion_gives_the_recurrences_polynomial(self, rec):
+        c = _charpoly(_companion(rec.coefficients))
+        assert tuple(reversed(c)) + (1,) == characteristic_polynomial(rec).coeffs
+
+    @pytest.mark.parametrize("family", LINEAR_FAMILIES)
+    def test_cayley_hamilton(self, family):
+        a = paper_transfer_system(family).update_matrix
+        k = len(a)
+        total = [[0] * k for _ in range(k)]
+        for i, c in enumerate((1,) + _charpoly(a)):
+            power = _mat_power(a, k - i)
+            total = [[t + c * p for t, p in zip(tr, pr)] for tr, pr in zip(total, power)]
+        assert total == [[0] * k for _ in range(k)]
 
 
 class TestAgainstOracle:
