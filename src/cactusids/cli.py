@@ -48,6 +48,7 @@ from .verify import (
     defect_formula_value,
     errata_report,
     gamma_rows,
+    oracle_lengths,
     require_oracle_fit,
     verify_all,
 )
@@ -296,6 +297,8 @@ def _cmd_sequence(parser, args) -> int:
     _check_length("--max-n", args.max_n, MAX_SEQUENCE_LENGTH)
     lengths = range(1, args.max_n + 1)
     if args.method == "oracle":
+        # refuse the longest chain before building any shorter one
+        oracle_lengths(family, ceiling, args.max_n)
         counts = [_oracle_count(ChainSpec(family, length=n), ceiling) for n in lengths]
     else:
         system = paper_transfer_system(family)

@@ -2,13 +2,13 @@
 
 Covers four jobs:
 
-* exact solution of linear systems over the rational function field by
-  Cramer's rule: each unknown is a ratio of two polynomial determinants, both
-  taken by Bareiss fraction-free elimination, reduced once;
 * conversion between generating functions and linear recurrences;
-* a claims store holding the published generating functions verbatim,
-  including the erroneous ones, plus systems re-derived from the transfer
-  matrices (the corrected versions);
+* the derived (corrected) generating functions of the transfer systems: the
+  denominator is det(I - xA), read off the characteristic polynomial that
+  powering already uses, and the numerator follows from the first k terms;
+* a claims store holding the published generating functions and state
+  systems verbatim, including the erroneous ones, with an exact solver for
+  those systems (Cramer's rule over Bareiss determinants);
 * dominant growth rate of a recurrence, from its largest root modulus.
 
 Series index convention: physical chain lengths start at n = 1; coefficient
@@ -33,9 +33,11 @@ from .polynomials import (
 )
 from .recurrences import (
     LinearRecurrence,
-    TransferSystem,
+    Matrix,
+    _charpoly,
     eval_recurrence,
     paper_transfer_system,
+    state_trajectory,
 )
 
 
@@ -94,25 +96,17 @@ def _det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     return prev * sign
 
 
-def _cramer(system: GFLinearSystem) -> tuple[list[Polynomial], Polynomial]:
-    """Cramer numerators det(M_i), M with column i replaced by the rhs, and det(M)."""
+def solve_gf_system(system: GFLinearSystem) -> list[RationalGF]:
+    """Exact solution over the rational function field, by Cramer's rule:
+    unknown i is det(M_i)/det(M), M_i being M with column i replaced by the
+    rhs, both determinants taken fraction-free (Bareiss), reduced once."""
     den = _det(system.matrix)
     if den.is_zero:
         raise SingularSystemError("zero determinant")
-    nums = [
+    nums = (
         _det([row[:i] + (b,) + row[i + 1:] for row, b in zip(system.matrix, system.rhs)])
         for i in range(len(system.rhs))
-    ]
-    return nums, den
-
-
-def solve_gf_system(system: GFLinearSystem) -> list[RationalGF]:
-    """Exact solution over the rational function field, by Cramer's rule.
-
-    Unknown i is det(M_i)/det(M), both determinants taken fraction-free
-    (Bareiss) in integer polynomials, so each result is reduced once.
-    """
-    nums, den = _cramer(system)
+    )
     return [RationalGF(num, den) for num in nums]
 
 
@@ -289,34 +283,27 @@ def paper_gf_system(family: Family) -> Optional[GFLinearSystem]:
 # -- derived (corrected) generating functions ------------------------------
 
 
-def transfer_gf_system(system: TransferSystem) -> GFLinearSystem:
-    """(I - xA) F = seeds, with F_i the series of state i shifted by one.
+def _annihilated_gf(matrix: Matrix, terms: Sequence[int], first_index: int) -> RationalGF:
+    """The series whose k = len(matrix) terms from ``first_index`` on are
+    ``terms`` and which then obeys the recurrence of det(xI - A).
 
-    Coefficient k of F_i is the state-i count at length k+1, so the family
-    series is x times the weighted sum of the solution.
+    By Cayley-Hamilton every component of A^n v, and every weighted sum of
+    them, obeys that recurrence, so the denominator is det(I - xA).
     """
-    k = len(system.initial_vector)
-    x = Polynomial.x()
-    rows = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            entry = -x * system.update_matrix[i][j]
-            if i == j:
-                entry = entry + 1
-            row.append(entry)
-        rows.append(row)
-    rhs = [as_poly(v) for v in system.initial_vector]
-    return GFLinearSystem(
-        tuple(tuple(r) for r in rows), tuple(rhs), system.state_names
+    coefficients = tuple(-c for c in _charpoly(matrix))
+    initial = tuple(enumerate(terms, first_index))
+    return gf_from_recurrence(
+        LinearRecurrence(coefficients, initial, first_index + len(terms)), first_index
     )
 
 
 @lru_cache(maxsize=None)
 def derived_state_gfs(family: Family) -> tuple[RationalGF, ...]:
-    """Per-state series solved from the oracle-seeded transfer system."""
-    system = transfer_gf_system(paper_transfer_system(family))
-    return tuple(solve_gf_system(system))
+    """Per-state series of the oracle-seeded transfer system: coefficient k of
+    series i is the state-i count at length k+1."""
+    ts = paper_transfer_system(family)
+    trajectory = state_trajectory(ts, len(ts.initial_vector))
+    return tuple(_annihilated_gf(ts.update_matrix, column, 0) for column in zip(*trajectory))
 
 
 @lru_cache(maxsize=None)
@@ -327,9 +314,8 @@ def derived_gf(family: Family) -> RationalGF:
     coefficient 0 is zero.
     """
     ts = paper_transfer_system(family)
-    nums, den = _cramer(transfer_gf_system(ts))
-    total = sum((num * w for w, num in zip(ts.output_weights, nums)), Polynomial())
-    return RationalGF(Polynomial.x() * total, den)
+    counts = [ts.count(v) for v in state_trajectory(ts, len(ts.initial_vector))]
+    return _annihilated_gf(ts.update_matrix, counts, 1)
 
 
 @lru_cache(maxsize=None)

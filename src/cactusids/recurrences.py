@@ -125,8 +125,9 @@ def _charpoly(matrix: Matrix) -> tuple[int, ...]:
 
     The c_i are integers, so every division by i is exact. Matrices are held
     as columns, so each product with A is k calls of :func:`_step`. Cached:
-    its k^2 steps would cost more than a short power itself, and the audit
-    powers the same few matrices to many small exponents.
+    its k^2 steps would cost more than a short power itself, and only the six
+    transfer matrices ever reach it, powered by the audit to many small
+    exponents and read once more for the derived generating functions.
     """
     k = len(matrix)
     a_m = [(0,) * k] * k  # columns of A M_0 = 0
@@ -173,7 +174,8 @@ def mat_pow_vec(matrix: Matrix, e: int, vec: tuple[int, ...]) -> tuple[int, ...]
     of A (Fiduccia's method): O(log e) polynomial squarings of k(k+1)/2 large
     products each, then at most k - 1 single steps for the A^i v.
 
-    By Cayley-Hamilton A^e = r(A), so A^e v = sum r_i A^i v.
+    By Cayley-Hamilton A^e = r(A), so A^e v = sum r_i A^i v. Only
+    :func:`transfer_state` needs a matrix; :func:`eval_recurrence` uses r alone.
     """
     if e < 0:
         raise ValueError("exponent must be nonnegative")
@@ -272,13 +274,6 @@ def paper_recurrence(family: Family) -> LinearRecurrence:
     return LinearRecurrence(coeffs, initials, valid_from, frozenset(formal))
 
 
-def _companion(coefficients: tuple[int, ...]) -> Matrix:
-    """Shift matrix taking (a(t), ..., a(t-k+1)) to (a(t+1), ..., a(t-k+2))."""
-    k = len(coefficients)
-    shift = tuple(tuple(int(j == i) for j in range(k)) for i in range(k - 1))
-    return (tuple(coefficients),) + shift
-
-
 def recurrence_values(rec: LinearRecurrence, first: int, last: int) -> list[int]:
     """Values at indices first..last in one pass of k products per term,
     starting after the contiguous window of initial terms; a term supplied
@@ -299,14 +294,15 @@ def recurrence_values(rec: LinearRecurrence, first: int, last: int) -> list[int]
 
 def eval_recurrence(rec: LinearRecurrence, n: int) -> int:
     """Value at index n as :func:`recurrence_values` gives it: stepped up to
-    the last supplied term, then advanced by a power of the companion matrix,
-    whose characteristic polynomial is the recurrence's own, in O(log n)
-    polynomial squarings."""
+    the last supplied term ``top``, then sum r_i a(top + i) with r = x^(n - top)
+    modulo the recurrence's characteristic polynomial, in O(log n)
+    polynomial squarings (:func:`_x_pow_mod`)."""
     values = rec.initial_map
     if n in values:
         return values[n]
     top = max(max(values), rec.min_index + rec.order - 1)
     if n <= top:
         return recurrence_values(rec, n, n)[0]
-    window = tuple(reversed(recurrence_values(rec, top - rec.order + 1, top)))
-    return mat_pow_vec(_companion(rec.coefficients), n - top, window)[0]
+    window = recurrence_values(rec, top, top + rec.order - 1)
+    r = _x_pow_mod(n - top, tuple(-c for c in rec.coefficients))
+    return sum(ri * a for ri, a in zip(r, window))

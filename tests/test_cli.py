@@ -165,6 +165,7 @@ class TestCount:
             ("count", "--family", "hex-para", "--n", str(MAX_LENGTH), "--method", "oracle"),
             ("count", "--family", "p-defect", "--m", "500", "--n", "500",
              "--method", "oracle"),
+            ("sequence", "--family", "tri", "--max-n", "30", "--method", "oracle"),
         ):
             code, _, err = run(capsys, *argv)
             assert code == 2 and "above the oracle ceiling 26" in err

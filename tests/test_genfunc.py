@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cactusids import genfunc
 from cactusids.chains import Family, LINEAR_FAMILIES
 from cactusids.genfunc import (
     GFLinearSystem,
@@ -21,9 +22,8 @@ from cactusids.genfunc import (
     paper_state_gfs,
     recurrence_from_gf,
     solve_gf_system,
-    transfer_gf_system,
 )
-from cactusids.polynomials import Polynomial, RationalGF, format_gf
+from cactusids.polynomials import Polynomial, RationalGF, format_gf, poly_divmod_exact
 from cactusids.recurrences import (
     LinearRecurrence,
     eval_recurrence,
@@ -37,6 +37,16 @@ PHI = (1 + math.sqrt(5)) / 2
 
 def P(*coeffs):
     return Polynomial(coeffs)
+
+
+def _transfer_gf_system(ts):
+    """(I - xA) F = v, with F_i the series of state i shifted by one: the
+    linear system the derived generating functions are checked against."""
+    k = len(ts.initial_vector)
+    rows = tuple(
+        tuple(P(int(i == j), -ts.update_matrix[i][j]) for j in range(k)) for i in range(k)
+    )
+    return GFLinearSystem(rows, tuple(map(P, ts.initial_vector)), ts.state_names)
 
 
 _SMALL_POLY = st.lists(st.integers(-3, 3), max_size=3).map(Polynomial)
@@ -205,10 +215,36 @@ class TestDerived:
         assert rec.coefficients == (5, -4, 1)
         assert rec.valid_from == 4
 
-    def test_transfer_system_shape(self):
-        system = transfer_gf_system(paper_transfer_system(Family.TRIANGULAR))
-        assert system.unknowns == ("contains-terminal", "avoids-terminal")
-        assert system.rhs == (P(1), P(2))
+    @pytest.mark.parametrize("family", LINEAR_FAMILIES, ids=lambda f: f.value)
+    def test_cramer_route_agrees(self, family):
+        ts = paper_transfer_system(family)
+        states = solve_gf_system(_transfer_gf_system(ts))
+        assert tuple(states) == derived_state_gfs(family)
+        # x * sum w_i F_i over the product of the reduced denominators
+        den = Polynomial.one()
+        for gf in states:
+            den = den * gf.denominator
+        total = Polynomial()
+        for w, gf in zip(ts.output_weights, states):
+            total = total + gf.numerator * poly_divmod_exact(den, gf.denominator) * w
+        assert RationalGF(P(0, 1) * total, den) == derived_gf(family)
+
+    def test_derivation_solves_no_system(self, monkeypatch):
+        expected = {f: (derived_gf(f), derived_state_gfs(f)) for f in LINEAR_FAMILIES}
+
+        def refuse(*args):
+            raise AssertionError("a linear system was solved")
+
+        monkeypatch.setattr(genfunc, "_det", refuse)
+        monkeypatch.setattr(genfunc, "solve_gf_system", refuse)
+        derived_gf.cache_clear()
+        derived_state_gfs.cache_clear()
+        try:
+            for family in LINEAR_FAMILIES:
+                assert (derived_gf(family), derived_state_gfs(family)) == expected[family]
+        finally:
+            derived_gf.cache_clear()
+            derived_state_gfs.cache_clear()
 
     def test_self_consistent_printed_gfs_match_derived_from_n1(self):
         # Q, S, O printed expansions agree with the derived ones at n >= 1

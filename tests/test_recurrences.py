@@ -7,7 +7,6 @@ from cactusids.graphs import count_boundary_classes, count_ids
 from cactusids.recurrences import (
     LinearRecurrence,
     _charpoly,
-    _companion,
     _step,
     eval_recurrence,
     mat_pow_vec,
@@ -148,6 +147,22 @@ def _stepped(rec, n):
     return values[n]
 
 
+@st.composite
+def _recurrence_and_index(draw):
+    """Order 1-4, coefficients -3..3 (a zero last one included), a contiguous
+    window of initial terms plus 0-2 supplied terms past it, and an index
+    from the window's start up to 300."""
+    k = draw(st.integers(1, 4))
+    coefficients = tuple(draw(st.integers(-3, 3)) for _ in range(k))
+    base = draw(st.integers(0, 3))
+    value = st.integers(-50, 50)
+    initial = [(base + i, draw(value)) for i in range(k)]
+    extra = draw(st.sets(st.integers(base + k, base + k + 40), max_size=2))
+    initial += [(i, draw(value)) for i in sorted(extra)]
+    rec = LinearRecurrence(coefficients, tuple(initial), base + k)
+    return rec, draw(st.integers(base, 300))
+
+
 _ALL_RECURRENCES = [
     pytest.param(build(family), id=f"{kind}-{family.value}")
     for family in LINEAR_FAMILIES
@@ -188,6 +203,15 @@ class TestEvalRecurrenceAgainstStepping:
             eval_recurrence(rec, n) for n in range(rec.min_index, 4)
         ]
 
+    @given(_recurrence_and_index())
+    @example((LinearRecurrence((1, 0), ((0, 1), (1, 2)), 2), 300))
+    @example((LinearRecurrence((2, -1, 0), ((3, 1), (4, 0), (5, -2), (9, 7)), 6), 9))
+    @example((LinearRecurrence((0, 0, 0, 0), ((0, 5), (1, 6), (2, 7), (3, 8), (6, 1)), 4), 7))
+    @settings(max_examples=300, deadline=None)
+    def test_random_recurrences_match_stepping(self, case):
+        rec, n = case
+        assert eval_recurrence(rec, n) == _stepped(rec, n)
+
     def test_negative_coefficients(self):
         for family in (Family.SQUARE_PARA, Family.HEX_PARA):
             rec = paper_recurrence(family)
@@ -217,7 +241,11 @@ def _mat_mul(a, b):
 class TestCharacteristicPolynomial:
     @pytest.mark.parametrize("rec", _ALL_RECURRENCES)
     def test_companion_gives_the_recurrences_polynomial(self, rec):
-        c = _charpoly(_companion(rec.coefficients))
+        k = rec.order
+        companion = (rec.coefficients,) + tuple(
+            tuple(int(j == i) for j in range(k)) for i in range(k - 1)
+        )
+        c = _charpoly(companion)
         assert tuple(reversed(c)) + (1,) == characteristic_polynomial(rec).coeffs
 
     @pytest.mark.parametrize("family", LINEAR_FAMILIES)
