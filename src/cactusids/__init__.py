@@ -15,7 +15,6 @@ from .chains import (
     LabeledChain,
     build_chain,
     expected_vertex_count,
-    is_cactus,
 )
 from .genfunc import (
     GFLinearSystem,
@@ -44,7 +43,6 @@ from .graphs import (
     independent_domination_number,
     is_independent,
     is_independent_dominating,
-    is_isomorphic,
     vertex_set,
     vertices_of,
 )
@@ -110,10 +108,8 @@ __all__ = [
     "format_gf",
     "gf_from_recurrence",
     "independent_domination_number",
-    "is_cactus",
     "is_independent",
     "is_independent_dominating",
-    "is_isomorphic",
     "paper_gf",
     "paper_gf_system",
     "paper_recurrence",

@@ -157,75 +157,6 @@ def expected_vertex_count(spec: ChainSpec) -> int:
     return c + (spec.n_blocks - 1) * (c - 1)
 
 
-def is_cactus(g: Graph) -> bool:
-    """True iff every edge lies in at most one cycle.
-
-    Equivalently, every biconnected component is a single edge or a cycle.
-    """
-    n = g.n_vertices
-    disc = [-1] * n
-    low = [0] * n
-    timer = 0
-    edge_stack: list[tuple[int, int]] = []
-    components: list[list[tuple[int, int]]] = []
-
-    def neighbors(u):
-        m = g.adjacency[u]
-        while m:
-            b = m & -m
-            yield b.bit_length() - 1
-            m ^= b
-
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        stack = [(root, -1, neighbors(root))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            u, parent, it = stack[-1]
-            advanced = False
-            for v in it:
-                if v == parent:
-                    # simple graph: at most one edge back to the parent
-                    parent = -1
-                    stack[-1] = (u, -1, it)
-                    continue
-                if disc[v] == -1:
-                    edge_stack.append((u, v))
-                    disc[v] = low[v] = timer
-                    timer += 1
-                    stack.append((v, u, neighbors(v)))
-                    advanced = True
-                    break
-                if disc[v] < disc[u]:
-                    edge_stack.append((u, v))
-                    low[u] = min(low[u], disc[v])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                pu = stack[-1][0]
-                low[pu] = min(low[pu], low[u])
-                if low[u] >= disc[pu]:
-                    comp = []
-                    while edge_stack:
-                        e = edge_stack.pop()
-                        comp.append(e)
-                        if e == (pu, u):
-                            break
-                    components.append(comp)
-
-    for comp in components:
-        vertices = set()
-        for u, v in comp:
-            vertices.add(u)
-            vertices.add(v)
-        if len(comp) != 1 and len(comp) != len(vertices):
-            return False
-    return True
-
-
 def to_edge_list_text(spec: ChainSpec, chain: LabeledChain) -> str:
     """Plain edge list: '#' header comments then one 'u v' line per edge."""
     lines = [f"# family={spec.family.value}"]

@@ -6,49 +6,40 @@ reads nothing but the graph, so it stays independent of the transfer
 systems and formulas it judges.
 
 The four public oracle functions (``count_ids``, ``count_boundary_classes``,
-``independent_domination_number``, ``enumerate_mis``) take no engine choice:
-each refuses a graph above ``DEFAULT_MAX_VERTICES`` and lets the graph pick
-one of three private engines. All three share one signature, ``(g,
-keep=None, mode=_COUNT) -> final states``, and return equal states:
+``independent_domination_number``, ``enumerate_mis``) share one engine,
+``_dp_states``: a frontier DP over the vertices in id order (Telle &
+Proskurowski 1997). Each live vertex is in the set, dominated, or waiting to
+be dominated; one loop counts, minimises and lists the sets. Every chain
+family keeps at most 3 vertices live at once, so the work is linear in the
+number of vertices (and, when listing, in the number of sets). A graph above
+``DEFAULT_MAX_VERTICES`` vertices, or whose id order keeps more than
+``DP_MAX_WIDTH`` vertices live, is refused, so the cost bound documented at
+``DP_MAX_WIDTH`` holds for every public call.
 
-* ``_dp_states``    - a frontier DP over the vertices in id order (Telle &
-  Proskurowski 1997): each live vertex is in the set, dominated, or waiting
-  to be dominated. One loop counts, minimises and lists the sets. It runs
-  whenever the id order keeps at most ``DP_MAX_WIDTH`` vertices live at
-  once; every chain family keeps at most 3, so the work is linear in the
-  number of vertices (and, when listing, in the number of sets);
-* ``_pivot_states`` - maximal-clique enumeration on the complement graph
-  with Tomita-style pivoting; it runs when the frontier is wider;
-* ``_scan_counts``  - literal subset scan over all 2^n vertex subsets,
-  checking the definition (independent, closed neighbourhood covers
-  everything). No public call reaches it; tests use it as the cross-check.
-
-Since no caller can force an engine, the cost bound documented at
-``DP_MAX_WIDTH`` holds for every public call. Vertex sets are plain ints
-used as bitmasks (bit i = vertex i). All functions are pure; shared graphs
-are safe to use concurrently.
+Two reference engines stay here for the tests, reached by no public call:
+``_scan_counts`` checks the definition over all 2^n vertex subsets, and
+``_mis_masks_pivot`` lists the maximal independent sets by maximal-clique
+enumeration on the complement graph with Tomita-style pivoting. Vertex sets
+are plain ints used as bitmasks (bit i = vertex i). All functions are pure;
+shared graphs are safe to use concurrently.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 DEFAULT_MAX_VERTICES = 40  # hard resource cap for every oracle call
-# Widest id-order frontier at which the oracle runs the DP rather than
-# pivoting. A live vertex is in the set, dominated or waiting, so a frontier
-# of w vertices has at most 3^w states. At 10, a 40-vertex graph costs at
-# most 40 * 3^10 (about 2.4M) state updates, on the order of the pivot
-# engine's own worst case there (up to 3^(40/3), about 2.3M, maximal
-# independent sets). The 2^n scan is never public, so this bound holds for
-# every oracle call.
+# Widest id-order frontier the oracle accepts; wider graphs are refused. A
+# live vertex is in the set, dominated or waiting, so a frontier of w
+# vertices has at most 3^w states, and a graph of V vertices costs at most
+# V * 3^w state updates: 40 * 3^10, about 2.4M, at the vertex cap.
 DP_MAX_WIDTH = 10
 
 
 class OracleLimitError(RuntimeError):
-    """Raised when a graph exceeds the configured oracle ceiling."""
+    """Raised when a graph exceeds the oracle's vertex ceiling or frontier width."""
 
 
 @dataclass(frozen=True)
@@ -335,38 +326,21 @@ def _mis_masks_pivot(adjacency: tuple[int, ...], allowed: int) -> list[int]:
     return out
 
 
-def _pivot_states(g: Graph, keep: int | None = None, mode: tuple = _COUNT) -> dict:
-    """The DP's final states from the pivot engine's sets.
-
-    Each maximal independent set goes to ``(in_set, 0)``, with ``in_set`` its
-    ``keep`` bit. The maximal independent sets of g minus ``keep`` with no
-    member next to ``keep`` are the sets that dominate all but ``keep``; they
-    go to ``(0, keep bit)``.
-    """
-    kbit = 0 if keep is None else 1 << keep
-    full = g.full_mask
-    listed = (((mask & kbit, 0), mask) for mask in _mis_masks_pivot(g.adjacency, full))
-    if keep is not None:
-        near = g.adjacency[keep]
-        listed = itertools.chain(listed, (
-            ((0, kbit), mask)
-            for mask in _mis_masks_pivot(g.adjacency, full ^ kbit)
-            if not mask & near
-        ))
-    return _fold(listed, mode)
-
-
 def _oracle_states(g: Graph, keep: int | None = None, mode: tuple = _COUNT) -> dict:
-    """The final states of g: refused above ``DEFAULT_MAX_VERTICES``, from the
-    DP when the id-order frontier is at most ``DP_MAX_WIDTH`` wide and from
-    the pivot engine when it is wider."""
+    """The final states of g from the DP; refused above
+    ``DEFAULT_MAX_VERTICES`` vertices or ``DP_MAX_WIDTH`` live ones."""
     if g.n_vertices > DEFAULT_MAX_VERTICES:
         raise OracleLimitError(
             f"graph has {g.n_vertices} vertices, above the oracle ceiling "
             f"{DEFAULT_MAX_VERTICES}"
         )
-    engine = _dp_states if _frontier_width(g, keep) <= DP_MAX_WIDTH else _pivot_states
-    return engine(g, keep, mode)
+    width = _frontier_width(g, keep)
+    if width > DP_MAX_WIDTH:
+        raise OracleLimitError(
+            f"graph keeps {width} vertices live in id order, above the "
+            f"frontier limit {DP_MAX_WIDTH}"
+        )
+    return _dp_states(g, keep, mode)
 
 
 def enumerate_mis(g: Graph) -> Iterator[int]:
@@ -406,55 +380,3 @@ def count_boundary_classes(g: Graph, v: int) -> BoundaryCounts:
     return BoundaryCounts(
         states.get((vbit, 0), 0), states.get((0, 0), 0), states.get((0, vbit), 0)
     )
-
-
-def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Backtracking isomorphism test; fine for the small graphs used here."""
-    if g1.n_vertices != g2.n_vertices:
-        return False
-    n = g1.n_vertices
-    deg1 = [g1.degree(v) for v in range(n)]
-    deg2 = [g2.degree(v) for v in range(n)]
-    if sorted(deg1) != sorted(deg2):
-        return False
-
-    # process g1 vertices in an order that stays connected to the mapped part
-    order: list[int] = []
-    seen = 0
-    remaining = set(range(n))
-    while remaining:
-        candidates = [v for v in remaining if g1.adjacency[v] & seen]
-        if not candidates:
-            candidates = list(remaining)
-        v = max(candidates, key=lambda u: (deg1[u], -u))
-        order.append(v)
-        seen |= 1 << v
-        remaining.remove(v)
-
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        u = order[idx]
-        for c in range(n):
-            if used[c] or deg2[c] != deg1[u]:
-                continue
-            ok = True
-            for w in order[:idx]:
-                adj_in_1 = bool(g1.adjacency[u] & (1 << w))
-                adj_in_2 = bool(g2.adjacency[c] & (1 << mapping[w]))
-                if adj_in_1 != adj_in_2:
-                    ok = False
-                    break
-            if ok:
-                mapping[u] = c
-                used[c] = True
-                if extend(idx + 1):
-                    return True
-                used[c] = False
-                mapping[u] = -1
-        return False
-
-    return extend(0)

@@ -28,13 +28,13 @@ from cactusids.graphs import (
     independent_domination_number,
     is_independent,
     is_independent_dominating,
-    is_isomorphic,
     path_graph,
     vertex_set,
     vertices_of,
 )
+from reference import is_isomorphic, pivot_states
 
-ENGINES = (graphs_module._dp_states, graphs_module._pivot_states, graphs_module._scan_counts)
+ENGINES = (graphs_module._dp_states, pivot_states, graphs_module._scan_counts)
 
 K3 = complete_graph(3)
 C4 = cycle_graph(4)
@@ -59,6 +59,15 @@ def states(engine, g: Graph, keep=None) -> tuple:
         engine(g, keep, graphs_module._MIN),
         {key: sorted(masks) for key, masks in listed.items()},
     )
+
+
+def oracle_calls(g: Graph) -> list:
+    """Each public oracle call on g, with the vertex it keeps."""
+    return [
+        (None, lambda: count_ids(g)),
+        (None, lambda: independent_domination_number(g)),
+        (None, lambda: list(enumerate_mis(g))),
+    ] + [(v, lambda v=v: count_boundary_classes(g, v)) for v in range(g.n_vertices)]
 
 
 @st.composite
@@ -203,33 +212,35 @@ class TestCounting:
         rng = random.Random(41)
         g = random_graph(rng, 20, p=0.15)
         scan = graphs_module._scan_counts(g)
-        assert scan == graphs_module._pivot_states(g) == graphs_module._dp_states(g)
+        assert scan == pivot_states(g) == graphs_module._dp_states(g)
 
     def test_pivot_leaves_no_reference_cycle(self):
         g = build_chain(ChainSpec(Family.HEX_PARA, length=7)).graph
         gc.collect()
         gc.disable()
         try:
-            assert graphs_module._pivot_states(g) == {(0, 0): 20969}
+            assert pivot_states(g) == {(0, 0): 20969}
             assert gc.collect() == 0
         finally:
             gc.enable()
 
     def test_no_public_call_scans(self, monkeypatch):
-        def no_scan(*args, **kwargs):
-            raise AssertionError("a public oracle call ran the 2^n scan")
+        # no public call reaches either reference engine: each runs the DP,
+        # or refuses a graph whose frontier is wider than DP_MAX_WIDTH
+        def no_reference(*args, **kwargs):
+            raise AssertionError("a public oracle call ran a reference engine")
 
-        monkeypatch.setattr(graphs_module, "_scan_counts", no_scan)
-        monkeypatch.setattr(graphs_module, "_independent_subsets", no_scan)
+        monkeypatch.setattr(graphs_module, "_scan_counts", no_reference)
+        monkeypatch.setattr(graphs_module, "_independent_subsets", no_reference)
+        monkeypatch.setattr(graphs_module, "_mis_masks_pivot", no_reference)
         rng = random.Random(29)
-        for g in [complete_bipartite(12)] + [
-            random_graph(rng, rng.randint(1, 16)) for _ in range(20)
-        ]:
-            count_ids(g)
-            independent_domination_number(g)
-            list(enumerate_mis(g))
-            for v in range(g.n_vertices):
-                count_boundary_classes(g, v)
+        for g in [random_graph(rng, rng.randint(1, 16)) for _ in range(20)]:
+            for keep, call in oracle_calls(g):
+                if graphs_module._frontier_width(g, keep) > DP_MAX_WIDTH:
+                    with pytest.raises(OracleLimitError, match="frontier limit"):
+                        call()
+                else:
+                    call()
 
     @given(graphs(max_n=9))
     @settings(max_examples=100, deadline=None)
@@ -346,9 +357,9 @@ class TestFrontierDP:
         chain = build_chain(ChainSpec(family, length=_largest_length(family)))
         g = chain.graph
         assert g.n_vertices <= DEFAULT_MAX_VERTICES
-        assert states(graphs_module._dp_states, g) == states(graphs_module._pivot_states, g)
+        assert states(graphs_module._dp_states, g) == states(pivot_states, g)
         t = chain.terminal_vertex
-        assert graphs_module._dp_states(g, t) == graphs_module._pivot_states(g, t)
+        assert graphs_module._dp_states(g, t) == pivot_states(g, t)
 
     @pytest.mark.parametrize("family", DEFECT_FAMILIES, ids=lambda f: f.value)
     def test_defect_chains_at_arm_total_12(self, family):
@@ -356,47 +367,52 @@ class TestFrontierDP:
             chain = build_chain(ChainSpec(family, m=m, n=12 - m))
             g, t = chain.graph, chain.terminal_vertex
             assert g.n_vertices == DEFAULT_MAX_VERTICES
-            assert graphs_module._dp_states(g, t) == graphs_module._pivot_states(g, t), m
-            assert states(graphs_module._dp_states, g) == states(graphs_module._pivot_states, g), m
+            assert graphs_module._dp_states(g, t) == pivot_states(g, t), m
+            assert states(graphs_module._dp_states, g) == states(pivot_states, g), m
 
     @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
     def test_auto_picks_dp_for_every_chain(self, family, monkeypatch):
-        spec = (
-            ChainSpec(family, length=_largest_length(family))
-            if family in LINEAR_FAMILIES
-            else ChainSpec(family, m=6, n=6)
-        )
-        chain = build_chain(spec)
+        # every chain keeps at most 3 vertices live, with or without its
+        # terminal kept: the six families at lengths 1-40 and 2000, the
+        # defect families at every m, n <= 12
+        if family in LINEAR_FAMILIES:
+            specs = [ChainSpec(family, length=n) for n in (*range(1, 41), 2000)]
+            largest = ChainSpec(family, length=_largest_length(family))
+        else:
+            specs = [ChainSpec(family, m=m, n=n) for m in range(1, 13) for n in range(1, 13)]
+            largest = ChainSpec(family, m=6, n=6)
+        for spec in specs:
+            chain = build_chain(spec)
+            for keep in (None, chain.terminal_vertex):
+                assert graphs_module._frontier_width(chain.graph, keep) <= 3, (spec, keep)
+
+        # so the public calls at the ceiling run the DP, never the pivot engine
+        chain = build_chain(largest)
         g, t = chain.graph, chain.terminal_vertex
-        for keep in (None, t):
-            assert graphs_module._frontier_width(g, keep) <= 3
         expected = graphs_module._mis_masks_pivot(g.adjacency, g.full_mask)
 
         def no_pivot(*args):
             raise AssertionError("a public oracle call pivoted on a chain")
 
-        monkeypatch.setattr(graphs_module, "_pivot_states", no_pivot)
+        monkeypatch.setattr(graphs_module, "_mis_masks_pivot", no_pivot)
         assert list(enumerate_mis(g)) == expected
         assert count_ids(g) == len(expected)
         assert independent_domination_number(g) == min(m.bit_count() for m in expected)
         assert sum(count_boundary_classes(g, t)[:2]) == len(expected)
 
-    def test_wide_frontier_falls_back_to_pivot(self, monkeypatch):
+    def test_wide_frontier_is_refused(self):
         # complete bipartite K(w, w): the first side stays live until the last
         # vertex, so the id-order frontier is w wide
         w = DP_MAX_WIDTH + 2
         g = complete_bipartite(w)
-        assert graphs_module._frontier_width(g) > DP_MAX_WIDTH
-
-        def no_dp(*args, **kwargs):
-            raise AssertionError("the oracle ran the DP above its width")
-
-        monkeypatch.setattr(graphs_module, "_dp_states", no_dp)
-        assert count_ids(g) == 2
-        assert list(enumerate_mis(g)) == [(1 << w) - 1, ((1 << w) - 1) << w]
-        assert independent_domination_number(g) == w
-        assert count_boundary_classes(g, 0) == BoundaryCounts(1, 1, 1)
-        monkeypatch.undo()
+        for keep, call in oracle_calls(g):
+            width = graphs_module._frontier_width(g, keep)
+            assert width > DP_MAX_WIDTH
+            with pytest.raises(
+                OracleLimitError,
+                match=f"keeps {width} vertices live in id order, above the frontier limit {DP_MAX_WIDTH}",
+            ):
+                call()
         assert graphs_module._dp_states(g, 0) == {(1, 0): 1, (0, 0): 1, (0, 1): 1}
 
     def test_enumerate_by_dp(self):
