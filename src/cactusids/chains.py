@@ -1,10 +1,14 @@
 """Constructors for the eight chain cactus families.
 
 A chain cactus is a sequence of cycle blocks in which consecutive blocks
-share exactly one cut vertex. The entry and exit cut vertices of an internal
-block sit at cycle distance 1 (ortho), 2 (meta) or 3 (para); triangles admit
-only distance 1. Defect chains are square chains whose block m+1 uses the
-opposite attachment style.
+share exactly one cut vertex, so every chain is a word over letters (c, d):
+a c-cycle whose exit cut vertex sits d steps around the cycle from its entry
+cut vertex. ``_LETTER`` gives each linear family its letter, and its chains
+repeat it: tri = (3,1)^n; the square chains (4,2)^n (para) and (4,1)^n
+(ortho); the hexagon chains (6,1)^n, (6,2)^n and (6,3)^n (ortho, meta,
+para). A defect chain is a square chain whose block m+1 uses the other
+square letter: p-defect = (4,2)^m (4,1) (4,2)^n and s-defect =
+(4,1)^m (4,2) (4,1)^n. One loop builds every word.
 
 Canonical numbering: blocks left to right; within a block, vertices are
 numbered consecutively starting from the entry cut vertex and walking the
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 from .graphs import Graph
 
@@ -42,25 +46,16 @@ LINEAR_FAMILIES = (
 
 DEFECT_FAMILIES = (Family.PARA_CHAIN_ORTHO_DEFECT, Family.ORTHO_CHAIN_PARA_DEFECT)
 
-_CYCLE_LEN = {
-    Family.TRIANGULAR: 3,
-    Family.SQUARE_PARA: 4,
-    Family.SQUARE_ORTHO: 4,
-    Family.HEX_ORTHO: 6,
-    Family.HEX_META: 6,
-    Family.HEX_PARA: 6,
-    Family.PARA_CHAIN_ORTHO_DEFECT: 4,
-    Family.ORTHO_CHAIN_PARA_DEFECT: 4,
-}
+Letter = tuple[int, int]
 
-# cycle distance from a block's entry cut vertex to its exit cut vertex
-_EXIT_OFFSET = {
-    Family.TRIANGULAR: 1,
-    Family.SQUARE_PARA: 2,
-    Family.SQUARE_ORTHO: 1,
-    Family.HEX_ORTHO: 1,
-    Family.HEX_META: 2,
-    Family.HEX_PARA: 3,
+# each linear family's letter: (cycle length, entry-to-exit cycle distance)
+_LETTER: dict[Family, Letter] = {
+    Family.TRIANGULAR: (3, 1),
+    Family.SQUARE_PARA: (4, 2),
+    Family.SQUARE_ORTHO: (4, 1),
+    Family.HEX_ORTHO: (6, 1),
+    Family.HEX_META: (6, 2),
+    Family.HEX_PARA: (6, 3),
 }
 
 
@@ -90,10 +85,25 @@ class ChainSpec:
                 raise ValueError("defect parameters m, n must be at least 1")
 
     @property
-    def n_blocks(self) -> int:
+    def word(self) -> tuple[Letter, ...]:
+        """The chain's blocks, left to right, as letters."""
         if self.family in LINEAR_FAMILIES:
-            return self.length  # type: ignore[return-value]
-        return self.m + self.n + 1  # type: ignore[operator]
+            return (_LETTER[self.family],) * self.length  # type: ignore[operator]
+        arm, defect = _LETTER[Family.SQUARE_PARA], _LETTER[Family.SQUARE_ORTHO]
+        if self.family is Family.ORTHO_CHAIN_PARA_DEFECT:
+            arm, defect = defect, arm
+        return (arm,) * self.m + (defect,) + (arm,) * self.n  # type: ignore[operator]
+
+    @property
+    def params(self) -> dict[str, int]:
+        """The length parameters by name, as the writers print them."""
+        if self.family in LINEAR_FAMILIES:
+            return {"length": self.length}  # type: ignore[dict-item]
+        return {"m": self.m, "n": self.n}  # type: ignore[dict-item]
+
+    @property
+    def n_blocks(self) -> int:
+        return len(self.word)
 
 
 @dataclass(frozen=True)
@@ -111,77 +121,50 @@ class LabeledChain:
     terminal_vertex: int
 
 
-def _exit_offsets(spec: ChainSpec) -> list[int]:
-    fam = spec.family
-    if fam in LINEAR_FAMILIES:
-        return [_EXIT_OFFSET[fam]] * spec.length
-    if fam is Family.PARA_CHAIN_ORTHO_DEFECT:
-        offsets = [_EXIT_OFFSET[Family.SQUARE_PARA]] * spec.n_blocks
-        offsets[spec.m] = _EXIT_OFFSET[Family.SQUARE_ORTHO]  # block m+1, 0-based index m
-        return offsets
-    offsets = [_EXIT_OFFSET[Family.SQUARE_ORTHO]] * spec.n_blocks
-    offsets[spec.m] = _EXIT_OFFSET[Family.SQUARE_PARA]
-    return offsets
+def _build_word(word: Sequence[Letter]) -> LabeledChain:
+    """Construct the chain whose blocks, left to right, are the letters of
+    ``word``; each block is numbered walking its cycle from the entry vertex."""
+    edges: list[tuple[int, int]] = []
+    blocks: list[tuple[int, ...]] = []
+    entry, next_id = 0, 1
+    for c, d in word:
+        cycle = (entry, *range(next_id, next_id + c - 1))
+        next_id += c - 1
+        edges.extend(zip(cycle, cycle[1:] + cycle[:1]))
+        blocks.append(cycle)
+        entry = cycle[d]
+    graph = Graph.from_edges(next_id, edges)
+    return LabeledChain(graph, tuple(blocks), tuple(b[0] for b in blocks[1:]), entry)
 
 
 def build_chain(spec: ChainSpec) -> LabeledChain:
     """Construct the labeled chain for ``spec``."""
-    cycle_len = _CYCLE_LEN[spec.family]
-    offsets = _exit_offsets(spec)
-    n_blocks = spec.n_blocks
-
-    edges: list[tuple[int, int]] = []
-    blocks: list[tuple[int, ...]] = []
-    cut_vertices: list[int] = []
-    entry = 0
-    next_id = 1 if n_blocks else 0
-    for k in range(n_blocks):
-        cycle = [entry] + list(range(next_id, next_id + cycle_len - 1))
-        next_id += cycle_len - 1
-        for i in range(cycle_len):
-            edges.append((cycle[i], cycle[(i + 1) % cycle_len]))
-        blocks.append(tuple(cycle))
-        exit_vertex = cycle[offsets[k]]
-        if k < n_blocks - 1:
-            cut_vertices.append(exit_vertex)
-            entry = exit_vertex
-        else:
-            terminal = exit_vertex
-    graph = Graph.from_edges(next_id, edges)
-    return LabeledChain(graph, tuple(blocks), tuple(cut_vertices), terminal)
+    return _build_word(spec.word)
 
 
 def expected_vertex_count(spec: ChainSpec) -> int:
     """Closed-form vertex count the construction must produce."""
-    c = _CYCLE_LEN[spec.family]
-    return c + (spec.n_blocks - 1) * (c - 1)
+    return 1 + sum(c - 1 for c, _ in spec.word)
 
 
 def to_edge_list_text(spec: ChainSpec, chain: LabeledChain) -> str:
     """Plain edge list: '#' header comments then one 'u v' line per edge."""
-    lines = [f"# family={spec.family.value}"]
-    if spec.family in LINEAR_FAMILIES:
-        lines.append(f"# length={spec.length}")
-    else:
-        lines.append(f"# m={spec.m} n={spec.n}")
-    lines.append(f"# vertices={chain.graph.n_vertices}")
-    for u, v in sorted(chain.graph.edges()):
-        lines.append(f"{u} {v}")
+    lines = [
+        f"# family={spec.family.value}",
+        "# " + " ".join(f"{k}={v}" for k, v in spec.params.items()),
+        f"# vertices={chain.graph.n_vertices}",
+    ]
+    lines.extend(f"{u} {v}" for u, v in sorted(chain.graph.edges()))
     return "\n".join(lines)
 
 
 def to_json_dict(spec: ChainSpec, chain: LabeledChain) -> dict:
-    doc = {
+    return {
         "family": spec.family.value,
         "n_vertices": chain.graph.n_vertices,
         "edges": [list(e) for e in sorted(chain.graph.edges())],
         "blocks": [list(b) for b in chain.blocks],
         "cut_vertices": list(chain.cut_vertices),
         "terminal_vertex": chain.terminal_vertex,
+        **spec.params,
     }
-    if spec.family in LINEAR_FAMILIES:
-        doc["length"] = spec.length
-    else:
-        doc["m"] = spec.m
-        doc["n"] = spec.n
-    return doc

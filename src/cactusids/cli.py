@@ -42,6 +42,7 @@ from .recurrences import (
 from .verify import (
     DEFAULT_ORACLE_CEILING,
     DEFAULT_SYMBOLIC_MAX,
+    GAMMA_FAMILIES,
     check_defect_formula,
     corrected_para_defect_value,
     defect_claim,
@@ -142,9 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="edges", choices=["edges", "json"])
 
     p = sub.add_parser("gamma", help="independence domination numbers vs formula")
-    p.add_argument(
-        "--family", required=True, choices=["tri", "hex-ortho", "hex-meta"]
-    )
+    p.add_argument("--family", required=True, choices=[f.value for f in GAMMA_FAMILIES])
     p.add_argument("--max-n", type=int)
     p.add_argument("--format", default="table", choices=["table", "json"])
     _add_ceiling_flag(p)

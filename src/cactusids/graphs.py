@@ -178,10 +178,10 @@ def _retire_masks(g: Graph, keep: int | None) -> list[int]:
     return retire
 
 
-def _frontier_width(g: Graph, keep: int | None = None) -> int:
-    """Most vertices the frontier DP keeps live at once, in id order."""
+def _frontier_width(retire: list[int]) -> int:
+    """Most vertices the frontier DP keeps live at once, given its retire masks."""
     live = width = 0
-    for v, gone in enumerate(_retire_masks(g, keep)):
+    for v, gone in enumerate(retire):
         live = (live | 1 << v) & ~gone
         width = max(width, live.bit_count())
     return width
@@ -200,21 +200,22 @@ def _sets_mode() -> tuple:
     return [0], lambda value, members: [m | members for m in value], operator.iadd
 
 
-def _dp_states(g: Graph, keep: int | None = None, mode: tuple = _COUNT) -> dict:
+def _dp_states(g: Graph, retire: list[int], mode: tuple = _COUNT) -> dict:
     """Frontier DP over the vertices in id order (Telle & Proskurowski 1997).
 
     A state is ``(in_set, undominated)``, two masks over the live vertices.
     Its value depends on the mode: the number of independent sets of the
     processed vertices that reach it (``_COUNT``), the least size of such a
     set (``_MIN``), or the list of those sets as bitsets (``_sets_mode()``;
-    each list belongs to one state, so merging extends it in place). A
-    vertex that leaves the frontier undominated ends its states, so once
-    every vertex is processed only ``keep``'s bits are left: the states say
-    whether ``keep`` is in the set, out and dominated, or out and not.
+    each list belongs to one state, so merging extends it in place).
+    ``retire`` is ``_retire_masks(g, keep)``. A vertex that leaves the
+    frontier undominated ends its states, so once every vertex is processed
+    only ``keep``'s bits are left: the states say whether ``keep`` is in the
+    set, out and dominated, or out and not.
     """
     start, join, combine = mode
     states = {(0, 0): start}
-    for v, gone in enumerate(_retire_masks(g, keep)):
+    for v, gone in enumerate(retire):
         vbit = 1 << v
         earlier = g.adjacency[v] & (vbit - 1)
         nxt: dict = {}
@@ -334,13 +335,14 @@ def _oracle_states(g: Graph, keep: int | None = None, mode: tuple = _COUNT) -> d
             f"graph has {g.n_vertices} vertices, above the oracle ceiling "
             f"{DEFAULT_MAX_VERTICES}"
         )
-    width = _frontier_width(g, keep)
+    retire = _retire_masks(g, keep)
+    width = _frontier_width(retire)
     if width > DP_MAX_WIDTH:
         raise OracleLimitError(
             f"graph keeps {width} vertices live in id order, above the "
             f"frontier limit {DP_MAX_WIDTH}"
         )
-    return _dp_states(g, keep, mode)
+    return _dp_states(g, retire, mode)
 
 
 def enumerate_mis(g: Graph) -> Iterator[int]:

@@ -26,6 +26,7 @@ from functools import lru_cache, partial
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from .chains import (
+    _LETTER,
     ChainSpec,
     Family,
     LINEAR_FAMILIES,
@@ -75,6 +76,9 @@ UNCHECKED = "unchecked"  # a defect grid point whose chain is above the oracle c
 Witness = Union[int, tuple[int, int], None]
 
 _STATE_SHORT = ("contains", "avoids", "extendable")
+
+# the families with a published domination-number formula
+GAMMA_FAMILIES = (Family.TRIANGULAR, Family.HEX_ORTHO, Family.HEX_META)
 
 _FAMILY_TITLE = {
     Family.TRIANGULAR: "triangular chains",
@@ -261,7 +265,7 @@ def _registry(family: Family) -> dict[str, tuple[Claim, Check]]:
             f"a({idx}) = {value}{suffix}",
             partial(_check_initial, idx=idx, value=value),
         )
-    if family in (Family.TRIANGULAR, Family.HEX_ORTHO, Family.HEX_META):
+    if family in GAMMA_FAMILIES:
         add("gamma", "gamma-formula", "independence domination number",
             _gamma_formula_text(family), _check_gamma)
     if family is Family.HEX_META:
@@ -322,11 +326,9 @@ def all_claims() -> tuple[Claim, ...]:
 
 
 def max_length_within(family: Family, ceiling_vertices: int) -> int:
-    """Largest chain length whose vertex count fits under the ceiling."""
-    cycle = expected_vertex_count(ChainSpec(family, length=1))
-    per_block = cycle - 1
-    n = (ceiling_vertices - cycle) // per_block + 1
-    return max(n, 0)
+    """Largest chain length n whose 1 + n(c - 1) vertices fit under the ceiling."""
+    c, _ = _LETTER[family]
+    return max((ceiling_vertices - 1) // (c - 1), 0)
 
 
 def _chain_name(spec: ChainSpec) -> str:

@@ -6,12 +6,19 @@ frontier DP, and no command checks isomorphism or the cactus property.
 * ``pivot_states`` - the DP's final states from the pivot engine's maximal
   independent sets, a second oracle independent of the DP;
 * ``is_isomorphic`` - backtracking isomorphism test for small graphs;
-* ``is_cactus``     - every edge lies in at most one cycle.
+* ``is_cactus``     - every edge lies in at most one cycle;
+* ``compile_letter`` / ``run_word`` - a chain's boundary classes from its
+  block word, one 3x3 operator per letter (c, d), compiled by enumerating
+  the c - 1 new vertices of the block; a second route to the oracle's
+  classes that never builds the whole graph.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 
 from cactusids.graphs import _COUNT, Graph, _fold, _mis_masks_pivot
 
@@ -35,6 +42,55 @@ def pivot_states(g: Graph, keep: int | None = None, mode: tuple = _COUNT) -> dic
             if not mask & near
         ))
     return _fold(listed, mode)
+
+
+# Semirings for the block operators, ``(zero, add, mul, weight, start)``:
+# ``weight(k)`` is the value of k new vertices joining the set, and ``start``
+# is a chain of no blocks, its first entry vertex alone: in the set,
+# dominated (impossible) or waiting. (+, x) counts the sets, (min, +) finds
+# the least size. Vectors are (contains, avoids, extendable), the order of
+# ``BoundaryCounts``.
+PLUS_TIMES = (0, operator.add, operator.mul, lambda k: 1, (1, 0, 1))
+MIN_PLUS = (math.inf, min, operator.add, lambda k: k, (1, math.inf, 0))
+
+
+def compile_letter(c: int, d: int, semiring: tuple) -> tuple[tuple, ...]:
+    """The 3x3 operator of one block (c, d): entry ``[x][e]`` combines every
+    way to choose the block's c - 1 new vertices when its entry vertex 0 is in
+    class e (in the set, dominated, waiting to be dominated) and its exit
+    vertex d ends in class x. Every new vertex but the exit must end
+    dominated, and a waiting entry must be dominated by the block."""
+    zero, add, _, weight, _ = semiring
+    op = [[zero] * 3 for _ in range(3)]
+    new = range(1, c)
+
+    def dominated(v, members):
+        return any(u % c in members for u in (v - 1, v, v + 1))
+
+    for entry in range(3):
+        for size in range(c):
+            for chosen in itertools.combinations(new, size):
+                members = set(chosen) | ({0} if entry == 0 else set())
+                if any((v + 1) % c in members for v in members):
+                    continue  # not independent
+                if any(not dominated(v, members) for v in new if v != d):
+                    continue
+                if entry == 2 and not dominated(0, members):
+                    continue
+                exit_class = 0 if d in members else 1 if dominated(d, members) else 2
+                op[exit_class][entry] = add(op[exit_class][entry], weight(size))
+    return tuple(map(tuple, op))
+
+
+def run_word(word, semiring: tuple) -> tuple:
+    """The boundary classes at the exit of the word's last block."""
+    zero, add, mul, _, vec = semiring
+    for c, d in word:
+        vec = tuple(
+            functools.reduce(add, (mul(a, v) for a, v in zip(row, vec)), zero)
+            for row in compile_letter(c, d, semiring)
+        )
+    return vec
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -1,24 +1,38 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cactusids.chains import (
+    _LETTER,
     ChainSpec,
     Family,
     LINEAR_FAMILIES,
+    _build_word,
     build_chain,
     expected_vertex_count,
     to_edge_list_text,
     to_json_dict,
 )
 from cactusids.graphs import (
+    DEFAULT_MAX_VERTICES,
     Graph,
     complete_graph,
+    count_boundary_classes,
     count_ids,
     cycle_graph,
+    independent_domination_number,
     vertices_of,
 )
-from reference import is_cactus, is_isomorphic
+from cactusids.recurrences import _SYSTEM_DATA, paper_transfer_system
+from reference import (
+    MIN_PLUS,
+    PLUS_TIMES,
+    compile_letter,
+    is_cactus,
+    is_isomorphic,
+    run_word,
+)
 
 
 def linear(family, n):
@@ -214,3 +228,48 @@ class TestExports:
         rebuilt = Graph.from_edges(doc["n_vertices"], [tuple(e) for e in doc["edges"]])
         assert rebuilt == chain.graph
         assert set(vertices_of(chain.graph.full_mask)) == set(range(doc["n_vertices"]))
+
+
+@st.composite
+def words(draw):
+    """Words over the letters (c, d), c = 3..8 and 1 <= d <= c/2, cut to the
+    longest prefix of at most DEFAULT_MAX_VERTICES vertices."""
+    letter = st.integers(3, 8).flatmap(lambda c: st.tuples(st.just(c), st.integers(1, c // 2)))
+    word, vertices = [], 1
+    for c, d in draw(st.lists(letter, min_size=1, max_size=20)):
+        if vertices + c - 1 > DEFAULT_MAX_VERTICES:
+            break
+        word.append((c, d))
+        vertices += c - 1
+    return tuple(word)
+
+
+class TestBlockWords:
+    @pytest.mark.parametrize("family", LINEAR_FAMILIES, ids=lambda f: f.value)
+    def test_compiled_operator_is_the_printed_system(self, family):
+        # the (+, x) operator compiled from the family's letter is its printed
+        # update matrix
+        op = compile_letter(*_LETTER[family], PLUS_TIMES)
+        matrix, _ = _SYSTEM_DATA[family]
+        k = len(matrix)
+        assert tuple(row[:k] for row in op[:k]) == matrix
+        if k == 2:  # tri prints two states, and no tri set is extendable
+            assert op[2] == (0, 0, 0)
+
+    @pytest.mark.parametrize("family", LINEAR_FAMILIES, ids=lambda f: f.value)
+    def test_one_block_gives_the_seeds(self, family):
+        seeds = paper_transfer_system(family).initial_vector
+        assert run_word(ChainSpec(family, length=1).word, PLUS_TIMES)[: len(seeds)] == seeds
+
+    @given(words())
+    @settings(max_examples=150, deadline=None)
+    def test_words_against_the_oracle(self, word):
+        chain = _build_word(word)
+        g = chain.graph
+        assert g.n_vertices == 1 + sum(c - 1 for c, _ in word)
+        assert is_cactus(g)
+        assert tuple(count_boundary_classes(g, chain.terminal_vertex)) == run_word(
+            word, PLUS_TIMES
+        )
+        least = run_word(word, MIN_PLUS)
+        assert independent_domination_number(g) == min(least[:2])

@@ -341,6 +341,28 @@ class TestBuild:
         assert len(doc["blocks"]) == 3
         assert len(doc["edges"]) == 12
 
+    def test_numbering_digest(self, capsys):
+        # pins the vertex numbering of every family: sha256 over the edge
+        # list and JSON stdout, linear families at lengths 1-13 and 200,
+        # defect families at every m, n <= 4
+        digest = hashlib.sha256()
+        for family in Family:
+            if family in LINEAR_FAMILIES:
+                points = [("--n", str(n)) for n in (*range(1, 14), 200)]
+            else:
+                points = [
+                    ("--n", str(n), "--m", str(m)) for m in range(1, 5) for n in range(1, 5)
+                ]
+            for point in points:
+                for fmt in ("edges", "json"):
+                    code, out, _ = run(
+                        capsys, "build", "--family", family.value, *point, "--format", fmt
+                    )
+                    assert code == 0, (family, point, fmt)
+                    digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "233a326d5a0603fcd2af4b42025d39bae71632c779ca0fa9b463d3c85bbc402a"
+        )
 
     def test_lengths_above_the_cap_are_refused_before_building(self, capsys, monkeypatch):
         def no_build(spec):

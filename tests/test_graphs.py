@@ -34,7 +34,17 @@ from cactusids.graphs import (
 )
 from reference import is_isomorphic, pivot_states
 
-ENGINES = (graphs_module._dp_states, pivot_states, graphs_module._scan_counts)
+
+def dp_states(g: Graph, keep=None, mode: tuple = graphs_module._COUNT) -> dict:
+    """The DP engine with the ``(g, keep, mode)`` signature of the others."""
+    return graphs_module._dp_states(g, graphs_module._retire_masks(g, keep), mode)
+
+
+def frontier_width(g: Graph, keep=None) -> int:
+    return graphs_module._frontier_width(graphs_module._retire_masks(g, keep))
+
+
+ENGINES = (dp_states, pivot_states, graphs_module._scan_counts)
 
 K3 = complete_graph(3)
 C4 = cycle_graph(4)
@@ -212,7 +222,7 @@ class TestCounting:
         rng = random.Random(41)
         g = random_graph(rng, 20, p=0.15)
         scan = graphs_module._scan_counts(g)
-        assert scan == pivot_states(g) == graphs_module._dp_states(g)
+        assert scan == pivot_states(g) == dp_states(g)
 
     def test_pivot_leaves_no_reference_cycle(self):
         g = build_chain(ChainSpec(Family.HEX_PARA, length=7)).graph
@@ -236,7 +246,7 @@ class TestCounting:
         rng = random.Random(29)
         for g in [random_graph(rng, rng.randint(1, 16)) for _ in range(20)]:
             for keep, call in oracle_calls(g):
-                if graphs_module._frontier_width(g, keep) > DP_MAX_WIDTH:
+                if frontier_width(g, keep) > DP_MAX_WIDTH:
                     with pytest.raises(OracleLimitError, match="frontier limit"):
                         call()
                 else:
@@ -357,9 +367,9 @@ class TestFrontierDP:
         chain = build_chain(ChainSpec(family, length=_largest_length(family)))
         g = chain.graph
         assert g.n_vertices <= DEFAULT_MAX_VERTICES
-        assert states(graphs_module._dp_states, g) == states(pivot_states, g)
+        assert states(dp_states, g) == states(pivot_states, g)
         t = chain.terminal_vertex
-        assert graphs_module._dp_states(g, t) == pivot_states(g, t)
+        assert dp_states(g, t) == pivot_states(g, t)
 
     @pytest.mark.parametrize("family", DEFECT_FAMILIES, ids=lambda f: f.value)
     def test_defect_chains_at_arm_total_12(self, family):
@@ -367,8 +377,8 @@ class TestFrontierDP:
             chain = build_chain(ChainSpec(family, m=m, n=12 - m))
             g, t = chain.graph, chain.terminal_vertex
             assert g.n_vertices == DEFAULT_MAX_VERTICES
-            assert graphs_module._dp_states(g, t) == pivot_states(g, t), m
-            assert states(graphs_module._dp_states, g) == states(pivot_states, g), m
+            assert dp_states(g, t) == pivot_states(g, t), m
+            assert states(dp_states, g) == states(pivot_states, g), m
 
     @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
     def test_auto_picks_dp_for_every_chain(self, family, monkeypatch):
@@ -384,7 +394,7 @@ class TestFrontierDP:
         for spec in specs:
             chain = build_chain(spec)
             for keep in (None, chain.terminal_vertex):
-                assert graphs_module._frontier_width(chain.graph, keep) <= 3, (spec, keep)
+                assert frontier_width(chain.graph, keep) <= 3, (spec, keep)
 
         # so the public calls at the ceiling run the DP, never the pivot engine
         chain = build_chain(largest)
@@ -406,15 +416,31 @@ class TestFrontierDP:
         w = DP_MAX_WIDTH + 2
         g = complete_bipartite(w)
         for keep, call in oracle_calls(g):
-            width = graphs_module._frontier_width(g, keep)
+            width = frontier_width(g, keep)
             assert width > DP_MAX_WIDTH
             with pytest.raises(
                 OracleLimitError,
                 match=f"keeps {width} vertices live in id order, above the frontier limit {DP_MAX_WIDTH}",
             ):
                 call()
-        assert graphs_module._dp_states(g, 0) == {(1, 0): 1, (0, 0): 1, (0, 1): 1}
+        assert dp_states(g, 0) == {(1, 0): 1, (0, 0): 1, (0, 1): 1}
+
+    def test_one_mask_walk_per_call(self, monkeypatch):
+        # the width check and the DP read one list of retire masks
+        built = []
+        retire_masks = graphs_module._retire_masks
+
+        def counted(g, keep):
+            built.append(keep)
+            return retire_masks(g, keep)
+
+        monkeypatch.setattr(graphs_module, "_retire_masks", counted)
+        g = build_chain(ChainSpec(Family.HEX_PARA, length=3)).graph
+        for keep, call in oracle_calls(g):
+            built.clear()
+            call()
+            assert built == [keep]
 
     def test_enumerate_by_dp(self):
-        listed = graphs_module._dp_states(C4, mode=graphs_module._sets_mode())
+        listed = dp_states(C4, mode=graphs_module._sets_mode())
         assert sorted(listed[(0, 0)]) == [0b0101, 0b1010]
