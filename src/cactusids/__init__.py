@@ -4,9 +4,9 @@ Three routes compute every count: a brute-force oracle over the built graphs,
 integer transfer systems, and rational generating functions. Only the oracle
 reads the graph; the derived generating functions and recurrences are read
 off the transfer systems (their characteristic polynomial and first terms),
-so they cross-check that arithmetic, not the systems. The verify module
-checks the routes against the bundled registry of published claims and
-reports every discrepancy with a witness.
+so they cross-check that arithmetic, not the systems. The paper module holds
+every published statement as printed; the verify module judges each against
+the routes and reports every discrepancy with a witness.
 """
 
 from .chains import (
@@ -21,14 +21,8 @@ from .genfunc import (
     GrowthEstimate,
     NoRealDominantRootError,
     SingularSystemError,
-    derived_gf,
-    derived_recurrence,
-    derived_state_gfs,
     dominant_growth_rate,
     gf_from_recurrence,
-    paper_gf,
-    paper_gf_system,
-    paper_state_gfs,
     recurrence_from_gf,
     solve_gf_system,
 )
@@ -46,13 +40,21 @@ from .graphs import (
     vertex_set,
     vertices_of,
 )
+from .paper import (
+    derived_gf,
+    derived_recurrence,
+    derived_state_gfs,
+    paper_gf,
+    paper_gf_system,
+    paper_recurrence,
+    paper_state_gfs,
+    paper_transfer_system,
+)
 from .polynomials import Polynomial, RationalGF, format_gf, poly_gcd
 from .recurrences import (
     LinearRecurrence,
     TransferSystem,
     eval_recurrence,
-    paper_recurrence,
-    paper_transfer_system,
     run_transfer,
     state_trajectory,
     transfer_state,

@@ -28,33 +28,31 @@ from .chains import (
     to_edge_list_text,
     to_json_dict,
 )
-from .genfunc import derived_gf, paper_gf, recurrence_from_gf
+from .genfunc import recurrence_from_gf
 from .graphs import DEFAULT_MAX_VERTICES, OracleLimitError, count_ids
-from .polynomials import format_gf, gf_to_json_dict
-from .recurrences import (
-    eval_recurrence,
+from .paper import (
+    DEFECT_FORMULA,
+    GAMMA_FORMULA,
+    defect_formula_value,
+    derived_gf,
+    paper_gf,
     paper_recurrence,
     paper_transfer_system,
-    recurrence_values,
-    run_transfer,
-    state_trajectory,
 )
+from .polynomials import format_gf, gf_to_json_dict
+from .recurrences import eval_recurrence, recurrence_values, run_transfer, state_trajectory
 from .verify import (
     DEFAULT_ORACLE_CEILING,
     DEFAULT_SYMBOLIC_MAX,
-    GAMMA_FAMILIES,
     check_defect_formula,
     corrected_para_defect_value,
     defect_claim,
-    defect_formula_value,
     errata_report,
     gamma_rows,
     oracle_lengths,
     require_oracle_fit,
     verify_all,
 )
-
-_FAMILY_BY_FLAG = {f.value: f for f in Family}
 
 # Largest --n (and --m) that ``count`` accepts. Every count route other than
 # the oracle takes O(log n) polynomial squarings. At n = 10^5 a count has up to
@@ -143,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="edges", choices=["edges", "json"])
 
     p = sub.add_parser("gamma", help="independence domination numbers vs formula")
-    p.add_argument("--family", required=True, choices=[f.value for f in GAMMA_FAMILIES])
+    p.add_argument("--family", required=True, choices=[f.value for f in GAMMA_FORMULA])
     p.add_argument("--max-n", type=int)
     p.add_argument("--format", default="table", choices=["table", "json"])
     _add_ceiling_flag(p)
@@ -168,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_spec(parser, args) -> ChainSpec:
-    family = _FAMILY_BY_FLAG[args.family]
+    family = Family(args.family)
     m = getattr(args, "m", None)
     if family in LINEAR_FAMILIES and m is not None:
         parser.error(f"--m is only valid for defect families, not {args.family}")
@@ -204,15 +202,15 @@ def _warn_if_errata(family: Family, method: str, value: int, n: int, expected: i
         )
 
 
-def _warn_if_defect_erratum(kind: str, m: int, n: int, value: int) -> None:
-    if kind != "para-defect":
+def _warn_if_defect_erratum(family: Family, m: int, n: int, value: int) -> None:
+    if family is not Family.ORTHO_CHAIN_PARA_DEFECT:
         return
     corrected = corrected_para_defect_value(m, n)
     print(
         f"warning: formula value {value} differs from the corrected value "
         f"{corrected}, which adds the sets containing both cut vertices of the "
         f"defect square; the printed statement is a known erratum "
-        f"(claim {defect_claim(kind, m, n).id})",
+        f"(claim {defect_claim(family, m, n).id})",
         file=sys.stderr,
     )
 
@@ -271,9 +269,8 @@ def _cmd_count(parser, args) -> int:
         if args.method == "oracle":
             value = _oracle_count(spec, ceiling)
         else:
-            kind = "ortho-defect" if family is Family.PARA_CHAIN_ORTHO_DEFECT else "para-defect"
-            value = defect_formula_value(kind, spec.m, spec.n)
-            _warn_if_defect_erratum(kind, spec.m, spec.n, value)
+            value = defect_formula_value(family, spec.m, spec.n)
+            _warn_if_defect_erratum(family, spec.m, spec.n, value)
     if args.format == "json":
         doc = {"family": args.family, "method": args.method, "count": value}
         if family in LINEAR_FAMILIES:
@@ -289,7 +286,7 @@ def _cmd_count(parser, args) -> int:
 
 
 def _cmd_sequence(parser, args) -> int:
-    family = _FAMILY_BY_FLAG[args.family]
+    family = Family(args.family)
     ceiling = _check_ceiling(parser, args)
     if args.max_n < 1:
         parser.error("--max-n must be at least 1")
@@ -327,7 +324,7 @@ def _cmd_sequence(parser, args) -> int:
 
 
 def _cmd_gf(parser, args) -> int:
-    family = _FAMILY_BY_FLAG[args.family]
+    family = Family(args.family)
     gf = paper_gf(family) if args.source == "paper" else derived_gf(family)
     if args.format == "json":
         doc = {"family": args.family, "source": args.source, "text": format_gf(gf)}
@@ -352,7 +349,7 @@ def _cmd_build(parser, args) -> int:
 
 
 def _cmd_gamma(parser, args) -> int:
-    family = _FAMILY_BY_FLAG[args.family]
+    family = Family(args.family)
     ceiling = _check_ceiling(parser, args)
     if args.max_n is not None and args.max_n < 1:
         parser.error("--max-n must be at least 1")
@@ -374,16 +371,15 @@ def _cmd_gamma(parser, args) -> int:
 
 
 def _cmd_defect(parser, args) -> int:
-    family = _FAMILY_BY_FLAG[args.family]
+    family = Family(args.family)
     ceiling = _check_ceiling(parser, args)
-    kind = "ortho-defect" if family is Family.PARA_CHAIN_ORTHO_DEFECT else "para-defect"
     if args.m < 1 or args.n < 1:
         parser.error("--m and --n must be at least 1")
-    status = check_defect_formula(kind, args.m, args.n, oracle_ceiling=ceiling)
+    status = check_defect_formula(family, args.m, args.n, oracle_ceiling=ceiling)
     if args.format == "json":
         print(json.dumps(status.to_json_dict(), indent=2))
     else:
-        print(f"kind: {kind}")
+        print(f"kind: {DEFECT_FORMULA[family][0]}")
         print(f"m: {args.m}")
         print(f"n: {args.n}")
         print(f"formula: {status.claimed_value}")

@@ -1,44 +1,28 @@
-"""Rational generating functions for the chain-count sequences.
+"""Rational generating functions and the linear recurrences they encode.
 
 Covers four jobs:
 
 * conversion between generating functions and linear recurrences;
-* the derived (corrected) generating functions of the transfer systems: the
-  denominator is det(I - xA), read off the characteristic polynomial that
-  powering already uses, and the numerator follows from the first k terms;
-* a claims store holding the published generating functions and state
-  systems verbatim, including the erroneous ones, with an exact solver for
-  those systems (Cramer's rule over Bareiss determinants);
+* the generating function of a transfer system's series: the denominator is
+  det(I - xA), read off the characteristic polynomial that powering already
+  uses, and the numerator follows from the first k terms;
+* an exact solver for square linear systems with polynomial entries
+  (Cramer's rule over Bareiss determinants);
 * dominant growth rate of a recurrence, from its largest root modulus.
 
-Series index convention: physical chain lengths start at n = 1; coefficient
-0 of a claimed generating function is compared only against a printed formal
-seed, never against a graph.
+Nothing here names a chain family: the published generating functions and
+systems are transcribed in ``paper``, which also derives each family's
+corrected ones with :func:`annihilated_gf`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
-from .chains import Family
-from .polynomials import (
-    Polynomial,
-    RationalGF,
-    as_poly,
-    poly_divmod_exact,
-    poly_gcd,
-)
-from .recurrences import (
-    LinearRecurrence,
-    Matrix,
-    _charpoly,
-    eval_recurrence,
-    paper_transfer_system,
-    state_trajectory,
-)
+from .polynomials import Polynomial, RationalGF, poly_divmod_exact, poly_gcd
+from .recurrences import LinearRecurrence, Matrix, _charpoly, eval_recurrence
 
 
 class SingularSystemError(ValueError):
@@ -63,14 +47,6 @@ class GFLinearSystem:
             raise ValueError("system must be square with matching rhs")
         if len(self.unknowns) != k:
             raise ValueError("one unknown name per equation required")
-
-
-def _system(rows: Sequence[Sequence], rhs: Sequence, unknowns: Sequence[str]) -> GFLinearSystem:
-    return GFLinearSystem(
-        tuple(tuple(as_poly(e) for e in row) for row in rows),
-        tuple(as_poly(e) for e in rhs),
-        tuple(unknowns),
-    )
 
 
 def _det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
@@ -167,123 +143,10 @@ def recurrence_from_gf(gf: RationalGF) -> LinearRecurrence:
     return LinearRecurrence(tuple(coeffs), tuple(initial), valid_from)
 
 
-# -- claims store: published generating functions --------------------------
-
-_PAPER_GF = {
-    Family.TRIANGULAR: ((0, 1, 1), (1, -1, -1)),
-    Family.SQUARE_PARA: ((1, 0, 1), (1, -2, 1, -1)),
-    Family.SQUARE_ORTHO: ((1,), (1, -2)),
-    Family.HEX_ORTHO: ((1, 2, 1), (1, -3, -3)),
-    Family.HEX_META: ((1, -1, 2), (1, -3, -1, -2)),
-    Family.HEX_PARA: ((1, -1, 0, -5, 1), (1, -6, 9, -6, 1)),
-}
-
-# Published per-state generating functions in (contains, avoids[, extendable])
-# order. Coefficient k of a state series is the state count at length k+1.
-# The ortho-square section prints none.
-_PAPER_STATE_GF = {
-    Family.TRIANGULAR: (
-        ((0, 1), (1, -1, -1)),
-        ((1,), (1, -1, -1)),
-    ),
-    Family.SQUARE_PARA: (
-        ((1, 0, 1), (1, -2, 1, -1)),
-        ((1,), (1, -2, 1, -1)),
-        ((1, -1, 1), (1, -2, 1, -1)),
-    ),
-    Family.HEX_ORTHO: (
-        ((2, 2), (1, -3, -3)),
-        ((3, 2), (1, -3, -3)),
-        ((1, 1), (1, -3, -3)),
-    ),
-    Family.HEX_META: (
-        ((1, 1, 2), (1, -3, -1, -2)),
-        ((1, 2), (1, -3, -1, -2)),
-        ((1, -2), (1, -3, -1, -2)),
-    ),
-    Family.HEX_PARA: (
-        ((2, -4, -3, 1), (1, -6, 9, -6, 1)),
-        ((3, -5, 4, -1), (1, -6, 9, -6, 1)),
-        ((1, -2, 2), (1, -6, 9, -6, 1)),
-    ),
-}
-
-# Published linear systems for the per-state series, transcribed verbatim
-# (including their wrong right-hand sides where the source slipped).
-_X = Polynomial.x()
-_PAPER_GF_SYSTEM: dict[Family, GFLinearSystem] = {
-    Family.TRIANGULAR: _system(
-        [[as_poly((1, -1)), -_X], [-_X, 1]],
-        [1, 0],
-        ("avoids-terminal", "contains-terminal"),
-    ),
-    Family.SQUARE_PARA: _system(
-        [
-            [as_poly((1, -1)), -_X, 0],
-            [0, as_poly((1, -1)), -_X],
-            [-_X, 0, 1],
-        ],
-        [1, 1, 1],
-        ("contains-terminal", "avoids-terminal", "extendable"),
-    ),
-    Family.HEX_ORTHO: _system(
-        [
-            [1, as_poly((0, -2)), as_poly((0, -2))],
-            [as_poly((0, -2)), as_poly((1, -2)), -_X],
-            [0, -_X, as_poly((1, -1))],
-        ],
-        [2, 3, 1],
-        ("contains-terminal", "avoids-terminal", "extendable"),
-    ),
-    Family.HEX_META: _system(
-        [
-            [as_poly((1, -1, -1)), as_poly((0, -2))],
-            [as_poly((0, -1, -2)), as_poly((1, -2))],
-        ],
-        [as_poly((1, 1)), as_poly((1, 2))],
-        ("contains-terminal", "avoids-terminal"),
-    ),
-    Family.HEX_PARA: _system(
-        [
-            [as_poly((1, -1)), -_X, -_X],
-            [-_X, as_poly((1, -3)), as_poly((0, -2))],
-            [0, -_X, as_poly((1, -1))],
-        ],
-        [2, 3, 1],
-        ("contains-terminal", "avoids-terminal", "extendable"),
-    ),
-}
+# -- transfer-system generating functions ------------------------------------
 
 
-def paper_gf(family: Family) -> RationalGF:
-    """Verbatim transcription of the published generating function.
-
-    This is a claims store: known-wrong functions are stored as printed so
-    the verifier can refute them.
-    """
-    if family not in _PAPER_GF:
-        raise ValueError(f"no published generating function for {family.value}")
-    num, den = _PAPER_GF[family]
-    return RationalGF(Polynomial(num), Polynomial(den))
-
-
-def paper_state_gfs(family: Family) -> Optional[tuple[RationalGF, ...]]:
-    """Published per-state generating functions, or None where none printed."""
-    data = _PAPER_STATE_GF.get(family)
-    if data is None:
-        return None
-    return tuple(RationalGF(Polynomial(n), Polynomial(d)) for n, d in data)
-
-
-def paper_gf_system(family: Family) -> Optional[GFLinearSystem]:
-    """Published linear system for the per-state series, or None."""
-    return _PAPER_GF_SYSTEM.get(family)
-
-
-# -- derived (corrected) generating functions ------------------------------
-
-
-def _annihilated_gf(matrix: Matrix, terms: Sequence[int], first_index: int) -> RationalGF:
+def annihilated_gf(matrix: Matrix, terms: Sequence[int], first_index: int) -> RationalGF:
     """The series whose k = len(matrix) terms from ``first_index`` on are
     ``terms`` and which then obeys the recurrence of det(xI - A).
 
@@ -295,33 +158,6 @@ def _annihilated_gf(matrix: Matrix, terms: Sequence[int], first_index: int) -> R
     return gf_from_recurrence(
         LinearRecurrence(coefficients, initial, first_index + len(terms)), first_index
     )
-
-
-@lru_cache(maxsize=None)
-def derived_state_gfs(family: Family) -> tuple[RationalGF, ...]:
-    """Per-state series of the oracle-seeded transfer system: coefficient k of
-    series i is the state-i count at length k+1."""
-    ts = paper_transfer_system(family)
-    trajectory = state_trajectory(ts, len(ts.initial_vector))
-    return tuple(_annihilated_gf(ts.update_matrix, column, 0) for column in zip(*trajectory))
-
-
-@lru_cache(maxsize=None)
-def derived_gf(family: Family) -> RationalGF:
-    """Corrected family generating function from the transfer system.
-
-    Physical convention: coefficient n is the count at length n >= 1 and
-    coefficient 0 is zero.
-    """
-    ts = paper_transfer_system(family)
-    counts = [ts.count(v) for v in state_trajectory(ts, len(ts.initial_vector))]
-    return _annihilated_gf(ts.update_matrix, counts, 1)
-
-
-@lru_cache(maxsize=None)
-def derived_recurrence(family: Family) -> LinearRecurrence:
-    """Corrected closed recurrence read off the derived generating function."""
-    return recurrence_from_gf(derived_gf(family))
 
 
 # -- dominant growth rate ---------------------------------------------------

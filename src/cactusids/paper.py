@@ -1,0 +1,327 @@
+"""The paper's statements, transcribed as printed: state systems and their
+seeds, closed recurrences, generating functions and the linear systems for
+the per-state series, the domination-number and defect formulas, and the
+sentences of the remaining claims. Known-wrong statements are kept as
+printed, so that the verifier can refute them.
+
+This is the only module that holds a transcription. ``recurrences`` and
+``genfunc`` compute with any matrix, recurrence or series and never name a
+family; ``verify`` judges what is here. The values computed from one
+family's transcription live here too: its transfer system, whose unprinted
+seeds are measured on the built length-1 chain, the derived generating
+functions and recurrence read off that system, and the defect formulas.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from typing import Callable, Optional, Sequence
+
+from .chains import ChainSpec, Family, LINEAR_FAMILIES, build_chain
+from .genfunc import GFLinearSystem, annihilated_gf, recurrence_from_gf
+from .graphs import count_boundary_classes
+from .polynomials import Polynomial, RationalGF, as_poly
+from .recurrences import (
+    LinearRecurrence,
+    TransferSystem,
+    run_transfer,
+    state_trajectory,
+    transfer_state,
+)
+
+STATE_CONTAINS = 0
+STATE_AVOIDS = 1
+
+STATE_NAMES_2 = ("contains-terminal", "avoids-terminal")
+STATE_NAMES_3 = ("contains-terminal", "avoids-terminal", "extendable")
+
+FAMILY_TITLE = {
+    Family.TRIANGULAR: "triangular chains",
+    Family.SQUARE_PARA: "para-chains of squares",
+    Family.SQUARE_ORTHO: "ortho-chains of squares",
+    Family.HEX_ORTHO: "ortho-chains of hexagons",
+    Family.HEX_META: "meta-chains of hexagons",
+    Family.HEX_PARA: "para-chains of hexagons",
+}
+
+# -- state systems -----------------------------------------------------------
+
+# Published state systems, transcribed row by row, with their length-1
+# seeds. None marks a seed the source never states; it is measured instead.
+_SYSTEM_DATA: dict[Family, tuple[tuple[tuple[int, ...], ...], tuple]] = {
+    Family.TRIANGULAR: (((0, 1), (1, 1)), (1, 2)),
+    Family.SQUARE_PARA: (((1, 1, 0), (0, 1, 1), (1, 0, 0)), (1, 1, 1)),
+    Family.SQUARE_ORTHO: (((0, 1, 1), (1, 1, 0), (0, 1, 1)), (1, 1, None)),
+    Family.HEX_ORTHO: (((0, 2, 2), (2, 2, 1), (0, 1, 1)), (2, 3, None)),
+    Family.HEX_META: (((1, 2, 1), (1, 2, 2), (1, 0, 0)), (2, 3, None)),
+    Family.HEX_PARA: (((1, 1, 1), (1, 3, 2), (0, 1, 1)), (2, 3, None)),
+}
+
+
+def printed_seed_flags(family: Family) -> tuple[bool, ...]:
+    """Whether the source prints each length-1 seed of the family's system."""
+    return tuple(seed is not None for seed in _SYSTEM_DATA[family][1])
+
+
+@lru_cache(maxsize=None)
+def measured_extendable_seed(family: Family) -> int:
+    """Oracle count of extendable sets on the length-1 chain."""
+    chain = build_chain(ChainSpec(family, length=1))
+    return count_boundary_classes(chain.graph, chain.terminal_vertex).extendable_count
+
+
+@lru_cache(maxsize=None)
+def paper_transfer_system(family: Family) -> TransferSystem:
+    """The published transfer system for a linear family. Seeds printed in
+    the source are used verbatim; the missing extendable seeds are measured
+    with :func:`measured_extendable_seed`."""
+    if family not in LINEAR_FAMILIES:
+        raise ValueError(f"no transfer system for family {family.value}")
+    matrix, seeds = _SYSTEM_DATA[family]
+    init = tuple(
+        measured_extendable_seed(family) if s is None else s for s in seeds
+    )
+    k = len(init)
+    names = STATE_NAMES_2 if k == 2 else STATE_NAMES_3
+    weights = (1, 1) if k == 2 else (1, 1, 0)
+    return TransferSystem(names, matrix, init, weights)
+
+
+# -- closed recurrences ------------------------------------------------------
+
+# (coefficients, printed initial terms, first index the relation is claimed
+# from, indices of formal seeds that count no graph)
+_RECURRENCE_DATA = {
+    Family.TRIANGULAR: ((1, 1), ((0, 2), (1, 3)), 3, (0,)),
+    Family.SQUARE_PARA: ((2, -1, 1), ((1, 2), (2, 4), (3, 7)), 4, ()),
+    Family.SQUARE_ORTHO: ((2,), ((0, 1),), 1, (0,)),
+    Family.HEX_ORTHO: ((3, 3), ((1, 5), (2, 19)), 3, ()),
+    Family.HEX_META: ((3, 1, 2), ((0, 1), (1, 5), (2, 19)), 3, (0,)),
+    Family.HEX_PARA: ((6, -9, 6, -1), ((0, 4), (1, 5), (2, 19), (3, 76)), 4, (0,)),
+}
+
+
+def paper_recurrence(family: Family) -> LinearRecurrence:
+    """The published closed recurrence with all printed initial terms.
+
+    Formal index-0 seeds are stored verbatim and flagged; they correspond to
+    no graph and are excluded from oracle comparison.
+    """
+    if family not in _RECURRENCE_DATA:
+        raise ValueError(f"no published recurrence for family {family.value}")
+    coeffs, initials, valid_from, formal = _RECURRENCE_DATA[family]
+    return LinearRecurrence(coeffs, initials, valid_from, frozenset(formal))
+
+
+# -- generating functions ----------------------------------------------------
+
+_PAPER_GF = {
+    Family.TRIANGULAR: ((0, 1, 1), (1, -1, -1)),
+    Family.SQUARE_PARA: ((1, 0, 1), (1, -2, 1, -1)),
+    Family.SQUARE_ORTHO: ((1,), (1, -2)),
+    Family.HEX_ORTHO: ((1, 2, 1), (1, -3, -3)),
+    Family.HEX_META: ((1, -1, 2), (1, -3, -1, -2)),
+    Family.HEX_PARA: ((1, -1, 0, -5, 1), (1, -6, 9, -6, 1)),
+}
+
+# Published per-state generating functions in (contains, avoids[, extendable])
+# order. Coefficient k of a state series is the state count at length k+1.
+# The ortho-square section prints none.
+_PAPER_STATE_GF = {
+    Family.TRIANGULAR: (
+        ((0, 1), (1, -1, -1)),
+        ((1,), (1, -1, -1)),
+    ),
+    Family.SQUARE_PARA: (
+        ((1, 0, 1), (1, -2, 1, -1)),
+        ((1,), (1, -2, 1, -1)),
+        ((1, -1, 1), (1, -2, 1, -1)),
+    ),
+    Family.HEX_ORTHO: (
+        ((2, 2), (1, -3, -3)),
+        ((3, 2), (1, -3, -3)),
+        ((1, 1), (1, -3, -3)),
+    ),
+    Family.HEX_META: (
+        ((1, 1, 2), (1, -3, -1, -2)),
+        ((1, 2), (1, -3, -1, -2)),
+        ((1, -2), (1, -3, -1, -2)),
+    ),
+    Family.HEX_PARA: (
+        ((2, -4, -3, 1), (1, -6, 9, -6, 1)),
+        ((3, -5, 4, -1), (1, -6, 9, -6, 1)),
+        ((1, -2, 2), (1, -6, 9, -6, 1)),
+    ),
+}
+
+
+def _system(rows: Sequence[Sequence], rhs: Sequence, unknowns: Sequence[str]) -> GFLinearSystem:
+    return GFLinearSystem(
+        tuple(tuple(as_poly(e) for e in row) for row in rows),
+        tuple(as_poly(e) for e in rhs),
+        tuple(unknowns),
+    )
+
+
+# Published linear systems for the per-state series, transcribed verbatim
+# (including their wrong right-hand sides where the source slipped).
+_X = Polynomial.x()
+_PAPER_GF_SYSTEM: dict[Family, GFLinearSystem] = {
+    Family.TRIANGULAR: _system(
+        [[as_poly((1, -1)), -_X], [-_X, 1]],
+        [1, 0],
+        ("avoids-terminal", "contains-terminal"),
+    ),
+    Family.SQUARE_PARA: _system(
+        [
+            [as_poly((1, -1)), -_X, 0],
+            [0, as_poly((1, -1)), -_X],
+            [-_X, 0, 1],
+        ],
+        [1, 1, 1],
+        STATE_NAMES_3,
+    ),
+    Family.HEX_ORTHO: _system(
+        [
+            [1, as_poly((0, -2)), as_poly((0, -2))],
+            [as_poly((0, -2)), as_poly((1, -2)), -_X],
+            [0, -_X, as_poly((1, -1))],
+        ],
+        [2, 3, 1],
+        STATE_NAMES_3,
+    ),
+    Family.HEX_META: _system(
+        [
+            [as_poly((1, -1, -1)), as_poly((0, -2))],
+            [as_poly((0, -1, -2)), as_poly((1, -2))],
+        ],
+        [as_poly((1, 1)), as_poly((1, 2))],
+        STATE_NAMES_2,
+    ),
+    Family.HEX_PARA: _system(
+        [
+            [as_poly((1, -1)), -_X, -_X],
+            [-_X, as_poly((1, -3)), as_poly((0, -2))],
+            [0, -_X, as_poly((1, -1))],
+        ],
+        [2, 3, 1],
+        STATE_NAMES_3,
+    ),
+}
+
+
+def paper_gf(family: Family) -> RationalGF:
+    """The published generating function, as printed."""
+    if family not in _PAPER_GF:
+        raise ValueError(f"no published generating function for {family.value}")
+    num, den = _PAPER_GF[family]
+    return RationalGF(Polynomial(num), Polynomial(den))
+
+
+def paper_state_gfs(family: Family) -> Optional[tuple[RationalGF, ...]]:
+    """Published per-state generating functions, or None where none printed."""
+    data = _PAPER_STATE_GF.get(family)
+    if data is None:
+        return None
+    return tuple(RationalGF(Polynomial(n), Polynomial(d)) for n, d in data)
+
+
+def paper_gf_system(family: Family) -> Optional[GFLinearSystem]:
+    """Published linear system for the per-state series, or None."""
+    return _PAPER_GF_SYSTEM.get(family)
+
+
+# -- derived (corrected) generating functions --------------------------------
+
+
+@lru_cache(maxsize=None)
+def derived_state_gfs(family: Family) -> tuple[RationalGF, ...]:
+    """Per-state series of the family's transfer system: coefficient k of
+    series i is the state-i count at length k+1."""
+    ts = paper_transfer_system(family)
+    trajectory = state_trajectory(ts, len(ts.initial_vector))
+    return tuple(annihilated_gf(ts.update_matrix, column, 0) for column in zip(*trajectory))
+
+
+@lru_cache(maxsize=None)
+def derived_gf(family: Family) -> RationalGF:
+    """Corrected family generating function from the transfer system.
+
+    Physical convention: coefficient n is the count at length n >= 1 and
+    coefficient 0 is zero.
+    """
+    ts = paper_transfer_system(family)
+    counts = [ts.count(v) for v in state_trajectory(ts, len(ts.initial_vector))]
+    return annihilated_gf(ts.update_matrix, counts, 1)
+
+
+@lru_cache(maxsize=None)
+def derived_recurrence(family: Family) -> LinearRecurrence:
+    """Corrected closed recurrence read off the derived generating function."""
+    return recurrence_from_gf(derived_gf(family))
+
+
+# -- formulas and sentences --------------------------------------------------
+
+# the published independence domination numbers: (value at length n, text)
+GAMMA_FORMULA: dict[Family, tuple[Callable[[int], int], str]] = {
+    Family.TRIANGULAR: (lambda n: (n + 1) // 2, "gamma_i(length n) = floor((n+1)/2)"),
+    Family.HEX_ORTHO: (lambda n: (3 * n + 1) // 2, "gamma_i(length n) = ceil(3n/2)"),
+    Family.HEX_META: (lambda n: (3 * n + 1) // 2, "gamma_i(length n) = ceil(3n/2)"),
+}
+
+# the published defect composition formulas: (kind, location, statement)
+DEFECT_FORMULA = {
+    Family.PARA_CHAIN_ORTHO_DEFECT: (
+        "ortho-defect",
+        "square-chain defect examples: ortho defect in a para-chain",
+        "p({m},{n}) = q(m)*avoids(n+1) + q(n)*avoids(m+1), with q and "
+        "avoids taken from the para-square system",
+    ),
+    Family.ORTHO_CHAIN_PARA_DEFECT: (
+        "para-defect",
+        "square-chain defect examples: para defect in an ortho-chain",
+        "s({m},{n}) = s(m)*s(n) + 2*s(m-1)*s(n-1), with s(k) the "
+        "ortho-square counts and s(0) = 1",
+    ),
+}
+
+
+def defect_formula_value(family: Family, m: int, n: int) -> int:
+    """Evaluate a defect family's published composition formula from the
+    square transfer systems."""
+    if family not in DEFECT_FORMULA:
+        raise ValueError(f"no defect formula is published for {family.value}")
+    if m < 1 or n < 1:
+        raise ValueError("defect parameters must be at least 1")
+    if family is Family.PARA_CHAIN_ORTHO_DEFECT:
+        q = paper_transfer_system(Family.SQUARE_PARA)
+
+        def avoids(k: int) -> int:
+            return transfer_state(q, k)[STATE_AVOIDS]
+
+        return run_transfer(q, m) * avoids(n + 1) + run_transfer(q, n) * avoids(m + 1)
+    system = paper_transfer_system(Family.SQUARE_ORTHO)
+
+    def s(k: int) -> int:
+        return 1 if k == 0 else run_transfer(system, k)
+
+    return s(n) * s(m) + 2 * s(m - 1) * s(n - 1)
+
+
+# Printed statements about one family that no table above holds, by claim id
+# suffix: (family, kind, location, statement).
+PRINTED_STATEMENTS = {
+    "extendable-identity": (
+        Family.HEX_META, "recurrence", "extendable-state identity",
+        "extendable(n) = contains(n-1) for n >= 2",
+    ),
+    "growth-rate": (
+        Family.TRIANGULAR, "asymptotic", "Fibonacci growth rate",
+        "counts grow like r^n with r = (1+sqrt(5))/2",
+    ),
+    "asymptotic-form": (
+        Family.TRIANGULAR, "asymptotic", "closed approximation",
+        "a(n) is approximately r^n/sqrt(5), r = (1+sqrt(5))/2",
+    ),
+}

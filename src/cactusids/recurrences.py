@@ -1,29 +1,18 @@
-"""Transfer systems and closed linear recurrences for the chain families.
+"""Integer transfer systems and constant-coefficient linear recurrences.
 
-Each linear family carries a small integer state system: state vectors count
-independent dominating sets (and near-misses) classified by their behaviour
-at the chain's terminal vertex. The published systems omit the length-1 seed
-of every "extendable" state; those seeds are measured on the length-1 chain
-with the brute-force oracle rather than guessed, which also validates the
-state semantics.
-
-All arithmetic is exact over Python ints; evaluations at different lengths
-are independent and safe to run concurrently.
+A transfer system is a small integer state-update matrix with a seed vector
+and output weights; a recurrence is a coefficient vector with its initial
+terms. Both are evaluated exactly over Python ints, a single term in
+O(log n) polynomial squarings (Fiduccia's method). Nothing here names a
+chain family: the published systems and recurrences are transcribed in
+``paper``. Evaluations at different lengths are independent and safe to run
+concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-
-from .chains import ChainSpec, Family, LINEAR_FAMILIES, build_chain
-from .graphs import count_boundary_classes
-
-STATE_CONTAINS = 0
-STATE_AVOIDS = 1
-
-STATE_NAMES_2 = ("contains-terminal", "avoids-terminal")
-STATE_NAMES_3 = ("contains-terminal", "avoids-terminal", "extendable")
 
 
 @dataclass(frozen=True)
@@ -35,7 +24,6 @@ class TransferSystem:
     count states (contains + avoids); the extendable state is bookkeeping.
     """
 
-    family: Family
     state_names: tuple[str, ...]
     update_matrix: tuple[tuple[int, ...], ...]
     initial_vector: tuple[int, ...]
@@ -53,62 +41,6 @@ class TransferSystem:
     def count(self, vec: tuple[int, ...]) -> int:
         """The count a state vector stands for: its weighted sum."""
         return sum(w * v for w, v in zip(self.output_weights, vec))
-
-
-# Published state systems, transcribed row by row. None marks the length-1
-# seed the source never states; it is filled by oracle measurement.
-_SYSTEM_DATA: dict[Family, tuple[tuple[tuple[int, ...], ...], tuple]] = {
-    Family.TRIANGULAR: (
-        ((0, 1), (1, 1)),
-        (1, 2),
-    ),
-    Family.SQUARE_PARA: (
-        ((1, 1, 0), (0, 1, 1), (1, 0, 0)),
-        (1, 1, 1),
-    ),
-    Family.SQUARE_ORTHO: (
-        ((0, 1, 1), (1, 1, 0), (0, 1, 1)),
-        (1, 1, None),
-    ),
-    Family.HEX_ORTHO: (
-        ((0, 2, 2), (2, 2, 1), (0, 1, 1)),
-        (2, 3, None),
-    ),
-    Family.HEX_META: (
-        ((1, 2, 1), (1, 2, 2), (1, 0, 0)),
-        (2, 3, None),
-    ),
-    Family.HEX_PARA: (
-        ((1, 1, 1), (1, 3, 2), (0, 1, 1)),
-        (2, 3, None),
-    ),
-}
-
-
-@lru_cache(maxsize=None)
-def measured_extendable_seed(family: Family) -> int:
-    """Oracle count of extendable sets on the length-1 chain."""
-    chain = build_chain(ChainSpec(family, length=1))
-    return count_boundary_classes(chain.graph, chain.terminal_vertex).extendable_count
-
-
-@lru_cache(maxsize=None)
-def paper_transfer_system(family: Family) -> TransferSystem:
-    """The published transfer system for a linear family, oracle-seeded.
-
-    Seeds printed in the source are used verbatim; the missing extendable
-    seeds are measured with :func:`measured_extendable_seed`.
-    """
-    if family not in LINEAR_FAMILIES:
-        raise ValueError(f"no transfer system for family {family.value}")
-    matrix, seeds = _SYSTEM_DATA[family]
-    init = tuple(
-        measured_extendable_seed(family) if s is None else s for s in seeds
-    )
-    k = len(init)
-    names = STATE_NAMES_2 if k == 2 else STATE_NAMES_3
-    weights = (1, 1) if k == 2 else (1, 1, 0)
-    return TransferSystem(family, names, matrix, init, weights)
 
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -250,28 +182,6 @@ class LinearRecurrence:
     @property
     def min_index(self) -> int:
         return min(i for i, _ in self.initial_terms)
-
-
-_RECURRENCE_DATA = {
-    Family.TRIANGULAR: ((1, 1), ((0, 2), (1, 3)), 3, (0,)),
-    Family.SQUARE_PARA: ((2, -1, 1), ((1, 2), (2, 4), (3, 7)), 4, ()),
-    Family.SQUARE_ORTHO: ((2,), ((0, 1),), 1, (0,)),
-    Family.HEX_ORTHO: ((3, 3), ((1, 5), (2, 19)), 3, ()),
-    Family.HEX_META: ((3, 1, 2), ((0, 1), (1, 5), (2, 19)), 3, (0,)),
-    Family.HEX_PARA: ((6, -9, 6, -1), ((0, 4), (1, 5), (2, 19), (3, 76)), 4, (0,)),
-}
-
-
-def paper_recurrence(family: Family) -> LinearRecurrence:
-    """The published closed recurrence with all printed initial terms.
-
-    Formal index-0 seeds are stored verbatim and flagged; they correspond to
-    no graph and are excluded from oracle comparison.
-    """
-    if family not in _RECURRENCE_DATA:
-        raise ValueError(f"no published recurrence for family {family.value}")
-    coeffs, initials, valid_from, formal = _RECURRENCE_DATA[family]
-    return LinearRecurrence(coeffs, initials, valid_from, frozenset(formal))
 
 
 def recurrence_values(rec: LinearRecurrence, first: int, last: int) -> list[int]:

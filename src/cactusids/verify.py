@@ -1,6 +1,6 @@
 """Cross-checking engine: oracle vs transfer systems vs recurrences vs GFs.
 
-Every quantitative statement bundled with the package (generating functions,
+Every quantitative statement transcribed in ``paper`` (generating functions,
 per-state series, state systems and seeds, closed recurrences, printed
 initial terms, domination-number formulas, defect-composition formulas, the
 Fibonacci asymptotic) is registered as a claim with a stable id. Checks
@@ -28,19 +28,13 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Union
 from .chains import (
     _LETTER,
     ChainSpec,
+    DEFECT_FAMILIES,
     Family,
     LINEAR_FAMILIES,
     build_chain,
     expected_vertex_count,
 )
-from .genfunc import (
-    derived_gf,
-    derived_recurrence,
-    derived_state_gfs,
-    dominant_growth_rate,
-    paper_gf,
-    paper_state_gfs,
-)
+from .genfunc import dominant_growth_rate
 from .graphs import (
     DEFAULT_MAX_VERTICES,
     BoundaryCounts,
@@ -49,18 +43,28 @@ from .graphs import (
     count_ids,
     independent_domination_number,
 )
+from .paper import (
+    DEFECT_FORMULA,
+    FAMILY_TITLE,
+    GAMMA_FORMULA,
+    PRINTED_STATEMENTS,
+    STATE_CONTAINS,
+    defect_formula_value,
+    derived_gf,
+    derived_recurrence,
+    derived_state_gfs,
+    paper_gf,
+    paper_recurrence,
+    paper_state_gfs,
+    paper_transfer_system,
+    printed_seed_flags,
+)
 from .polynomials import RationalGF, format_gf
 from .recurrences import (
-    STATE_AVOIDS,
-    STATE_CONTAINS,
-    _SYSTEM_DATA,
     LinearRecurrence,
     TransferSystem,
     eval_recurrence,
-    paper_recurrence,
-    paper_transfer_system,
     recurrence_values,
-    run_transfer,
     state_trajectory,
     transfer_state,
 )
@@ -76,19 +80,6 @@ UNCHECKED = "unchecked"  # a defect grid point whose chain is above the oracle c
 Witness = Union[int, tuple[int, int], None]
 
 _STATE_SHORT = ("contains", "avoids", "extendable")
-
-# the families with a published domination-number formula
-GAMMA_FAMILIES = (Family.TRIANGULAR, Family.HEX_ORTHO, Family.HEX_META)
-
-_FAMILY_TITLE = {
-    Family.TRIANGULAR: "triangular chains",
-    Family.SQUARE_PARA: "para-chains of squares",
-    Family.SQUARE_ORTHO: "ortho-chains of squares",
-    Family.HEX_ORTHO: "ortho-chains of hexagons",
-    Family.HEX_META: "meta-chains of hexagons",
-    Family.HEX_PARA: "para-chains of hexagons",
-}
-
 
 @dataclass(frozen=True)
 class Claim:
@@ -192,7 +183,7 @@ def render_system(family: Family) -> str:
 
 def _printed_seed_text(family: Family) -> str:
     ts = paper_transfer_system(family)
-    printed = _printed_seed_flags(family)
+    printed = printed_seed_flags(family)
     parts = [
         f"{_STATE_SHORT[i]}(1) = {v}"
         for i, (v, is_printed) in enumerate(zip(ts.initial_vector, printed))
@@ -201,24 +192,7 @@ def _printed_seed_text(family: Family) -> str:
     return ", ".join(parts)
 
 
-def _printed_seed_flags(family: Family) -> tuple[bool, ...]:
-    # None marks a seed the source never states
-    return tuple(seed is not None for seed in _SYSTEM_DATA[family][1])
-
-
 # -- claim registry ----------------------------------------------------------
-
-
-def _gamma_formula(family: Family, n: int) -> int:
-    if family is Family.TRIANGULAR:
-        return (n + 1) // 2
-    return math.ceil(3 * n / 2)
-
-
-def _gamma_formula_text(family: Family) -> str:
-    if family is Family.TRIANGULAR:
-        return "gamma_i(length n) = floor((n+1)/2)"
-    return "gamma_i(length n) = ceil(3n/2)"
 
 
 Check = Callable[[Claim, "_Context"], ClaimStatus]
@@ -231,7 +205,7 @@ def _registry(family: Family) -> dict[str, tuple[Claim, Check]]:
     if family not in LINEAR_FAMILIES:
         raise ValueError(f"{family.value} has no per-family claims")
     key = family.value
-    title = _FAMILY_TITLE[family]
+    title = FAMILY_TITLE[family]
     registry: dict[str, tuple[Claim, Check]] = {}
 
     def add(suffix: str, kind: str, location: str, statement: str, check: Check) -> None:
@@ -265,17 +239,12 @@ def _registry(family: Family) -> dict[str, tuple[Claim, Check]]:
             f"a({idx}) = {value}{suffix}",
             partial(_check_initial, idx=idx, value=value),
         )
-    if family in GAMMA_FAMILIES:
+    if family in GAMMA_FORMULA:
         add("gamma", "gamma-formula", "independence domination number",
-            _gamma_formula_text(family), _check_gamma)
-    if family is Family.HEX_META:
-        add("extendable-identity", "recurrence", "extendable-state identity",
-            "extendable(n) = contains(n-1) for n >= 2", _check_meta_identity)
-    if family is Family.TRIANGULAR:
-        add("growth-rate", "asymptotic", "Fibonacci growth rate",
-            "counts grow like r^n with r = (1+sqrt(5))/2", _check_growth_rate)
-        add("asymptotic-form", "asymptotic", "closed approximation",
-            "a(n) is approximately r^n/sqrt(5), r = (1+sqrt(5))/2", _check_asymptotic_form)
+            GAMMA_FORMULA[family][1], _check_gamma)
+    for suffix, (owner, kind, location, statement) in PRINTED_STATEMENTS.items():
+        if owner is family:
+            add(suffix, kind, location, statement, _STATEMENT_CHECKS[suffix])
     return registry
 
 
@@ -283,30 +252,12 @@ def claims_for_family(family: Family) -> tuple[Claim, ...]:
     return tuple(claim for claim, _ in _registry(family).values())
 
 
-def defect_claim(kind: str, m: int, n: int) -> Claim:
-    if kind == "ortho-defect":
-        return Claim(
-            id=f"p-defect-{m}-{n}",
-            family=Family.PARA_CHAIN_ORTHO_DEFECT,
-            kind="defect-formula",
-            location="square-chain defect examples: ortho defect in a para-chain",
-            statement=(
-                f"p({m},{n}) = q(m)*avoids(n+1) + q(n)*avoids(m+1), with q and "
-                "avoids taken from the para-square system"
-            ),
-        )
-    if kind == "para-defect":
-        return Claim(
-            id=f"s-defect-{m}-{n}",
-            family=Family.ORTHO_CHAIN_PARA_DEFECT,
-            kind="defect-formula",
-            location="square-chain defect examples: para defect in an ortho-chain",
-            statement=(
-                f"s({m},{n}) = s(m)*s(n) + 2*s(m-1)*s(n-1), with s(k) the "
-                "ortho-square counts and s(0) = 1"
-            ),
-        )
-    raise ValueError(f"unknown defect kind {kind!r}")
+def defect_claim(family: Family, m: int, n: int) -> Claim:
+    if family not in DEFECT_FORMULA:
+        raise ValueError(f"no defect formula is published for {family.value}")
+    _, location, statement = DEFECT_FORMULA[family]
+    return Claim(f"{family.value}-{m}-{n}", family, "defect-formula", location,
+                 statement.format(m=m, n=n))
 
 
 DEFECT_GRID = ((1, 1), (1, 2), (2, 1), (2, 2))
@@ -316,9 +267,9 @@ def all_claims() -> tuple[Claim, ...]:
     claims: list[Claim] = []
     for family in LINEAR_FAMILIES:
         claims.extend(claims_for_family(family))
-    for kind in ("ortho-defect", "para-defect"):
+    for family in DEFECT_FAMILIES:
         for m, n in DEFECT_GRID:
-            claims.append(defect_claim(kind, m, n))
+            claims.append(defect_claim(family, m, n))
     return tuple(claims)
 
 
@@ -388,7 +339,7 @@ def gamma_rows(
     with a published domination-number formula."""
     _gamma_claim(family)
     return [
-        (n, _gamma_formula(family, n), _oracle_gamma(family, n))
+        (n, GAMMA_FORMULA[family][0](n), _oracle_gamma(family, n))
         for n in oracle_lengths(family, oracle_ceiling, n_max)
     ]
 
@@ -566,7 +517,7 @@ def _check_system(claim: Claim, ctx: _Context) -> ClaimStatus:
 
 
 def _check_state_seeds(claim: Claim, ctx: _Context) -> ClaimStatus:
-    printed = _printed_seed_flags(ctx.family)
+    printed = printed_seed_flags(ctx.family)
     profile = ctx.profile(1)
     details = []
     for i, (value, is_printed) in enumerate(zip(ctx.system.initial_vector, printed)):
@@ -665,7 +616,7 @@ def _gamma_claim(family: Family) -> Claim:
 def _gamma_status(claim: Claim, family: Family, lengths: range) -> ClaimStatus:
     mismatch = _first_mismatch(
         lengths,
-        lambda n: _gamma_formula(family, n),
+        GAMMA_FORMULA[family][0],
         lambda n: (_oracle_gamma(family, n), "oracle"),
     )
     if mismatch is not None:
@@ -765,6 +716,13 @@ def _check_asymptotic_form(claim: Claim, ctx: _Context) -> ClaimStatus:
     )
 
 
+_STATEMENT_CHECKS: dict[str, Check] = {
+    "extendable-identity": _check_meta_identity,
+    "growth-rate": _check_growth_rate,
+    "asymptotic-form": _check_asymptotic_form,
+}
+
+
 # -- orchestration -----------------------------------------------------------
 
 
@@ -791,37 +749,6 @@ def cross_check_family(
     )
 
 
-def _defect_family(kind: str) -> Family:
-    if kind == "ortho-defect":
-        return Family.PARA_CHAIN_ORTHO_DEFECT
-    if kind == "para-defect":
-        return Family.ORTHO_CHAIN_PARA_DEFECT
-    raise ValueError(f"unknown defect kind {kind!r} (ortho-defect or para-defect)")
-
-
-def defect_formula_value(kind: str, m: int, n: int) -> int:
-    """Evaluate the published composition formula from transfer trajectories."""
-    if m < 1 or n < 1:
-        raise ValueError("defect parameters must be at least 1")
-    if kind == "ortho-defect":
-        system = paper_transfer_system(Family.SQUARE_PARA)
-
-        def total(k: int) -> int:
-            return run_transfer(system, k)
-
-        def avoids(k: int) -> int:
-            return transfer_state(system, k)[STATE_AVOIDS]
-
-        return total(m) * avoids(n + 1) + total(n) * avoids(m + 1)
-    _defect_family(kind)
-    system = paper_transfer_system(Family.SQUARE_ORTHO)
-
-    def s(k: int) -> int:
-        return 1 if k == 0 else run_transfer(system, k)
-
-    return s(n) * s(m) + 2 * s(m - 1) * s(n - 1)
-
-
 def ortho_square_contains(k: int) -> int:
     """s'(k): sets of the length-k ortho-square chain containing its terminal
     vertex."""
@@ -832,20 +759,19 @@ def corrected_para_defect_value(m: int, n: int) -> int:
     """The para-defect formula plus s'(m)*s'(n), the sets containing both cut
     vertices of the defect square, which the published formula omits."""
     contains_both = ortho_square_contains(m) * ortho_square_contains(n)
-    return defect_formula_value("para-defect", m, n) + contains_both
+    return defect_formula_value(Family.ORTHO_CHAIN_PARA_DEFECT, m, n) + contains_both
 
 
 def check_defect_formula(
-    kind: str,
+    family: Family,
     m: int,
     n: int,
     oracle_ceiling: int = DEFAULT_ORACLE_CEILING,
 ) -> ClaimStatus:
-    """Compare a defect composition formula against the oracle at (m, n)."""
-    family = _defect_family(kind)
-    claim = defect_claim(kind, m, n)
+    """Compare a defect family's composition formula against the oracle at (m, n)."""
+    claim = defect_claim(family, m, n)
     require_oracle_fit(ChainSpec(family, m=m, n=n), oracle_ceiling)
-    formula = defect_formula_value(kind, m, n)
+    formula = defect_formula_value(family, m, n)
     oracle = _oracle_defect_count(family, m, n)
     if formula == oracle:
         return ClaimStatus(
@@ -866,7 +792,7 @@ def check_defect_formula(
             m2, n2 = m + dm, n + dn
             if m2 < 1 or n2 < 1:
                 continue
-            if defect_formula_value(kind, m2, n2) == oracle:
+            if defect_formula_value(family, m2, n2) == oracle:
                 shifts.append((m2, n2))
     if shifts:
         listed = ", ".join(f"({a},{b})" for a, b in sorted(shifts))
@@ -878,7 +804,7 @@ def check_defect_formula(
         details.append("no single index shift (m+-1, n+-1) reconciles the formula")
 
     corrected = None
-    if kind == "para-defect":
+    if family is Family.ORTHO_CHAIN_PARA_DEFECT:
         candidate = corrected_para_defect_value(m, n)
         if candidate == oracle:
             corrected = (
@@ -905,12 +831,12 @@ def check_defect_grid(oracle_ceiling: int = DEFAULT_ORACLE_CEILING) -> Verificat
     is above the oracle ceiling is unchecked, with the refusal as its
     details, so the rest of the report still stands."""
     statuses = []
-    for kind in ("ortho-defect", "para-defect"):
+    for family in DEFECT_FAMILIES:
         for m, n in DEFECT_GRID:
             try:
-                status = check_defect_formula(kind, m, n, oracle_ceiling=oracle_ceiling)
+                status = check_defect_formula(family, m, n, oracle_ceiling=oracle_ceiling)
             except OracleLimitError as exc:
-                status = ClaimStatus(defect_claim(kind, m, n), UNCHECKED, details=(str(exc),))
+                status = ClaimStatus(defect_claim(family, m, n), UNCHECKED, details=(str(exc),))
             statuses.append(status)
     return VerificationReport(scope="defects", oracle_ceiling=oracle_ceiling, statuses=statuses)
 

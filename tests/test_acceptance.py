@@ -14,11 +14,7 @@ import pytest
 from cactusids.chains import ChainSpec, Family, build_chain
 from cactusids.cli import main as cli_main
 from cactusids.genfunc import (
-    derived_gf,
     gf_from_recurrence,
-    paper_gf,
-    paper_gf_system,
-    paper_state_gfs,
     recurrence_from_gf,
     solve_gf_system,
     dominant_growth_rate,
@@ -29,13 +25,15 @@ from cactusids.graphs import (
     count_ids,
     independent_domination_number,
 )
-from cactusids.recurrences import (
-    LinearRecurrence,
-    eval_recurrence,
+from cactusids.paper import (
+    derived_gf,
+    paper_gf,
+    paper_gf_system,
     paper_recurrence,
+    paper_state_gfs,
     paper_transfer_system,
-    run_transfer,
 )
+from cactusids.recurrences import LinearRecurrence, eval_recurrence, run_transfer
 from cactusids.verify import (
     check_defect_formula,
     max_length_within,
@@ -163,7 +161,7 @@ def test_criterion_5_fibonacci_asymptotic():
 
 def test_criterion_6_defect_formulas(full_verify):
     try:
-        p11 = check_defect_formula("ortho-defect", 1, 1)
+        p11 = check_defect_formula(Family.PARA_CHAIN_ORTHO_DEFECT, 1, 1)
         assert p11.claimed_value == 8 and p11.oracle_value == 8
         chain_p11 = build_chain(ChainSpec(Family.PARA_CHAIN_ORTHO_DEFECT, m=1, n=1))
         chain_s3 = build_chain(ChainSpec(Family.SQUARE_ORTHO, length=3))
@@ -172,11 +170,10 @@ def test_criterion_6_defect_formulas(full_verify):
             paper_transfer_system(Family.SQUARE_ORTHO), 3
         )
 
-        for kind in ("ortho-defect", "para-defect"):
+        for family in (Family.PARA_CHAIN_ORTHO_DEFECT, Family.ORTHO_CHAIN_PARA_DEFECT):
             for m in (1, 2):
                 for n in (1, 2):
-                    prefix = "p" if kind == "ortho-defect" else "s"
-                    status = full_verify[f"{prefix}-defect-{m}-{n}"]
+                    status = full_verify[f"{family.value}-{m}-{n}"]
                     assert status.verdict in ("confirmed", "refuted")
                     assert status.witness == (m, n)
                     assert status.claimed_value is not None

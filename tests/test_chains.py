@@ -24,7 +24,7 @@ from cactusids.graphs import (
     independent_domination_number,
     vertices_of,
 )
-from cactusids.recurrences import _SYSTEM_DATA, paper_transfer_system
+from cactusids.paper import _SYSTEM_DATA, paper_transfer_system
 from reference import (
     MIN_PLUS,
     PLUS_TIMES,

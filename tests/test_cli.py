@@ -8,10 +8,10 @@ from decimal import Decimal
 import pytest
 
 from cactusids import cli, verify
-from cactusids.chains import Family, LINEAR_FAMILIES
+from cactusids.chains import DEFECT_FAMILIES, Family, LINEAR_FAMILIES
 from cactusids.cli import MAX_BUILD_LENGTH, MAX_LENGTH, MAX_SEQUENCE_LENGTH, main
-from cactusids.genfunc import derived_gf, paper_gf
-from cactusids.recurrences import paper_transfer_system, run_transfer
+from cactusids.paper import derived_gf, paper_gf, paper_transfer_system
+from cactusids.recurrences import run_transfer
 
 
 def run(capsys, *argv):
@@ -423,6 +423,36 @@ class TestDefect:
         assert doc["claimed_value"] == 14
         assert doc["oracle_value"] == 14
         assert doc["witness"] == [2, 1]
+
+
+def _transcription_routes():
+    """Every command that prints a transcribed statement or a value read off one."""
+    for family in LINEAR_FAMILIES:
+        for source in ("derived", "paper"):
+            for fmt in ("text", "json"):
+                yield ["gf", "--family", family.value, "--source", source, "--format", fmt]
+        for route in (["recurrence"], ["gf", "--gf-source", "paper"]):
+            yield ["sequence", "--family", family.value, "--max-n", "12", "--method", *route]
+    for family in DEFECT_FAMILIES:
+        for m in (1, 2):
+            for n in (1, 2):
+                for fmt in ("table", "json"):
+                    yield [
+                        "defect", "--family", family.value, "--m", str(m), "--n", str(n),
+                        "--format", fmt,
+                    ]
+
+
+def test_transcription_routes_digest(capsys):
+    # sha256 over the exit code, stdout and stderr of every route that reads
+    # a transcription, taken before the transcriptions moved into paper.py
+    digest = hashlib.sha256()
+    for argv in _transcription_routes():
+        code, out, err = run(capsys, *argv)
+        digest.update(f"$ {' '.join(argv)}\nexit {code}\n{out}--\n{err}--\n".encode())
+    assert digest.hexdigest() == (
+        "9e32faa59989f69afa77a69a60ae315e86bc975a8cb267f187979196efc8d45d"
+    )
 
 
 @pytest.fixture(scope="module")

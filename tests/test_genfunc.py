@@ -12,25 +12,23 @@ from cactusids.genfunc import (
     GFLinearSystem,
     NoRealDominantRootError,
     SingularSystemError,
-    derived_gf,
-    derived_recurrence,
-    derived_state_gfs,
     dominant_growth_rate,
     gf_from_recurrence,
-    paper_gf,
-    paper_gf_system,
-    paper_state_gfs,
     recurrence_from_gf,
     solve_gf_system,
 )
-from cactusids.polynomials import Polynomial, RationalGF, format_gf, poly_divmod_exact
-from cactusids.recurrences import (
-    LinearRecurrence,
-    eval_recurrence,
+from cactusids.paper import (
+    derived_gf,
+    derived_recurrence,
+    derived_state_gfs,
+    paper_gf,
+    paper_gf_system,
     paper_recurrence,
+    paper_state_gfs,
     paper_transfer_system,
-    state_trajectory,
 )
+from cactusids.polynomials import Polynomial, RationalGF, format_gf, poly_divmod_exact
+from cactusids.recurrences import LinearRecurrence, eval_recurrence, state_trajectory
 
 PHI = (1 + math.sqrt(5)) / 2
 

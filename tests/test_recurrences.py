@@ -2,17 +2,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cactusids.chains import ChainSpec, Family, LINEAR_FAMILIES, build_chain
-from cactusids.genfunc import characteristic_polynomial, derived_recurrence
+from cactusids.genfunc import characteristic_polynomial
 from cactusids.graphs import count_boundary_classes, count_ids
+from cactusids.paper import (
+    derived_recurrence,
+    measured_extendable_seed,
+    paper_recurrence,
+    paper_transfer_system,
+)
 from cactusids.recurrences import (
     LinearRecurrence,
     _charpoly,
     _step,
     eval_recurrence,
     mat_pow_vec,
-    measured_extendable_seed,
-    paper_recurrence,
-    paper_transfer_system,
     recurrence_values,
     run_transfer,
     state_trajectory,

@@ -3,10 +3,10 @@ import sys
 
 import pytest
 
-from cactusids import genfunc, recurrences, verify
+from cactusids import genfunc, paper, recurrences, verify
 from cactusids.chains import ChainSpec, Family, LINEAR_FAMILIES, expected_vertex_count
-from cactusids.genfunc import derived_gf
 from cactusids.graphs import OracleLimitError
+from cactusids.paper import GAMMA_FORMULA, defect_formula_value, derived_gf
 from cactusids.verify import (
     DEFECT_GRID,
     VerificationReport,
@@ -15,7 +15,6 @@ from cactusids.verify import (
     check_gamma_formula,
     claims_for_family,
     cross_check_family,
-    defect_formula_value,
     errata_report,
     max_length_within,
     oracle_count,
@@ -167,18 +166,18 @@ class TestGamma:
 
 class TestDefects:
     def test_ortho_defect_confirmed_at_1_1(self):
-        status = check_defect_formula("ortho-defect", 1, 1)
+        status = check_defect_formula(Family.PARA_CHAIN_ORTHO_DEFECT, 1, 1)
         assert status.verdict == "confirmed"
         assert status.claimed_value == 8
         assert status.oracle_value == 8
 
     def test_ortho_defect_2_1(self):
-        status = check_defect_formula("ortho-defect", 2, 1)
+        status = check_defect_formula(Family.PARA_CHAIN_ORTHO_DEFECT, 2, 1)
         assert status.claimed_value == 14
         assert status.verdict == "confirmed"
 
     def test_para_defect_discrepancy_presented_not_silenced(self):
-        status = check_defect_formula("para-defect", 1, 1)
+        status = check_defect_formula(Family.ORTHO_CHAIN_PARA_DEFECT, 1, 1)
         assert status.verdict == "refuted"
         assert status.claimed_value == 6  # the formula value stays as printed
         assert status.oracle_value == 7
@@ -188,23 +187,26 @@ class TestDefects:
 
     def test_para_defect_correction_reconciles_grid(self):
         for m, n in DEFECT_GRID:
-            status = check_defect_formula("para-defect", m, n)
+            status = check_defect_formula(Family.ORTHO_CHAIN_PARA_DEFECT, m, n)
             assert status.verdict == "refuted"
             assert any("reconciles the formula" in d for d in status.details)
 
     def test_formula_values(self):
-        assert defect_formula_value("ortho-defect", 1, 1) == 8
-        assert defect_formula_value("ortho-defect", 2, 1) == 14
-        assert defect_formula_value("para-defect", 1, 1) == 6
-        assert defect_formula_value("para-defect", 2, 2) == 24
+        assert defect_formula_value(Family.PARA_CHAIN_ORTHO_DEFECT, 1, 1) == 8
+        assert defect_formula_value(Family.PARA_CHAIN_ORTHO_DEFECT, 2, 1) == 14
+        assert defect_formula_value(Family.ORTHO_CHAIN_PARA_DEFECT, 1, 1) == 6
+        assert defect_formula_value(Family.ORTHO_CHAIN_PARA_DEFECT, 2, 2) == 24
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            check_defect_formula("sideways-defect", 1, 1)
+    @pytest.mark.parametrize("family", LINEAR_FAMILIES, ids=lambda f: f.value)
+    def test_non_defect_family(self, family):
+        with pytest.raises(ValueError, match="no defect formula"):
+            check_defect_formula(family, 1, 1)
+        with pytest.raises(ValueError, match="no defect formula"):
+            defect_formula_value(family, 1, 1)
 
     def test_ceiling(self):
         with pytest.raises(OracleLimitError):
-            check_defect_formula("para-defect", 4, 4, oracle_ceiling=26)
+            check_defect_formula(Family.ORTHO_CHAIN_PARA_DEFECT, 4, 4, oracle_ceiling=26)
 
 
 class TestReports:
@@ -298,7 +300,7 @@ class TestRefutedBranches:
 
     def test_system_state_vector(self, patched):
         # contains(n+1) = avoids(n), avoids(n+1) = contains(n) + 2*avoids(n)
-        patched.setitem(recurrences._SYSTEM_DATA, Family.TRIANGULAR, (((0, 1), (1, 2)), (1, 2)))
+        patched.setitem(paper._SYSTEM_DATA, Family.TRIANGULAR, (((0, 1), (1, 2)), (1, 2)))
         by_id = status_map(checked_through(Family.TRIANGULAR, 4))
         status = by_id["tri-system"]
         assert status.verdict == "refuted"
@@ -310,7 +312,7 @@ class TestRefutedBranches:
 
     def test_system_two_states_with_extendable_sets(self, patched):
         # the hexagon has one extendable set at its terminal vertex
-        patched.setitem(recurrences._SYSTEM_DATA, Family.HEX_ORTHO, (((0, 2), (2, 2)), (2, 3)))
+        patched.setitem(paper._SYSTEM_DATA, Family.HEX_ORTHO, (((0, 2), (2, 2)), (2, 3)))
         report = checked_through(Family.HEX_ORTHO, 1, n_max_symbolic=1)
         status = status_map(report)["hex-ortho-system"]
         assert status.verdict == "refuted"
@@ -320,7 +322,7 @@ class TestRefutedBranches:
         assert status.reference == "oracle"
 
     def test_state_seeds(self, patched):
-        patched.setitem(recurrences._SYSTEM_DATA, Family.TRIANGULAR, (((0, 1), (1, 1)), (1, 3)))
+        patched.setitem(paper._SYSTEM_DATA, Family.TRIANGULAR, (((0, 1), (1, 1)), (1, 3)))
         status = status_map(checked_through(Family.TRIANGULAR, 4))[
             "tri-state-seeds"
         ]
@@ -332,7 +334,7 @@ class TestRefutedBranches:
     @pytest.mark.parametrize("oracle_length, source", [(4, "oracle"), (2, "transfer")])
     def test_initial_term(self, patched, oracle_length, source):
         patched.setitem(
-            recurrences._RECURRENCE_DATA,
+            paper._RECURRENCE_DATA,
             Family.HEX_PARA,
             ((6, -9, 6, -1), ((0, 4), (1, 5), (2, 19), (3, 75)), 4, (0,)),
         )
@@ -346,7 +348,7 @@ class TestRefutedBranches:
     def test_gf_formal_seed_only(self, patched):
         # the printed series 1/(1 - 2x) stays right for n >= 1; only a(0) clashes
         patched.setitem(
-            recurrences._RECURRENCE_DATA, Family.SQUARE_ORTHO, ((2,), ((0, 2),), 1, (0,))
+            paper._RECURRENCE_DATA, Family.SQUARE_ORTHO, ((2,), ((0, 2),), 1, (0,))
         )
         status = status_map(checked_through(Family.SQUARE_ORTHO, 4))[
             "sq-ortho-gf"
@@ -356,8 +358,10 @@ class TestRefutedBranches:
         assert status.reference == "printed formal seed"
 
     def test_gamma(self, patched):
-        formula = verify._gamma_formula
-        patched.setattr(verify, "_gamma_formula", lambda f, n: formula(f, n) + (n == 3))
+        formula, text = GAMMA_FORMULA[Family.TRIANGULAR]
+        patched.setitem(
+            GAMMA_FORMULA, Family.TRIANGULAR, (lambda n: formula(n) + (n == 3), text)
+        )
         status = check_gamma_formula(Family.TRIANGULAR, 5)
         assert status.verdict == "refuted"
         assert (status.witness, status.claimed_value, status.oracle_value) == (3, 3, 2)
@@ -366,7 +370,7 @@ class TestRefutedBranches:
     def test_meta_identity_transfer_half(self, patched):
         # extendable(n+1) = contains(n) + avoids(n) instead of contains(n)
         patched.setitem(
-            recurrences._SYSTEM_DATA,
+            paper._SYSTEM_DATA,
             Family.HEX_META,
             (((1, 2, 1), (1, 2, 2), (1, 1, 0)), (2, 3, None)),
         )
@@ -423,10 +427,11 @@ class TestOneReferencePass:
         assert counts[0] == counts[1]
 
     def test_terms_past_the_range_read_the_trajectory(self, patched):
-        def no_run(system, n):
-            raise AssertionError(f"transfer run at n = {n}")
+        def no_power(matrix, e, vec):
+            raise AssertionError(f"transfer power A^{e}")
 
-        patched.setattr(verify, "run_transfer", no_run)
+        # every transfer run, from any module, powers the matrix here
+        patched.setattr(recurrences, "mat_pow_vec", no_power)
         reports = {
             family: cross_check_family(family, n_max_symbolic=1, oracle_ceiling=16)
             for family in LINEAR_FAMILIES
