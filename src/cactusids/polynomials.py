@@ -326,29 +326,34 @@ class RationalGF:
         Integrality is not assumed: entries are ints when integral and
         ``Fraction`` otherwise (a fractional entry signals a malformed
         claimed generating function). Each entry costs one product per
-        nonzero denominator coefficient and an exact division by the
-        constant term, in int arithmetic up to the first entry that does
-        not divide and in ``Fraction`` arithmetic after it.
+        nonzero denominator coefficient. Only when the constant term d0 is
+        not 1 does it also cost an exact division by d0, in int arithmetic
+        up to the first entry that does not divide and in ``Fraction``
+        arithmetic after it; with d0 = 1 every entry is an int.
         """
         d0 = self.denominator[0]
         if d0 == 0:
             raise ValueError(
                 "denominator constant term is zero; series is not extractable"
             )
+        num = self.numerator.coeffs
         terms = [(i, d) for i, d in enumerate(self.denominator.coeffs) if i and d]
         out: list = []
         for n in range(upto + 1):
-            acc = self.numerator[n]
+            acc = num[n] if n < len(num) else 0
             for i, d in terms:
                 if i > n:
                     break
                 acc -= d * out[n - i]
-            if isinstance(acc, int):
-                q, r = divmod(acc, d0)
-                out.append(Fraction(acc, d0) if r else q)
-            else:
-                val = acc / d0
-                out.append(int(val) if val.denominator == 1 else val)
+            if d0 != 1:
+                if isinstance(acc, int):
+                    q, r = divmod(acc, d0)
+                    acc = Fraction(acc, d0) if r else q
+                else:
+                    acc /= d0
+                    if acc.denominator == 1:
+                        acc = int(acc)
+            out.append(acc)
         return out
 
 

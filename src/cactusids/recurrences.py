@@ -44,10 +44,27 @@ class TransferSystem:
 
 
 Matrix = tuple[tuple[int, ...], ...]
+# A matrix as, per row, the (column, entry) pairs of its nonzero entries.
+Rows = tuple[tuple[tuple[int, int], ...], ...]
 
 
-def _step(matrix: Matrix, vec: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(row[j] * vec[j] for j in range(len(vec))) for row in matrix)
+def _nonzero_rows(matrix: Matrix) -> Rows:
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in matrix)
+
+
+def _step(rows: Rows, vec: tuple[int, ...]) -> tuple[int, ...]:
+    """A v, visiting only the nonzero entries of A (``rows`` from
+    :func:`_nonzero_rows`) and adding, not multiplying, at unit entries."""
+    out = []
+    for row in rows:
+        acc = 0
+        for j, c in row:
+            if c == 1:
+                acc += vec[j]
+            else:
+                acc += c * vec[j]
+        out.append(acc)
+    return tuple(out)
 
 
 @lru_cache
@@ -56,17 +73,18 @@ def _charpoly(matrix: Matrix) -> tuple[int, ...]:
     Faddeev-LeVerrier: M_i = A M_(i-1) + c_(i-1) I and c_i = -tr(A M_i) / i.
 
     The c_i are integers, so every division by i is exact. Matrices are held
-    as columns, so each product with A is k calls of :func:`_step`. Cached:
+    as columns, so each product with A is k calls of :func:`_step` over the
+    nonzero entries of A, tabled once per call. Cached:
     its k^2 steps would cost more than a short power itself, and only the six
     transfer matrices ever reach it, powered by the audit to many small
     exponents and read once more for the derived generating functions.
     """
-    k = len(matrix)
+    k, rows = len(matrix), _nonzero_rows(matrix)
     a_m = [(0,) * k] * k  # columns of A M_0 = 0
     coeffs, c = [], 1
     for i in range(1, k + 1):
         m = [tuple(v + c * (r == j) for r, v in enumerate(col)) for j, col in enumerate(a_m)]
-        a_m = [_step(matrix, col) for col in m]
+        a_m = [_step(rows, col) for col in m]
         c = -sum(col[j] for j, col in enumerate(a_m)) // i
         coeffs.append(c)
     return tuple(coeffs)
@@ -114,24 +132,28 @@ def mat_pow_vec(matrix: Matrix, e: int, vec: tuple[int, ...]) -> tuple[int, ...]
     r = _x_pow_mod(e, _charpoly(matrix))
     while len(r) > 1 and not r[-1]:
         r.pop()  # so a short power, r = x^e with e < k, takes e steps, not k - 1
+    rows = _nonzero_rows(matrix)
     out = [0] * len(vec)
     power = tuple(vec)
     for i, ri in enumerate(r):
         if i:
-            power = _step(matrix, power)
+            power = _step(rows, power)
         if ri:
             out = [o + ri * p for o, p in zip(out, power)]
     return tuple(out)
 
 
 def state_trajectory(system: TransferSystem, n: int) -> list[tuple[int, ...]]:
-    """State vectors for lengths 1..n, by n-1 single steps."""
+    """State vectors for lengths 1..n, by n-1 single steps of :func:`_step`,
+    which visits only the nonzero entries of the update matrix (tabled once
+    per call)."""
     if n < 1:
         raise ValueError("length must be at least 1")
+    rows = _nonzero_rows(system.update_matrix)
     vec = system.initial_vector
     out = [vec]
     for _ in range(n - 1):
-        vec = _step(system.update_matrix, vec)
+        vec = _step(rows, vec)
         out.append(vec)
     return out
 
@@ -185,12 +207,14 @@ class LinearRecurrence:
 
 
 def recurrence_values(rec: LinearRecurrence, first: int, last: int) -> list[int]:
-    """Values at indices first..last in one pass of k products per term,
-    starting after the contiguous window of initial terms; a term supplied
-    beyond that window overrides the relation."""
+    """Values at indices first..last in one pass of at most k products per
+    term, one per nonzero coefficient (a unit coefficient adds), starting
+    after the contiguous window of initial terms; a term supplied beyond that
+    window overrides the relation."""
     values, base = rec.initial_map, rec.min_index
     if first < base:
         raise ValueError(f"index {first} below the smallest initial index {base}")
+    lags = [(j, c) for j, c in enumerate(rec.coefficients, 1) if c]
     terms: list[int] = []
     for i in range(base, last + 1):
         if i in values:
@@ -198,7 +222,13 @@ def recurrence_values(rec: LinearRecurrence, first: int, last: int) -> list[int]
         elif i < base + rec.order:
             raise ValueError(f"initial terms do not cover index {i}")
         else:
-            terms.append(sum(c * terms[-j] for j, c in enumerate(rec.coefficients, 1)))
+            acc = 0
+            for j, c in lags:
+                if c == 1:
+                    acc += terms[-j]
+                else:
+                    acc += c * terms[-j]
+            terms.append(acc)
     return terms[first - base:]
 
 

@@ -455,6 +455,24 @@ def test_transcription_routes_digest(capsys):
     )
 
 
+def test_all_terms_routes_digest_at_the_cap(capsys):
+    # sha256 over the exit code, stdout and stderr of every all-terms route
+    # at --max-n MAX_SEQUENCE_LENGTH, taken before the transfer step and the
+    # series loop were rewritten to visit nonzero coefficients only
+    digest = hashlib.sha256()
+    for family in LINEAR_FAMILIES:
+        for route in (["transfer"], ["recurrence"], ["gf"], ["gf", "--gf-source", "paper"]):
+            argv = [
+                "sequence", "--family", family.value,
+                "--max-n", str(MAX_SEQUENCE_LENGTH), "--method", *route,
+            ]
+            code, out, err = run(capsys, *argv)
+            digest.update(f"$ {' '.join(argv)}\nexit {code}\n{out}--\n{err}--\n".encode())
+    assert digest.hexdigest() == (
+        "bd802aacc1c64e3d4e5b6ba3ce8d5087f2db24cad7c63868eccfad035a44a00b"
+    )
+
+
 @pytest.fixture(scope="module")
 def verify_json():
     import io

@@ -205,6 +205,9 @@ class TestRationalGF:
         st.lists(st.integers(-6, 6), min_size=1, max_size=5),
         st.lists(st.integers(-6, 6), min_size=1, max_size=5),
     )
+    # d0 = 1 with a numerator longer than the prefix: ints only, no division
+    @example([3, -1, 4, 1, -5, 9, -2, 6, 5, -3, 5, 8, -9, 7, 9, -3], [1, -2, 0, 3, -2])
+    @example([1, 2], [3, -1, 2])  # d0 = 3: Fraction entries from the first
     @settings(max_examples=150, deadline=None)
     def test_series_matches_fraction_reference(self, cn, cd):
         den = Polynomial(cd)

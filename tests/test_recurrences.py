@@ -12,8 +12,8 @@ from cactusids.paper import (
 )
 from cactusids.recurrences import (
     LinearRecurrence,
+    TransferSystem,
     _charpoly,
-    _step,
     eval_recurrence,
     mat_pow_vec,
     recurrence_values,
@@ -98,6 +98,24 @@ class TestRunTransfer:
             assert all(w == 0 for w in ts.output_weights[2:])
 
 
+def _dense_step(matrix, vec):
+    """Reference A v over every entry of A, zeros and ones included."""
+    k = len(vec)
+    return tuple(sum(row[j] * vec[j] for j in range(k)) for row in matrix)
+
+
+def _system(matrix, seed):
+    k = len(matrix)
+    return TransferSystem(tuple(f"s{i}" for i in range(k)), matrix, seed, (1,) * k)
+
+
+@st.composite
+def _transfer_systems(draw):
+    k = draw(st.integers(1, 4))
+    matrix = tuple(tuple(draw(st.integers(0, 3)) for _ in range(k)) for _ in range(k))
+    return _system(matrix, tuple(draw(st.integers(-50, 50)) for _ in range(k)))
+
+
 @st.composite
 def _matrix_and_vector(draw):
     k = draw(st.integers(1, 4))
@@ -136,8 +154,21 @@ class TestMatrixPowerEngine:
         matrix, vec = system
         expected = vec
         for _ in range(e):
-            expected = _step(matrix, expected)
+            expected = _dense_step(matrix, expected)
         assert mat_pow_vec(matrix, e, vec) == expected
+
+    @given(_transfer_systems())
+    @example(_system(((0,),), (-50,)))
+    @example(_system(((0, 0, 0), (1, 2, 3), (0, 0, 0)), (5, -7, 2)))  # zero rows
+    @example(_system(((0, 1, 3), (0, 2, 0), (0, 3, 1)), (50, -1, 4)))  # zero column
+    @example(_system(((1,) * 4,) * 4, (-50, 50, 1, -1)))  # all ones
+    @settings(max_examples=150, deadline=None)
+    def test_trajectory_matches_dense_stepping(self, system):
+        dense = [system.initial_vector]
+        for _ in range(59):
+            dense.append(_dense_step(system.update_matrix, dense[-1]))
+        for n in range(1, 61):
+            assert state_trajectory(system, n) == dense[:n], n
 
 
 def _stepped(rec, n):
