@@ -17,9 +17,8 @@ cycle, so constructions are reproducible and stable for golden tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .graphs import Graph
 
@@ -59,20 +58,25 @@ _LETTER: dict[Family, Letter] = {
 }
 
 
-@dataclass(frozen=True)
-class ChainSpec:
-    """Identifies one constructible chain: a family plus its length parameters.
-
-    Linear families take ``length``; defect families take ``m`` and ``n``
-    (m + n + 1 blocks, the defect at block m + 1).
-    """
-
+class _ChainSpecFields(NamedTuple):
     family: Family
     length: Optional[int] = None
     m: Optional[int] = None
     n: Optional[int] = None
 
-    def __post_init__(self):
+
+class ChainSpec(_ChainSpecFields):
+    """Identifies one constructible chain: a family plus its length parameters.
+
+    Linear families take ``length``; defect families take ``m`` and ``n``
+    (m + n + 1 blocks, the defect at block m + 1). Construction refuses any
+    other combination with ``ValueError``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.family in LINEAR_FAMILIES:
             if self.length is None or self.m is not None or self.n is not None:
                 raise ValueError(f"{self.family.value} takes a single length")
@@ -83,6 +87,11 @@ class ChainSpec:
                 raise ValueError(f"{self.family.value} takes m and n")
             if self.m < 1 or self.n < 1:
                 raise ValueError("defect parameters m, n must be at least 1")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so that _replace checks its fields too
 
     @property
     def word(self) -> tuple[Letter, ...]:
@@ -106,8 +115,7 @@ class ChainSpec:
         return len(self.word)
 
 
-@dataclass(frozen=True)
-class LabeledChain:
+class LabeledChain(NamedTuple):
     """A built chain: graph plus block structure and the terminal vertex.
 
     ``terminal_vertex`` is the vertex of the last block at the position where

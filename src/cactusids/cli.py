@@ -13,7 +13,6 @@ exactly, however many digits it has.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import contextmanager
@@ -215,6 +214,12 @@ def _warn_if_defect_erratum(family: Family, m: int, n: int, value: int) -> None:
     )
 
 
+def _print_json(doc: dict) -> None:
+    import json
+
+    print(json.dumps(doc, indent=2))
+
+
 def _check_length(flag: str, value: int, cap: int) -> None:
     if value > cap:
         raise LengthLimitError(f"{flag} {value} is above the cap {cap}")
@@ -279,10 +284,16 @@ def _cmd_count(parser, args) -> int:
                 doc["gf_source"] = args.gf_source
         else:
             doc["m"], doc["n"] = spec.m, spec.n
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         print(value)
     return 0
+
+
+def _transfer_counts(family: Family, max_n: int) -> list[int]:
+    """Counts at lengths 1..max_n by stepping the family's transfer system."""
+    system = paper_transfer_system(family)
+    return [system.count(v) for v in state_trajectory(system, max_n)]
 
 
 def _cmd_sequence(parser, args) -> int:
@@ -296,26 +307,24 @@ def _cmd_sequence(parser, args) -> int:
         # refuse the longest chain before building any shorter one
         oracle_lengths(family, ceiling, args.max_n)
         counts = [_oracle_count(ChainSpec(family, length=n), ceiling) for n in lengths]
+    elif args.method == "transfer":
+        counts = _transfer_counts(family, args.max_n)
+    elif args.method == "recurrence":
+        counts = recurrence_values(paper_recurrence(family), 1, args.max_n)
     else:
-        system = paper_transfer_system(family)
-        reference = [system.count(v) for v in state_trajectory(system, args.max_n)]
-        if args.method == "transfer":
-            counts = reference
-        elif args.method == "recurrence":
-            counts = recurrence_values(paper_recurrence(family), 1, args.max_n)
-        else:
-            gf = paper_gf(family) if args.gf_source == "paper" else derived_gf(family)
-            counts = gf.series(args.max_n)[1:]
-        if _prints_errata(args.method, args.gf_source):
-            for n, value, expected in zip(lengths, counts, reference):
-                _warn_if_errata(family, args.method, value, n, expected)
+        gf = paper_gf(family) if args.gf_source == "paper" else derived_gf(family)
+        counts = gf.series(args.max_n)[1:]
+    if _prints_errata(args.method, args.gf_source):
+        reference = _transfer_counts(family, args.max_n)
+        for n, value, expected in zip(lengths, counts, reference):
+            _warn_if_errata(family, args.method, value, n, expected)
     if args.format == "json":
         doc = {
             "family": args.family,
             "method": args.method,
             "counts": [{"n": n, "count": c} for n, c in zip(lengths, counts)],
         }
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         print("n,count")
         for n, count in zip(lengths, counts):
@@ -329,7 +338,7 @@ def _cmd_gf(parser, args) -> int:
     if args.format == "json":
         doc = {"family": args.family, "source": args.source, "text": format_gf(gf)}
         doc.update(gf_to_json_dict(gf))
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         print(format_gf(gf))
     return 0
@@ -342,7 +351,7 @@ def _cmd_build(parser, args) -> int:
         _check_length("--m", args.m, MAX_BUILD_LENGTH)
     chain = build_chain(spec)
     if args.format == "json":
-        print(json.dumps(to_json_dict(spec, chain), indent=2))
+        _print_json(to_json_dict(spec, chain))
     else:
         print(to_edge_list_text(spec, chain))
     return 0
@@ -362,7 +371,7 @@ def _cmd_gamma(parser, args) -> int:
                 for n, f, o in rows
             ],
         }
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         print("n,formula,oracle,match")
         for n, f, o in rows:
@@ -377,7 +386,7 @@ def _cmd_defect(parser, args) -> int:
         parser.error("--m and --n must be at least 1")
     status = check_defect_formula(family, args.m, args.n, oracle_ceiling=ceiling)
     if args.format == "json":
-        print(json.dumps(status.to_json_dict(), indent=2))
+        _print_json(status.to_json_dict())
     else:
         print(f"kind: {DEFECT_FORMULA[family][0]}")
         print(f"m: {args.m}")

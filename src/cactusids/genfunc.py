@@ -17,12 +17,13 @@ corrected ones with :func:`annihilated_gf`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .polynomials import Polynomial, RationalGF, poly_divmod_exact, poly_gcd
 from .recurrences import LinearRecurrence, Matrix, _charpoly, eval_recurrence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class SingularSystemError(ValueError):
@@ -33,20 +34,33 @@ class NoRealDominantRootError(ValueError):
     """The dominant characteristic roots form a complex pair."""
 
 
-@dataclass(frozen=True)
-class GFLinearSystem:
-    """Square linear system with polynomial entries, one unknown per state."""
-
+class _GFLinearSystemFields(NamedTuple):
     matrix: tuple[tuple[Polynomial, ...], ...]
     rhs: tuple[Polynomial, ...]
     unknowns: tuple[str, ...]
 
-    def __post_init__(self):
+
+class GFLinearSystem(_GFLinearSystemFields):
+    """Square linear system with polynomial entries, one unknown per state.
+
+    Construction refuses, with ``ValueError``, a matrix that is not square
+    with one rhs entry and one unknown name per row.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         k = len(self.rhs)
         if len(self.matrix) != k or any(len(r) != k for r in self.matrix):
             raise ValueError("system must be square with matching rhs")
         if len(self.unknowns) != k:
             raise ValueError("one unknown name per equation required")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so that _replace checks its fields too
 
 
 def _det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
@@ -187,6 +201,8 @@ def dominant_growth_rate(rec: LinearRecurrence) -> GrowthEstimate:
     it away. Raises NoRealDominantRootError when the dominant roots are a
     complex pair.
     """
+    from fractions import Fraction
+
     char = characteristic_polynomial(rec)
     derivative = Polynomial(i * c for i, c in enumerate(char.coeffs) if i)
     squarefree = poly_divmod_exact(char, poly_gcd(char, derivative))
@@ -230,6 +246,8 @@ def _roots_inside(poly: Polynomial, radius: Fraction) -> bool:
 
 
 def _polish_real_root(poly: Polynomial, approx: float) -> float:
+    from fractions import Fraction
+
     x0 = Fraction(approx).limit_denominator(10**15)
     step = Fraction(max(abs(approx), 1.0)).limit_denominator(10**6) * Fraction(1, 10**6)
     lo, hi = x0 - step, x0 + step

@@ -27,7 +27,6 @@ shared graphs are safe to use concurrently.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 DEFAULT_MAX_VERTICES = 40  # hard resource cap for every oracle call
@@ -42,8 +41,7 @@ class OracleLimitError(RuntimeError):
     """Raised when a graph exceeds the oracle's vertex ceiling or frontier width."""
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Immutable simple undirected graph over vertex ids 0..n_vertices-1."""
 
     n_vertices: int
@@ -69,9 +67,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return self.adjacency[v].bit_count()
-
-    def n_edges(self) -> int:
-        return sum(a.bit_count() for a in self.adjacency) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         out = []
@@ -103,20 +98,6 @@ def vertices_of(mask: int) -> tuple[int, ...]:
         out.append(b.bit_length() - 1)
         mask ^= b
     return tuple(out)
-
-
-def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def _check_mask(g: Graph, s: int) -> None:

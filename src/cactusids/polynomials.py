@@ -10,7 +10,6 @@ here is pure and safe to share across threads.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence, Union
 
@@ -338,6 +337,8 @@ class RationalGF:
             )
         num = self.numerator.coeffs
         terms = [(i, d) for i, d in enumerate(self.denominator.coeffs) if i and d]
+        if d0 != 1:  # only then can an entry leave the integers
+            from fractions import Fraction
         out: list = []
         for n in range(upto + 1):
             acc = num[n] if n < len(num) else 0

@@ -11,25 +11,31 @@ concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class TransferSystem:
-    """Integer state-update system: v(n+1) = A v(n), count = weights . v(n).
-
-    ``update_matrix[i][j]`` is the multiplicity with which state j at length
-    n feeds state i at length n+1. ``output_weights`` select the two genuine
-    count states (contains + avoids); the extendable state is bookkeeping.
-    """
-
+class _TransferSystemFields(NamedTuple):
     state_names: tuple[str, ...]
     update_matrix: tuple[tuple[int, ...], ...]
     initial_vector: tuple[int, ...]
     output_weights: tuple[int, ...]
 
-    def __post_init__(self):
+
+class TransferSystem(_TransferSystemFields):
+    """Integer state-update system: v(n+1) = A v(n), count = weights . v(n).
+
+    ``update_matrix[i][j]`` is the multiplicity with which state j at length
+    n feeds state i at length n+1. ``output_weights`` select the two genuine
+    count states (contains + avoids); the extendable state is bookkeeping.
+    Construction refuses, with ``ValueError``, a matrix or vector whose shape
+    does not match the state count, and a negative matrix entry.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         k = len(self.state_names)
         if len(self.update_matrix) != k or any(len(r) != k for r in self.update_matrix):
             raise ValueError("update matrix shape does not match state count")
@@ -37,6 +43,11 @@ class TransferSystem:
             raise ValueError("vector lengths do not match state count")
         if any(c < 0 for row in self.update_matrix for c in row):
             raise ValueError("update matrix entries must be nonnegative")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so that _replace checks its fields too
 
     def count(self, vec: tuple[int, ...]) -> int:
         """The count a state vector stands for: its weighted sum."""
@@ -171,27 +182,37 @@ def run_transfer(system: TransferSystem, n: int) -> int:
     return system.count(transfer_state(system, n))
 
 
-@dataclass(frozen=True)
-class LinearRecurrence:
-    """Constant-coefficient recurrence a(n) = sum c_i * a(n-i).
-
-    ``initial_terms`` holds (index, value) pairs; ``formal_indices`` marks
-    seeds that correspond to no actual graph (used purely to start the
-    recurrence). ``valid_from`` is the first index at which the relation is
-    claimed to hold.
-    """
-
+class _LinearRecurrenceFields(NamedTuple):
     coefficients: tuple[int, ...]
     initial_terms: tuple[tuple[int, int], ...]
     valid_from: int
     formal_indices: frozenset[int] = frozenset()
 
-    def __post_init__(self):
+
+class LinearRecurrence(_LinearRecurrenceFields):
+    """Constant-coefficient recurrence a(n) = sum c_i * a(n-i).
+
+    ``initial_terms`` holds (index, value) pairs; ``formal_indices`` marks
+    seeds that correspond to no actual graph (used purely to start the
+    recurrence). ``valid_from`` is the first index at which the relation is
+    claimed to hold. Construction refuses, with ``ValueError``, an empty
+    coefficient tuple and a repeated initial index.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.coefficients:
             raise ValueError("recurrence needs at least one coefficient")
         idx = [i for i, _ in self.initial_terms]
         if len(set(idx)) != len(idx):
             raise ValueError("duplicate initial indices")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so that _replace checks its fields too
 
     @property
     def order(self) -> int:

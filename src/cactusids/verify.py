@@ -19,11 +19,9 @@ seed.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .chains import (
     _LETTER,
@@ -81,8 +79,8 @@ Witness = Union[int, tuple[int, int], None]
 
 _STATE_SHORT = ("contains", "avoids", "extendable")
 
-@dataclass(frozen=True)
-class Claim:
+
+class Claim(NamedTuple):
     """One registered quantitative statement with a stable id."""
 
     id: str
@@ -92,8 +90,7 @@ class Claim:
     statement: str
 
 
-@dataclass
-class ClaimStatus:
+class ClaimStatus(NamedTuple):
     """Verdict for one claim, with witness and evidence where applicable."""
 
     claim: Claim
@@ -127,13 +124,12 @@ class ClaimStatus:
         }
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Statuses for one verification scope (a family, or the defect grid)."""
 
     scope: str
     oracle_ceiling: int
-    statuses: list[ClaimStatus] = field(default_factory=list)
+    statuses: list[ClaimStatus]
 
     def summary(self) -> dict:
         return _summary(self.statuses)
@@ -384,8 +380,7 @@ def _refuted(claim: Claim, mismatch: Mismatch, **extra) -> ClaimStatus:
     )
 
 
-@dataclass(frozen=True)
-class _Context:
+class _Context(NamedTuple):
     """The lengths one family check covers and the trusted values at them:
     the oracle up to n_max_oracle, the transfer states beyond."""
 
@@ -879,6 +874,8 @@ def errata_report(reports: Sequence[VerificationReport], format: str = "markdown
     summary = _summary(statuses)
     ceiling = max((r.oracle_ceiling for r in reports), default=0)
     if format == "json":
+        import json
+
         doc = {
             "oracle_ceiling": ceiling,
             "summary": summary,

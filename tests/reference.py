@@ -3,6 +3,8 @@
 None of these is reachable from the package: the oracle runs only the
 frontier DP, and no command checks isomorphism or the cactus property.
 
+* ``path_graph``, ``cycle_graph``, ``complete_graph`` and ``n_edges`` -
+  small named graphs to count on, and the edge count of a graph;
 * ``pivot_states`` - the DP's final states from the pivot engine's maximal
   independent sets, a second oracle independent of the DP;
 * ``is_isomorphic`` - backtracking isomorphism test for small graphs;
@@ -21,6 +23,24 @@ import math
 import operator
 
 from cactusids.graphs import _COUNT, Graph, _fold, _mis_masks_pivot
+
+
+def path_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise ValueError("cycle needs at least 3 vertices")
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def n_edges(g: Graph) -> int:
+    return sum(a.bit_count() for a in g.adjacency) // 2
 
 
 def pivot_states(g: Graph, keep: int | None = None, mode: tuple = _COUNT) -> dict:

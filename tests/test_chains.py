@@ -17,10 +17,8 @@ from cactusids.chains import (
 from cactusids.graphs import (
     DEFAULT_MAX_VERTICES,
     Graph,
-    complete_graph,
     count_boundary_classes,
     count_ids,
-    cycle_graph,
     independent_domination_number,
     vertices_of,
 )
@@ -29,6 +27,8 @@ from reference import (
     MIN_PLUS,
     PLUS_TIMES,
     compile_letter,
+    complete_graph,
+    cycle_graph,
     is_cactus,
     is_isomorphic,
     run_word,
@@ -53,6 +53,25 @@ class TestSpecValidation:
             ChainSpec(Family.PARA_CHAIN_ORTHO_DEFECT, length=3)
         with pytest.raises(ValueError):
             ChainSpec(Family.ORTHO_CHAIN_PARA_DEFECT, m=0, n=1)
+
+    @pytest.mark.parametrize("args, message", [
+        ((Family.TRIANGULAR,), "tri takes a single length"),
+        ((Family.HEX_PARA, 0), "length must be at least 1"),
+        ((Family.TRIANGULAR, 2, 1), "tri takes a single length"),
+        ((Family.PARA_CHAIN_ORTHO_DEFECT, 3), "p-defect takes m and n"),
+        ((Family.ORTHO_CHAIN_PARA_DEFECT, None, 0, 1), "defect parameters m, n must be at least 1"),
+    ])
+    def test_refusals_by_position_and_keyword(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ChainSpec(*args)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ChainSpec(**dict(zip(ChainSpec._fields, args)))
+
+    def test_positional_and_keyword_specs_agree(self):
+        assert ChainSpec(Family.TRIANGULAR, 4) == ChainSpec(family=Family.TRIANGULAR, length=4)
+        assert ChainSpec(Family.PARA_CHAIN_ORTHO_DEFECT, None, 2, 3) == ChainSpec(
+            Family.PARA_CHAIN_ORTHO_DEFECT, m=2, n=3
+        )
 
 
 class TestVertexCounts:

@@ -20,14 +20,35 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+
+# modules a fresh ``import cactusids.cli`` must not load: numpy, and the
+# stdlib machinery that only some commands need (json, fractions with
+# decimal) or that none does (dataclasses with inspect)
+UNLOADED = ("numpy", "dataclasses", "inspect", "fractions", "decimal", "json")
+
+
 def test_import_leaves_numpy_out():
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, cactusids.cli; print('numpy' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    code = (
+        "import sys, cactusids.cli; "
+        f"print([m for m in {UNLOADED!r} if m in sys.modules])"
     )
-    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
+
+def test_fresh_process_json_matches_in_process(capsys):
+    # pytest has json loaded already, so only a fresh interpreter exercises
+    # the deferred import behind --format json as ``python -m`` runs it
+    argv = ["build", "--family", "p-defect", "--m", "2", "--n", "2", "--format", "json"]
+    result = subprocess.run(
+        [sys.executable, "-m", "cactusids.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout) == run(capsys, *argv)[:2], result.stderr
 
 
 class TestCount:
@@ -244,6 +265,17 @@ class TestSequence:
         )
         assert out == "n,count\n1,5\n2,19\n3,76\n4,309\n"
 
+    @pytest.mark.parametrize("method", ["gf", "oracle"])
+    def test_exact_routes_never_step_the_transfer_system(self, capsys, monkeypatch, method):
+        def refuse(*args):
+            raise AssertionError("state_trajectory called")
+
+        monkeypatch.setattr(cli, "state_trajectory", refuse)
+        code, out, err = run(
+            capsys, "sequence", "--family", "tri", "--max-n", "5", "--method", method,
+        )
+        assert (code, out, err) == (0, "n,count\n1,3\n2,5\n3,8\n4,13\n5,21\n", "")
+
     def test_paper_gf_warns_on_each_erratum(self, capsys):
         code, out, err = run(
             capsys,
@@ -278,11 +310,10 @@ class TestSequence:
 
     def test_closed_pipe_exits_141_without_traceback(self):
         # 1.2 MB of output: far more than a pipe buffers, so the write fails
-        src = os.path.dirname(os.path.dirname(cli.__file__))
         proc = subprocess.Popen(
             [sys.executable, "-m", "cactusids.cli",
              "sequence", "--family", "hex-para", "--max-n", "2000"],
-            env=dict(os.environ, PYTHONPATH=src),
+            env=dict(os.environ, PYTHONPATH=SRC),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         assert proc.stdout.readline() == "n,count\n"

@@ -70,6 +70,17 @@ class TestSolveSystem:
         system = GFLinearSystem(((P(1),),), (rhs,), ("only",))
         assert solve_gf_system(system) == [RationalGF(rhs, P(1))]
 
+    @pytest.mark.parametrize("args, message", [
+        ((((P(1),),), (P(1), P(1)), ("a", "b")), "system must be square with matching rhs"),
+        ((((P(1), P(0)),), (P(1),), ("a",)), "system must be square with matching rhs"),
+        ((((P(1),),), (P(1),), ("a", "b")), "one unknown name per equation required"),
+    ])
+    def test_refusals_by_position_and_keyword(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GFLinearSystem(*args)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GFLinearSystem(**dict(zip(GFLinearSystem._fields, args)))
+
     def test_singular(self):
         system = GFLinearSystem(
             ((P(1), P(1)), (P(1), P(1))), (P(1), P(0)), ("a", "b")

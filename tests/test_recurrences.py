@@ -197,16 +197,20 @@ def _recurrence_and_index(draw):
     return rec, draw(st.integers(base, 300))
 
 
+# (kind, family) cases, each recurrence built inside its test, so an engine
+# fault fails the cases it reaches instead of the whole file's collection
 _ALL_RECURRENCES = [
-    pytest.param(build(family), id=f"{kind}-{family.value}")
+    pytest.param(kind, family, id=f"{kind}-{family.value}")
     for family in LINEAR_FAMILIES
-    for kind, build in (("paper", paper_recurrence), ("derived", derived_recurrence))
+    for kind in ("paper", "derived")
 ]
+_BUILD = {"paper": paper_recurrence, "derived": derived_recurrence}
 
 
 class TestEvalRecurrenceAgainstStepping:
-    @pytest.mark.parametrize("rec", _ALL_RECURRENCES)
-    def test_matches_reference(self, rec):
+    @pytest.mark.parametrize("kind, family", _ALL_RECURRENCES)
+    def test_matches_reference(self, kind, family):
+        rec = _BUILD[kind](family)
         for n in list(range(rec.min_index, 200)) + [1000, 1001]:
             assert eval_recurrence(rec, n) == _stepped(rec, n), n
 
@@ -227,8 +231,9 @@ class TestEvalRecurrenceAgainstStepping:
         assert recurrence_values(rec, 0, 11) == got
         assert recurrence_values(rec, 6, 9) == got[6:10]
 
-    @pytest.mark.parametrize("rec", _ALL_RECURRENCES)
-    def test_values_in_one_pass(self, rec):
+    @pytest.mark.parametrize("kind, family", _ALL_RECURRENCES)
+    def test_values_in_one_pass(self, kind, family):
+        rec = _BUILD[kind](family)
         lengths = range(1, 401)
         values = recurrence_values(rec, 1, 400)
         assert values == [eval_recurrence(rec, n) for n in lengths]
@@ -273,8 +278,9 @@ def _mat_mul(a, b):
 
 
 class TestCharacteristicPolynomial:
-    @pytest.mark.parametrize("rec", _ALL_RECURRENCES)
-    def test_companion_gives_the_recurrences_polynomial(self, rec):
+    @pytest.mark.parametrize("kind, family", _ALL_RECURRENCES)
+    def test_companion_gives_the_recurrences_polynomial(self, kind, family):
+        rec = _BUILD[kind](family)
         k = rec.order
         companion = (rec.coefficients,) + tuple(
             tuple(int(j == i) for j in range(k)) for i in range(k - 1)
@@ -363,3 +369,27 @@ class TestPaperRecurrences:
     def test_duplicate_initials_rejected(self):
         with pytest.raises(ValueError):
             LinearRecurrence((1,), ((0, 1), (0, 2)), 1)
+
+    @pytest.mark.parametrize("args, message", [
+        (((), ((0, 1),), 1), "recurrence needs at least one coefficient"),
+        (((1,), ((0, 1), (0, 2)), 1), "duplicate initial indices"),
+    ])
+    def test_refusals_by_position_and_keyword(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LinearRecurrence(*args)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LinearRecurrence(**dict(zip(LinearRecurrence._fields, args)))
+
+
+@pytest.mark.parametrize("args, message", [
+    ((("a",), ((1, 2),), (1,), (1,)), "update matrix shape does not match state count"),
+    ((("a", "b"), ((1, 0),), (1, 1), (1, 1)), "update matrix shape does not match state count"),
+    ((("a",), ((1,),), (1, 2), (1,)), "vector lengths do not match state count"),
+    ((("a",), ((1,),), (1,), ()), "vector lengths do not match state count"),
+    ((("a",), ((-1,),), (1,), (1,)), "update matrix entries must be nonnegative"),
+])
+def test_transfer_system_refusals_by_position_and_keyword(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TransferSystem(*args)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TransferSystem(**dict(zip(TransferSystem._fields, args)))

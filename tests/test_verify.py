@@ -4,7 +4,13 @@ import sys
 import pytest
 
 from cactusids import genfunc, paper, recurrences, verify
-from cactusids.chains import ChainSpec, Family, LINEAR_FAMILIES, expected_vertex_count
+from cactusids.chains import (
+    ChainSpec,
+    Family,
+    LINEAR_FAMILIES,
+    build_chain,
+    expected_vertex_count,
+)
 from cactusids.graphs import OracleLimitError
 from cactusids.paper import GAMMA_FORMULA, defect_formula_value, derived_gf
 from cactusids.verify import (
@@ -207,6 +213,52 @@ class TestDefects:
     def test_ceiling(self):
         with pytest.raises(OracleLimitError):
             check_defect_formula(Family.ORTHO_CHAIN_PARA_DEFECT, 4, 4, oracle_ceiling=26)
+
+
+def _records():
+    """One instance of each record type of the package, by name."""
+    spec = ChainSpec(Family.TRIANGULAR, length=2)
+    chain = build_chain(spec)
+    system = paper.paper_transfer_system(Family.TRIANGULAR)
+    report = checked_through(Family.TRIANGULAR, 2)
+    return {
+        "Graph": chain.graph,
+        "ChainSpec": spec,
+        "LabeledChain": chain,
+        "TransferSystem": system,
+        "LinearRecurrence": paper.paper_recurrence(Family.TRIANGULAR),
+        "GFLinearSystem": paper.paper_gf_system(Family.TRIANGULAR),
+        "Claim": report.statuses[0].claim,
+        "ClaimStatus": report.statuses[0],
+        "VerificationReport": report,
+        "_Context": verify._Context(Family.TRIANGULAR, 1, 1, system, []),
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "Graph", "ChainSpec", "LabeledChain", "TransferSystem", "LinearRecurrence",
+    "GFLinearSystem", "Claim", "ClaimStatus", "VerificationReport", "_Context",
+])
+def test_records_refuse_attribute_assignment(name):
+    record = _records()[name]
+    assert type(record).__name__ == name
+    # a field, and a new name: a record subclass without __slots__ would take it
+    for attr in (record._fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, None)
+    assert tuple(record) == tuple(getattr(record, f) for f in record._fields)
+
+
+def test_validating_records_check_replaced_fields():
+    cases = [
+        (ChainSpec(Family.TRIANGULAR, length=2), {"length": 0}),
+        (paper.paper_transfer_system(Family.TRIANGULAR), {"initial_vector": (1,)}),
+        (paper.paper_recurrence(Family.TRIANGULAR), {"coefficients": ()}),
+        (paper.paper_gf_system(Family.TRIANGULAR), {"unknowns": ("only",)}),
+    ]
+    for record, change in cases:
+        with pytest.raises(ValueError):
+            record._replace(**change)
 
 
 class TestReports:
