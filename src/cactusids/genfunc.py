@@ -101,30 +101,28 @@ def solve_gf_system(system: GFLinearSystem) -> list[RationalGF]:
 
 
 def gf_from_recurrence(rec: LinearRecurrence, first_index: int) -> RationalGF:
-    """The unique rational function whose expansion starts at ``first_index``
-    with the recurrence's initial terms and obeys the recurrence onward.
+    """The unique rational function whose expansion is zero below
+    ``first_index``, keeps every supplied initial term from there on, and
+    follows the recurrence at every other index, as
+    ``recurrences.recurrence_values`` does.
 
-    Coefficients below ``first_index`` are zero; the denominator is
-    1 - sum c_i x^i.
+    The denominator is 1 - sum c_i x^i; numerator coefficient j is the
+    departure of a(j) from the relation, zero at every index not supplied.
     """
     k = rec.order
-    initial = rec.initial_map
+    supplied = {i: v for i, v in rec.initial_terms if i >= first_index}
     for i in range(first_index, first_index + k):
-        if i not in initial:
+        if i not in supplied:
             raise ValueError(
                 f"initial terms must cover indices {first_index}.."
                 f"{first_index + k - 1}; missing {i}"
             )
     den = Polynomial([1] + [-c for c in rec.coefficients])
-    top = first_index + k - 1
-
-    def series_at(j: int) -> int:
-        return initial[j] if j >= first_index else 0
-
-    num = [
-        sum(den[i] * series_at(j - i) for i in range(0, min(j, k) + 1))
-        for j in range(top + 1)
-    ]
+    terms, num = [0] * first_index, [0] * first_index
+    for j in range(first_index, max(supplied) + 1):
+        follows = sum(c * terms[j - i] for i, c in enumerate(rec.coefficients, 1) if i <= j)
+        terms.append(supplied.get(j, follows))
+        num.append(terms[j] - follows)
     return RationalGF(Polynomial(num), den)
 
 

@@ -1,16 +1,19 @@
-"""Cross-checking engine: oracle vs transfer systems vs recurrences vs GFs.
+"""Cross-checking engine: every printed claim against the oracle and the transfer systems.
 
 Every quantitative statement transcribed in ``paper`` (generating functions,
 per-state series, state systems and seeds, closed recurrences, printed
 initial terms, domination-number formulas, defect-composition formulas, the
-Fibonacci asymptotic) is registered as a claim with a stable id. Checks
-compare each claim against the most trusted available source, in the order
+Fibonacci asymptotic) is registered as a claim with a stable id, and judged
+at each length against the most trusted source there: the brute-force
+oracle up to the ceiling, the transfer system beyond it. Every mismatch is
+reported with its smallest witness; nothing is silently reconciled.
 
-    brute-force oracle > transfer system > closed recurrence > printed GF,
-
-and every mismatch is reported with its smallest witness; nothing is
-silently reconciled. Refuted claims carry a corrected statement derived from
-the transfer system.
+One constructor, ``_judge``, makes every confirmed and refuted verdict: a
+claim is refuted at its first mismatch, and only then is its corrected
+statement derived from the transfer system. One judge, ``_check_series``,
+serves every rational claim as a printed series: the family GF, the
+per-state series, and the closed recurrence as ``gf_from_recurrence``
+turns it, with every printed term, into a GF.
 
 Formal index-0 seeds correspond to no graph: they get verdict "formal-only"
 and are checked only for arithmetic consistency with the recurrence they
@@ -32,7 +35,7 @@ from .chains import (
     build_chain,
     expected_vertex_count,
 )
-from .genfunc import dominant_growth_rate
+from .genfunc import dominant_growth_rate, gf_from_recurrence
 from .graphs import (
     DEFAULT_MAX_VERTICES,
     BoundaryCounts,
@@ -62,7 +65,6 @@ from .recurrences import (
     LinearRecurrence,
     TransferSystem,
     eval_recurrence,
-    recurrence_values,
     state_trajectory,
     transfer_state,
 )
@@ -96,18 +98,19 @@ class ClaimStatus(NamedTuple):
     claim: Claim
     verdict: str
     witness: Witness = None
-    claimed_value: Union[int, float, str, None] = None
+    claimed_value: Union[int, float, str, None] = None  # or a Fraction, see to_json_dict
     oracle_value: Union[int, float, str, None] = None
     reference: Optional[str] = None  # which trusted source the values came from
     corrected: Optional[str] = None
     details: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
-        witness: Union[int, list, None]
-        if isinstance(self.witness, tuple):
-            witness = list(self.witness)
-        else:
-            witness = self.witness
+        """JSON fields: a pair witness becomes a list, and a fractional claimed
+        value, which only a malformed printed series yields, the string "p/q"."""
+        witness = list(self.witness) if isinstance(self.witness, tuple) else self.witness
+        claimed = self.claimed_value
+        if not isinstance(claimed, (int, float, str, type(None))):
+            claimed = str(claimed)
         return {
             "id": self.claim.id,
             "family": self.claim.family.value if self.claim.family else None,
@@ -117,7 +120,7 @@ class ClaimStatus(NamedTuple):
             "verdict": self.verdict,
             "witness": witness,
             "oracle_value": self.oracle_value,
-            "claimed_value": self.claimed_value,
+            "claimed_value": claimed,
             "reference": self.reference,
             "corrected": self.corrected,
             "details": list(self.details),
@@ -346,7 +349,7 @@ def _oracle_defect_count(family: Family, m: int, n: int) -> int:
     return count_ids(chain.graph)
 
 
-# -- the first-mismatch loop -------------------------------------------------
+# -- the first-mismatch loop and the one verdict constructor -------------------
 
 
 Mismatch = tuple[Witness, Any, Any, str]  # (n, claimed, reference, source)
@@ -367,17 +370,19 @@ def _first_mismatch(
     return None
 
 
-def _refuted(claim: Claim, mismatch: Mismatch, **extra) -> ClaimStatus:
-    n, claimed, ref, source = mismatch
-    return ClaimStatus(
-        claim,
-        REFUTED,
-        witness=n,
-        claimed_value=claimed,
-        oracle_value=ref,
-        reference=source,
-        **extra,
-    )
+def _judge(
+    claim: Claim,
+    mismatch: Optional[Mismatch],
+    confirmed_details: Sequence[str] = (),
+    refuted: Optional[Callable[[], tuple[Optional[str], Sequence[str]]]] = None,
+) -> ClaimStatus:
+    """Confirmed, with confirmed_details, when there is no mismatch; refuted
+    at the mismatch otherwise, with the (corrected, details) that refuted()
+    returns, so a correction is derived only for a refuted claim."""
+    if mismatch is None:
+        return ClaimStatus(claim, CONFIRMED, details=tuple(confirmed_details))
+    corrected, details = refuted() if refuted else (None, ())
+    return ClaimStatus(claim, REFUTED, *mismatch, corrected, tuple(details))
 
 
 class _Context(NamedTuple):
@@ -401,85 +406,95 @@ class _Context(NamedTuple):
     def profile(self, n: int) -> BoundaryCounts:
         return _oracle_profile(self.family, n)
 
-    def count(self, n: int) -> tuple[int, str]:
+    def value(self, n: int, state: Optional[int] = None) -> tuple[int, str]:
+        """The count at length n, or the count of one state, with its source."""
         if n <= self.n_max_oracle:
-            return oracle_count(self.family, n), "oracle"
-        return self.system.count(self.trajectory[n - 1]), "transfer"
-
-    def state_count(self, n: int, i: int) -> tuple[int, str]:
-        if n <= self.n_max_oracle:
-            return self.profile(n)[i], "oracle"
-        return self.trajectory[n - 1][i], "transfer"
+            if state is None:
+                return oracle_count(self.family, n), "oracle"
+            return self.profile(n)[state], "oracle"
+        vec = self.trajectory[n - 1]
+        return (self.system.count(vec) if state is None else vec[state]), "transfer"
 
 
 # -- per-claim checkers ------------------------------------------------------
 
 
-def _formal_seed(family: Family) -> Optional[int]:
-    rec = paper_recurrence(family)
-    for idx, value in rec.initial_terms:
-        if idx == 0 and idx in rec.formal_indices:
-            return value
-    return None
+def _check_series(
+    claim: Claim,
+    ctx: _Context,
+    gf: RationalGF,
+    matches: str,
+    refuted: Callable[[], tuple[str, Sequence[str]]],
+    state: Optional[int] = None,
+    seed: Optional[Mismatch] = None,
+    notes: tuple[str, ...] = (),
+) -> ClaimStatus:
+    """Judge a printed series at every length of ctx: coefficient n is the
+    count at length n or, for a state, coefficient n - 1 is that state's
+    count. A seed mismatch, the printed formal a(0) against the constant
+    term, counts only where every length agrees; notes lead the details of
+    a confirmed claim."""
+    shift = 0 if state is None else 1
+    series = gf.series(ctx.n_max_symbolic - shift)
+    mismatch = _first_mismatch(
+        ctx.lengths, lambda n: series[n - shift], lambda n: ctx.value(n, state)
+    )
+    source = "transfer system" if state is None else "transfer states"
+    confirmed = (
+        f"{matches} for n = 1..{ctx.n_max_oracle} and the {source} through n = "
+        f"{ctx.n_max_symbolic}"
+    )
+    return _judge(claim, mismatch or seed, notes + (confirmed,), refuted)
 
 
 def _check_family_gf(claim: Claim, ctx: _Context) -> ClaimStatus:
-    family, n_max_oracle = ctx.family, ctx.n_max_oracle
-    series = paper_gf(family).series(ctx.n_max_symbolic)
-    formal = _formal_seed(family)
-    formal_mismatch = None
+    gf, rec, n_max_oracle = paper_gf(ctx.family), paper_recurrence(ctx.family), ctx.n_max_oracle
+    constant, seed = gf.series(0)[0], None
+    formal = rec.initial_map.get(0) if 0 in rec.formal_indices else None
     if formal is None:
-        details = [f"no printed length-0 value; constant term {series[0]} is formal only"]
-    elif series[0] == formal:
-        details = [
-            f"constant term {series[0]} matches the printed formal seed a(0) = {formal}"
-        ]
+        note = f"no printed length-0 value; constant term {constant} is formal only"
+    elif constant == formal:
+        note = f"constant term {constant} matches the printed formal seed a(0) = {formal}"
     else:
-        formal_mismatch = (0, series[0], formal, "printed formal seed")
-        details = [
-            f"constant term {series[0]} contradicts the printed formal seed a(0) = {formal}"
-        ]
+        note = f"constant term {constant} contradicts the printed formal seed a(0) = {formal}"
+        seed = (0, constant, formal, "printed formal seed")
 
-    mismatch = _first_mismatch(ctx.lengths, series.__getitem__, ctx.count) or formal_mismatch
-    if mismatch is None:
-        details.append(
-            f"expansion matches brute force for n = 1..{n_max_oracle} "
-            f"and the transfer system through n = {ctx.n_max_symbolic}"
-        )
-        return ClaimStatus(claim, CONFIRMED, details=tuple(details))
+    def refuted() -> tuple[str, Sequence[str]]:
+        corrected = derived_gf(ctx.family)
+        series = corrected.series(n_max_oracle)
+        if _first_mismatch(ctx.oracle_lengths, series.__getitem__, ctx.value) is None:
+            checked = f"corrected expansion matches brute force for n = 1..{n_max_oracle}"
+        else:
+            checked = "corrected expansion FAILED to match brute force (artifact bug)"
+        return format_gf(corrected), (note, checked)
 
-    corrected_gf = derived_gf(family)
-    corrected_series = corrected_gf.series(n_max_oracle)
-    ok = _first_mismatch(ctx.oracle_lengths, corrected_series.__getitem__, ctx.count)
-    details.append(
-        f"corrected expansion matches brute force for n = 1..{n_max_oracle}"
-        if ok is None
-        else "corrected expansion FAILED to match brute force (artifact bug)"
+    return _check_series(
+        claim, ctx, gf, "expansion matches brute force", refuted, seed=seed, notes=(note,)
     )
-    return _refuted(claim, mismatch, corrected=format_gf(corrected_gf), details=tuple(details))
 
 
 def _check_state_gf(claim: Claim, ctx: _Context, i: int, gf: RationalGF) -> ClaimStatus:
-    series = gf.series(ctx.n_max_symbolic - 1)
-    mismatch = _first_mismatch(
-        ctx.lengths, lambda n: series[n - 1], lambda n: ctx.state_count(n, i)
-    )
-    if mismatch is None:
-        return ClaimStatus(
-            claim,
-            CONFIRMED,
-            details=(
-                f"matches oracle boundary classes for n = 1..{ctx.n_max_oracle} "
-                f"and the transfer states through n = {ctx.n_max_symbolic}",
-            ),
+    def refuted() -> tuple[str, Sequence[str]]:
+        corrected = format_gf(derived_state_gfs(ctx.family)[i])
+        return corrected, (f"corrected {_STATE_SHORT[i]} series: {corrected}",)
+
+    return _check_series(claim, ctx, gf, "matches oracle boundary classes", refuted, state=i)
+
+
+def _check_recurrence(claim: Claim, ctx: _Context) -> ClaimStatus:
+    rec = paper_recurrence(ctx.family)
+
+    def refuted() -> tuple[str, Sequence[str]]:
+        corrected = derived_recurrence(ctx.family)
+        # the statement leaves out a derived a(0) = 0
+        seeds = tuple(term for term in corrected.initial_terms if term != (0, 0))
+        return render_recurrence(corrected._replace(initial_terms=seeds)), (
+            f"corrected recurrence has order {corrected.order} and is valid "
+            f"from n >= {corrected.valid_from}",
         )
-    corrected = format_gf(derived_state_gfs(ctx.family)[i])
-    return _refuted(
-        claim,
-        mismatch,
-        corrected=corrected,
-        details=(f"corrected {_STATE_SHORT[i]} series: {corrected}",),
-    )
+
+    gf = gf_from_recurrence(rec, rec.min_index)
+    return _check_series(claim, ctx, gf, "values match brute force", refuted)
 
 
 def _check_system(claim: Claim, ctx: _Context) -> ClaimStatus:
@@ -490,75 +505,37 @@ def _check_system(claim: Claim, ctx: _Context) -> ClaimStatus:
         lambda n: ctx.trajectory[n - 1] + absent,
         lambda n: (tuple(ctx.profile(n)), "oracle"),
     )
-    if mismatch is None:
-        details = [
-            f"state vectors match brute-force boundary classes for n = 1..{ctx.n_max_oracle}"
-        ]
-        if k == 2:
-            details.append("oracle confirms the extendable class is empty for triangles")
-        return ClaimStatus(claim, CONFIRMED, details=tuple(details))
-    n, claimed, observed, source = mismatch
-    if claimed[:k] != observed[:k]:
-        return _refuted(
-            claim,
-            (n, str(claimed[:k]), str(observed[:k]), source),
-            details=("state vector disagrees with brute-force boundary classes",),
-        )
-    return _refuted(
-        claim,
-        (n, "extendable state absent", str(observed[2]), source),
-        details=("two-state system but extendable sets exist",),
-    )
+    detail = "two-state system but extendable sets exist"
+    if mismatch is not None:
+        n, claimed, observed, source = mismatch
+        if claimed[:k] != observed[:k]:
+            mismatch = (n, str(claimed[:k]), str(observed[:k]), source)
+            detail = "state vector disagrees with brute-force boundary classes"
+        else:
+            mismatch = (n, "extendable state absent", str(observed[2]), source)
+    confirmed = [
+        f"state vectors match brute-force boundary classes for n = 1..{ctx.n_max_oracle}"
+    ]
+    if k == 2:
+        confirmed.append("oracle confirms the extendable class is empty for triangles")
+    return _judge(claim, mismatch, confirmed, lambda: (None, (detail,)))
 
 
 def _check_state_seeds(claim: Claim, ctx: _Context) -> ClaimStatus:
     printed = printed_seed_flags(ctx.family)
-    profile = ctx.profile(1)
-    details = []
-    for i, (value, is_printed) in enumerate(zip(ctx.system.initial_vector, printed)):
-        observed = profile[i]
-        if not is_printed:
-            details.append(
-                f"{_STATE_SHORT[i]}(1) not printed; oracle measures {observed}"
-            )
-        elif value != observed:
-            return _refuted(
-                claim,
-                (1, value, observed, "oracle"),
-                details=(f"printed {_STATE_SHORT[i]}(1) disagrees with the oracle",),
-            )
-    details.insert(0, "printed length-1 state counts match the oracle")
-    return ClaimStatus(claim, CONFIRMED, details=tuple(details))
-
-
-def _check_recurrence(claim: Claim, ctx: _Context) -> ClaimStatus:
-    values = recurrence_values(paper_recurrence(ctx.family), 1, ctx.n_max_symbolic)
-    mismatch = _first_mismatch(ctx.lengths, lambda n: values[n - 1], ctx.count)
-    if mismatch is None:
-        return ClaimStatus(
-            claim,
-            CONFIRMED,
-            details=(
-                f"values match brute force for n = 1..{ctx.n_max_oracle} "
-                f"and the transfer system through n = {ctx.n_max_symbolic}",
-            ),
-        )
-    corrected_rec = derived_recurrence(ctx.family)
-    return _refuted(
+    seeds, profile = ctx.system.initial_vector, ctx.profile(1)
+    wrong = next((i for i, p in enumerate(printed) if p and seeds[i] != profile[i]), None)
+    mismatch = None if wrong is None else (1, seeds[wrong], profile[wrong], "oracle")
+    unprinted = [
+        f"{_STATE_SHORT[i]}(1) not printed; oracle measures {profile[i]}"
+        for i, p in enumerate(printed) if not p
+    ]
+    return _judge(
         claim,
         mismatch,
-        corrected=render_recurrence(_strip_zero_seed(corrected_rec)),
-        details=(
-            f"corrected recurrence has order {corrected_rec.order} and is valid "
-            f"from n >= {corrected_rec.valid_from}",
-        ),
+        ["printed length-1 state counts match the oracle", *unprinted],
+        lambda: (None, (f"printed {_STATE_SHORT[wrong]}(1) disagrees with the oracle",)),
     )
-
-
-def _strip_zero_seed(rec: LinearRecurrence) -> LinearRecurrence:
-    """Drop a leading a(0) = 0 seed from derived recurrences for display."""
-    initials = tuple((i, v) for i, v in rec.initial_terms if not (i == 0 and v == 0))
-    return LinearRecurrence(rec.coefficients, initials, rec.valid_from, rec.formal_indices)
 
 
 def _judged_at(rec: LinearRecurrence, idx: int) -> int:
@@ -570,7 +547,7 @@ def _judged_at(rec: LinearRecurrence, idx: int) -> int:
 def _check_initial(claim: Claim, ctx: _Context, idx: int, value: int) -> ClaimStatus:
     rec = paper_recurrence(ctx.family)
     n0 = _judged_at(rec, idx)
-    ref, source = ctx.count(n0)
+    ref, source = ctx.value(n0)
     if n0 != idx:
         predicted = eval_recurrence(rec, n0)
         if predicted == ref:
@@ -584,11 +561,9 @@ def _check_initial(claim: Claim, ctx: _Context, idx: int, value: int) -> ClaimSt
                 f"{predicted} vs {source} {ref} (see {ctx.family.value}-recurrence)"
             )
         return ClaimStatus(claim, FORMAL_ONLY, claimed_value=value, details=(detail,))
-    if value != ref:
-        return _refuted(claim, (idx, value, ref, source))
-    return ClaimStatus(
-        claim, CONFIRMED, claimed_value=value, oracle_value=ref, reference=source
-    )
+    if value == ref:
+        return ClaimStatus(claim, CONFIRMED, None, value, ref, source)
+    return _judge(claim, (idx, value, ref, source))
 
 
 def check_gamma_formula(
@@ -614,12 +589,8 @@ def _gamma_status(claim: Claim, family: Family, lengths: range) -> ClaimStatus:
         GAMMA_FORMULA[family][0],
         lambda n: (_oracle_gamma(family, n), "oracle"),
     )
-    if mismatch is not None:
-        return _refuted(claim, mismatch)
-    return ClaimStatus(
-        claim,
-        CONFIRMED,
-        details=(f"formula matches the oracle minimum for n = 1..{lengths[-1]}",),
+    return _judge(
+        claim, mismatch, (f"formula matches the oracle minimum for n = 1..{lengths[-1]}",)
     )
 
 
@@ -638,77 +609,52 @@ def _check_meta_identity(claim: Claim, ctx: _Context) -> ClaimStatus:
         lambda n: ctx.profile(n - 1).in_count,
         lambda n: (ctx.profile(n).extendable_count, "oracle"),
     )
-    if mismatch is not None:
-        return _refuted(claim, mismatch)
-    return ClaimStatus(
-        claim,
-        CONFIRMED,
-        details=(
-            f"identity holds in the transfer states (n <= {ctx.n_max_symbolic}) and "
-            f"against oracle boundary classes (n <= {ctx.n_max_oracle})",
-        ),
-    )
+    return _judge(claim, mismatch, (
+        f"identity holds in the transfer states (n <= {ctx.n_max_symbolic}) and "
+        f"against oracle boundary classes (n <= {ctx.n_max_oracle})",
+    ))
 
 
-_PHI_TEXT = "(1+sqrt(5))/2"
+_PHI_TEXT, _ROOT = "(1+sqrt(5))/2", "characteristic root"
 
 
 def _check_growth_rate(claim: Claim, ctx: _Context) -> ClaimStatus:
     estimate = dominant_growth_rate(paper_recurrence(ctx.family))
-    i = estimate.ratio_index
+    root, i = estimate.dominant_root, estimate.ratio_index
     phi = (1 + math.sqrt(5)) / 2
-    root_ok = abs(estimate.dominant_root - phi) <= 1e-9 * phi
-    ratio_ok = abs(estimate.empirical_ratio - phi) <= 1e-9 * phi
     details = (
-        f"dominant real root {estimate.dominant_root!r}",
+        f"dominant real root {root!r}",
         f"empirical ratio a({i + 1})/a({i}) = {estimate.empirical_ratio!r}",
     )
-    if root_ok and ratio_ok:
-        return ClaimStatus(
-            claim,
-            CONFIRMED,
-            claimed_value=_PHI_TEXT,
-            oracle_value=estimate.dominant_root,
-            reference="characteristic root",
-            details=details,
-        )
-    return _refuted(
-        claim,
-        (i, _PHI_TEXT, estimate.dominant_root, "characteristic root"),
-        details=details,
-    )
+    if abs(root - phi) <= 1e-9 * phi and abs(estimate.empirical_ratio - phi) <= 1e-9 * phi:
+        return ClaimStatus(claim, CONFIRMED, None, _PHI_TEXT, root, _ROOT, details=details)
+    return _judge(claim, (i, _PHI_TEXT, root, _ROOT), refuted=lambda: (None, details))
 
 
 def _check_asymptotic_form(claim: Claim, ctx: _Context) -> ClaimStatus:
-    phi = (1 + math.sqrt(5)) / 2
-    sqrt5 = math.sqrt(5)
-    n_max_oracle = ctx.n_max_oracle
-    mismatch = _first_mismatch(
-        ctx.oracle_lengths, lambda n: round(phi**n / sqrt5), ctx.count
-    )
-    corrected = (
-        "a(n) = nearest integer to r^(n+3)/sqrt(5), r = (1+sqrt(5))/2 "
-        "(the counts are the Fibonacci numbers shifted by three)"
-    )
-    corrected_ok = _first_mismatch(
-        ctx.oracle_lengths, lambda n: round(phi ** (n + 3) / sqrt5), ctx.count
-    ) is None
+    phi, sqrt5, n_max_oracle = (1 + math.sqrt(5)) / 2, math.sqrt(5), ctx.n_max_oracle
+
+    def nearest(shift: int) -> Optional[Mismatch]:  # round(r^(n + shift)/sqrt(5))
+        return _first_mismatch(
+            ctx.oracle_lengths, lambda n: round(phi ** (n + shift) / sqrt5), ctx.value
+        )
+
+    mismatch = nearest(0)
+    if mismatch is not None:
+        n, _, actual, source = mismatch
+        mismatch = (n, f"{phi**n / sqrt5:.4f}", actual, source)
     ratio = oracle_count(ctx.family, n_max_oracle) / (phi**n_max_oracle / sqrt5)
     details = (
         f"oracle/claimed ratio at n = {n_max_oracle} is {ratio:.6f}, tending to "
         f"r^3 = {phi**3:.6f}, not 1",
         "corrected closed form matches the oracle for n = 1.."
-        f"{n_max_oracle}" if corrected_ok else "corrected closed form FAILED",
+        f"{n_max_oracle}" if nearest(3) is None else "corrected closed form FAILED",
     )
-    if mismatch is None:
-        return ClaimStatus(claim, CONFIRMED, details=details)
-    n, _, actual, source = mismatch
-    return _refuted(
-        claim,
-        (n, f"{phi**n / sqrt5:.4f}", actual, source),
-        corrected=corrected,
-        details=details,
+    corrected = (
+        "a(n) = nearest integer to r^(n+3)/sqrt(5), r = (1+sqrt(5))/2 "
+        "(the counts are the Fibonacci numbers shifted by three)"
     )
+    return _judge(claim, mismatch, details, lambda: (corrected, details))
 
 
 _STATEMENT_CHECKS: dict[str, Check] = {
@@ -768,57 +714,48 @@ def check_defect_formula(
     require_oracle_fit(ChainSpec(family, m=m, n=n), oracle_ceiling)
     formula = defect_formula_value(family, m, n)
     oracle = _oracle_defect_count(family, m, n)
+    point = ((m, n), formula, oracle, "oracle")
     if formula == oracle:
-        return ClaimStatus(
-            claim,
-            CONFIRMED,
-            witness=(m, n),
-            claimed_value=formula,
-            oracle_value=oracle,
-            reference="oracle",
-        )
-
-    details = []
-    shifts = []
-    for dm in (-1, 0, 1):
-        for dn in (-1, 0, 1):
-            if (dm, dn) == (0, 0):
-                continue
-            m2, n2 = m + dm, n + dn
-            if m2 < 1 or n2 < 1:
-                continue
-            if defect_formula_value(family, m2, n2) == oracle:
-                shifts.append((m2, n2))
-    if shifts:
-        listed = ", ".join(f"({a},{b})" for a, b in sorted(shifts))
-        details.append(
-            f"index shift(s) {listed} would reconcile the formula "
-            "(possible transcription slip)"
-        )
-    else:
-        details.append("no single index shift (m+-1, n+-1) reconciles the formula")
-
-    corrected = None
-    if family is Family.ORTHO_CHAIN_PARA_DEFECT:
-        candidate = corrected_para_defect_value(m, n)
-        if candidate == oracle:
-            corrected = (
-                "s(m)*s(n) + 2*s(m-1)*s(n-1) + s'(m)*s'(n), where s'(k) counts the "
-                "length-k sets containing the terminal vertex; the extra product "
-                "counts the sets containing both cut vertices of the defect "
-                "square, possible because a para defect attaches them at "
-                "opposite corners"
-            )
-            details.append(
-                "adding the contains-both-cut-vertices case reconciles the "
-                f"formula: {formula} + {ortho_square_contains(m)}*"
-                f"{ortho_square_contains(n)} = {candidate}"
-            )
-        else:
-            details.append("boundary-class correction attempt did not reconcile")
-    return _refuted(
-        claim, ((m, n), formula, oracle, "oracle"), corrected=corrected, details=tuple(details)
+        return ClaimStatus(claim, CONFIRMED, *point)
+    return _judge(
+        claim, point, refuted=lambda: _defect_correction(family, m, n, formula, oracle)
     )
+
+
+def _defect_correction(
+    family: Family, m: int, n: int, formula: int, oracle: int
+) -> tuple[Optional[str], list[str]]:
+    """The corrected statement, if any, and the notes of a refuted defect formula."""
+    shifts = [
+        (m + dm, n + dn)
+        for dm in (-1, 0, 1)
+        for dn in (-1, 0, 1)
+        if (dm, dn) != (0, 0) and m + dm >= 1 and n + dn >= 1
+        and defect_formula_value(family, m + dm, n + dn) == oracle
+    ]
+    if shifts:
+        listed = ", ".join(f"({a},{b})" for a, b in shifts)
+        details = [
+            f"index shift(s) {listed} would reconcile the formula (possible transcription slip)"
+        ]
+    else:
+        details = ["no single index shift (m+-1, n+-1) reconciles the formula"]
+    if family is not Family.ORTHO_CHAIN_PARA_DEFECT:
+        return None, details
+    candidate = corrected_para_defect_value(m, n)
+    if candidate != oracle:
+        return None, details + ["boundary-class correction attempt did not reconcile"]
+    return (
+        "s(m)*s(n) + 2*s(m-1)*s(n-1) + s'(m)*s'(n), where s'(k) counts the "
+        "length-k sets containing the terminal vertex; the extra product "
+        "counts the sets containing both cut vertices of the defect "
+        "square, possible because a para defect attaches them at "
+        "opposite corners"
+    ), details + [
+        "adding the contains-both-cut-vertices case reconciles the "
+        f"formula: {formula} + {ortho_square_contains(m)}*"
+        f"{ortho_square_contains(n)} = {candidate}"
+    ]
 
 
 def check_defect_grid(oracle_ceiling: int = DEFAULT_ORACLE_CEILING) -> VerificationReport:

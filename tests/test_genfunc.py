@@ -28,7 +28,12 @@ from cactusids.paper import (
     paper_transfer_system,
 )
 from cactusids.polynomials import Polynomial, RationalGF, format_gf, poly_divmod_exact
-from cactusids.recurrences import LinearRecurrence, eval_recurrence, state_trajectory
+from cactusids.recurrences import (
+    LinearRecurrence,
+    eval_recurrence,
+    recurrence_values,
+    state_trajectory,
+)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -160,6 +165,15 @@ class TestConversions:
             LinearRecurrence((3, 3), ((1, 5), (2, 19)), 3), 1
         )
         assert hex_ortho == RationalGF(P(0, 5, 4), P(1, -3, -3))
+
+    @pytest.mark.parametrize("family", LINEAR_FAMILIES, ids=lambda f: f.value)
+    def test_gf_from_recurrence_keeps_every_supplied_term(self, family):
+        # a derived recurrence supplies terms past its order up to valid_from
+        assert gf_from_recurrence(derived_recurrence(family), 0) == derived_gf(family)
+
+    def test_gf_from_recurrence_restarts_at_supplied_terms(self):
+        rec = LinearRecurrence((1, 1), ((0, 1), (1, 1), (5, 100), (7, -4)), 2)
+        assert gf_from_recurrence(rec, 0).series(11) == recurrence_values(rec, 0, 11)
 
     def test_gf_from_recurrence_requires_window(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from cactusids.chains import (
     build_chain,
     expected_vertex_count,
 )
-from cactusids.graphs import OracleLimitError
+from cactusids.graphs import OracleLimitError, count_ids
 from cactusids.paper import GAMMA_FORMULA, defect_formula_value, derived_gf
 from cactusids.verify import (
     DEFECT_GRID,
@@ -409,6 +409,17 @@ class TestRefutedBranches:
         assert (status.witness, status.claimed_value, status.oracle_value) == (0, 1, 2)
         assert status.reference == "printed formal seed"
 
+    def test_fractional_claimed_value_in_json(self, patched):
+        # a denominator with constant term 2 expands to x/2 + ...
+        patched.setitem(paper._PAPER_GF, Family.TRIANGULAR, ((0, 1, 1), (2, -1, -1)))
+        report = checked_through(Family.TRIANGULAR, 4)
+        doc = json.loads(errata_report([report], "json"))
+        status = {c["id"]: c for c in doc["claims"]}["tri-gf"]
+        assert (status["verdict"], status["witness"], status["claimed_value"]) == (
+            "refuted", 1, "1/2"
+        )
+        assert "(claimed 1/2, oracle 3)" in errata_report([report], "markdown")
+
     def test_gamma(self, patched):
         formula, text = GAMMA_FORMULA[Family.TRIANGULAR]
         patched.setitem(
@@ -455,6 +466,63 @@ class TestRefutedBranches:
             3, contains_2, extendable_3
         )
         assert status.reference == "oracle"
+
+    def test_growth_rate(self, patched):
+        # a(n) = 2a(n-1) grows like 2^n, not like the golden ratio
+        patched.setitem(paper._RECURRENCE_DATA, Family.TRIANGULAR, ((2,), ((0, 1),), 1, (0,)))
+        status = status_map(checked_through(Family.TRIANGULAR, 4))["tri-growth-rate"]
+        assert status.verdict == "refuted"
+        assert (status.witness, status.claimed_value, status.oracle_value) == (
+            50, "(1+sqrt(5))/2", 2.0
+        )
+        assert status.reference == "characteristic root"
+
+    def test_asymptotic_form_confirmed(self, patched):
+        # an oracle that counts round(r^n/sqrt(5)) makes the printed form exact
+        counted = verify.oracle_count
+        phi, sqrt5 = (1 + 5**0.5) / 2, 5**0.5
+
+        def fibonacci_like(family, n):
+            if family is Family.TRIANGULAR:
+                return round(phi**n / sqrt5)
+            return counted(family, n)
+
+        patched.setattr(verify, "oracle_count", fibonacci_like)
+        status = status_map(checked_through(Family.TRIANGULAR, 12))["tri-asymptotic-form"]
+        assert status.verdict == "confirmed"
+        assert (status.witness, status.corrected) == (None, None)
+        assert status.details == (
+            "oracle/claimed ratio at n = 12 is 0.999990, tending to r^3 = 4.236068, not 1",
+            "corrected closed form FAILED",
+        )
+
+    def test_defect_index_shift(self, patched):
+        formula = verify.defect_formula_value
+        patched.setattr(
+            verify, "defect_formula_value", lambda family, m, n: formula(family, m + 1, n)
+        )
+        status = check_defect_formula(Family.PARA_CHAIN_ORTHO_DEFECT, 2, 1)
+        assert status.verdict == "refuted"
+        assert (status.witness, status.reference) == ((2, 1), "oracle")
+        chain = build_chain(ChainSpec(Family.PARA_CHAIN_ORTHO_DEFECT, m=2, n=1))
+        assert status.oracle_value == count_ids(chain.graph) != status.claimed_value
+        assert status.details == (
+            "index shift(s) (1,1) would reconcile the formula (possible transcription slip)",
+        )
+
+    def test_para_defect_correction_that_does_not_reconcile(self, patched):
+        corrected = verify.corrected_para_defect_value
+        patched.setattr(
+            verify, "corrected_para_defect_value", lambda m, n: corrected(m, n) + 1
+        )
+        status = check_defect_formula(Family.ORTHO_CHAIN_PARA_DEFECT, 1, 2)
+        assert status.verdict == "refuted"
+        assert (status.witness, status.claimed_value, status.oracle_value) == ((1, 2), 12, 14)
+        assert status.corrected is None
+        assert status.details == (
+            "no single index shift (m+-1, n+-1) reconciles the formula",
+            "boundary-class correction attempt did not reconcile",
+        )
 
 
 class TestOneReferencePass:
