@@ -27,7 +27,7 @@ from .chains import (
     to_edge_list_text,
     to_json_dict,
 )
-from .genfunc import recurrence_from_gf
+from .genfunc import gf_from_recurrence, recurrence_from_gf
 from .graphs import DEFAULT_MAX_VERTICES, OracleLimitError, count_ids
 from .paper import (
     DEFECT_FORMULA,
@@ -39,7 +39,7 @@ from .paper import (
     paper_transfer_system,
 )
 from .polynomials import format_gf, gf_to_json_dict
-from .recurrences import eval_recurrence, recurrence_values, run_transfer, state_trajectory
+from .recurrences import eval_recurrence, run_transfer, state_trajectory
 from .verify import (
     DEFAULT_ORACLE_CEILING,
     DEFAULT_SYMBOLIC_MAX,
@@ -310,7 +310,7 @@ def _cmd_sequence(parser, args) -> int:
     elif args.method == "transfer":
         counts = _transfer_counts(family, args.max_n)
     elif args.method == "recurrence":
-        counts = recurrence_values(paper_recurrence(family), 1, args.max_n)
+        counts = gf_from_recurrence(paper_recurrence(family)).series(args.max_n)[1:]
     else:
         gf = paper_gf(family) if args.gf_source == "paper" else derived_gf(family)
         counts = gf.series(args.max_n)[1:]

@@ -2,7 +2,9 @@
 
 Covers four jobs:
 
-* conversion between generating functions and linear recurrences;
+* conversion between generating functions and linear recurrences: a
+  recurrence's run of initial terms becomes a GF in one product, so
+  ``RationalGF.series`` is the one loop that steps a scalar sequence;
 * the generating function of a transfer system's series: the denominator is
   det(I - xA), read off the characteristic polynomial that powering already
   uses, and the numerator follows from the first k terms;
@@ -100,30 +102,17 @@ def solve_gf_system(system: GFLinearSystem) -> list[RationalGF]:
     return [RationalGF(num, den) for num in nums]
 
 
-def gf_from_recurrence(rec: LinearRecurrence, first_index: int) -> RationalGF:
-    """The unique rational function whose expansion is zero below
-    ``first_index``, keeps every supplied initial term from there on, and
-    follows the recurrence at every other index, as
-    ``recurrences.recurrence_values`` does.
+def gf_from_recurrence(rec: LinearRecurrence) -> RationalGF:
+    """The rational function whose expansion is zero below the run of
+    initial terms, equals it along the run, and follows the relation past it.
 
-    The denominator is 1 - sum c_i x^i; numerator coefficient j is the
-    departure of a(j) from the relation, zero at every index not supplied.
+    With D = 1 - sum c_i x^i and P = sum a_i x^i over the supplied terms, the
+    numerator is D P cut after the last supplied index: D times the series
+    agrees with D P through that index and vanishes beyond it.
     """
-    k = rec.order
-    supplied = {i: v for i, v in rec.initial_terms if i >= first_index}
-    for i in range(first_index, first_index + k):
-        if i not in supplied:
-            raise ValueError(
-                f"initial terms must cover indices {first_index}.."
-                f"{first_index + k - 1}; missing {i}"
-            )
     den = Polynomial([1] + [-c for c in rec.coefficients])
-    terms, num = [0] * first_index, [0] * first_index
-    for j in range(first_index, max(supplied) + 1):
-        follows = sum(c * terms[j - i] for i, c in enumerate(rec.coefficients, 1) if i <= j)
-        terms.append(supplied.get(j, follows))
-        num.append(terms[j] - follows)
-    return RationalGF(Polynomial(num), den)
+    terms = [0] * rec.min_index + [v for _, v in sorted(rec.initial_terms)]
+    return RationalGF(Polynomial((den * Polynomial(terms)).coeffs[: len(terms)]), den)
 
 
 def recurrence_from_gf(gf: RationalGF) -> LinearRecurrence:
@@ -167,9 +156,7 @@ def annihilated_gf(matrix: Matrix, terms: Sequence[int], first_index: int) -> Ra
     """
     coefficients = tuple(-c for c in _charpoly(matrix))
     initial = tuple(enumerate(terms, first_index))
-    return gf_from_recurrence(
-        LinearRecurrence(coefficients, initial, first_index + len(terms)), first_index
-    )
+    return gf_from_recurrence(LinearRecurrence(coefficients, initial, first_index + len(terms)))
 
 
 # -- dominant growth rate ---------------------------------------------------

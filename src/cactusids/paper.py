@@ -2,7 +2,8 @@
 seeds, closed recurrences, generating functions and the linear systems for
 the per-state series, the domination-number and defect formulas, and the
 sentences of the remaining claims. Known-wrong statements are kept as
-printed, so that the verifier can refute them.
+printed, so that the verifier can refute them. A printed a(0) is kept too:
+no chain has length 0, so it is a formal seed of its recurrence.
 
 This is the only module that holds a transcription. ``recurrences`` and
 ``genfunc`` compute with any matrix, recurrence or series and never name a
@@ -90,27 +91,23 @@ def paper_transfer_system(family: Family) -> TransferSystem:
 # -- closed recurrences ------------------------------------------------------
 
 # (coefficients, printed initial terms, first index the relation is claimed
-# from, indices of formal seeds that count no graph)
+# from). A printed a(0) is a formal seed: no chain has length 0.
 _RECURRENCE_DATA = {
-    Family.TRIANGULAR: ((1, 1), ((0, 2), (1, 3)), 3, (0,)),
-    Family.SQUARE_PARA: ((2, -1, 1), ((1, 2), (2, 4), (3, 7)), 4, ()),
-    Family.SQUARE_ORTHO: ((2,), ((0, 1),), 1, (0,)),
-    Family.HEX_ORTHO: ((3, 3), ((1, 5), (2, 19)), 3, ()),
-    Family.HEX_META: ((3, 1, 2), ((0, 1), (1, 5), (2, 19)), 3, (0,)),
-    Family.HEX_PARA: ((6, -9, 6, -1), ((0, 4), (1, 5), (2, 19), (3, 76)), 4, (0,)),
+    Family.TRIANGULAR: ((1, 1), ((0, 2), (1, 3)), 3),
+    Family.SQUARE_PARA: ((2, -1, 1), ((1, 2), (2, 4), (3, 7)), 4),
+    Family.SQUARE_ORTHO: ((2,), ((0, 1),), 1),
+    Family.HEX_ORTHO: ((3, 3), ((1, 5), (2, 19)), 3),
+    Family.HEX_META: ((3, 1, 2), ((0, 1), (1, 5), (2, 19)), 3),
+    Family.HEX_PARA: ((6, -9, 6, -1), ((0, 4), (1, 5), (2, 19), (3, 76)), 4),
 }
 
 
 def paper_recurrence(family: Family) -> LinearRecurrence:
-    """The published closed recurrence with all printed initial terms.
-
-    Formal index-0 seeds are stored verbatim and flagged; they correspond to
-    no graph and are excluded from oracle comparison.
-    """
+    """The published closed recurrence with all printed initial terms, a
+    formal a(0) included."""
     if family not in _RECURRENCE_DATA:
         raise ValueError(f"no published recurrence for family {family.value}")
-    coeffs, initials, valid_from, formal = _RECURRENCE_DATA[family]
-    return LinearRecurrence(coeffs, initials, valid_from, frozenset(formal))
+    return LinearRecurrence(*_RECURRENCE_DATA[family])
 
 
 # -- generating functions ----------------------------------------------------

@@ -1,9 +1,10 @@
 """Integer transfer systems and constant-coefficient linear recurrences.
 
 A transfer system is a small integer state-update matrix with a seed vector
-and output weights; a recurrence is a coefficient vector with its initial
-terms. Both are evaluated exactly over Python ints, a single term in
-O(log n) polynomial squarings (Fiduccia's method). Nothing here names a
+and output weights; a recurrence is a coefficient vector with one run of
+consecutive initial terms. Both are evaluated exactly over Python ints, a
+single term in O(log n) polynomial squarings (Fiduccia's method); a run of
+terms is the series of ``genfunc.gf_from_recurrence``. Nothing here names a
 chain family: the published systems and recurrences are transcribed in
 ``paper``. Evaluations at different lengths are independent and safe to run
 concurrently.
@@ -186,17 +187,17 @@ class _LinearRecurrenceFields(NamedTuple):
     coefficients: tuple[int, ...]
     initial_terms: tuple[tuple[int, int], ...]
     valid_from: int
-    formal_indices: frozenset[int] = frozenset()
 
 
 class LinearRecurrence(_LinearRecurrenceFields):
     """Constant-coefficient recurrence a(n) = sum c_i * a(n-i).
 
-    ``initial_terms`` holds (index, value) pairs; ``formal_indices`` marks
-    seeds that correspond to no actual graph (used purely to start the
-    recurrence). ``valid_from`` is the first index at which the relation is
+    ``initial_terms`` holds (index, value) pairs for one run of consecutive
+    indices, at least ``order`` of them; the relation gives every index past
+    the run. ``valid_from`` is the first index at which the relation is
     claimed to hold. Construction refuses, with ``ValueError``, an empty
-    coefficient tuple and a repeated initial index.
+    coefficient tuple, a repeated initial index, and any other set of
+    initial terms: a gap among the indices, or fewer terms than the order.
     """
 
     __slots__ = ()
@@ -205,9 +206,11 @@ class LinearRecurrence(_LinearRecurrenceFields):
         self = super().__new__(cls, *args, **kwargs)
         if not self.coefficients:
             raise ValueError("recurrence needs at least one coefficient")
-        idx = [i for i, _ in self.initial_terms]
+        idx = sorted(i for i, _ in self.initial_terms)
         if len(set(idx)) != len(idx):
             raise ValueError("duplicate initial indices")
+        if len(idx) < self.order or idx[-1] - idx[0] != len(idx) - 1:
+            raise ValueError(f"need a run of at least {self.order} consecutive initial indices")
         return self
 
     @classmethod
@@ -227,43 +230,16 @@ class LinearRecurrence(_LinearRecurrenceFields):
         return min(i for i, _ in self.initial_terms)
 
 
-def recurrence_values(rec: LinearRecurrence, first: int, last: int) -> list[int]:
-    """Values at indices first..last in one pass of at most k products per
-    term, one per nonzero coefficient (a unit coefficient adds), starting
-    after the contiguous window of initial terms; a term supplied beyond that
-    window overrides the relation."""
-    values, base = rec.initial_map, rec.min_index
-    if first < base:
-        raise ValueError(f"index {first} below the smallest initial index {base}")
-    lags = [(j, c) for j, c in enumerate(rec.coefficients, 1) if c]
-    terms: list[int] = []
-    for i in range(base, last + 1):
-        if i in values:
-            terms.append(values[i])
-        elif i < base + rec.order:
-            raise ValueError(f"initial terms do not cover index {i}")
-        else:
-            acc = 0
-            for j, c in lags:
-                if c == 1:
-                    acc += terms[-j]
-                else:
-                    acc += c * terms[-j]
-            terms.append(acc)
-    return terms[first - base:]
-
-
 def eval_recurrence(rec: LinearRecurrence, n: int) -> int:
-    """Value at index n as :func:`recurrence_values` gives it: stepped up to
-    the last supplied term ``top``, then sum r_i a(top + i) with r = x^(n - top)
-    modulo the recurrence's characteristic polynomial, in O(log n)
-    polynomial squarings (:func:`_x_pow_mod`)."""
+    """Value at index n: the supplied term, or past the run sum r_i a(base + i)
+    over its last k terms, with r = x^(n - base) modulo the recurrence's
+    characteristic polynomial, in O(log n) polynomial squarings
+    (:func:`_x_pow_mod`) and no single step."""
     values = rec.initial_map
     if n in values:
         return values[n]
-    top = max(max(values), rec.min_index + rec.order - 1)
-    if n <= top:
-        return recurrence_values(rec, n, n)[0]
-    window = recurrence_values(rec, top, top + rec.order - 1)
-    r = _x_pow_mod(n - top, tuple(-c for c in rec.coefficients))
-    return sum(ri * a for ri, a in zip(r, window))
+    if n < rec.min_index:
+        raise ValueError(f"index {n} below the smallest initial index {rec.min_index}")
+    base = max(values) - rec.order + 1
+    r = _x_pow_mod(n - base, tuple(-c for c in rec.coefficients))
+    return sum(ri * values[base + i] for i, ri in enumerate(r))

@@ -15,9 +15,9 @@ serves every rational claim as a printed series: the family GF, the
 per-state series, and the closed recurrence as ``gf_from_recurrence``
 turns it, with every printed term, into a GF.
 
-Formal index-0 seeds correspond to no graph: they get verdict "formal-only"
-and are checked only for arithmetic consistency with the recurrence they
-seed.
+A printed a(0) is a formal seed, since no chain has length 0: it gets
+verdict "formal-only" and is checked only for arithmetic consistency with the
+recurrence it seeds.
 """
 
 from __future__ import annotations
@@ -232,7 +232,7 @@ def _registry(family: Family) -> dict[str, tuple[Claim, Check]]:
     add("recurrence", "recurrence", "published closed recurrence", render_recurrence(rec),
         _check_recurrence)
     for idx, value in sorted(rec.initial_terms):
-        suffix = " (formal seed, no graph)" if idx in rec.formal_indices else ""
+        suffix = " (formal seed, no graph)" if idx == 0 else ""
         add(
             f"initial-{idx}", "initial-term", f"stated initial term at index {idx}",
             f"a({idx}) = {value}{suffix}",
@@ -433,8 +433,14 @@ def _check_series(
     count at length n or, for a state, coefficient n - 1 is that state's
     count. A seed mismatch, the printed formal a(0) against the constant
     term, counts only where every length agrees; notes lead the details of
-    a confirmed claim."""
+    a confirmed claim. A GF whose denominator has constant term 0 has no
+    power series and is refuted at length 1."""
     shift = 0 if state is None else 1
+    if not gf.denominator[0]:
+        corrected, details = refuted()
+        why = "denominator constant term is 0: no power series"
+        return _judge(claim, (1, "no power series", *ctx.value(1, state)),
+                      refuted=lambda: (corrected, (why, *details)))
     series = gf.series(ctx.n_max_symbolic - shift)
     mismatch = _first_mismatch(
         ctx.lengths, lambda n: series[n - shift], lambda n: ctx.value(n, state)
@@ -448,16 +454,17 @@ def _check_series(
 
 
 def _check_family_gf(claim: Claim, ctx: _Context) -> ClaimStatus:
-    gf, rec, n_max_oracle = paper_gf(ctx.family), paper_recurrence(ctx.family), ctx.n_max_oracle
-    constant, seed = gf.series(0)[0], None
-    formal = rec.initial_map.get(0) if 0 in rec.formal_indices else None
-    if formal is None:
-        note = f"no printed length-0 value; constant term {constant} is formal only"
-    elif constant == formal:
-        note = f"constant term {constant} matches the printed formal seed a(0) = {formal}"
-    else:
-        note = f"constant term {constant} contradicts the printed formal seed a(0) = {formal}"
-        seed = (0, constant, formal, "printed formal seed")
+    gf, n_max_oracle = paper_gf(ctx.family), ctx.n_max_oracle
+    formal, seed, notes = paper_recurrence(ctx.family).initial_map.get(0), None, ()
+    if gf.denominator[0]:  # else there is no power series, and no constant term
+        constant = gf.series(0)[0]
+        if formal is None:
+            note = f"no printed length-0 value; constant term {constant} is formal only"
+        else:
+            verb = "matches" if constant == formal else "contradicts"
+            note = f"constant term {constant} {verb} the printed formal seed a(0) = {formal}"
+            seed = None if constant == formal else (0, constant, formal, "printed formal seed")
+        notes = (note,)
 
     def refuted() -> tuple[str, Sequence[str]]:
         corrected = derived_gf(ctx.family)
@@ -466,10 +473,10 @@ def _check_family_gf(claim: Claim, ctx: _Context) -> ClaimStatus:
             checked = f"corrected expansion matches brute force for n = 1..{n_max_oracle}"
         else:
             checked = "corrected expansion FAILED to match brute force (artifact bug)"
-        return format_gf(corrected), (note, checked)
+        return format_gf(corrected), (*notes, checked)
 
     return _check_series(
-        claim, ctx, gf, "expansion matches brute force", refuted, seed=seed, notes=(note,)
+        claim, ctx, gf, "expansion matches brute force", refuted, seed=seed, notes=notes
     )
 
 
@@ -493,7 +500,7 @@ def _check_recurrence(claim: Claim, ctx: _Context) -> ClaimStatus:
             f"from n >= {corrected.valid_from}",
         )
 
-    gf = gf_from_recurrence(rec, rec.min_index)
+    gf = gf_from_recurrence(rec)
     return _check_series(claim, ctx, gf, "values match brute force", refuted)
 
 
@@ -539,9 +546,9 @@ def _check_state_seeds(claim: Claim, ctx: _Context) -> ClaimStatus:
 
 
 def _judged_at(rec: LinearRecurrence, idx: int) -> int:
-    """The length a printed term a(idx) is judged at: a formal seed, which
-    counts no graph, at the first term that depends on it."""
-    return idx + rec.order if idx in rec.formal_indices else idx
+    """The length a printed term a(idx) is judged at: a printed a(0), a formal
+    seed since no chain has length 0, at the first term that depends on it."""
+    return idx + rec.order if idx == 0 else idx
 
 
 def _check_initial(claim: Claim, ctx: _Context, idx: int, value: int) -> ClaimStatus:

@@ -219,7 +219,7 @@ def test_criterion_8_property_suites():
                 continue
             initials = tuple((i, rng.randint(-9, 9)) for i in range(1, order + 1))
             rec = LinearRecurrence(coeffs, initials, order + 1)
-            gf = gf_from_recurrence(rec, 1)
+            gf = gf_from_recurrence(rec)
             series = gf.series(12)
             assert all(series[n] == eval_recurrence(rec, n) for n in range(1, 13))
             if gf.denominator.degree != order:

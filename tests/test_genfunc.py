@@ -28,12 +28,7 @@ from cactusids.paper import (
     paper_transfer_system,
 )
 from cactusids.polynomials import Polynomial, RationalGF, format_gf, poly_divmod_exact
-from cactusids.recurrences import (
-    LinearRecurrence,
-    eval_recurrence,
-    recurrence_values,
-    state_trajectory,
-)
+from cactusids.recurrences import LinearRecurrence, eval_recurrence, state_trajectory
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -157,27 +152,25 @@ class TestCoefficients:
 
 class TestConversions:
     def test_gf_from_recurrence_examples(self):
-        corrected = gf_from_recurrence(LinearRecurrence((1, 1), ((1, 3), (2, 5)), 3), 1)
+        corrected = gf_from_recurrence(LinearRecurrence((1, 1), ((1, 3), (2, 5)), 3))
         assert corrected == RationalGF(P(0, 3, 2), P(1, -1, -1))
-        geometric = gf_from_recurrence(LinearRecurrence((2,), ((1, 2),), 1), 1)
+        geometric = gf_from_recurrence(LinearRecurrence((2,), ((1, 2),), 1))
         assert geometric == RationalGF(P(0, 2), P(1, -2))
-        hex_ortho = gf_from_recurrence(
-            LinearRecurrence((3, 3), ((1, 5), (2, 19)), 3), 1
-        )
+        hex_ortho = gf_from_recurrence(LinearRecurrence((3, 3), ((1, 5), (2, 19)), 3))
         assert hex_ortho == RationalGF(P(0, 5, 4), P(1, -3, -3))
 
     @pytest.mark.parametrize("family", LINEAR_FAMILIES, ids=lambda f: f.value)
     def test_gf_from_recurrence_keeps_every_supplied_term(self, family):
         # a derived recurrence supplies terms past its order up to valid_from
-        assert gf_from_recurrence(derived_recurrence(family), 0) == derived_gf(family)
+        assert gf_from_recurrence(derived_recurrence(family)) == derived_gf(family)
 
-    def test_gf_from_recurrence_restarts_at_supplied_terms(self):
-        rec = LinearRecurrence((1, 1), ((0, 1), (1, 1), (5, 100), (7, -4)), 2)
-        assert gf_from_recurrence(rec, 0).series(11) == recurrence_values(rec, 0, 11)
+    def test_gf_from_recurrence_is_zero_below_the_run(self):
+        rec = LinearRecurrence((1, 1), ((3, 1), (4, 1), (5, 100), (6, -4)), 5)
+        assert gf_from_recurrence(rec).series(9) == [0, 0, 0, 1, 1, 100, -4, 96, 92, 188]
 
     def test_gf_from_recurrence_requires_window(self):
         with pytest.raises(ValueError):
-            gf_from_recurrence(LinearRecurrence((1, 1), ((1, 3),), 3), 1)
+            gf_from_recurrence(LinearRecurrence((1, 1), ((1, 3),), 3))
 
     def test_recurrence_from_gf_examples(self):
         rec_o = recurrence_from_gf(paper_gf(Family.HEX_ORTHO))
@@ -203,7 +196,7 @@ class TestConversions:
                 continue
             initials = tuple((i, rng.randint(-9, 9)) for i in range(1, order + 1))
             rec = LinearRecurrence(coeffs, initials, order + 1)
-            gf = gf_from_recurrence(rec, 1)
+            gf = gf_from_recurrence(rec)
             # sequence-level equality holds even for reducible cases
             series = gf.series(14)
             for n in range(1, 15):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cactusids.chains import ChainSpec, Family, LINEAR_FAMILIES, build_chain
-from cactusids.genfunc import characteristic_polynomial
+from cactusids.genfunc import characteristic_polynomial, gf_from_recurrence
 from cactusids.graphs import count_boundary_classes, count_ids
 from cactusids.paper import (
     derived_recurrence,
@@ -16,7 +16,6 @@ from cactusids.recurrences import (
     _charpoly,
     eval_recurrence,
     mat_pow_vec,
-    recurrence_values,
     run_transfer,
     state_trajectory,
     transfer_state,
@@ -172,28 +171,23 @@ class TestMatrixPowerEngine:
 
 
 def _stepped(rec, n):
-    """Reference: advance the relation one term at a time, keeping every
-    supplied term, including those beyond the starting window."""
+    """Reference: advance the relation one term at a time past the run of
+    supplied terms."""
     values = rec.initial_map
-    for i in range(rec.min_index + rec.order, n + 1):
-        if i not in values:
-            values[i] = sum(c * values[i - j - 1] for j, c in enumerate(rec.coefficients))
+    for i in range(max(values) + 1, n + 1):
+        values[i] = sum(c * values[i - j - 1] for j, c in enumerate(rec.coefficients))
     return values[n]
 
 
 @st.composite
 def _recurrence_and_index(draw):
-    """Order 1-4, coefficients -3..3 (a zero last one included), a contiguous
-    window of initial terms plus 0-2 supplied terms past it, and an index
-    from the window's start up to 300."""
+    """Order 1-4, coefficients -3..3 (a zero last one included), a run of k
+    to k + 2 initial terms, and an index from the run's start up to 300."""
     k = draw(st.integers(1, 4))
     coefficients = tuple(draw(st.integers(-3, 3)) for _ in range(k))
     base = draw(st.integers(0, 3))
-    value = st.integers(-50, 50)
-    initial = [(base + i, draw(value)) for i in range(k)]
-    extra = draw(st.sets(st.integers(base + k, base + k + 40), max_size=2))
-    initial += [(i, draw(value)) for i in sorted(extra)]
-    rec = LinearRecurrence(coefficients, tuple(initial), base + k)
+    values = draw(st.lists(st.integers(-50, 50), min_size=k, max_size=k + 2))
+    rec = LinearRecurrence(coefficients, tuple(enumerate(values, base)), base + k)
     return rec, draw(st.integers(base, 300))
 
 
@@ -223,33 +217,31 @@ class TestEvalRecurrenceAgainstStepping:
         assert meta.order == 3
         assert [eval_recurrence(meta, n) for n in (3, 4)] == [64, 3 * 64 + 19 + 2 * 5]
 
-    def test_restarts_at_every_supplied_index(self):
-        rec = LinearRecurrence((1, 1), ((0, 1), (1, 1), (5, 100), (7, -4)), 2)
-        got = [eval_recurrence(rec, n) for n in range(12)]
-        assert got == [1, 1, 2, 3, 5, 100, 105, -4, 101, 97, 198, 295]
-        assert got == [_stepped(rec, n) for n in range(12)]
-        assert recurrence_values(rec, 0, 11) == got
-        assert recurrence_values(rec, 6, 9) == got[6:10]
+    def test_a_run_longer_than_the_order(self):
+        rec = LinearRecurrence((1, 1), ((0, 1), (1, 1), (2, 100), (3, -4)), 2)
+        got = [eval_recurrence(rec, n) for n in range(9)]
+        assert got == [1, 1, 100, -4, 96, 92, 188, 280, 468]
+        assert got == [_stepped(rec, n) for n in range(9)]
+        assert gf_from_recurrence(rec).series(8) == got
 
     @pytest.mark.parametrize("kind, family", _ALL_RECURRENCES)
-    def test_values_in_one_pass(self, kind, family):
+    def test_series_in_one_pass(self, kind, family):
         rec = _BUILD[kind](family)
         lengths = range(1, 401)
-        values = recurrence_values(rec, 1, 400)
+        values = gf_from_recurrence(rec).series(400)[1:]
         assert values == [eval_recurrence(rec, n) for n in lengths]
         assert values == [_stepped(rec, n) for n in lengths]
-        assert recurrence_values(rec, rec.min_index, 3) == [
-            eval_recurrence(rec, n) for n in range(rec.min_index, 4)
-        ]
 
     @given(_recurrence_and_index())
     @example((LinearRecurrence((1, 0), ((0, 1), (1, 2)), 2), 300))
-    @example((LinearRecurrence((2, -1, 0), ((3, 1), (4, 0), (5, -2), (9, 7)), 6), 9))
-    @example((LinearRecurrence((0, 0, 0, 0), ((0, 5), (1, 6), (2, 7), (3, 8), (6, 1)), 4), 7))
+    @example((LinearRecurrence((2, -1, 0), ((3, 1), (4, 0), (5, -2), (6, 7)), 6), 9))
+    @example((LinearRecurrence((0, 0, 0, 0), ((0, 5), (1, 6), (2, 7), (3, 8), (4, 1)), 4), 7))
     @settings(max_examples=300, deadline=None)
     def test_random_recurrences_match_stepping(self, case):
         rec, n = case
         assert eval_recurrence(rec, n) == _stepped(rec, n)
+        series = gf_from_recurrence(rec).series(n)
+        assert series[rec.min_index:] == [_stepped(rec, i) for i in range(rec.min_index, n + 1)]
 
     def test_negative_coefficients(self):
         for family in (Family.SQUARE_PARA, Family.HEX_PARA):
@@ -336,7 +328,6 @@ class TestPaperRecurrences:
         hex_para = paper_recurrence(Family.HEX_PARA)
         assert hex_para.coefficients == (6, -9, 6, -1)
         assert dict(hex_para.initial_terms) == {0: 4, 1: 5, 2: 19, 3: 76}
-        assert hex_para.formal_indices == frozenset({0})
 
         sq_ortho = paper_recurrence(Family.SQUARE_ORTHO)
         assert sq_ortho.coefficients == (2,)
@@ -356,15 +347,6 @@ class TestPaperRecurrences:
         assert eval_recurrence(rec, 2) == 5  # bridged by the recurrence itself
         with pytest.raises(ValueError):
             eval_recurrence(rec, -1)
-        with pytest.raises(ValueError):
-            recurrence_values(rec, -1, 3)
-
-    def test_incomplete_initials(self):
-        rec = LinearRecurrence((1, 1), ((0, 1),), 2)
-        with pytest.raises(ValueError):
-            eval_recurrence(rec, 3)
-        with pytest.raises(ValueError):
-            recurrence_values(rec, 0, 3)
 
     def test_duplicate_initials_rejected(self):
         with pytest.raises(ValueError):
@@ -373,12 +355,26 @@ class TestPaperRecurrences:
     @pytest.mark.parametrize("args, message", [
         (((), ((0, 1),), 1), "recurrence needs at least one coefficient"),
         (((1,), ((0, 1), (0, 2)), 1), "duplicate initial indices"),
+        # fewer terms than the order
+        (((1, 1), ((0, 1),), 2), "need a run of at least 2 consecutive initial indices"),
+        (((1,), (), 1), "need a run of at least 1 consecutive initial indices"),
+        # gapped runs
+        (((1, 1), ((0, 1), (1, 1), (5, 100), (7, -4)), 2),
+         "need a run of at least 2 consecutive initial indices"),
+        (((2, -1, 0), ((3, 1), (4, 0), (5, -2), (9, 7)), 6),
+         "need a run of at least 3 consecutive initial indices"),
+        (((0, 0, 0, 0), ((0, 5), (1, 6), (2, 7), (3, 8), (6, 1)), 4),
+         "need a run of at least 4 consecutive initial indices"),
+        (((1, 1), ((0, 1), (2, 1)), 2), "need a run of at least 2 consecutive initial indices"),
     ])
     def test_refusals_by_position_and_keyword(self, args, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             LinearRecurrence(*args)
         with pytest.raises(ValueError, match=f"^{message}$"):
             LinearRecurrence(**dict(zip(LinearRecurrence._fields, args)))
+        valid = LinearRecurrence((1,), ((0, 1),), 1)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            valid._replace(**dict(zip(LinearRecurrence._fields, args)))
 
 
 @pytest.mark.parametrize("args, message", [

@@ -388,7 +388,7 @@ class TestRefutedBranches:
         patched.setitem(
             paper._RECURRENCE_DATA,
             Family.HEX_PARA,
-            ((6, -9, 6, -1), ((0, 4), (1, 5), (2, 19), (3, 75)), 4, (0,)),
+            ((6, -9, 6, -1), ((0, 4), (1, 5), (2, 19), (3, 75)), 4),
         )
         status = status_map(checked_through(Family.HEX_PARA, oracle_length))[
             "hex-para-initial-3"
@@ -400,7 +400,7 @@ class TestRefutedBranches:
     def test_gf_formal_seed_only(self, patched):
         # the printed series 1/(1 - 2x) stays right for n >= 1; only a(0) clashes
         patched.setitem(
-            paper._RECURRENCE_DATA, Family.SQUARE_ORTHO, ((2,), ((0, 2),), 1, (0,))
+            paper._RECURRENCE_DATA, Family.SQUARE_ORTHO, ((2,), ((0, 2),), 1)
         )
         status = status_map(checked_through(Family.SQUARE_ORTHO, 4))[
             "sq-ortho-gf"
@@ -408,6 +408,29 @@ class TestRefutedBranches:
         assert status.verdict == "refuted"
         assert (status.witness, status.claimed_value, status.oracle_value) == (0, 1, 2)
         assert status.reference == "printed formal seed"
+
+    # the hexagon has 5 independent dominating sets, 2 of them containing its terminal vertex
+    @pytest.mark.parametrize("table, datum, claim_id, expected", [
+        ("_PAPER_GF", ((1, 2, 1), (0, -3, -3)), "hex-ortho-gf", 5),
+        ("_PAPER_STATE_GF", (((2, 2), (0, -3, -3)),) + paper._PAPER_STATE_GF[Family.HEX_ORTHO][1:],
+         "hex-ortho-state-gf-contains", 2),
+    ])
+    def test_gf_without_power_series(self, patched, table, datum, claim_id, expected):
+        # a denominator with constant term 0 has no power series to compare
+        patched.setitem(getattr(paper, table), Family.HEX_ORTHO, datum)
+        report = checked_through(Family.HEX_ORTHO, 3)
+        status = status_map(report)[claim_id]
+        assert status.verdict == "refuted"
+        assert (status.witness, status.claimed_value, status.oracle_value, status.reference) == (
+            1, "no power series", expected, "oracle"
+        )
+        assert status.details[0] == "denominator constant term is 0: no power series"
+        assert status.corrected is not None
+        doc = json.loads(errata_report([report], "json"))
+        assert {c["id"]: c for c in doc["claims"]}[claim_id]["claimed_value"] == "no power series"
+        assert f"(claimed no power series, oracle {expected})" in errata_report(
+            [report], "markdown"
+        )
 
     def test_fractional_claimed_value_in_json(self, patched):
         # a denominator with constant term 2 expands to x/2 + ...
@@ -469,7 +492,7 @@ class TestRefutedBranches:
 
     def test_growth_rate(self, patched):
         # a(n) = 2a(n-1) grows like 2^n, not like the golden ratio
-        patched.setitem(paper._RECURRENCE_DATA, Family.TRIANGULAR, ((2,), ((0, 1),), 1, (0,)))
+        patched.setitem(paper._RECURRENCE_DATA, Family.TRIANGULAR, ((2,), ((0, 1),), 1))
         status = status_map(checked_through(Family.TRIANGULAR, 4))["tri-growth-rate"]
         assert status.verdict == "refuted"
         assert (status.witness, status.claimed_value, status.oracle_value) == (
@@ -523,6 +546,79 @@ class TestRefutedBranches:
             "no single index shift (m+-1, n+-1) reconciles the formula",
             "boundary-class correction attempt did not reconcile",
         )
+
+
+def _int_paths(value, path=()):
+    """The paths to every int inside a nested tuple."""
+    if isinstance(value, int):
+        yield path
+    else:
+        for i, item in enumerate(value):
+            yield from _int_paths(item, path + (i,))
+
+
+def _moved(value, path, delta):
+    """A copy of a nested tuple with the int at path moved by delta."""
+    if not path:
+        return value + delta
+    i = path[0]
+    return value[:i] + (_moved(value[i], path[1:], delta),) + value[i + 1:]
+
+
+def _transcription_mutants():
+    """(table name, family, path, claim id) for every printed integer behind
+    a judged claim: the GF and state-GF coefficients, and the recurrence
+    coefficients and term values; indices and valid_from are left alone."""
+    for family, entry in paper._PAPER_GF.items():
+        for path in _int_paths(entry):
+            yield "_PAPER_GF", family, path, f"{family.value}-gf"
+    for family, entry in paper._PAPER_STATE_GF.items():
+        for path in _int_paths(entry):
+            short = verify._STATE_SHORT[path[0]]
+            yield "_PAPER_STATE_GF", family, path, f"{family.value}-state-gf-{short}"
+    for family, (coefficients, terms, _) in paper._RECURRENCE_DATA.items():
+        for j in range(len(coefficients)):
+            yield "_RECURRENCE_DATA", family, (0, j), f"{family.value}-recurrence"
+        for j, (idx, _) in enumerate(terms):
+            # a formal a(0) is judged through the recurrence it seeds
+            suffix = "recurrence" if idx == 0 else f"initial-{idx}"
+            yield "_RECURRENCE_DATA", family, (1, j, 1), f"{family.value}-{suffix}"
+
+
+# the one mutant that turns a refuted claim into a confirmed one: tri's
+# contains-state numerator x -> 1 + x is the true contains series
+_MUTANTS_THAT_CORRECT = {("_PAPER_STATE_GF", Family.TRIANGULAR, (0, 0, 0), 1)}
+
+
+def test_every_printed_integer_moved_by_one_is_caught(patched):
+    baseline = {
+        family: {s.claim.id: s.verdict for s in cross_check_family(family).statuses}
+        for family in LINEAR_FAMILIES
+    }
+    problems, mutants = [], 0
+    for table, family, path, claim_id in _transcription_mutants():
+        data = getattr(paper, table)
+        original = data[family]
+        for delta in (1, -1):
+            mutants += 1
+            patched.setitem(data, family, _moved(original, path, delta))
+            verify._registry.cache_clear()
+            case = (table, family, path, delta)
+            try:
+                report = cross_check_family(family)
+                errata_report([report], "json")
+                errata_report([report], "markdown")
+            except Exception as error:  # every raise is a finding, reported below
+                problems.append((case, repr(error)))
+                continue
+            verdict = status_map(report)[claim_id].verdict
+            expected = "confirmed" if case in _MUTANTS_THAT_CORRECT else "refuted"
+            if verdict != expected:
+                problems.append((case, claim_id, baseline[family][claim_id], verdict))
+        patched.setitem(data, family, original)
+    verify._registry.cache_clear()
+    assert mutants > 300
+    assert problems == []
 
 
 class TestOneReferencePass:
