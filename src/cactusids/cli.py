@@ -2,12 +2,12 @@
 
 Exit codes: 0 success, 1 usage error, 2 resource limit (a graph above the
 oracle vertex ceiling, a ``count --n``/``--m`` above MAX_LENGTH, a ``build
---n``/``--m`` above MAX_BUILD_LENGTH, or a ``sequence --max-n`` or ``verify
---symbolic-max`` above MAX_SEQUENCE_LENGTH), 3 when ``verify`` finds refuted
-claims (so CI can gate on consistency), 141 (128 + SIGPIPE) when the reader
-closes stdout early, as ``| head`` does. Output is deterministic: identical
-invocations produce byte-identical output, and every count is printed
-exactly, however many digits it has.
+--n``/``--m`` above MAX_BUILD_LENGTH, or a ``sequence --max-n`` above
+MAX_SEQUENCE_LENGTH), 3 when ``verify`` finds refuted claims (so CI can gate
+on consistency), 141 (128 + SIGPIPE) when the reader closes stdout early, as
+``| head`` does. Output is deterministic: identical invocations produce
+byte-identical output, and every count is printed exactly, however many
+digits it has.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .polynomials import format_gf, gf_to_json_dict
 from .recurrences import eval_recurrence, run_transfer, state_trajectory
 from .verify import (
     DEFAULT_ORACLE_CEILING,
-    DEFAULT_SYMBOLIC_MAX,
     check_defect_formula,
     corrected_para_defect_value,
     defect_claim,
@@ -60,10 +59,8 @@ from .verify import (
 # errata check), in-process on Python 3.11 and a 2-CPU Xeon. At 10^6 the
 # transfer took 0.7 s and the decimal conversion of its 611k digits 5.2 s.
 MAX_LENGTH = 100_000
-# Largest ``sequence --max-n`` and ``verify --symbolic-max``. Both keep every
-# count up to that length: hex-para prints 1.2 MB at 2000, and ``verify``, which
-# also keeps every state and series term, took 0.26 s at 1000 and 0.43 s at 2000
-# as a fresh process on a 2-CPU Xeon.
+# Largest ``sequence --max-n``. It keeps every count up to that length:
+# hex-para prints 1.2 MB at 2000.
 MAX_SEQUENCE_LENGTH = 2_000
 # Largest --n (and --m) that ``build`` accepts. The bitset graph keeps one
 # int per vertex as wide as its highest neighbour id, so memory grows as n^2:
@@ -154,12 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full claim verification suite")
     p.add_argument("--report", default="markdown", choices=["markdown", "json"])
-    p.add_argument(
-        "--symbolic-max",
-        type=int,
-        default=DEFAULT_SYMBOLIC_MAX,
-        help="largest length for symbolic (transfer vs recurrence vs gf) checks",
-    )
     _add_ceiling_flag(p, extra_alias=True)
     return parser
 
@@ -402,11 +393,7 @@ def _cmd_defect(parser, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
-    ceiling = _check_ceiling(parser, args)
-    if args.symbolic_max < 1:
-        parser.error("--symbolic-max must be at least 1")
-    _check_length("--symbolic-max", args.symbolic_max, MAX_SEQUENCE_LENGTH)
-    reports = verify_all(oracle_ceiling=ceiling, n_max_symbolic=args.symbolic_max)
+    reports = verify_all(oracle_ceiling=_check_ceiling(parser, args))
     print(errata_report(reports, format=args.report))
     refuted = sum(1 for r in reports for s in r.statuses if s.verdict == "refuted")
     return 3 if refuted else 0

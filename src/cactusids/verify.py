@@ -5,8 +5,10 @@ per-state series, state systems and seeds, closed recurrences, printed
 initial terms, domination-number formulas, defect-composition formulas, the
 Fibonacci asymptotic) is registered as a claim with a stable id, and judged
 at each length against the most trusted source there: the brute-force
-oracle up to the ceiling, the transfer system beyond it. Every mismatch is
-reported with its smallest witness; nothing is silently reconciled.
+oracle up to the ceiling, the transfer system beyond it through
+``SYMBOLIC_MAX``, so a verdict depends only on the claim and the ceiling.
+Every mismatch is reported with its smallest witness; nothing is silently
+reconciled.
 
 One constructor, ``_judge``, makes every confirmed and refuted verdict: a
 claim is refuted at its first mismatch, and only then is its corrected
@@ -70,7 +72,11 @@ from .recurrences import (
 )
 
 DEFAULT_ORACLE_CEILING = 26
-DEFAULT_SYMBOLIC_MAX = 30
+# Every printed and derived GF has degree at most 4, so two that agree on 9
+# coefficients are equal: the transfer states through n = 30 decide every
+# rational claim. 30 is past every oracle length (tri's longest is 19, at the
+# 40-vertex cap) and every formal seed, judged at n = order <= 4.
+SYMBOLIC_MAX = 30
 
 CONFIRMED = "confirmed"
 REFUTED = "refuted"
@@ -391,13 +397,12 @@ class _Context(NamedTuple):
 
     family: Family
     n_max_oracle: int
-    n_max_symbolic: int
     system: TransferSystem
-    trajectory: list  # transfer state vectors from length 1 through every length read
+    trajectory: list  # three-state vectors for lengths 1..SYMBOLIC_MAX
 
     @property
     def lengths(self) -> range:
-        return range(1, self.n_max_symbolic + 1)
+        return range(1, SYMBOLIC_MAX + 1)
 
     @property
     def oracle_lengths(self) -> range:
@@ -441,14 +446,14 @@ def _check_series(
         why = "denominator constant term is 0: no power series"
         return _judge(claim, (1, "no power series", *ctx.value(1, state)),
                       refuted=lambda: (corrected, (why, *details)))
-    series = gf.series(ctx.n_max_symbolic - shift)
+    series = gf.series(SYMBOLIC_MAX - shift)
     mismatch = _first_mismatch(
         ctx.lengths, lambda n: series[n - shift], lambda n: ctx.value(n, state)
     )
     source = "transfer system" if state is None else "transfer states"
     confirmed = (
         f"{matches} for n = 1..{ctx.n_max_oracle} and the {source} through n = "
-        f"{ctx.n_max_symbolic}"
+        f"{SYMBOLIC_MAX}"
     )
     return _judge(claim, mismatch or seed, notes + (confirmed,), refuted)
 
@@ -481,8 +486,11 @@ def _check_family_gf(claim: Claim, ctx: _Context) -> ClaimStatus:
 
 
 def _check_state_gf(claim: Claim, ctx: _Context, i: int, gf: RationalGF) -> ClaimStatus:
-    def refuted() -> tuple[str, Sequence[str]]:
-        corrected = format_gf(derived_state_gfs(ctx.family)[i])
+    def refuted() -> tuple[Optional[str], Sequence[str]]:
+        derived = derived_state_gfs(ctx.family)
+        if i >= len(derived):
+            return None, ("the printed system has no extendable state",)
+        corrected = format_gf(derived[i])
         return corrected, (f"corrected {_STATE_SHORT[i]} series: {corrected}",)
 
     return _check_series(claim, ctx, gf, "matches oracle boundary classes", refuted, state=i)
@@ -493,8 +501,9 @@ def _check_recurrence(claim: Claim, ctx: _Context) -> ClaimStatus:
 
     def refuted() -> tuple[str, Sequence[str]]:
         corrected = derived_recurrence(ctx.family)
-        # the statement leaves out a derived a(0) = 0
-        seeds = tuple(term for term in corrected.initial_terms if term != (0, 0))
+        seeds = corrected.initial_terms
+        if corrected.valid_from > corrected.order:  # the relation never reads a(0) = 0
+            seeds = tuple(term for term in seeds if term != (0, 0))
         return render_recurrence(corrected._replace(initial_terms=seeds)), (
             f"corrected recurrence has order {corrected.order} and is valid "
             f"from n >= {corrected.valid_from}",
@@ -506,10 +515,9 @@ def _check_recurrence(claim: Claim, ctx: _Context) -> ClaimStatus:
 
 def _check_system(claim: Claim, ctx: _Context) -> ClaimStatus:
     k = len(ctx.system.state_names)
-    absent = (0,) if k == 2 else ()  # a two-state system claims no set is extendable
     mismatch = _first_mismatch(
         ctx.oracle_lengths,
-        lambda n: ctx.trajectory[n - 1] + absent,
+        lambda n: ctx.trajectory[n - 1],
         lambda n: (tuple(ctx.profile(n)), "oracle"),
     )
     detail = "two-state system but extendable sets exist"
@@ -545,15 +553,11 @@ def _check_state_seeds(claim: Claim, ctx: _Context) -> ClaimStatus:
     )
 
 
-def _judged_at(rec: LinearRecurrence, idx: int) -> int:
-    """The length a printed term a(idx) is judged at: a printed a(0), a formal
-    seed since no chain has length 0, at the first term that depends on it."""
-    return idx + rec.order if idx == 0 else idx
-
-
 def _check_initial(claim: Claim, ctx: _Context, idx: int, value: int) -> ClaimStatus:
     rec = paper_recurrence(ctx.family)
-    n0 = _judged_at(rec, idx)
+    # a printed a(0), a formal seed since no chain has length 0, is judged at
+    # the first term that depends on it
+    n0 = idx + rec.order if idx == 0 else idx
     ref, source = ctx.value(n0)
     if n0 != idx:
         predicted = eval_recurrence(rec, n0)
@@ -574,13 +578,12 @@ def _check_initial(claim: Claim, ctx: _Context, idx: int, value: int) -> ClaimSt
 
 
 def check_gamma_formula(
-    family: Family,
-    n_max: Optional[int] = None,
-    oracle_ceiling: int = DEFAULT_ORACLE_CEILING,
+    family: Family, oracle_ceiling: int = DEFAULT_ORACLE_CEILING
 ) -> ClaimStatus:
-    """Compare the published domination-number formula against the oracle."""
+    """Compare the published domination-number formula against the oracle at
+    every length under the ceiling."""
     claim = _gamma_claim(family)
-    return _gamma_status(claim, family, oracle_lengths(family, oracle_ceiling, n_max))
+    return _gamma_status(claim, family, oracle_lengths(family, oracle_ceiling))
 
 
 def _gamma_claim(family: Family) -> Claim:
@@ -608,7 +611,7 @@ def _check_gamma(claim: Claim, ctx: _Context) -> ClaimStatus:
 def _check_meta_identity(claim: Claim, ctx: _Context) -> ClaimStatus:
     traj = ctx.trajectory
     mismatch = _first_mismatch(
-        range(2, ctx.n_max_symbolic + 1),
+        range(2, SYMBOLIC_MAX + 1),
         lambda n: str(traj[n - 2][0]),
         lambda n: (str(traj[n - 1][2]), "transfer"),
     ) or _first_mismatch(
@@ -617,7 +620,7 @@ def _check_meta_identity(claim: Claim, ctx: _Context) -> ClaimStatus:
         lambda n: (ctx.profile(n).extendable_count, "oracle"),
     )
     return _judge(claim, mismatch, (
-        f"identity holds in the transfer states (n <= {ctx.n_max_symbolic}) and "
+        f"identity holds in the transfer states (n <= {SYMBOLIC_MAX}) and "
         f"against oracle boundary classes (n <= {ctx.n_max_oracle})",
     ))
 
@@ -675,21 +678,17 @@ _STATEMENT_CHECKS: dict[str, Check] = {
 
 
 def cross_check_family(
-    family: Family,
-    n_max_symbolic: int = DEFAULT_SYMBOLIC_MAX,
-    oracle_ceiling: int = DEFAULT_ORACLE_CEILING,
+    family: Family, oracle_ceiling: int = DEFAULT_ORACLE_CEILING
 ) -> VerificationReport:
     """Run every registered check for one linear family: against the oracle
     at every length under the ceiling, against the transfer system beyond."""
     registry = _registry(family)
     n_max_oracle = len(oracle_lengths(family, oracle_ceiling))
-    n_max_symbolic = max(n_max_symbolic, n_max_oracle)
-    rec = paper_recurrence(family)
-    reach = max([n_max_symbolic] + [_judged_at(rec, idx) for idx, _ in rec.initial_terms])
     system = paper_transfer_system(family)
-    ctx = _Context(
-        family, n_max_oracle, n_max_symbolic, system, state_trajectory(system, reach)
-    )
+    # a two-state system claims that no set is extendable
+    pad = (0,) * (3 - len(system.state_names))
+    trajectory = [vec + pad for vec in state_trajectory(system, SYMBOLIC_MAX)]
+    ctx = _Context(family, n_max_oracle, system, trajectory)
     return VerificationReport(
         scope=family.value,
         oracle_ceiling=oracle_ceiling,
@@ -780,17 +779,11 @@ def check_defect_grid(oracle_ceiling: int = DEFAULT_ORACLE_CEILING) -> Verificat
     return VerificationReport(scope="defects", oracle_ceiling=oracle_ceiling, statuses=statuses)
 
 
-def verify_all(
-    oracle_ceiling: int = DEFAULT_ORACLE_CEILING,
-    n_max_symbolic: int = DEFAULT_SYMBOLIC_MAX,
-) -> list[VerificationReport]:
+def verify_all(oracle_ceiling: int = DEFAULT_ORACLE_CEILING) -> list[VerificationReport]:
     """Run every registered claim check; returns one report per family and
     one for the defect grid."""
     reports = [
-        cross_check_family(
-            family, n_max_symbolic=n_max_symbolic, oracle_ceiling=oracle_ceiling
-        )
-        for family in LINEAR_FAMILIES
+        cross_check_family(family, oracle_ceiling=oracle_ceiling) for family in LINEAR_FAMILIES
     ]
     reports.append(check_defect_grid(oracle_ceiling))
     return reports

@@ -133,8 +133,6 @@ class TestCount:
         (("build", "--family", "tri", "--n", "0"), "--n"),
         (("build", "--family", "p-defect", "--m", "0", "--n", "2"), "--m"),
         (("build", "--family", "s-defect", "--m", "2", "--n", "-1"), "--n"),
-        (("verify", "--symbolic-max", "0"), "--symbolic-max"),
-        (("verify", "--symbolic-max", "-5"), "--symbolic-max"),
     ])
     def test_lengths_below_one_are_usage_errors(self, capsys, argv, flag):
         code, out, err = run(capsys, *argv)
@@ -170,7 +168,6 @@ class TestCount:
             ("count", "--family", "s-defect", "--m", str(MAX_LENGTH + 1), "--n", "1",
              "--method", "formula"),
             ("sequence", "--family", "tri", "--max-n", str(MAX_SEQUENCE_LENGTH + 1)),
-            ("verify", "--symbolic-max", str(MAX_SEQUENCE_LENGTH + 1)),
         ):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, ""), argv
@@ -542,31 +539,42 @@ class TestVerify:
         assert code == 3
         assert json.loads(out)["oracle_ceiling"] == 22
 
-    # --oracle-max 16 --symbolic-max 3 judges hex-para's formal seed a(0) at
-    # n = 4, past both the oracle and the symbolic range
+    # --oracle-max 16 judges hex-para's formal seed a(0) at n = 4, past the
+    # oracle's n = 3; at 8 each hexagon family has one oracle length, and 40
+    # is the hard cap
     @pytest.mark.parametrize("report, digest, settings", [
         pytest.param(report, digest, settings, id=f"{report}-{digest}")
         for report, digest, settings in (
             ("json", "68edc2755fc462f46b2191a09b8c7f1145103835295fee5f02725c0bc8a5be1e", ()),
             ("markdown", "23489da56825ca555258eb1a6a0b608e4bacba31aa75e205edb60da64156c8c9", ()),
-            ("json", "faf56aafb8105dc9529d551ba8c64d6c6794084ec04268d5ce21109c92d52be0",
-             ("--oracle-max", "16", "--symbolic-max", "3")),
-            ("markdown", "9d580666a2c3a71e72fa015f04411ed797bde937d335154c8b28fd21e33ea9d0",
-             ("--oracle-max", "16", "--symbolic-max", "3")),
+            ("json", "070fe3f835b0533abbf9b133e3afc4e902a6664708e06f7fd63d86878491ee86",
+             ("--oracle-max", "16")),
+            ("markdown", "5978b1b9c441e20aad83ce6055e2b894c7b8529f011b2a38d8d281d0f23fd930",
+             ("--oracle-max", "16")),
             ("json", "e1faa95ad4007c0fd6f77c9be13bdc0fb2e00fcd668dbeed4a4d448089da1086",
              ("--oracle-max", "22")),
             ("markdown", "e2e3734cbef35bd92c006f8321e1be062886a915f4193c93dcb25a3eec7c8d5b",
              ("--oracle-max", "22")),
-            ("json", "deb404c2fe707e0832e8c8a3aeb0e487bd6e15017367df1ae7c16a61c4314152",
-             ("--symbolic-max", "60")),
-            ("json", "f8d72b14b18efd2b669da44e41613b0ae50a3f32d679ce3d4a75a84d233d52d1",
-             ("--symbolic-max", "2000")),
+            ("json", "151d45ce7202e1e2d247ed1625267c13e28f36ba104450eb72c7bd284608d757",
+             ("--oracle-max", "8")),
+            ("markdown", "00def5affdf2583746c969a30a35f354d229089b7a41e2749a05bfca9fce0101",
+             ("--oracle-max", "8")),
+            ("json", "5673017576ad21816982ad9e1c51f4670d630cbb9bd242a0549129d4bca48b27",
+             ("--oracle-max", "40")),
+            ("markdown", "46a6804bf48dfd6cc95cc409c49545f7d06ceca3855a3c56686699fe9c0fb98d",
+             ("--oracle-max", "40")),
         )
     ])
     def test_report_digest_at_the_defaults(self, capsys, report, digest, settings):
         code, out, _ = run(capsys, "verify", "--report", report, *settings)
         assert code == 3
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_symbolic_range_is_not_an_option(self, capsys):
+        # the transfer range is fixed: only the oracle ceiling moves a verdict
+        code, out, err = run(capsys, "verify", "--symbolic-max", "3")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --symbolic-max 3" in err
 
     def test_ceiling_cap(self, capsys):
         code, _, err = run(capsys, "verify", "--oracle-max-vertices", "90")
