@@ -1,13 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 resource limit (a graph above the
-oracle vertex ceiling, a ``count --n``/``--m`` above MAX_LENGTH, a ``build
---n``/``--m`` above MAX_BUILD_LENGTH, or a ``sequence --max-n`` above
-MAX_SEQUENCE_LENGTH), 3 when ``verify`` finds refuted claims (so CI can gate
-on consistency), 141 (128 + SIGPIPE) when the reader closes stdout early, as
-``| head`` does. Output is deterministic: identical invocations produce
-byte-identical output, and every count is printed exactly, however many
-digits it has.
+Exit codes: 0 success, 1 usage error, 2 resource limit (an oracle chain, or a
+``verify --oracle-max-vertices``, above the oracle's 40-vertex cap, a ``count
+--n``/``--m`` above MAX_LENGTH, a ``build --n``/``--m`` above MAX_BUILD_LENGTH,
+or a ``sequence --max-n`` above MAX_SEQUENCE_LENGTH), 3 when ``verify`` finds
+refuted claims (so CI can gate on consistency), 141 (128 + SIGPIPE) when the
+reader closes stdout early, as ``| head`` does. Output is deterministic:
+identical invocations produce byte-identical output, and every count is
+printed exactly, however many digits it has.
 """
 
 from __future__ import annotations
@@ -80,20 +80,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_ceiling_flag(parser, extra_alias: bool = False):
-    names = ["--oracle-max-vertices"]
-    if extra_alias:
-        names.append("--oracle-max")
-    parser.add_argument(
-        *names,
-        type=int,
-        default=DEFAULT_ORACLE_CEILING,
-        dest="oracle_max_vertices",
-        help=f"vertex ceiling for oracle runs (default {DEFAULT_ORACLE_CEILING}, "
-        f"hard cap {DEFAULT_MAX_VERTICES})",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cactusids", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -113,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--gf-source", default="derived", choices=["derived", "paper"])
     p.add_argument("--format", default="text", choices=["text", "json"])
-    _add_ceiling_flag(p)
 
     p = sub.add_parser("sequence", help="print the count sequence up to a length")
     p.add_argument("--family", required=True, choices=linear_flags)
@@ -123,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--gf-source", default="derived", choices=["derived", "paper"])
     p.add_argument("--format", default="csv", choices=["csv", "json"])
-    _add_ceiling_flag(p)
 
     p = sub.add_parser("gf", help="print a generating function")
     p.add_argument("--family", required=True, choices=linear_flags)
@@ -140,18 +124,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=[f.value for f in GAMMA_FORMULA])
     p.add_argument("--max-n", type=int)
     p.add_argument("--format", default="table", choices=["table", "json"])
-    _add_ceiling_flag(p)
 
     p = sub.add_parser("defect", help="evaluate a defect formula against the oracle")
     p.add_argument("--family", required=True, choices=defect_flags)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", default="table", choices=["table", "json"])
-    _add_ceiling_flag(p)
 
     p = sub.add_parser("verify", help="run the full claim verification suite")
     p.add_argument("--report", default="markdown", choices=["markdown", "json"])
-    _add_ceiling_flag(p, extra_alias=True)
+    p.add_argument(
+        "--oracle-max-vertices", "--oracle-max", type=int, default=DEFAULT_ORACLE_CEILING,
+        help=f"audit scope: the oracle judges every chain of at most this many vertices "
+        f"(default {DEFAULT_ORACLE_CEILING}, hard cap {DEFAULT_MAX_VERTICES})",
+    )
     return parser
 
 
@@ -216,9 +202,9 @@ def _check_length(flag: str, value: int, cap: int) -> None:
         raise LengthLimitError(f"{flag} {value} is above the cap {cap}")
 
 
-def _oracle_count(spec: ChainSpec, ceiling: int) -> int:
+def _oracle_count(spec: ChainSpec) -> int:
     # refuse before building: a long chain's bitset graph alone can exhaust memory
-    require_oracle_fit(spec, ceiling)
+    require_oracle_fit(spec, DEFAULT_MAX_VERTICES)
     return count_ids(build_chain(spec).graph)
 
 
@@ -227,9 +213,9 @@ def _prints_errata(method: str, gf_source: str) -> bool:
     return method == "recurrence" or (method == "gf" and gf_source == "paper")
 
 
-def _linear_count(family: Family, n: int, method: str, gf_source: str, ceiling: int) -> int:
+def _linear_count(family: Family, n: int, method: str, gf_source: str) -> int:
     if method == "oracle":
-        return _oracle_count(ChainSpec(family, length=n), ceiling)
+        return _oracle_count(ChainSpec(family, length=n))
     if method == "transfer":
         return run_transfer(paper_transfer_system(family), n)
     if method == "recurrence":
@@ -247,13 +233,12 @@ def _linear_count(family: Family, n: int, method: str, gf_source: str, ceiling: 
 
 def _cmd_count(parser, args) -> int:
     spec = _parse_spec(parser, args)
-    ceiling = _check_ceiling(parser, args)
     family = spec.family
     if family in LINEAR_FAMILIES:
         if args.method == "formula":
             parser.error("--method formula applies only to defect families")
         _check_length("--n", args.n, MAX_LENGTH)
-        value = _linear_count(family, args.n, args.method, args.gf_source, ceiling)
+        value = _linear_count(family, args.n, args.method, args.gf_source)
     else:
         if args.method not in ("oracle", "formula"):
             parser.error(
@@ -263,7 +248,7 @@ def _cmd_count(parser, args) -> int:
         _check_length("--m", spec.m, MAX_LENGTH)
         _check_length("--n", spec.n, MAX_LENGTH)
         if args.method == "oracle":
-            value = _oracle_count(spec, ceiling)
+            value = _oracle_count(spec)
         else:
             value = defect_formula_value(family, spec.m, spec.n)
             _warn_if_defect_erratum(family, spec.m, spec.n, value)
@@ -289,15 +274,14 @@ def _transfer_counts(family: Family, max_n: int) -> list[int]:
 
 def _cmd_sequence(parser, args) -> int:
     family = Family(args.family)
-    ceiling = _check_ceiling(parser, args)
     if args.max_n < 1:
         parser.error("--max-n must be at least 1")
     _check_length("--max-n", args.max_n, MAX_SEQUENCE_LENGTH)
     lengths = range(1, args.max_n + 1)
     if args.method == "oracle":
         # refuse the longest chain before building any shorter one
-        oracle_lengths(family, ceiling, args.max_n)
-        counts = [_oracle_count(ChainSpec(family, length=n), ceiling) for n in lengths]
+        oracle_lengths(family, DEFAULT_MAX_VERTICES, args.max_n)
+        counts = [_oracle_count(ChainSpec(family, length=n)) for n in lengths]
     elif args.method == "transfer":
         counts = _transfer_counts(family, args.max_n)
     elif args.method == "recurrence":
@@ -350,10 +334,9 @@ def _cmd_build(parser, args) -> int:
 
 def _cmd_gamma(parser, args) -> int:
     family = Family(args.family)
-    ceiling = _check_ceiling(parser, args)
     if args.max_n is not None and args.max_n < 1:
         parser.error("--max-n must be at least 1")
-    rows = gamma_rows(family, ceiling, args.max_n)
+    rows = gamma_rows(family, args.max_n)
     if args.format == "json":
         doc = {
             "family": args.family,
@@ -372,10 +355,9 @@ def _cmd_gamma(parser, args) -> int:
 
 def _cmd_defect(parser, args) -> int:
     family = Family(args.family)
-    ceiling = _check_ceiling(parser, args)
     if args.m < 1 or args.n < 1:
         parser.error("--m and --n must be at least 1")
-    status = check_defect_formula(family, args.m, args.n, oracle_ceiling=ceiling)
+    status = check_defect_formula(family, args.m, args.n, DEFAULT_MAX_VERTICES)
     if args.format == "json":
         _print_json(status.to_json_dict())
     else:

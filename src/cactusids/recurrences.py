@@ -30,7 +30,8 @@ class TransferSystem(_TransferSystemFields):
     n feeds state i at length n+1. ``output_weights`` select the two genuine
     count states (contains + avoids); the extendable state is bookkeeping.
     Construction refuses, with ``ValueError``, a matrix or vector whose shape
-    does not match the state count, and a negative matrix entry.
+    does not match the state count. Entries may be negative: the arithmetic is
+    exact over the integers, so a printed system with a negative entry is judged.
     """
 
     __slots__ = ()
@@ -42,8 +43,6 @@ class TransferSystem(_TransferSystemFields):
             raise ValueError("update matrix shape does not match state count")
         if len(self.initial_vector) != k or len(self.output_weights) != k:
             raise ValueError("vector lengths do not match state count")
-        if any(c < 0 for row in self.update_matrix for c in row):
-            raise ValueError("update matrix entries must be nonnegative")
         return self
 
     @classmethod

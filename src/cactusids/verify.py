@@ -337,15 +337,15 @@ def _oracle_gamma(family: Family, n: int) -> int:
     return independent_domination_number(chain.graph)
 
 
-def gamma_rows(
-    family: Family, oracle_ceiling: int, n_max: Optional[int] = None
-) -> list[tuple[int, int, int]]:
-    """(n, formula value, oracle minimum) at the oracle_lengths of a family
-    with a published domination-number formula."""
+def gamma_rows(family: Family, n_max: Optional[int] = None) -> list[tuple[int, int, int]]:
+    """(n, formula value, oracle minimum) at lengths 1..n_max of a family with
+    a published domination-number formula, refused as by require_oracle_fit above
+    DEFAULT_MAX_VERTICES; n_max defaults to the lengths check_gamma_formula judges."""
     _gamma_claim(family)
+    ceiling = DEFAULT_ORACLE_CEILING if n_max is None else DEFAULT_MAX_VERTICES
     return [
         (n, GAMMA_FORMULA[family][0](n), _oracle_gamma(family, n))
-        for n in oracle_lengths(family, oracle_ceiling, n_max)
+        for n in oracle_lengths(family, ceiling, n_max)
     ]
 
 

@@ -10,7 +10,7 @@ import pytest
 from cactusids import cli, verify
 from cactusids.chains import DEFECT_FAMILIES, Family, LINEAR_FAMILIES
 from cactusids.cli import MAX_BUILD_LENGTH, MAX_LENGTH, MAX_SEQUENCE_LENGTH, main
-from cactusids.paper import derived_gf, paper_gf, paper_transfer_system
+from cactusids.paper import GAMMA_FORMULA, derived_gf, paper_gf, paper_transfer_system
 from cactusids.recurrences import run_transfer
 
 
@@ -61,6 +61,12 @@ class TestCount:
             capsys, "count", "--family", "hex-meta", "--n", "3", "--method", "oracle"
         )
         assert (code, out) == (0, "64\n")
+
+    def test_oracle_reaches_the_dp_cap(self, capsys):
+        # length 19 is the longest tri chain under the DP's 40-vertex cap
+        code, out, err = run(capsys, "count", "--family", "tri", "--n", "19", "--method", "oracle")
+        expected = run_transfer(paper_transfer_system(Family.TRIANGULAR), 19)
+        assert (code, out, err) == (0, "17711\n", "") and expected == 17711
 
     def test_methods_agree_where_defined(self, capsys):
         values = {}
@@ -183,10 +189,14 @@ class TestCount:
             ("count", "--family", "hex-para", "--n", str(MAX_LENGTH), "--method", "oracle"),
             ("count", "--family", "p-defect", "--m", "500", "--n", "500",
              "--method", "oracle"),
+            ("count", "--family", "tri", "--n", "20", "--method", "oracle"),
             ("sequence", "--family", "tri", "--max-n", "30", "--method", "oracle"),
+            ("gamma", "--family", "tri", "--max-n", "20"),
+            ("defect", "--family", "p-defect", "--m", "6", "--n", "7"),
         ):
-            code, _, err = run(capsys, *argv)
-            assert code == 2 and "above the oracle ceiling 26" in err
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "above the oracle ceiling 40" in err, argv
 
     @pytest.mark.parametrize("family", LINEAR_FAMILIES, ids=lambda f: f.value)
     def test_gf_method_equals_series(self, capsys, family):
@@ -214,22 +224,28 @@ class TestCount:
 
 
 class TestOracleCeilingFlag:
+    """Only ``verify`` takes a ceiling, its audit's scope; every other oracle
+    route runs up to the DP's 40-vertex cap."""
+
     @pytest.mark.parametrize("command", [
-        ("gamma", "--family", "tri"),
         ("count", "--family", "tri", "--n", "2", "--method", "oracle"),
-        ("verify",),
-    ])
-    def test_negative_is_a_usage_error(self, capsys, command):
-        code, out, err = run(capsys, *command, "--oracle-max-vertices", "-5")
+        ("sequence", "--family", "tri", "--max-n", "2", "--method", "oracle"),
+        ("gamma", "--family", "tri"),
+        ("defect", "--family", "s-defect", "--m", "1", "--n", "1"),
+    ], ids=lambda command: command[0])
+    def test_only_verify_takes_it(self, capsys, command):
+        code, out, err = run(capsys, *command, "--oracle-max-vertices", "26")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --oracle-max-vertices 26" in err
+
+    def test_negative_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--oracle-max-vertices", "-5")
         assert (code, out) == (1, "")
         assert "--oracle-max-vertices must be nonnegative" in err
-        assert "--max-n" not in err.splitlines()[-1]
 
     @pytest.mark.parametrize("ceiling, vertices", [("0", 3), ("2", 3)])
     def test_below_the_length_one_chain(self, capsys, ceiling, vertices):
-        code, out, err = run(
-            capsys, "gamma", "--family", "tri", "--oracle-max-vertices", ceiling
-        )
+        code, out, err = run(capsys, "verify", "--oracle-max", ceiling)
         assert (code, out) == (2, "")
         assert f"below the {vertices} vertices of the length-1 tri chain" in err
 
@@ -272,6 +288,11 @@ class TestSequence:
             capsys, "sequence", "--family", "tri", "--max-n", "5", "--method", method,
         )
         assert (code, out, err) == (0, "n,count\n1,3\n2,5\n3,8\n4,13\n5,21\n", "")
+
+    def test_oracle_reaches_the_dp_cap(self, capsys):
+        argv = ("sequence", "--family", "tri", "--max-n", "19", "--method")
+        oracle, transfer = run(capsys, *argv, "oracle"), run(capsys, *argv, "transfer")
+        assert oracle == transfer and oracle[1].endswith("\n19,17711\n")
 
     def test_paper_gf_warns_on_each_erratum(self, capsys):
         code, out, err = run(
@@ -428,6 +449,22 @@ class TestGamma:
             {"n": 2, "formula_value": 3, "oracle_value": 3, "match": True},
         ]
 
+    def test_reaches_the_dp_cap(self, capsys):
+        code, out, _ = run(capsys, "gamma", "--family", "tri", "--max-n", "19")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert code == 0 and [int(r[0]) for r in rows] == list(range(1, 20))
+        assert all(r[3] == "yes" for r in rows)
+
+    @pytest.mark.parametrize("family", list(GAMMA_FORMULA), ids=lambda f: f.value)
+    def test_default_lengths_are_the_audits(self, capsys, family):
+        # without --max-n, the rows behind <f>-gamma at the default ceiling
+        code, out, _ = run(capsys, "gamma", "--family", family.value)
+        lengths = [int(line.split(",")[0]) for line in out.splitlines()[1:]]
+        assert code == 0 and lengths == list(range(1, len(lengths) + 1))
+        assert verify.check_gamma_formula(family).details == (
+            f"formula matches the oracle minimum for n = 1..{lengths[-1]}",
+        )
+
 
 class TestDefect:
     def test_refuted_table(self, capsys):
@@ -451,6 +488,12 @@ class TestDefect:
         assert doc["claimed_value"] == 14
         assert doc["oracle_value"] == 14
         assert doc["witness"] == [2, 1]
+
+    def test_reaches_the_dp_cap(self, capsys):
+        # the (6,6) s-defect chain has 3(6 + 6 + 1) + 1 = 40 vertices
+        code, out, _ = run(capsys, "defect", "--family", "s-defect", "--m", "6", "--n", "6")
+        lines = out.splitlines()
+        assert code == 0 and "oracle: 7168" in lines and "verdict: refuted" in lines
 
 
 def _transcription_routes():

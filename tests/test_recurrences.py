@@ -382,10 +382,20 @@ class TestPaperRecurrences:
     ((("a", "b"), ((1, 0),), (1, 1), (1, 1)), "update matrix shape does not match state count"),
     ((("a",), ((1,),), (1, 2), (1,)), "vector lengths do not match state count"),
     ((("a",), ((1,),), (1,), ()), "vector lengths do not match state count"),
-    ((("a",), ((-1,),), (1,), (1,)), "update matrix entries must be nonnegative"),
 ])
 def test_transfer_system_refusals_by_position_and_keyword(args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         TransferSystem(*args)
     with pytest.raises(ValueError, match=f"^{message}$"):
         TransferSystem(**dict(zip(TransferSystem._fields, args)))
+
+
+def test_transfer_system_takes_negative_entries():
+    # a printed entry may be a transcription slip of any sign: the audit judges
+    # the system it builds, so construction accepts a negative entry
+    system = _system(((-1, 1, 0), (1, -2, 3), (0, 2, -1)), (1, 2, 1))
+    dense = [system.initial_vector]
+    for _ in range(29):
+        dense.append(_dense_step(system.update_matrix, dense[-1]))
+    assert state_trajectory(system, 30) == dense
+    assert any(v < 0 for vec in dense for v in vec)
