@@ -30,15 +30,10 @@ from .graphs import (
     BoundaryCounts,
     Graph,
     OracleLimitError,
-    closed_neighborhood,
     count_boundary_classes,
     count_ids,
     enumerate_mis,
     independent_domination_number,
-    is_independent,
-    is_independent_dominating,
-    vertex_set,
-    vertices_of,
 )
 from .paper import (
     derived_gf,
@@ -63,7 +58,6 @@ from .verify import (
     Claim,
     ClaimStatus,
     VerificationReport,
-    all_claims,
     check_defect_formula,
     check_gamma_formula,
     cross_check_family,
@@ -91,11 +85,9 @@ __all__ = [
     "SingularSystemError",
     "TransferSystem",
     "VerificationReport",
-    "all_claims",
     "build_chain",
     "check_defect_formula",
     "check_gamma_formula",
-    "closed_neighborhood",
     "count_boundary_classes",
     "count_ids",
     "cross_check_family",
@@ -110,8 +102,6 @@ __all__ = [
     "format_gf",
     "gf_from_recurrence",
     "independent_domination_number",
-    "is_independent",
-    "is_independent_dominating",
     "paper_gf",
     "paper_gf_system",
     "paper_recurrence",
@@ -123,7 +113,5 @@ __all__ = [
     "solve_gf_system",
     "state_trajectory",
     "transfer_state",
-    "vertex_set",
-    "vertices_of",
     "verify_all",
 ]

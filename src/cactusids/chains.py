@@ -94,14 +94,20 @@ class ChainSpec(_ChainSpecFields):
         return cls(*iterable)  # so that _replace checks its fields too
 
     @property
-    def word(self) -> tuple[Letter, ...]:
-        """The chain's blocks, left to right, as letters."""
+    def runs(self) -> tuple[tuple[Letter, int], ...]:
+        """The chain's blocks, left to right, as (letter, count) runs of equal
+        letters: sizes read off them cost nothing however long the chain."""
         if self.family in LINEAR_FAMILIES:
-            return (_LETTER[self.family],) * self.length  # type: ignore[operator]
+            return ((_LETTER[self.family], self.length),)  # type: ignore[return-value]
         arm, defect = _LETTER[Family.SQUARE_PARA], _LETTER[Family.SQUARE_ORTHO]
         if self.family is Family.ORTHO_CHAIN_PARA_DEFECT:
             arm, defect = defect, arm
-        return (arm,) * self.m + (defect,) + (arm,) * self.n  # type: ignore[operator]
+        return ((arm, self.m), (defect, 1), (arm, self.n))  # type: ignore[return-value]
+
+    @property
+    def word(self) -> tuple[Letter, ...]:
+        """The chain's blocks, left to right, as letters."""
+        return sum(((letter,) * count for letter, count in self.runs), ())
 
     @property
     def params(self) -> dict[str, int]:
@@ -112,7 +118,7 @@ class ChainSpec(_ChainSpecFields):
 
     @property
     def n_blocks(self) -> int:
-        return len(self.word)
+        return sum(count for _, count in self.runs)
 
 
 class LabeledChain(NamedTuple):
@@ -151,8 +157,9 @@ def build_chain(spec: ChainSpec) -> LabeledChain:
 
 
 def expected_vertex_count(spec: ChainSpec) -> int:
-    """Closed-form vertex count the construction must produce."""
-    return 1 + sum(c - 1 for c, _ in spec.word)
+    """Closed-form vertex count the construction must produce: each block
+    adds c - 1 vertices to the first block's entry vertex."""
+    return 1 + sum(count * (c - 1) for (c, _), count in spec.runs)
 
 
 def to_edge_list_text(spec: ChainSpec, chain: LabeledChain) -> str:

@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 resource limit (an oracle chain, or a
-``verify --oracle-max-vertices``, above the oracle's 40-vertex cap, a ``count
---n``/``--m`` above MAX_LENGTH, a ``build --n``/``--m`` above MAX_BUILD_LENGTH,
-or a ``sequence --max-n`` above MAX_SEQUENCE_LENGTH), 3 when ``verify`` finds
-refuted claims (so CI can gate on consistency), 141 (128 + SIGPIPE) when the
-reader closes stdout early, as ``| head`` does. Output is deterministic:
+Exit codes: 0 success, 1 usage error, 2 resource limit (an oracle chain above
+the oracle's 40-vertex cap, a ``count --n``/``--m`` above MAX_LENGTH, a
+``build --n``/``--m`` above MAX_BUILD_LENGTH, or a ``sequence --max-n`` above
+MAX_SEQUENCE_LENGTH), 3 when ``verify`` finds refuted claims (so CI can gate
+on consistency), 141 (128 + SIGPIPE) when the reader closes stdout early, as
+``| head`` does. ``verify`` takes no scope option: the oracle judges every
+chain under the fixed ``verify.AUDIT_CEILING``. Output is deterministic:
 identical invocations produce byte-identical output, and every count is
 printed exactly, however many digits it has.
 """
@@ -28,7 +29,7 @@ from .chains import (
     to_json_dict,
 )
 from .genfunc import gf_from_recurrence, recurrence_from_gf
-from .graphs import DEFAULT_MAX_VERTICES, OracleLimitError, count_ids
+from .graphs import OracleLimitError, count_ids
 from .paper import (
     DEFECT_FORMULA,
     GAMMA_FORMULA,
@@ -41,13 +42,11 @@ from .paper import (
 from .polynomials import format_gf, gf_to_json_dict
 from .recurrences import eval_recurrence, run_transfer, state_trajectory
 from .verify import (
-    DEFAULT_ORACLE_CEILING,
     check_defect_formula,
     corrected_para_defect_value,
     defect_claim,
     errata_report,
     gamma_rows,
-    oracle_lengths,
     require_oracle_fit,
     verify_all,
 )
@@ -133,11 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full claim verification suite")
     p.add_argument("--report", default="markdown", choices=["markdown", "json"])
-    p.add_argument(
-        "--oracle-max-vertices", "--oracle-max", type=int, default=DEFAULT_ORACLE_CEILING,
-        help=f"audit scope: the oracle judges every chain of at most this many vertices "
-        f"(default {DEFAULT_ORACLE_CEILING}, hard cap {DEFAULT_MAX_VERTICES})",
-    )
     return parser
 
 
@@ -154,17 +148,6 @@ def _parse_spec(parser, args) -> ChainSpec:
     if family in LINEAR_FAMILIES:
         return ChainSpec(family, length=args.n)
     return ChainSpec(family, m=m, n=args.n)
-
-
-def _check_ceiling(parser, args) -> int:
-    ceiling = args.oracle_max_vertices
-    if ceiling < 0:
-        parser.error(f"--oracle-max-vertices must be nonnegative, not {ceiling}")
-    if ceiling > DEFAULT_MAX_VERTICES:
-        raise OracleLimitError(
-            f"--oracle-max-vertices {ceiling} exceeds the hard cap {DEFAULT_MAX_VERTICES}"
-        )
-    return ceiling
 
 
 def _warn_if_errata(family: Family, method: str, value: int, n: int, expected: int) -> None:
@@ -204,7 +187,7 @@ def _check_length(flag: str, value: int, cap: int) -> None:
 
 def _oracle_count(spec: ChainSpec) -> int:
     # refuse before building: a long chain's bitset graph alone can exhaust memory
-    require_oracle_fit(spec, DEFAULT_MAX_VERTICES)
+    require_oracle_fit(spec)
     return count_ids(build_chain(spec).graph)
 
 
@@ -280,7 +263,7 @@ def _cmd_sequence(parser, args) -> int:
     lengths = range(1, args.max_n + 1)
     if args.method == "oracle":
         # refuse the longest chain before building any shorter one
-        oracle_lengths(family, DEFAULT_MAX_VERTICES, args.max_n)
+        require_oracle_fit(ChainSpec(family, length=args.max_n))
         counts = [_oracle_count(ChainSpec(family, length=n)) for n in lengths]
     elif args.method == "transfer":
         counts = _transfer_counts(family, args.max_n)
@@ -357,7 +340,7 @@ def _cmd_defect(parser, args) -> int:
     family = Family(args.family)
     if args.m < 1 or args.n < 1:
         parser.error("--m and --n must be at least 1")
-    status = check_defect_formula(family, args.m, args.n, DEFAULT_MAX_VERTICES)
+    status = check_defect_formula(family, args.m, args.n)
     if args.format == "json":
         _print_json(status.to_json_dict())
     else:
@@ -375,7 +358,7 @@ def _cmd_defect(parser, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
-    reports = verify_all(oracle_ceiling=_check_ceiling(parser, args))
+    reports = verify_all()
     print(errata_report(reports, format=args.report))
     refuted = sum(1 for r in reports for s in r.statuses if s.verdict == "refuted")
     return 3 if refuted else 0

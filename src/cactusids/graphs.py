@@ -80,65 +80,6 @@ class Graph(NamedTuple):
         return out
 
 
-def vertex_set(vertices: Iterable[int]) -> int:
-    """Pack vertex ids into a bitmask."""
-    mask = 0
-    for v in vertices:
-        if v < 0:
-            raise ValueError(f"negative vertex id {v}")
-        mask |= 1 << v
-    return mask
-
-
-def vertices_of(mask: int) -> tuple[int, ...]:
-    """Unpack a bitmask into sorted vertex ids."""
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return tuple(out)
-
-
-def _check_mask(g: Graph, s: int) -> None:
-    if s < 0 or s >> g.n_vertices:
-        raise ValueError(f"vertex set {bin(s)} out of range for {g.n_vertices} vertices")
-
-
-def closed_neighborhood(g: Graph, s: int) -> int:
-    """Union of s with every neighbourhood of a member of s."""
-    _check_mask(g, s)
-    closed = s
-    m = s
-    while m:
-        b = m & -m
-        closed |= g.adjacency[b.bit_length() - 1]
-        m ^= b
-    return closed
-
-
-def is_independent(g: Graph, s: int) -> bool:
-    """True iff no edge joins two members of s."""
-    _check_mask(g, s)
-    m = s
-    while m:
-        b = m & -m
-        if g.adjacency[b.bit_length() - 1] & s:
-            return False
-        m ^= b
-    return True
-
-
-def is_independent_dominating(g: Graph, s: int) -> bool:
-    """True iff s is independent and its closed neighbourhood is everything.
-
-    Equivalent to "independent and not extendable by any vertex", i.e. a
-    maximal independent set.
-    """
-    _check_mask(g, s)
-    return is_independent(g, s) and closed_neighborhood(g, s) == g.full_mask
-
-
 class BoundaryCounts(NamedTuple):
     in_count: int          # maximal independent sets containing v
     out_count: int         # maximal independent sets avoiding v

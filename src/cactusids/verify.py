@@ -5,8 +5,8 @@ per-state series, state systems and seeds, closed recurrences, printed
 initial terms, domination-number formulas, defect-composition formulas, the
 Fibonacci asymptotic) is registered as a claim with a stable id, and judged
 at each length against the most trusted source there: the brute-force
-oracle up to the ceiling, the transfer system beyond it through
-``SYMBOLIC_MAX``, so a verdict depends only on the claim and the ceiling.
+oracle through the fixed ``AUDIT_CEILING``, the transfer system beyond it
+through ``SYMBOLIC_MAX``, so a verdict depends only on the claim.
 Every mismatch is reported with its smallest witness; nothing is silently
 reconciled.
 
@@ -71,7 +71,12 @@ from .recurrences import (
     transfer_state,
 )
 
-DEFAULT_ORACLE_CEILING = 26
+# The oracle judges every chain of at most AUDIT_CEILING vertices: triangle
+# chains through n = 12, squares through 8 and hexagons through 5. Any value
+# from 21 (hexagons through n = 4, hex-para's recurrence witness) to the cap
+# gives the same verdicts, witnesses and values; 26 is the range the report
+# has always printed, and another would move only its "n = 1..k" texts.
+AUDIT_CEILING = 26
 # Every printed and derived GF has degree at most 4, so two that agree on 9
 # coefficients are equal: the transfer states through n = 30 decide every
 # rational claim. 30 is past every oracle length (tri's longest is 19, at the
@@ -81,7 +86,6 @@ SYMBOLIC_MAX = 30
 CONFIRMED = "confirmed"
 REFUTED = "refuted"
 FORMAL_ONLY = "formal-only"
-UNCHECKED = "unchecked"  # a defect grid point whose chain is above the oracle ceiling
 
 Witness = Union[int, tuple[int, int], None]
 
@@ -137,7 +141,6 @@ class VerificationReport(NamedTuple):
     """Statuses for one verification scope (a family, or the defect grid)."""
 
     scope: str
-    oracle_ceiling: int
     statuses: list[ClaimStatus]
 
     def summary(self) -> dict:
@@ -268,16 +271,6 @@ def defect_claim(family: Family, m: int, n: int) -> Claim:
 DEFECT_GRID = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
-def all_claims() -> tuple[Claim, ...]:
-    claims: list[Claim] = []
-    for family in LINEAR_FAMILIES:
-        claims.extend(claims_for_family(family))
-    for family in DEFECT_FAMILIES:
-        for m, n in DEFECT_GRID:
-            claims.append(defect_claim(family, m, n))
-    return tuple(claims)
-
-
 # -- oracle access with caching ---------------------------------------------
 
 
@@ -293,31 +286,16 @@ def _chain_name(spec: ChainSpec) -> str:
     return f"{spec.family.value} chain ({spec.m},{spec.n})"
 
 
-def require_oracle_fit(spec: ChainSpec, oracle_ceiling: int) -> None:
+def require_oracle_fit(spec: ChainSpec) -> None:
     """Refuse, before anything is built, a chain with more vertices than the
-    oracle ceiling (itself capped at DEFAULT_MAX_VERTICES): the one check
-    made before every oracle run of the verifier and the CLI."""
-    ceiling = min(oracle_ceiling, DEFAULT_MAX_VERTICES)
+    oracle's DEFAULT_MAX_VERTICES: the one check made before every oracle run
+    of the verifier and the CLI."""
     vertices = expected_vertex_count(spec)
-    if vertices <= ceiling:
-        return
-    if spec.n_blocks == 1:  # no chain of the family fits
+    if vertices > DEFAULT_MAX_VERTICES:
         raise OracleLimitError(
-            f"oracle ceiling {ceiling} is below the {vertices} vertices "
-            f"of the {_chain_name(spec)}"
+            f"the {_chain_name(spec)} has {vertices} vertices, "
+            f"above the oracle ceiling {DEFAULT_MAX_VERTICES}"
         )
-    raise OracleLimitError(
-        f"the {_chain_name(spec)} has {vertices} vertices, above the oracle ceiling {ceiling}"
-    )
-
-
-def oracle_lengths(family: Family, oracle_ceiling: int, n_max: Optional[int] = None) -> range:
-    """Lengths 1..n_max of a linear family, every chain under the oracle
-    ceiling; n_max defaults to the longest that fits. Refused as by require_oracle_fit."""
-    if n_max is None:
-        n_max = max(max_length_within(family, oracle_ceiling), 1)
-    require_oracle_fit(ChainSpec(family, length=n_max), oracle_ceiling)
-    return range(1, n_max + 1)
 
 
 @lru_cache(maxsize=None)
@@ -339,13 +317,15 @@ def _oracle_gamma(family: Family, n: int) -> int:
 
 def gamma_rows(family: Family, n_max: Optional[int] = None) -> list[tuple[int, int, int]]:
     """(n, formula value, oracle minimum) at lengths 1..n_max of a family with
-    a published domination-number formula, refused as by require_oracle_fit above
-    DEFAULT_MAX_VERTICES; n_max defaults to the lengths check_gamma_formula judges."""
+    a published domination-number formula, refused as by require_oracle_fit;
+    n_max defaults to the lengths check_gamma_formula judges."""
     _gamma_claim(family)
-    ceiling = DEFAULT_ORACLE_CEILING if n_max is None else DEFAULT_MAX_VERTICES
+    if n_max is None:
+        n_max = max_length_within(family, AUDIT_CEILING)
+    require_oracle_fit(ChainSpec(family, length=n_max))
     return [
         (n, GAMMA_FORMULA[family][0](n), _oracle_gamma(family, n))
-        for n in oracle_lengths(family, ceiling, n_max)
+        for n in range(1, n_max + 1)
     ]
 
 
@@ -405,7 +385,7 @@ class _Context(NamedTuple):
         return range(1, SYMBOLIC_MAX + 1)
 
     @property
-    def oracle_lengths(self) -> range:
+    def oracle_range(self) -> range:
         return range(1, self.n_max_oracle + 1)
 
     def profile(self, n: int) -> BoundaryCounts:
@@ -474,7 +454,7 @@ def _check_family_gf(claim: Claim, ctx: _Context) -> ClaimStatus:
     def refuted() -> tuple[str, Sequence[str]]:
         corrected = derived_gf(ctx.family)
         series = corrected.series(n_max_oracle)
-        if _first_mismatch(ctx.oracle_lengths, series.__getitem__, ctx.value) is None:
+        if _first_mismatch(ctx.oracle_range, series.__getitem__, ctx.value) is None:
             checked = f"corrected expansion matches brute force for n = 1..{n_max_oracle}"
         else:
             checked = "corrected expansion FAILED to match brute force (artifact bug)"
@@ -516,7 +496,7 @@ def _check_recurrence(claim: Claim, ctx: _Context) -> ClaimStatus:
 def _check_system(claim: Claim, ctx: _Context) -> ClaimStatus:
     k = len(ctx.system.state_names)
     mismatch = _first_mismatch(
-        ctx.oracle_lengths,
+        ctx.oracle_range,
         lambda n: ctx.trajectory[n - 1],
         lambda n: (tuple(ctx.profile(n)), "oracle"),
     )
@@ -577,13 +557,11 @@ def _check_initial(claim: Claim, ctx: _Context, idx: int, value: int) -> ClaimSt
     return _judge(claim, (idx, value, ref, source))
 
 
-def check_gamma_formula(
-    family: Family, oracle_ceiling: int = DEFAULT_ORACLE_CEILING
-) -> ClaimStatus:
+def check_gamma_formula(family: Family) -> ClaimStatus:
     """Compare the published domination-number formula against the oracle at
-    every length under the ceiling."""
+    every length under AUDIT_CEILING."""
     claim = _gamma_claim(family)
-    return _gamma_status(claim, family, oracle_lengths(family, oracle_ceiling))
+    return _gamma_status(claim, family, range(1, max_length_within(family, AUDIT_CEILING) + 1))
 
 
 def _gamma_claim(family: Family) -> Claim:
@@ -605,7 +583,7 @@ def _gamma_status(claim: Claim, family: Family, lengths: range) -> ClaimStatus:
 
 
 def _check_gamma(claim: Claim, ctx: _Context) -> ClaimStatus:
-    return _gamma_status(claim, ctx.family, ctx.oracle_lengths)
+    return _gamma_status(claim, ctx.family, ctx.oracle_range)
 
 
 def _check_meta_identity(claim: Claim, ctx: _Context) -> ClaimStatus:
@@ -646,7 +624,7 @@ def _check_asymptotic_form(claim: Claim, ctx: _Context) -> ClaimStatus:
 
     def nearest(shift: int) -> Optional[Mismatch]:  # round(r^(n + shift)/sqrt(5))
         return _first_mismatch(
-            ctx.oracle_lengths, lambda n: round(phi ** (n + shift) / sqrt5), ctx.value
+            ctx.oracle_range, lambda n: round(phi ** (n + shift) / sqrt5), ctx.value
         )
 
     mismatch = nearest(0)
@@ -677,13 +655,11 @@ _STATEMENT_CHECKS: dict[str, Check] = {
 # -- orchestration -----------------------------------------------------------
 
 
-def cross_check_family(
-    family: Family, oracle_ceiling: int = DEFAULT_ORACLE_CEILING
-) -> VerificationReport:
+def cross_check_family(family: Family) -> VerificationReport:
     """Run every registered check for one linear family: against the oracle
-    at every length under the ceiling, against the transfer system beyond."""
+    at every length under AUDIT_CEILING, against the transfer system beyond."""
     registry = _registry(family)
-    n_max_oracle = len(oracle_lengths(family, oracle_ceiling))
+    n_max_oracle = max_length_within(family, AUDIT_CEILING)
     system = paper_transfer_system(family)
     # a two-state system claims that no set is extendable
     pad = (0,) * (3 - len(system.state_names))
@@ -691,7 +667,6 @@ def cross_check_family(
     ctx = _Context(family, n_max_oracle, system, trajectory)
     return VerificationReport(
         scope=family.value,
-        oracle_ceiling=oracle_ceiling,
         statuses=[check(claim, ctx) for claim, check in registry.values()],
     )
 
@@ -709,15 +684,10 @@ def corrected_para_defect_value(m: int, n: int) -> int:
     return defect_formula_value(Family.ORTHO_CHAIN_PARA_DEFECT, m, n) + contains_both
 
 
-def check_defect_formula(
-    family: Family,
-    m: int,
-    n: int,
-    oracle_ceiling: int = DEFAULT_ORACLE_CEILING,
-) -> ClaimStatus:
+def check_defect_formula(family: Family, m: int, n: int) -> ClaimStatus:
     """Compare a defect family's composition formula against the oracle at (m, n)."""
     claim = defect_claim(family, m, n)
-    require_oracle_fit(ChainSpec(family, m=m, n=n), oracle_ceiling)
+    require_oracle_fit(ChainSpec(family, m=m, n=n))
     formula = defect_formula_value(family, m, n)
     oracle = _oracle_defect_count(family, m, n)
     point = ((m, n), formula, oracle, "oracle")
@@ -764,28 +734,19 @@ def _defect_correction(
     ]
 
 
-def check_defect_grid(oracle_ceiling: int = DEFAULT_ORACLE_CEILING) -> VerificationReport:
-    """Both defect formulas at every DEFECT_GRID point. A point whose chain
-    is above the oracle ceiling is unchecked, with the refusal as its
-    details, so the rest of the report still stands."""
-    statuses = []
-    for family in DEFECT_FAMILIES:
-        for m, n in DEFECT_GRID:
-            try:
-                status = check_defect_formula(family, m, n, oracle_ceiling=oracle_ceiling)
-            except OracleLimitError as exc:
-                status = ClaimStatus(defect_claim(family, m, n), UNCHECKED, details=(str(exc),))
-            statuses.append(status)
-    return VerificationReport(scope="defects", oracle_ceiling=oracle_ceiling, statuses=statuses)
+def check_defect_grid() -> VerificationReport:
+    """Both defect formulas at every DEFECT_GRID point."""
+    statuses = [
+        check_defect_formula(family, m, n) for family in DEFECT_FAMILIES for m, n in DEFECT_GRID
+    ]
+    return VerificationReport(scope="defects", statuses=statuses)
 
 
-def verify_all(oracle_ceiling: int = DEFAULT_ORACLE_CEILING) -> list[VerificationReport]:
+def verify_all() -> list[VerificationReport]:
     """Run every registered claim check; returns one report per family and
     one for the defect grid."""
-    reports = [
-        cross_check_family(family, oracle_ceiling=oracle_ceiling) for family in LINEAR_FAMILIES
-    ]
-    reports.append(check_defect_grid(oracle_ceiling))
+    reports = [cross_check_family(family) for family in LINEAR_FAMILIES]
+    reports.append(check_defect_grid())
     return reports
 
 
@@ -793,6 +754,8 @@ def verify_all(oracle_ceiling: int = DEFAULT_ORACLE_CEILING) -> list[Verificatio
 
 
 def _summary(statuses: Sequence[ClaimStatus]) -> dict:
+    # no verdict is "unchecked" any more; the key stays, since the benchmark's
+    # goldens and verdict pattern read it
     out = {"confirmed": 0, "refuted": 0, "formal_only": 0, "unchecked": 0}
     for status in statuses:
         out[status.verdict.replace("-", "_")] += 1
@@ -809,12 +772,11 @@ def errata_report(reports: Sequence[VerificationReport], format: str = "markdown
     """Deterministic document listing every claim status, errata first."""
     statuses = sorted((s for r in reports for s in r.statuses), key=lambda s: s.claim.id)
     summary = _summary(statuses)
-    ceiling = max((r.oracle_ceiling for r in reports), default=0)
     if format == "json":
         import json
 
         doc = {
-            "oracle_ceiling": ceiling,
+            "oracle_ceiling": AUDIT_CEILING,
             "summary": summary,
             "claims": [s.to_json_dict() for s in statuses],
         }
@@ -823,7 +785,7 @@ def errata_report(reports: Sequence[VerificationReport], format: str = "markdown
         raise ValueError(f"unknown report format {format!r}")
 
     lines = ["# Claim verification report", ""]
-    lines.append(f"Oracle ceiling: {ceiling} vertices.")
+    lines.append(f"Oracle ceiling: {AUDIT_CEILING} vertices.")
     lines.append(
         "Verdicts: "
         + ", ".join(f"{k.replace('_', '-')} {v}" for k, v in summary.items())

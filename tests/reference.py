@@ -5,6 +5,11 @@ frontier DP, and no command checks isomorphism or the cactus property.
 
 * ``path_graph``, ``cycle_graph``, ``complete_graph`` and ``n_edges`` -
   small named graphs to count on, and the edge count of a graph;
+* ``vertex_set``, ``vertices_of``, ``closed_neighborhood``,
+  ``is_independent`` and ``is_independent_dominating`` - bitmask vertex
+  sets and the definition of an independent dominating set, checked one
+  set at a time;
+* ``all_claims`` - every registered claim, in registry order;
 * ``pivot_states`` - the DP's final states from the pivot engine's maximal
   independent sets, a second oracle independent of the DP;
 * ``is_isomorphic`` - backtracking isomorphism test for small graphs;
@@ -21,8 +26,11 @@ import functools
 import itertools
 import math
 import operator
+from typing import Iterable
 
+from cactusids.chains import DEFECT_FAMILIES, LINEAR_FAMILIES
 from cactusids.graphs import _COUNT, Graph, _fold, _mis_masks_pivot
+from cactusids.verify import DEFECT_GRID, Claim, claims_for_family, defect_claim
 
 
 def path_graph(n: int) -> Graph:
@@ -41,6 +49,75 @@ def complete_graph(n: int) -> Graph:
 
 def n_edges(g: Graph) -> int:
     return sum(a.bit_count() for a in g.adjacency) // 2
+
+
+def vertex_set(vertices: Iterable[int]) -> int:
+    """Pack vertex ids into a bitmask."""
+    mask = 0
+    for v in vertices:
+        if v < 0:
+            raise ValueError(f"negative vertex id {v}")
+        mask |= 1 << v
+    return mask
+
+
+def vertices_of(mask: int) -> tuple[int, ...]:
+    """Unpack a bitmask into sorted vertex ids."""
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return tuple(out)
+
+
+def _check_mask(g: Graph, s: int) -> None:
+    if s < 0 or s >> g.n_vertices:
+        raise ValueError(f"vertex set {bin(s)} out of range for {g.n_vertices} vertices")
+
+
+def closed_neighborhood(g: Graph, s: int) -> int:
+    """Union of s with every neighbourhood of a member of s."""
+    _check_mask(g, s)
+    closed = s
+    m = s
+    while m:
+        b = m & -m
+        closed |= g.adjacency[b.bit_length() - 1]
+        m ^= b
+    return closed
+
+
+def is_independent(g: Graph, s: int) -> bool:
+    """True iff no edge joins two members of s."""
+    _check_mask(g, s)
+    m = s
+    while m:
+        b = m & -m
+        if g.adjacency[b.bit_length() - 1] & s:
+            return False
+        m ^= b
+    return True
+
+
+def is_independent_dominating(g: Graph, s: int) -> bool:
+    """True iff s is independent and its closed neighbourhood is everything.
+
+    Equivalent to "independent and not extendable by any vertex", i.e. a
+    maximal independent set.
+    """
+    _check_mask(g, s)
+    return is_independent(g, s) and closed_neighborhood(g, s) == g.full_mask
+
+
+def all_claims() -> tuple[Claim, ...]:
+    claims: list[Claim] = []
+    for family in LINEAR_FAMILIES:
+        claims.extend(claims_for_family(family))
+    for family in DEFECT_FAMILIES:
+        for m, n in DEFECT_GRID:
+            claims.append(defect_claim(family, m, n))
+    return tuple(claims)
 
 
 def pivot_states(g: Graph, keep: int | None = None, mode: tuple = _COUNT) -> dict:

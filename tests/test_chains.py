@@ -20,7 +20,6 @@ from cactusids.graphs import (
     count_boundary_classes,
     count_ids,
     independent_domination_number,
-    vertices_of,
 )
 from cactusids.paper import _SYSTEM_DATA, paper_transfer_system
 from reference import (
@@ -32,6 +31,7 @@ from reference import (
     is_cactus,
     is_isomorphic,
     run_word,
+    vertices_of,
 )
 
 
@@ -94,6 +94,7 @@ class TestVertexCounts:
                 spec = ChainSpec(family, length=n)
                 chain = build_chain(spec)
                 assert chain.graph.n_vertices == expected_vertex_count(spec)
+                assert len(chain.blocks) == spec.n_blocks
                 assert is_cactus(chain.graph)
         for m in (1, 2):
             for n in (1, 2):
@@ -104,6 +105,7 @@ class TestVertexCounts:
                     spec = ChainSpec(family, m=m, n=n)
                     chain = build_chain(spec)
                     assert chain.graph.n_vertices == expected_vertex_count(spec)
+                    assert len(chain.blocks) == spec.n_blocks
                     assert is_cactus(chain.graph)
 
 

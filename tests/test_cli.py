@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 
 import pytest
@@ -198,6 +199,29 @@ class TestCount:
             assert (code, out) == (2, ""), argv
             assert "above the oracle ceiling 40" in err, argv
 
+    @pytest.mark.parametrize("argv", [
+        ("gamma", "--family", "tri", "--max-n", "1000000000"),
+        ("defect", "--family", "p-defect", "--m", "1000000000", "--n", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_huge_lengths_are_refused_at_once(self, argv):
+        # the refusal reads the vertex count off the chain's runs of blocks;
+        # a child limited to 512 MB of address space fails, rather than
+        # swamping the machine, should it ever spell out 10^9 blocks
+        import resource
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "cactusids.cli", *argv], env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+        )
+        elapsed = time.perf_counter() - start
+        assert (result.returncode, result.stdout) == (2, ""), result.stderr
+        assert "above the oracle ceiling 40" in result.stderr
+        assert elapsed < 5, elapsed
+
     @pytest.mark.parametrize("family", LINEAR_FAMILIES, ids=lambda f: f.value)
     def test_gf_method_equals_series(self, capsys, family):
         for source, gf in (("derived", derived_gf(family)), ("paper", paper_gf(family))):
@@ -224,30 +248,25 @@ class TestCount:
 
 
 class TestOracleCeilingFlag:
-    """Only ``verify`` takes a ceiling, its audit's scope; every other oracle
-    route runs up to the DP's 40-vertex cap."""
+    """No command takes an oracle ceiling: every oracle route runs up to the
+    DP's 40-vertex cap, and the audit's range is the fixed AUDIT_CEILING."""
 
     @pytest.mark.parametrize("command", [
         ("count", "--family", "tri", "--n", "2", "--method", "oracle"),
         ("sequence", "--family", "tri", "--max-n", "2", "--method", "oracle"),
         ("gamma", "--family", "tri"),
         ("defect", "--family", "s-defect", "--m", "1", "--n", "1"),
+        ("verify",),
     ], ids=lambda command: command[0])
-    def test_only_verify_takes_it(self, capsys, command):
+    def test_no_command_takes_it(self, capsys, command):
         code, out, err = run(capsys, *command, "--oracle-max-vertices", "26")
         assert (code, out) == (1, "")
         assert "unrecognized arguments: --oracle-max-vertices 26" in err
 
-    def test_negative_is_a_usage_error(self, capsys):
-        code, out, err = run(capsys, "verify", "--oracle-max-vertices", "-5")
+    def test_nor_its_alias(self, capsys):
+        code, out, err = run(capsys, "verify", "--oracle-max", "16")
         assert (code, out) == (1, "")
-        assert "--oracle-max-vertices must be nonnegative" in err
-
-    @pytest.mark.parametrize("ceiling, vertices", [("0", 3), ("2", 3)])
-    def test_below_the_length_one_chain(self, capsys, ceiling, vertices):
-        code, out, err = run(capsys, "verify", "--oracle-max", ceiling)
-        assert (code, out) == (2, "")
-        assert f"below the {vertices} vertices of the length-1 tri chain" in err
+        assert "unrecognized arguments: --oracle-max 16" in err
 
 
 class TestSequence:
@@ -457,7 +476,7 @@ class TestGamma:
 
     @pytest.mark.parametrize("family", list(GAMMA_FORMULA), ids=lambda f: f.value)
     def test_default_lengths_are_the_audits(self, capsys, family):
-        # without --max-n, the rows behind <f>-gamma at the default ceiling
+        # without --max-n, the rows behind <f>-gamma, in the audit's range
         code, out, _ = run(capsys, "gamma", "--family", family.value)
         lengths = [int(line.split(",")[0]) for line in out.splitlines()[1:]]
         assert code == 0 and lengths == list(range(1, len(lengths) + 1))
@@ -575,67 +594,20 @@ class TestVerify:
         assert code1 == code2 == 3
         assert out1 == out2
 
-    def test_oracle_max_alias(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--report", "json", "--oracle-max", "22"
-        )
-        assert code == 3
-        assert json.loads(out)["oracle_ceiling"] == 22
-
-    # --oracle-max 16 judges hex-para's formal seed a(0) at n = 4, past the
-    # oracle's n = 3; at 8 each hexagon family has one oracle length, and 40
-    # is the hard cap
-    @pytest.mark.parametrize("report, digest, settings", [
-        pytest.param(report, digest, settings, id=f"{report}-{digest}")
-        for report, digest, settings in (
-            ("json", "68edc2755fc462f46b2191a09b8c7f1145103835295fee5f02725c0bc8a5be1e", ()),
-            ("markdown", "23489da56825ca555258eb1a6a0b608e4bacba31aa75e205edb60da64156c8c9", ()),
-            ("json", "070fe3f835b0533abbf9b133e3afc4e902a6664708e06f7fd63d86878491ee86",
-             ("--oracle-max", "16")),
-            ("markdown", "5978b1b9c441e20aad83ce6055e2b894c7b8529f011b2a38d8d281d0f23fd930",
-             ("--oracle-max", "16")),
-            ("json", "e1faa95ad4007c0fd6f77c9be13bdc0fb2e00fcd668dbeed4a4d448089da1086",
-             ("--oracle-max", "22")),
-            ("markdown", "e2e3734cbef35bd92c006f8321e1be062886a915f4193c93dcb25a3eec7c8d5b",
-             ("--oracle-max", "22")),
-            ("json", "151d45ce7202e1e2d247ed1625267c13e28f36ba104450eb72c7bd284608d757",
-             ("--oracle-max", "8")),
-            ("markdown", "00def5affdf2583746c969a30a35f354d229089b7a41e2749a05bfca9fce0101",
-             ("--oracle-max", "8")),
-            ("json", "5673017576ad21816982ad9e1c51f4670d630cbb9bd242a0549129d4bca48b27",
-             ("--oracle-max", "40")),
-            ("markdown", "46a6804bf48dfd6cc95cc409c49545f7d06ceca3855a3c56686699fe9c0fb98d",
-             ("--oracle-max", "40")),
+    @pytest.mark.parametrize("report, digest", [
+        pytest.param(report, digest, id=f"{report}-{digest}")
+        for report, digest in (
+            ("json", "68edc2755fc462f46b2191a09b8c7f1145103835295fee5f02725c0bc8a5be1e"),
+            ("markdown", "23489da56825ca555258eb1a6a0b608e4bacba31aa75e205edb60da64156c8c9"),
         )
     ])
-    def test_report_digest_at_the_defaults(self, capsys, report, digest, settings):
-        code, out, _ = run(capsys, "verify", "--report", report, *settings)
+    def test_report_digest_at_the_defaults(self, capsys, report, digest):
+        code, out, _ = run(capsys, "verify", "--report", report)
         assert code == 3
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_symbolic_range_is_not_an_option(self, capsys):
-        # the transfer range is fixed: only the oracle ceiling moves a verdict
+        # the transfer range is fixed, like the oracle's
         code, out, err = run(capsys, "verify", "--symbolic-max", "3")
         assert (code, out) == (1, "")
         assert "unrecognized arguments: --symbolic-max 3" in err
-
-    def test_ceiling_cap(self, capsys):
-        code, _, err = run(capsys, "verify", "--oracle-max-vertices", "90")
-        assert code == 2
-        assert "hard cap" in err
-
-    def test_ceiling_below_the_defect_grid(self, capsys):
-        # a defect chain above the ceiling leaves only its grid point unchecked
-        code, out, _ = run(capsys, "verify", "--report", "json", "--oracle-max", "15")
-        assert code == 3
-        doc = json.loads(out)
-        assert doc["summary"]["unchecked"] == 2
-        status = {c["id"]: c for c in doc["claims"]}["p-defect-2-2"]
-        assert status["verdict"] == "unchecked"
-        assert status["details"] == [
-            "the p-defect chain (2,2) has 16 vertices, above the oracle ceiling 15"
-        ]
-        # a family with no chain under the ceiling still refuses the whole run
-        code, out, err = run(capsys, "verify", "--oracle-max", "5")
-        assert (code, out) == (2, "")
-        assert "below the 6 vertices of the length-1 hex-ortho chain" in err

@@ -19,23 +19,23 @@ from cactusids.graphs import (
     BoundaryCounts,
     Graph,
     OracleLimitError,
-    closed_neighborhood,
     count_boundary_classes,
     count_ids,
     enumerate_mis,
     independent_domination_number,
-    is_independent,
-    is_independent_dominating,
-    vertex_set,
-    vertices_of,
 )
 from reference import (
+    closed_neighborhood,
     complete_graph,
     cycle_graph,
+    is_independent,
+    is_independent_dominating,
     is_isomorphic,
     n_edges,
     path_graph,
     pivot_states,
+    vertex_set,
+    vertices_of,
 )
 
 

@@ -1,5 +1,6 @@
 import json
 import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -11,12 +12,11 @@ from cactusids.chains import (
     build_chain,
     expected_vertex_count,
 )
-from cactusids.graphs import OracleLimitError, count_ids
+from cactusids.graphs import DEFAULT_MAX_VERTICES, OracleLimitError, count_ids
 from cactusids.paper import GAMMA_FORMULA, defect_formula_value, derived_gf
 from cactusids.verify import (
     DEFECT_GRID,
     VerificationReport,
-    all_claims,
     check_defect_formula,
     check_gamma_formula,
     claims_for_family,
@@ -26,6 +26,7 @@ from cactusids.verify import (
     oracle_count,
     verify_all,
 )
+from reference import all_claims
 
 
 def status_map(report):
@@ -37,9 +38,18 @@ def ceiling_through(family, n):
     return expected_vertex_count(ChainSpec(family, length=n))
 
 
+@contextmanager
+def audit_through(family, n):
+    """The audit's oracle range cut to the family's lengths 1..n."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "AUDIT_CEILING", ceiling_through(family, n))
+        yield
+
+
 def checked_through(family, n):
-    """cross_check_family under the oracle ceiling whose longest chain has length n."""
-    return cross_check_family(family, oracle_ceiling=ceiling_through(family, n))
+    """cross_check_family with the oracle judging the family's lengths 1..n."""
+    with audit_through(family, n):
+        return cross_check_family(family)
 
 
 @pytest.fixture(scope="module")
@@ -143,10 +153,6 @@ class TestCrossCheckFamily:
                 assert status.claimed_value is not None
                 assert status.oracle_value is not None
 
-    def test_ceiling_respected(self):
-        with pytest.raises(OracleLimitError, match="below the 6 vertices"):
-            cross_check_family(Family.HEX_PARA, oracle_ceiling=5)
-
     def test_rejects_defect_family(self):
         with pytest.raises(ValueError):
             cross_check_family(Family.PARA_CHAIN_ORTHO_DEFECT)
@@ -162,17 +168,14 @@ class TestCrossCheckFamily:
 class TestGamma:
     def test_examples(self):
         for family, n in ((Family.TRIANGULAR, 8), (Family.HEX_ORTHO, 1), (Family.HEX_META, 4)):
-            status = check_gamma_formula(family, ceiling_through(family, n))
+            with audit_through(family, n):
+                status = check_gamma_formula(family)
             assert status.verdict == "confirmed"
             assert status.details == (f"formula matches the oracle minimum for n = 1..{n}",)
 
     def test_no_formula_for_squares(self):
         with pytest.raises(ValueError):
             check_gamma_formula(Family.SQUARE_PARA)
-
-    def test_ceiling(self):
-        with pytest.raises(OracleLimitError, match="below the 6 vertices"):
-            check_gamma_formula(Family.HEX_ORTHO, oracle_ceiling=5)
 
 
 class TestDefects:
@@ -216,8 +219,10 @@ class TestDefects:
             defect_formula_value(family, 1, 1)
 
     def test_ceiling(self):
-        with pytest.raises(OracleLimitError):
-            check_defect_formula(Family.ORTHO_CHAIN_PARA_DEFECT, 4, 4, oracle_ceiling=26)
+        # the (6,7) chain has 3(6 + 7 + 1) + 1 = 43 vertices
+        assert DEFAULT_MAX_VERTICES == 40
+        with pytest.raises(OracleLimitError, match="43 vertices, above the oracle ceiling 40"):
+            check_defect_formula(Family.ORTHO_CHAIN_PARA_DEFECT, 6, 7)
 
 
 def _records():
@@ -480,7 +485,8 @@ class TestRefutedBranches:
         patched.setitem(
             GAMMA_FORMULA, Family.TRIANGULAR, (lambda n: formula(n) + (n == 3), text)
         )
-        status = check_gamma_formula(Family.TRIANGULAR, ceiling_through(Family.TRIANGULAR, 5))
+        with audit_through(Family.TRIANGULAR, 5):
+            status = check_gamma_formula(Family.TRIANGULAR)
         assert status.verdict == "refuted"
         assert (status.witness, status.claimed_value, status.oracle_value) == (3, 3, 2)
         assert status.reference == "oracle"
@@ -681,10 +687,8 @@ class TestOneReferencePass:
 
         # every transfer run, from any module, powers the matrix here
         patched.setattr(recurrences, "mat_pow_vec", no_power)
-        reports = {
-            family: cross_check_family(family, oracle_ceiling=16)
-            for family in LINEAR_FAMILIES
-        }
+        patched.setattr(verify, "AUDIT_CEILING", 16)
+        reports = {family: cross_check_family(family) for family in LINEAR_FAMILIES}
         # hex-para's formal seed a(0) is judged at n = 4, past the oracle's n = 3
         status = status_map(reports[Family.HEX_PARA])["hex-para-initial-0"]
         assert status.verdict == "formal-only"
