@@ -606,6 +606,29 @@ class TestVerify:
         assert code == 3
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # the verify tests judge at a cut range by patching AUDIT_CEILING; these
+    # pin the whole report there, as the retired --oracle-max N printed it:
+    # at 16 hex-para's formal seed a(0) is judged at n = 4, past the oracle's
+    # n = 3, and 40 is the hard cap
+    @pytest.mark.parametrize("ceiling, report, digest", [
+        pytest.param(ceiling, report, digest, id=f"{ceiling}-{report}-{digest}")
+        for ceiling, report, digest in (
+            (16, "json", "070fe3f835b0533abbf9b133e3afc4e902a6664708e06f7fd63d86878491ee86"),
+            (16, "markdown", "5978b1b9c441e20aad83ce6055e2b894c7b8529f011b2a38d8d281d0f23fd930"),
+            (22, "json", "e1faa95ad4007c0fd6f77c9be13bdc0fb2e00fcd668dbeed4a4d448089da1086"),
+            (22, "markdown", "e2e3734cbef35bd92c006f8321e1be062886a915f4193c93dcb25a3eec7c8d5b"),
+            (40, "json", "5673017576ad21816982ad9e1c51f4670d630cbb9bd242a0549129d4bca48b27"),
+            (40, "markdown", "46a6804bf48dfd6cc95cc409c49545f7d06ceca3855a3c56686699fe9c0fb98d"),
+        )
+    ])
+    def test_report_digest_at_a_patched_range(
+        self, capsys, monkeypatch, ceiling, report, digest
+    ):
+        monkeypatch.setattr(verify, "AUDIT_CEILING", ceiling)
+        code, out, _ = run(capsys, "verify", "--report", report)
+        assert code == 3
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_symbolic_range_is_not_an_option(self, capsys):
         # the transfer range is fixed, like the oracle's
         code, out, err = run(capsys, "verify", "--symbolic-max", "3")

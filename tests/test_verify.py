@@ -6,6 +6,7 @@ import pytest
 
 from cactusids import paper, recurrences, verify
 from cactusids.chains import (
+    DEFECT_FAMILIES,
     ChainSpec,
     Family,
     LINEAR_FAMILIES,
@@ -24,6 +25,7 @@ from cactusids.verify import (
     errata_report,
     max_length_within,
     oracle_count,
+    require_oracle_fit,
     verify_all,
 )
 from reference import all_claims
@@ -223,6 +225,37 @@ class TestDefects:
         assert DEFAULT_MAX_VERTICES == 40
         with pytest.raises(OracleLimitError, match="43 vertices, above the oracle ceiling 40"):
             check_defect_formula(Family.ORTHO_CHAIN_PARA_DEFECT, 6, 7)
+
+
+def _spec_at(family, k):
+    """The family's chain of length k, or its defect chain (k, 1)."""
+    if family in LINEAR_FAMILIES:
+        return ChainSpec(family, length=k)
+    return ChainSpec(family, m=k, n=1)
+
+
+@pytest.mark.parametrize(
+    "family", LINEAR_FAMILIES + DEFECT_FAMILIES, ids=lambda f: f.value
+)
+def test_oracle_fit_is_the_dp_cap(family):
+    # the longest chain require_oracle_fit lets through is built with the
+    # vertices it expects and counted by the DP; one block more is refused
+    k = max(k for k in range(1, 41) if expected_vertex_count(_spec_at(family, k)) <= 40)
+    if family in LINEAR_FAMILIES:
+        assert k == max_length_within(family, DEFAULT_MAX_VERTICES)
+    spec = _spec_at(family, k)
+    require_oracle_fit(spec)
+    chain = build_chain(spec)
+    assert chain.graph.n_vertices == expected_vertex_count(spec) <= DEFAULT_MAX_VERTICES
+    assert count_ids(chain.graph) > 0
+    longer = _spec_at(family, k + 1)
+    with pytest.raises(
+        OracleLimitError,
+        match=f"has {expected_vertex_count(longer)} vertices, above the oracle ceiling 40",
+    ):
+        require_oracle_fit(longer)
+    with pytest.raises(OracleLimitError):
+        count_ids(build_chain(longer).graph)
 
 
 def _records():
