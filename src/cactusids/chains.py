@@ -116,10 +116,6 @@ class ChainSpec(_ChainSpecFields):
             return {"length": self.length}  # type: ignore[dict-item]
         return {"m": self.m, "n": self.n}  # type: ignore[dict-item]
 
-    @property
-    def n_blocks(self) -> int:
-        return sum(count for _, count in self.runs)
-
 
 class LabeledChain(NamedTuple):
     """A built chain: graph plus block structure and the terminal vertex.

@@ -82,10 +82,8 @@ def paper_transfer_system(family: Family) -> TransferSystem:
     init = tuple(
         measured_extendable_seed(family) if s is None else s for s in seeds
     )
-    k = len(init)
-    names = STATE_NAMES_2 if k == 2 else STATE_NAMES_3
-    weights = (1, 1) if k == 2 else (1, 1, 0)
-    return TransferSystem(names, matrix, init, weights)
+    weights = (1, 1) if len(init) == 2 else (1, 1, 0)
+    return TransferSystem(matrix, init, weights)
 
 
 # -- closed recurrences ------------------------------------------------------

@@ -156,26 +156,28 @@ class Polynomial:
         return format_poly(self)
 
 
-def format_poly(p: Polynomial) -> str:
-    """Render ascending-power text like ``1 - 3x - x^2 - 2x^3``."""
-    if p.is_zero:
-        return "0"
-    parts = []
-    for k, c in enumerate(p.coeffs):
+def signed_sum(terms: Iterable[tuple[int, str]], times: str = "") -> str:
+    """Render (coefficient, body) pairs as a sum like ``2x - x^2``: a zero
+    coefficient is skipped, a unit one is left out, any other is joined to a
+    nonempty body by ``times``, and a sum with no nonzero term is ``0``."""
+    parts: list[str] = []
+    for c, body in terms:
         if c == 0:
             continue
         mag = abs(c)
-        if k == 0:
-            body = str(mag)
-        elif k == 1:
-            body = "x" if mag == 1 else f"{mag}x"
+        text = str(mag) if not body else body if mag == 1 else f"{mag}{times}{body}"
+        if parts:
+            parts.append(f"- {text}" if c < 0 else f"+ {text}")
         else:
-            body = f"x^{k}" if mag == 1 else f"{mag}x^{k}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+            parts.append(f"-{text}" if c < 0 else text)
+    return " ".join(parts) or "0"
+
+
+def format_poly(p: Polynomial) -> str:
+    """Render ascending-power text like ``1 - 3x - x^2 - 2x^3``."""
+    return signed_sum(
+        (c, "" if k == 0 else "x" if k == 1 else f"x^{k}") for k, c in enumerate(p.coeffs)
+    )
 
 
 # -- division helpers ------------------------------------------------

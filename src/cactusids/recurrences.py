@@ -17,7 +17,6 @@ from typing import NamedTuple
 
 
 class _TransferSystemFields(NamedTuple):
-    state_names: tuple[str, ...]
     update_matrix: tuple[tuple[int, ...], ...]
     initial_vector: tuple[int, ...]
     output_weights: tuple[int, ...]
@@ -29,19 +28,20 @@ class TransferSystem(_TransferSystemFields):
     ``update_matrix[i][j]`` is the multiplicity with which state j at length
     n feeds state i at length n+1. ``output_weights`` select the two genuine
     count states (contains + avoids); the extendable state is bookkeeping.
-    Construction refuses, with ``ValueError``, a matrix or vector whose shape
-    does not match the state count. Entries may be negative: the arithmetic is
-    exact over the integers, so a printed system with a negative entry is judged.
+    The state count is the seed's length; construction refuses, with
+    ``ValueError``, a matrix or weight vector whose shape does not match it.
+    Entries may be negative: the arithmetic is exact over the integers, so a
+    printed system with a negative entry is judged.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        k = len(self.state_names)
+        k = len(self.initial_vector)
         if len(self.update_matrix) != k or any(len(r) != k for r in self.update_matrix):
             raise ValueError("update matrix shape does not match state count")
-        if len(self.initial_vector) != k or len(self.output_weights) != k:
+        if len(self.output_weights) != k:
             raise ValueError("vector lengths do not match state count")
         return self
 

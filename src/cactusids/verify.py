@@ -15,7 +15,9 @@ claim is refuted at its first mismatch, and only then is its corrected
 statement derived from the transfer system. One judge, ``_check_series``,
 serves every rational claim as a printed series: the family GF, the
 per-state series, and the closed recurrence as ``gf_from_recurrence``
-turns it, with every printed term, into a GF.
+turns it, with every printed term, into a GF. One judge,
+``check_gamma_formula``, reads the rows of ``gamma_rows``, the table the CLI
+prints, for each domination-number claim.
 
 A printed a(0) is a formal seed, since no chain has length 0: it gets
 verdict "formal-only" and is checked only for arithmetic consistency with the
@@ -62,7 +64,7 @@ from .paper import (
     paper_transfer_system,
     printed_seed_flags,
 )
-from .polynomials import RationalGF, format_gf
+from .polynomials import RationalGF, format_gf, signed_sum
 from .recurrences import (
     LinearRecurrence,
     TransferSystem,
@@ -153,21 +155,9 @@ class VerificationReport(NamedTuple):
 # -- statement rendering -----------------------------------------------------
 
 
-def _seq_term(coeff: int, lag: int, first: bool) -> str:
-    mag = abs(coeff)
-    body = f"a(n-{lag})" if mag == 1 else f"{mag}a(n-{lag})"
-    if first:
-        return body if coeff > 0 else f"-{body}"
-    return f"+ {body}" if coeff > 0 else f"- {body}"
-
-
 def render_recurrence(rec: LinearRecurrence) -> str:
-    terms = [
-        _seq_term(c, i + 1, i == 0)
-        for i, c in enumerate(rec.coefficients)
-        if c != 0
-    ]
-    text = f"a(n) = {' '.join(terms)} for n >= {rec.valid_from}"
+    relation = signed_sum((c, f"a(n-{lag})") for lag, c in enumerate(rec.coefficients, 1))
+    text = f"a(n) = {relation} for n >= {rec.valid_from}"
     if rec.initial_terms:
         seeds = ", ".join(f"a({i}) = {v}" for i, v in sorted(rec.initial_terms))
         text += f", with {seeds}"
@@ -175,18 +165,12 @@ def render_recurrence(rec: LinearRecurrence) -> str:
 
 
 def render_system(family: Family) -> str:
-    ts = paper_transfer_system(family)
-    short = _STATE_SHORT[: len(ts.state_names)]
-    eqs = []
-    for i, row in enumerate(ts.update_matrix):
-        terms = []
-        for j, c in enumerate(row):
-            if c == 0:
-                continue
-            body = f"{short[j]}(n)" if c == 1 else f"{c}*{short[j]}(n)"
-            terms.append(body)
-        eqs.append(f"{short[i]}(n+1) = {' + '.join(terms)}")
-    return "; ".join(eqs)
+    matrix = paper_transfer_system(family).update_matrix
+    return "; ".join(
+        f"{_STATE_SHORT[i]}(n+1) = "
+        + signed_sum(((c, f"{_STATE_SHORT[j]}(n)") for j, c in enumerate(row)), "*")
+        for i, row in enumerate(matrix)
+    )
 
 
 def _printed_seed_text(family: Family) -> str:
@@ -249,7 +233,7 @@ def _registry(family: Family) -> dict[str, tuple[Claim, Check]]:
         )
     if family in GAMMA_FORMULA:
         add("gamma", "gamma-formula", "independence domination number",
-            GAMMA_FORMULA[family][1], _check_gamma)
+            GAMMA_FORMULA[family][1], lambda claim, ctx: check_gamma_formula(family))
     for suffix, (owner, kind, location, statement) in PRINTED_STATEMENTS.items():
         if owner is family:
             add(suffix, kind, location, statement, _STATEMENT_CHECKS[suffix])
@@ -318,15 +302,15 @@ def _oracle_gamma(family: Family, n: int) -> int:
 def gamma_rows(family: Family, n_max: Optional[int] = None) -> list[tuple[int, int, int]]:
     """(n, formula value, oracle minimum) at lengths 1..n_max of a family with
     a published domination-number formula, refused as by require_oracle_fit;
-    n_max defaults to the lengths check_gamma_formula judges."""
-    _gamma_claim(family)
+    n_max defaults to the lengths under AUDIT_CEILING, which the <f>-gamma
+    claim is judged at."""
+    if family not in GAMMA_FORMULA:
+        raise ValueError(f"no gamma formula is published for {family.value}")
     if n_max is None:
         n_max = max_length_within(family, AUDIT_CEILING)
     require_oracle_fit(ChainSpec(family, length=n_max))
-    return [
-        (n, GAMMA_FORMULA[family][0](n), _oracle_gamma(family, n))
-        for n in range(1, n_max + 1)
-    ]
+    formula = GAMMA_FORMULA[family][0]
+    return [(n, formula(n), _oracle_gamma(family, n)) for n in range(1, n_max + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -494,7 +478,7 @@ def _check_recurrence(claim: Claim, ctx: _Context) -> ClaimStatus:
 
 
 def _check_system(claim: Claim, ctx: _Context) -> ClaimStatus:
-    k = len(ctx.system.state_names)
+    k = len(ctx.system.initial_vector)
     mismatch = _first_mismatch(
         ctx.oracle_range,
         lambda n: ctx.trajectory[n - 1],
@@ -558,32 +542,17 @@ def _check_initial(claim: Claim, ctx: _Context, idx: int, value: int) -> ClaimSt
 
 
 def check_gamma_formula(family: Family) -> ClaimStatus:
-    """Compare the published domination-number formula against the oracle at
-    every length under AUDIT_CEILING."""
-    claim = _gamma_claim(family)
-    return _gamma_status(claim, family, range(1, max_length_within(family, AUDIT_CEILING) + 1))
-
-
-def _gamma_claim(family: Family) -> Claim:
-    entry = _registry(family).get(f"{family.value}-gamma")
-    if entry is None:
-        raise ValueError(f"no gamma formula is published for {family.value}")
-    return entry[0]
-
-
-def _gamma_status(claim: Claim, family: Family, lengths: range) -> ClaimStatus:
+    """The one judge of the <f>-gamma claim: the published domination-number
+    formula against the oracle minimum in every row of gamma_rows(family)."""
+    rows = gamma_rows(family)
     mismatch = _first_mismatch(
-        lengths,
-        GAMMA_FORMULA[family][0],
-        lambda n: (_oracle_gamma(family, n), "oracle"),
+        range(1, len(rows) + 1),
+        lambda n: rows[n - 1][1],
+        lambda n: (rows[n - 1][2], "oracle"),
     )
-    return _judge(
-        claim, mismatch, (f"formula matches the oracle minimum for n = 1..{lengths[-1]}",)
-    )
-
-
-def _check_gamma(claim: Claim, ctx: _Context) -> ClaimStatus:
-    return _gamma_status(claim, ctx.family, ctx.oracle_range)
+    claim = _registry(family)[f"{family.value}-gamma"][0]
+    confirmed = f"formula matches the oracle minimum for n = 1..{len(rows)}"
+    return _judge(claim, mismatch, (confirmed,))
 
 
 def _check_meta_identity(claim: Claim, ctx: _Context) -> ClaimStatus:
@@ -662,7 +631,7 @@ def cross_check_family(family: Family) -> VerificationReport:
     n_max_oracle = max_length_within(family, AUDIT_CEILING)
     system = paper_transfer_system(family)
     # a two-state system claims that no set is extendable
-    pad = (0,) * (3 - len(system.state_names))
+    pad = (0,) * (3 - len(system.initial_vector))
     trajectory = [vec + pad for vec in state_trajectory(system, SYMBOLIC_MAX)]
     ctx = _Context(family, n_max_oracle, system, trajectory)
     return VerificationReport(

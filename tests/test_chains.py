@@ -94,7 +94,7 @@ class TestVertexCounts:
                 spec = ChainSpec(family, length=n)
                 chain = build_chain(spec)
                 assert chain.graph.n_vertices == expected_vertex_count(spec)
-                assert len(chain.blocks) == spec.n_blocks
+                assert len(chain.blocks) == len(spec.word)
                 assert is_cactus(chain.graph)
         for m in (1, 2):
             for n in (1, 2):
@@ -105,7 +105,7 @@ class TestVertexCounts:
                     spec = ChainSpec(family, m=m, n=n)
                     chain = build_chain(spec)
                     assert chain.graph.n_vertices == expected_vertex_count(spec)
-                    assert len(chain.blocks) == spec.n_blocks
+                    assert len(chain.blocks) == len(spec.word)
                     assert is_cactus(chain.graph)
 
 

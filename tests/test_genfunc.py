@@ -18,6 +18,7 @@ from cactusids.genfunc import (
     solve_gf_system,
 )
 from cactusids.paper import (
+    STATE_NAMES_3,
     derived_gf,
     derived_recurrence,
     derived_state_gfs,
@@ -44,7 +45,7 @@ def _transfer_gf_system(ts):
     rows = tuple(
         tuple(P(int(i == j), -ts.update_matrix[i][j]) for j in range(k)) for i in range(k)
     )
-    return GFLinearSystem(rows, tuple(map(P, ts.initial_vector)), ts.state_names)
+    return GFLinearSystem(rows, tuple(map(P, ts.initial_vector)), STATE_NAMES_3[:k])
 
 
 _SMALL_POLY = st.lists(st.integers(-3, 3), max_size=3).map(Polynomial)

@@ -11,6 +11,7 @@ from cactusids.polynomials import (
     format_poly,
     poly_divmod_exact,
     poly_gcd,
+    signed_sum,
 )
 
 
@@ -63,6 +64,8 @@ class TestPolynomial:
         assert format_poly(P(0, 3, 2)) == "3x + 2x^2"
         assert format_poly(Polynomial()) == "0"
         assert format_poly(P(-1, 0, 1)) == "-1 + x^2"
+        assert signed_sum([(0, "a"), (-1, "a"), (2, "b"), (-3, "")], "*") == "-a + 2*b - 3"
+        assert signed_sum([(0, "a"), (0, "")]) == "0"
 
 
 class TestGcd:

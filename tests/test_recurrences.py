@@ -105,7 +105,7 @@ def _dense_step(matrix, vec):
 
 def _system(matrix, seed):
     k = len(matrix)
-    return TransferSystem(tuple(f"s{i}" for i in range(k)), matrix, seed, (1,) * k)
+    return TransferSystem(matrix, seed, (1,) * k)
 
 
 @st.composite
@@ -311,7 +311,7 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("family", LINEAR_FAMILIES)
     def test_boundary_classes_match_states(self, family):
         ts = paper_transfer_system(family)
-        k = len(ts.state_names)
+        k = len(ts.initial_vector)
         traj = state_trajectory(ts, self.ORACLE_RANGE[family])
         for n in range(1, self.ORACLE_RANGE[family] + 1):
             chain = build_chain(ChainSpec(family, length=n))
@@ -378,10 +378,10 @@ class TestPaperRecurrences:
 
 
 @pytest.mark.parametrize("args, message", [
-    ((("a",), ((1, 2),), (1,), (1,)), "update matrix shape does not match state count"),
-    ((("a", "b"), ((1, 0),), (1, 1), (1, 1)), "update matrix shape does not match state count"),
-    ((("a",), ((1,),), (1, 2), (1,)), "vector lengths do not match state count"),
-    ((("a",), ((1,),), (1,), ()), "vector lengths do not match state count"),
+    ((((1, 2),), (1,), (1,)), "update matrix shape does not match state count"),
+    ((((1, 0),), (1, 1), (1, 1)), "update matrix shape does not match state count"),
+    ((((1,),), (1, 2), (1, 2)), "update matrix shape does not match state count"),
+    ((((1,),), (1,), ()), "vector lengths do not match state count"),
 ])
 def test_transfer_system_refusals_by_position_and_keyword(args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -14,7 +14,13 @@ from cactusids.chains import (
     expected_vertex_count,
 )
 from cactusids.graphs import DEFAULT_MAX_VERTICES, OracleLimitError, count_ids
-from cactusids.paper import GAMMA_FORMULA, defect_formula_value, derived_gf
+from cactusids.paper import (
+    GAMMA_FORMULA,
+    defect_formula_value,
+    derived_gf,
+    derived_state_gfs,
+)
+from cactusids.recurrences import LinearRecurrence
 from cactusids.verify import (
     DEFECT_GRID,
     VerificationReport,
@@ -23,8 +29,11 @@ from cactusids.verify import (
     claims_for_family,
     cross_check_family,
     errata_report,
+    gamma_rows,
     max_length_within,
     oracle_count,
+    render_recurrence,
+    render_system,
     require_oracle_fit,
     verify_all,
 )
@@ -160,11 +169,17 @@ class TestCrossCheckFamily:
             cross_check_family(Family.PARA_CHAIN_ORTHO_DEFECT)
 
     def test_corrected_gfs_match_oracle_everywhere(self):
-        for family in (Family.TRIANGULAR, Family.HEX_META, Family.HEX_PARA):
-            limit = max_length_within(family, 26)
+        # the derived GFs' premise, put to the oracle at every length under the
+        # DP cap: the count, and coefficient n - 1 of each state series as that
+        # boundary class at length n; tri's absent extendable class must be 0
+        for family in LINEAR_FAMILIES:
+            limit = max_length_within(family, DEFAULT_MAX_VERTICES)
             series = derived_gf(family).series(limit)
+            states = [gf.series(limit - 1) for gf in derived_state_gfs(family)]
             for n in range(1, limit + 1):
                 assert series[n] == oracle_count(family, n)
+                classes = tuple(s[n - 1] for s in states) + (0,) * (3 - len(states))
+                assert tuple(verify._oracle_profile(family, n)) == classes
 
 
 class TestGamma:
@@ -176,8 +191,26 @@ class TestGamma:
             assert status.details == (f"formula matches the oracle minimum for n = 1..{n}",)
 
     def test_no_formula_for_squares(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no gamma formula is published for sq-para"):
             check_gamma_formula(Family.SQUARE_PARA)
+        with pytest.raises(ValueError, match="no gamma formula is published for s-defect"):
+            gamma_rows(Family.ORTHO_CHAIN_PARA_DEFECT)
+
+    @pytest.mark.parametrize("family", list(GAMMA_FORMULA), ids=lambda f: f.value)
+    def test_one_judge(self, family):
+        by_id = status_map(cross_check_family(family))
+        assert check_gamma_formula(family) == by_id[f"{family.value}-gamma"]
+
+    def test_rows_need_no_registry(self, monkeypatch):
+        def no_registry(family):
+            raise AssertionError("gamma_rows built the claim registry")
+
+        monkeypatch.setattr(verify, "_registry", no_registry)
+        for family in GAMMA_FORMULA:
+            rows = gamma_rows(family, 3)
+            assert [(n, f) for n, f, _ in rows] == [
+                (n, GAMMA_FORMULA[family][0](n)) for n in (1, 2, 3)
+            ]
 
 
 class TestDefects:
@@ -388,6 +421,30 @@ def patched(monkeypatch):
     yield monkeypatch
     monkeypatch.undo()
     _clear_package_caches()
+
+
+class TestRendering:
+    """Signed sums that only mutated data reaches: zero and negative terms."""
+
+    def test_recurrence_with_zero_coefficients(self):
+        rec = LinearRecurrence((0, 1), ((0, 2), (1, 3)), 3)
+        assert render_recurrence(rec) == "a(n) = a(n-2) for n >= 3, with a(0) = 2, a(1) = 3"
+        assert render_recurrence(rec._replace(coefficients=(0, 0))) == (
+            "a(n) = 0 for n >= 3, with a(0) = 2, a(1) = 3"
+        )
+
+    def test_system_with_zero_row(self, patched):
+        matrix, seeds = paper._SYSTEM_DATA[Family.SQUARE_PARA]
+        patched.setitem(
+            paper._SYSTEM_DATA, Family.SQUARE_PARA, (matrix[:2] + ((0, 0, 0),), seeds)
+        )
+        assert render_system(Family.SQUARE_PARA).endswith("; extendable(n+1) = 0")
+
+    def test_system_with_negative_entry(self, patched):
+        patched.setitem(paper._SYSTEM_DATA, Family.TRIANGULAR, (((-1, 1), (1, 1)), (1, 2)))
+        assert render_system(Family.TRIANGULAR).startswith(
+            "contains(n+1) = -contains(n) + avoids(n); "
+        )
 
 
 class TestRefutedBranches:
@@ -709,6 +766,84 @@ def test_every_printed_integer_moved_by_one_is_caught(patched):
         cache.cache_clear()
     assert mutants == 438  # a system entry moved from 0 to -1 included
     assert problems == []
+
+
+def _rendered(report):
+    """The report, after rendering it both ways: a mutant may not raise there."""
+    errata_report([report], "json")
+    errata_report([report], "markdown")
+    return report
+
+
+def test_every_gamma_value_moved_by_one_is_caught(patched):
+    mutants = 0
+    for family, (formula, text) in list(GAMMA_FORMULA.items()):
+        for n in range(1, max_length_within(family, verify.AUDIT_CEILING) + 1):
+            for delta in (1, -1):
+                mutants += 1
+                moved = (lambda k, f=formula, n=n, d=delta: f(k) + d * (k == n), text)
+                patched.setitem(GAMMA_FORMULA, family, moved)
+                status = status_map(_rendered(cross_check_family(family)))[
+                    f"{family.value}-gamma"
+                ]
+                assert (status.verdict, status.witness) == ("refuted", n)
+                assert status.claimed_value == formula(n) + delta
+                assert check_gamma_formula(family) == status
+        patched.setitem(GAMMA_FORMULA, family, (formula, text))
+    assert mutants == 44  # tri through n = 12, the hexagon chains through 5
+
+
+# the one defect mutant that reaches the oracle: s(1,1) = 6 + 1 is its 7
+_DEFECT_MUTANTS_THAT_CORRECT = {(Family.ORTHO_CHAIN_PARA_DEFECT, (1, 1), 1)}
+
+
+def test_every_defect_value_moved_by_one_is_caught(patched):
+    original, mutants = verify.defect_formula_value, 0
+    for family in DEFECT_FAMILIES:
+        for point in DEFECT_GRID:
+            for delta in (1, -1):
+                mutants += 1
+
+                def moved(f, m, n, family=family, point=point, delta=delta):
+                    return original(f, m, n) + delta * ((f, (m, n)) == (family, point))
+
+                patched.setattr(verify, "defect_formula_value", moved)
+                report = _rendered(verify.check_defect_grid())
+                status = status_map(report)[f"{family.value}-{point[0]}-{point[1]}"]
+                assert status.claimed_value == original(family, *point) + delta
+                if (family, point, delta) in _DEFECT_MUTANTS_THAT_CORRECT:
+                    assert status.verdict == "confirmed"
+                else:
+                    assert (status.verdict, status.witness) == ("refuted", point)
+    assert mutants == 16
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the defect formulas step s, q, avoids and s' from the printed square "
+    "systems, so a slip there moves a defect verdict",
+)
+def test_square_system_slips_leave_the_defect_grid_alone(patched):
+    baseline = {s.claim.id: s.verdict for s in verify.check_defect_grid().statuses}
+    moved, mutants = [], 0
+    for table, family, path, _ in _transcription_mutants():
+        if table != "_SYSTEM_DATA" or family not in (Family.SQUARE_PARA, Family.SQUARE_ORTHO):
+            continue
+        original = paper._SYSTEM_DATA[family]
+        for delta in (1, -1):
+            mutants += 1
+            patched.setitem(paper._SYSTEM_DATA, family, _moved(original, path, delta))
+            for cache in _TRANSCRIPTION_CACHES:
+                cache.cache_clear()
+            verdicts = {s.claim.id: s.verdict for s in verify.check_defect_grid().statuses}
+            if verdicts != baseline:
+                moved.append((family, path, delta))
+        patched.setitem(paper._SYSTEM_DATA, family, original)
+    for cache in _TRANSCRIPTION_CACHES:
+        cache.cache_clear()
+    assert mutants == 46
+    assert moved == []
 
 
 class TestOneReferencePass:
