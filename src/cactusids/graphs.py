@@ -11,10 +11,11 @@ The four public oracle functions (``count_ids``, ``count_boundary_classes``,
 Proskurowski 1997). Each live vertex is in the set, dominated, or waiting to
 be dominated; one loop counts, minimises and lists the sets. Every chain
 family keeps at most 3 vertices live at once, so the work is linear in the
-number of vertices (and, when listing, in the number of sets). A graph above
-``DEFAULT_MAX_VERTICES`` vertices, or whose id order keeps more than
-``DP_MAX_WIDTH`` vertices live, is refused, so the cost bound documented at
-``DP_MAX_WIDTH`` holds for every public call.
+number of vertices. A listing runs the loop in two halves and builds each set
+as heads × tails, one OR per listed set. A graph above ``DEFAULT_MAX_VERTICES``
+vertices, or whose id order keeps more than ``DP_MAX_WIDTH`` vertices live,
+is refused, so the cost bound documented at ``DP_MAX_WIDTH`` holds for every
+public call.
 
 Two reference engines stay here for the tests, reached by no public call:
 ``_scan_counts`` checks the definition over all 2^n vertex subsets, and
@@ -117,12 +118,13 @@ _MIN = (0, lambda value, members: value + members.bit_count(), min)
 
 
 def _sets_mode() -> tuple:
-    """The listing mode, built on every call: its lists are merged in place,
-    so no list may be shared between calls."""
+    """The listing mode, built on every call. Its lists are merged in place, so
+    none is shared between calls, and each head state's tag list is fresh."""
     return [0], lambda value, members: [m | members for m in value], operator.iadd
 
 
-def _dp_states(g: Graph, retire: list[int], mode: tuple = _COUNT) -> dict:
+def _dp_states(g: Graph, retire: list[int], mode: tuple = _COUNT,
+               states: dict | None = None, first: int = 0) -> dict:
     """Frontier DP over the vertices in id order (Telle & Proskurowski 1997).
 
     A state is ``(in_set, undominated)``, two masks over the live vertices.
@@ -134,10 +136,15 @@ def _dp_states(g: Graph, retire: list[int], mode: tuple = _COUNT) -> dict:
     frontier undominated ends its states, so once every vertex is processed
     only ``keep``'s bits are left: the states say whether ``keep`` is in the
     set, out and dominated, or out and not.
+
+    A prefix of ``retire`` stops the DP early; ``states`` and ``first`` resume
+    it from the states such a run ended with and the first vertex it left
+    (by default, the empty set's one state and vertex 0).
     """
     start, join, combine = mode
-    states = {(0, 0): start}
-    for v, gone in enumerate(retire):
+    if states is None:
+        states = {(0, 0): start}
+    for v, gone in enumerate(retire[first:], first):
         vbit = 1 << v
         earlier = g.adjacency[v] & (vbit - 1)
         nxt: dict = {}
@@ -249,9 +256,8 @@ def _mis_masks_pivot(adjacency: tuple[int, ...], allowed: int) -> list[int]:
     return out
 
 
-def _oracle_states(g: Graph, keep: int | None = None, mode: tuple = _COUNT) -> dict:
-    """The final states of g from the DP; refused above
-    ``DEFAULT_MAX_VERTICES`` vertices or ``DP_MAX_WIDTH`` live ones."""
+def _checked_retire(g: Graph, keep: int | None = None) -> list[int]:
+    """``_retire_masks(g, keep)``; refused above the vertex cap or frontier width."""
     if g.n_vertices > DEFAULT_MAX_VERTICES:
         raise OracleLimitError(
             f"graph has {g.n_vertices} vertices, above the oracle ceiling "
@@ -264,13 +270,32 @@ def _oracle_states(g: Graph, keep: int | None = None, mode: tuple = _COUNT) -> d
             f"graph keeps {width} vertices live in id order, above the "
             f"frontier limit {DP_MAX_WIDTH}"
         )
-    return _dp_states(g, retire, mode)
+    return retire
+
+
+def _oracle_states(g: Graph, keep: int | None = None, mode: tuple = _COUNT) -> dict:
+    """The final states of g from the DP, within the oracle's limits."""
+    return _dp_states(g, _checked_retire(g, keep), mode)
 
 
 def enumerate_mis(g: Graph) -> Iterator[int]:
-    """Every maximal independent set once, ascending by bitset value."""
+    """Every maximal independent set once, ascending by bitset value.
+
+    Meet in the middle (Horowitz & Sahni 1974): the DP lists the first half's
+    sets (heads) by state, then resumes from each head state ``i`` with the
+    one set ``i << n``, a tag above the vertex bits, and lists each tail once
+    per head state it completes. Each set is one ``head | tail``.
+    """
+    retire = _checked_retire(g)
+    n, full, mode = g.n_vertices, g.full_mask, _sets_mode()
+    heads = _dp_states(g, retire[: n // 2], mode)
+    tagged = {key: [i << n] for i, key in enumerate(heads)}
     # with no kept vertex, (0, 0) is the one final state
-    masks = _oracle_states(g, mode=_sets_mode())[(0, 0)]
+    tails = _dp_states(g, retire, mode, tagged, n // 2)[(0, 0)]
+    groups = [sorted(masks) for masks in heads.values()]
+    # sorted heads and tails leave the final sort little to do
+    pairs = sorted((tail & full, tail >> n) for tail in tails)
+    masks = [head | tail for tail, i in pairs for head in groups[i]]
     masks.sort()
     return iter(masks)
 

@@ -371,7 +371,9 @@ class TestFrontierDP:
         chain = build_chain(ChainSpec(family, length=_largest_length(family)))
         g = chain.graph
         assert g.n_vertices <= DEFAULT_MAX_VERTICES
-        assert states(dp_states, g) == states(pivot_states, g)
+        pivot = states(pivot_states, g)
+        assert states(dp_states, g) == pivot
+        assert list(enumerate_mis(g)) == pivot[2][(0, 0)]  # content and order
         t = chain.terminal_vertex
         assert dp_states(g, t) == pivot_states(g, t)
 
@@ -448,3 +450,73 @@ class TestFrontierDP:
     def test_enumerate_by_dp(self):
         listed = dp_states(C4, mode=graphs_module._sets_mode())
         assert sorted(listed[(0, 0)]) == [0b0101, 0b1010]
+
+
+def pivot_listing(g: Graph) -> list[int]:
+    return graphs_module._mis_masks_pivot(g.adjacency, g.full_mask)
+
+
+class TestListing:
+    """``enumerate_mis`` lists heads and tails, and ORs each pair once."""
+
+    @pytest.mark.parametrize("family", DEFECT_FAMILIES, ids=lambda f: f.value)
+    @pytest.mark.parametrize("total", (10, 11, 12))
+    def test_defect_chains_at_every_arm_split(self, family, total):
+        for m in range(1, total):
+            g = build_chain(ChainSpec(family, m=m, n=total - m)).graph
+            assert list(enumerate_mis(g)) == pivot_listing(g), m
+
+    @given(graphs(max_n=12))
+    @example(Graph.from_edges(0, []))
+    @example(Graph.from_edges(1, []))
+    @example(Graph.from_edges(2, []))
+    @example(Graph.from_edges(2, [(0, 1)]))
+    @example(Graph.from_edges(5, [(0, 1), (3, 4), (1, 3)]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_pivot(self, g):
+        # 0 or 1 vertices leave the first half empty, odd sizes split off the
+        # shorter half first, and the last example's isolated middle vertex 2
+        # joins every set from the second half
+        if frontier_width(g) > DP_MAX_WIDTH:
+            with pytest.raises(OracleLimitError, match="frontier limit"):
+                enumerate_mis(g)
+        else:
+            assert list(enumerate_mis(g)) == pivot_listing(g)
+
+    def test_one_tail_completes_several_head_states(self, monkeypatch):
+        # on hex-para 7, 186 distinct tails form 449 (tail, head state) pairs:
+        # some tail completes heads from several states, so the groups of
+        # heads it meets interleave until the final sort
+        finals = []
+        dp = graphs_module._dp_states
+
+        def recorded(*args):
+            finals.append(dp(*args))
+            return finals[-1]
+
+        monkeypatch.setattr(graphs_module, "_dp_states", recorded)
+        g = build_chain(ChainSpec(Family.HEX_PARA, length=7)).graph
+        assert list(enumerate_mis(g)) == pivot_listing(g)
+        tails = finals[-1][(0, 0)]
+        assert (len({tail & g.full_mask for tail in tails}), len(tails)) == (186, 449)
+
+    @pytest.mark.parametrize("family", LINEAR_FAMILIES, ids=lambda f: f.value)
+    def test_copies_under_a_third_of_the_listed_sets(self, family, monkeypatch):
+        # the listing mode's join copies every set it extends; building each
+        # listed set as one head | tail keeps those copies to heads and tails
+        copied = []
+        sets_mode = graphs_module._sets_mode
+
+        def counting_mode():
+            start, join, combine = sets_mode()
+
+            def counted(value, members):
+                copied.append(len(value))
+                return join(value, members)
+
+            return start, counted, combine
+
+        monkeypatch.setattr(graphs_module, "_sets_mode", counting_mode)
+        g = build_chain(ChainSpec(family, length=_largest_length(family))).graph
+        listed = len(list(enumerate_mis(g)))
+        assert 3 * sum(copied) < listed, (sum(copied), listed)
