@@ -53,10 +53,10 @@ from .verify import (
 
 # Largest --n (and --m) that ``count`` accepts. Every count route other than
 # the oracle takes O(log n) polynomial squarings. At n = 10^5 a count has up to
-# about 62k digits, and computing plus printing hex-para's took 0.07 s by
-# transfer and 0.22 s by recurrence (which also runs the transfer as its
+# about 62k digits, and computing plus printing hex-para's took 0.067 s by
+# transfer and 0.20 s by recurrence (which also runs the transfer as its
 # errata check), in-process on Python 3.11 and a 2-CPU Xeon. At 10^6 the
-# transfer took 0.7 s and the decimal conversion of its 611k digits 5.2 s.
+# transfer took 0.5 s and the decimal conversion of its 611k digits 5-6 s.
 MAX_LENGTH = 100_000
 # Largest ``sequence --max-n``. It keeps every count up to that length:
 # hex-para prints 1.2 MB at 2000.

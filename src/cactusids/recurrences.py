@@ -3,7 +3,8 @@
 A transfer system is a small integer state-update matrix with a seed vector
 and output weights; a recurrence is a coefficient vector with one run of
 consecutive initial terms. Both are evaluated exactly over Python ints, a
-single term in O(log n) polynomial squarings (Fiduccia's method); a run of
+single term in O(log n) polynomial squarings (Fiduccia's method), the last
+one a Hankel quadratic form of k large products (Bostan and Mori); a run of
 terms is the series of ``genfunc.gf_from_recurrence``. Nothing here names a
 chain family: the published systems and recurrences are transcribed in
 ``paper``. Evaluations at different lengths are independent and safe to run
@@ -13,7 +14,8 @@ concurrently.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from operator import mul
+from typing import NamedTuple, Sequence
 
 
 class _TransferSystemFields(NamedTuple):
@@ -107,7 +109,8 @@ def _x_pow_mod(e: int, c: tuple[int, ...]) -> list[int]:
     Left-to-right binary powering: a squaring takes k(k+1)/2 products of
     large coefficients (r_i^2 once, 2 r_i r_j for i < j), a multiplication by
     x is a shift, and reduction by the monic modulus multiplies large
-    coefficients only by the small c_i.
+    coefficients only by the small c_i. A single term skips the last, largest
+    squaring: :func:`_nth_term` asks for x^(e >> 1) only.
     """
     k = len(c)
     r = [1] + [0] * (k - 1)
@@ -130,13 +133,24 @@ def _x_pow_mod(e: int, c: tuple[int, ...]) -> list[int]:
     return r
 
 
+def _nth_term(head: Sequence[int], c: tuple[int, ...], e: int) -> int:
+    """Term e of a sequence s that x^k + c_1 x^(k-1) + ... + c_k annihilates,
+    from its first 2k terms ``head``: sum_i r_i sum_j s_(i+j+b) r_j, with
+    r = x^(e >> 1) mod that polynomial and b = e & 1. Exact, as x^e = r^2 x^b
+    modulo it and x^m -> s_m vanishes on its multiples. The last squaring so
+    takes k large products, not k(k+1)/2; the inner sums are small x large."""
+    r, b = _x_pow_mod(e >> 1, c), e & 1
+    return sum(ri * sum(map(mul, r, head[i + b:])) for i, ri in enumerate(r))
+
+
 def mat_pow_vec(matrix: Matrix, e: int, vec: tuple[int, ...]) -> tuple[int, ...]:
     """A^e v exactly, as r(A) v with r = x^e mod the characteristic polynomial
     of A (Fiduccia's method): O(log e) polynomial squarings of k(k+1)/2 large
     products each, then at most k - 1 single steps for the A^i v.
 
     By Cayley-Hamilton A^e = r(A), so A^e v = sum r_i A^i v. Only
-    :func:`transfer_state` needs a matrix; :func:`eval_recurrence` uses r alone.
+    :func:`transfer_state` needs it: a state vector needs r whole, so its last
+    squaring is not cut to k products as :func:`_nth_term`'s is.
     """
     if e < 0:
         raise ValueError("exponent must be nonnegative")
@@ -177,9 +191,20 @@ def transfer_state(system: TransferSystem, n: int) -> tuple[int, ...]:
     return mat_pow_vec(system.update_matrix, n - 1, system.initial_vector)
 
 
+@lru_cache
+def _transfer_head(system: TransferSystem) -> tuple[int, ...]:
+    """Counts at lengths 1..2k; cached like :func:`_charpoly`, for the audit's
+    many short runs of the same systems."""
+    return tuple(map(system.count, state_trajectory(system, 2 * len(system.initial_vector))))
+
+
 def run_transfer(system: TransferSystem, n: int) -> int:
-    """Count at length n: the weighted sum of the state vector at length n."""
-    return system.count(transfer_state(system, n))
+    """Count at length n, by :func:`_nth_term` from the counts at lengths
+    1..2k: by Cayley-Hamilton the update matrix's characteristic polynomial
+    annihilates the counts, so no state vector is formed."""
+    if n < 1:
+        raise ValueError("length must be at least 1")
+    return _nth_term(_transfer_head(system), _charpoly(system.update_matrix), n - 1)
 
 
 class _LinearRecurrenceFields(NamedTuple):
@@ -230,15 +255,15 @@ class LinearRecurrence(_LinearRecurrenceFields):
 
 
 def eval_recurrence(rec: LinearRecurrence, n: int) -> int:
-    """Value at index n: the supplied term, or past the run sum r_i a(base + i)
-    over its last k terms, with r = x^(n - base) modulo the recurrence's
-    characteristic polynomial, in O(log n) polynomial squarings
-    (:func:`_x_pow_mod`) and no single step."""
+    """Value at index n: the supplied term, or past the run, by :func:`_nth_term`
+    from the run's last k terms, stepped k more times with small ints."""
     values = rec.initial_map
     if n in values:
         return values[n]
     if n < rec.min_index:
         raise ValueError(f"index {n} below the smallest initial index {rec.min_index}")
     base = max(values) - rec.order + 1
-    r = _x_pow_mod(n - base, tuple(-c for c in rec.coefficients))
-    return sum(ri * values[base + i] for i, ri in enumerate(r))
+    head = [values[base + i] for i in range(rec.order)]
+    for _ in range(rec.order):
+        head.append(sum(map(mul, rec.coefficients, reversed(head))))
+    return _nth_term(head, tuple(-c for c in rec.coefficients), n - base)

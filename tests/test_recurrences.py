@@ -1,6 +1,9 @@
+import sys
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cactusids import recurrences
 from cactusids.chains import ChainSpec, Family, LINEAR_FAMILIES, build_chain
 from cactusids.genfunc import characteristic_polynomial, gf_from_recurrence
 from cactusids.graphs import count_boundary_classes, count_ids
@@ -20,6 +23,7 @@ from cactusids.recurrences import (
     state_trajectory,
     transfer_state,
 )
+from cactusids.verify import verify_all
 
 
 class TestTransferSystems:
@@ -168,6 +172,60 @@ class TestMatrixPowerEngine:
             dense.append(_dense_step(system.update_matrix, dense[-1]))
         for n in range(1, 61):
             assert state_trajectory(system, n) == dense[:n], n
+
+    @given(_transfer_systems())
+    @example(_system(((3,),), (-50,)))  # 1 x 1
+    @example(_system(((0, 1, 0), (0, 0, 1), (0, 0, 0)), (1, -2, 3)))  # nilpotent
+    @example(_system(((0, 1, 3), (0, 2, 0), (0, 3, 1)), (50, -1, 4)))  # zero column
+    @example(TransferSystem(  # negative entries, seeds and weights
+        ((-3, 3, 0, 1), (2, -1, 3, -3), (0, 0, -2, 1), (3, -3, 1, 0)), (-7, 0, 5, 2), (1, -2, 0, 3)
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_run_transfer_matches_dense_stepping(self, system):
+        # n - 1 of both parities, below and above 2k
+        vec, counts = system.initial_vector, []
+        for _ in range(4097):
+            counts.append(system.count(vec))
+            vec = _dense_step(system.update_matrix, vec)
+        for n in list(range(1, 61)) + [4097]:
+            assert run_transfer(system, n) == counts[n - 1], n
+
+
+class TestHankelLastStep:
+    """A far term powers x once, to half its exponent, and the head of counts
+    that run_transfer extends is built once per system."""
+
+    @pytest.fixture
+    def exponents(self, monkeypatch):
+        seen, power = [], recurrences._x_pow_mod
+
+        def recording(e, c):
+            seen.append(e)
+            return power(e, c)
+
+        monkeypatch.setattr(recurrences, "_x_pow_mod", recording)
+        return seen
+
+    def test_run_transfer_powers_to_half(self, exponents):
+        run_transfer(paper_transfer_system(Family.HEX_PARA), 20000)
+        assert exponents == [19999 >> 1]
+
+    def test_eval_recurrence_powers_to_half(self, exponents):
+        rec = paper_recurrence(Family.HEX_PARA)
+        base = max(rec.initial_map) - rec.order + 1
+        eval_recurrence(rec, 20000)
+        assert exponents == [(20000 - base) >> 1]
+
+    def test_audit_builds_each_head_once(self):
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cactusids"):
+                for value in list(vars(module).values()):
+                    if hasattr(value, "cache_clear"):
+                        value.cache_clear()
+        verify_all()
+        info = recurrences._transfer_head.cache_info()
+        assert info.hits > 0
+        assert info.misses == info.currsize < info.maxsize
 
 
 def _stepped(rec, n):

@@ -853,8 +853,13 @@ class TestOneReferencePass:
         def no_power(matrix, e, vec):
             raise AssertionError(f"transfer power A^{e}")
 
-        # every transfer run, from any module, powers the matrix here
+        def no_head(system):
+            raise AssertionError("transfer count by run_transfer")
+
+        # every transfer run, from any module, powers the matrix or reads the
+        # head of counts that run_transfer extends
         patched.setattr(recurrences, "mat_pow_vec", no_power)
+        patched.setattr(recurrences, "_transfer_head", no_head)
         patched.setattr(verify, "AUDIT_CEILING", 16)
         reports = {family: cross_check_family(family) for family in LINEAR_FAMILIES}
         # hex-para's formal seed a(0) is judged at n = 4, past the oracle's n = 3
