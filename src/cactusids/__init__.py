@@ -52,7 +52,6 @@ from .recurrences import (
     eval_recurrence,
     run_transfer,
     state_trajectory,
-    transfer_state,
 )
 from .verify import (
     Claim,
@@ -112,6 +111,5 @@ __all__ = [
     "run_transfer",
     "solve_gf_system",
     "state_trajectory",
-    "transfer_state",
     "verify_all",
 ]

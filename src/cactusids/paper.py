@@ -27,7 +27,6 @@ from .recurrences import (
     TransferSystem,
     run_transfer,
     state_trajectory,
-    transfer_state,
 )
 
 STATE_CONTAINS = 0
@@ -282,6 +281,12 @@ DEFECT_FORMULA = {
 }
 
 
+def _state_count(system: TransferSystem, state: int, k: int) -> int:
+    """A state's count at length k: the system's count under its unit weights."""
+    unit = tuple(int(i == state) for i in range(len(system.initial_vector)))
+    return run_transfer(system._replace(output_weights=unit), k)
+
+
 def defect_formula_value(family: Family, m: int, n: int) -> int:
     """Evaluate a defect family's published composition formula from the
     square transfer systems."""
@@ -291,11 +296,8 @@ def defect_formula_value(family: Family, m: int, n: int) -> int:
         raise ValueError("defect parameters must be at least 1")
     if family is Family.PARA_CHAIN_ORTHO_DEFECT:
         q = paper_transfer_system(Family.SQUARE_PARA)
-
-        def avoids(k: int) -> int:
-            return transfer_state(q, k)[STATE_AVOIDS]
-
-        return run_transfer(q, m) * avoids(n + 1) + run_transfer(q, n) * avoids(m + 1)
+        avoids_n, avoids_m = (_state_count(q, STATE_AVOIDS, k + 1) for k in (n, m))
+        return run_transfer(q, m) * avoids_n + run_transfer(q, n) * avoids_m
     system = paper_transfer_system(Family.SQUARE_ORTHO)
 
     def s(k: int) -> int:

@@ -4,11 +4,12 @@ A transfer system is a small integer state-update matrix with a seed vector
 and output weights; a recurrence is a coefficient vector with one run of
 consecutive initial terms. Both are evaluated exactly over Python ints, a
 single term in O(log n) polynomial squarings (Fiduccia's method), the last
-one a Hankel quadratic form of k large products (Bostan and Mori); a run of
-terms is the series of ``genfunc.gf_from_recurrence``. Nothing here names a
-chain family: the published systems and recurrences are transcribed in
-``paper``. Evaluations at different lengths are independent and safe to run
-concurrently.
+one a Hankel quadratic form of k large products (Bostan and Mori). One state
+of a system is its count under that state's unit weight vector, by the same
+kernel; a run of terms is the series of ``genfunc.gf_from_recurrence``.
+Nothing here names a chain family: the published systems and recurrences are
+transcribed in ``paper``. Evaluations at different lengths are independent
+and safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -89,8 +90,8 @@ def _charpoly(matrix: Matrix) -> tuple[int, ...]:
     as columns, so each product with A is k calls of :func:`_step` over the
     nonzero entries of A, tabled once per call. Cached:
     its k^2 steps would cost more than a short power itself, and only the six
-    transfer matrices ever reach it, powered by the audit to many small
-    exponents and read once more for the derived generating functions.
+    transfer matrices reach it, counted under each weight vector by the audit
+    at many small lengths and read once more for the derived series.
     """
     k, rows = len(matrix), _nonzero_rows(matrix)
     a_m = [(0,) * k] * k  # columns of A M_0 = 0
@@ -109,8 +110,8 @@ def _x_pow_mod(e: int, c: tuple[int, ...]) -> list[int]:
     Left-to-right binary powering: a squaring takes k(k+1)/2 products of
     large coefficients (r_i^2 once, 2 r_i r_j for i < j), a multiplication by
     x is a shift, and reduction by the monic modulus multiplies large
-    coefficients only by the small c_i. A single term skips the last, largest
-    squaring: :func:`_nth_term` asks for x^(e >> 1) only.
+    coefficients only by the small c_i. The one caller, :func:`_nth_term`,
+    asks for x^(e >> 1): its last squaring is a Hankel quadratic form.
     """
     k = len(c)
     r = [1] + [0] * (k - 1)
@@ -143,31 +144,6 @@ def _nth_term(head: Sequence[int], c: tuple[int, ...], e: int) -> int:
     return sum(ri * sum(map(mul, r, head[i + b:])) for i, ri in enumerate(r))
 
 
-def mat_pow_vec(matrix: Matrix, e: int, vec: tuple[int, ...]) -> tuple[int, ...]:
-    """A^e v exactly, as r(A) v with r = x^e mod the characteristic polynomial
-    of A (Fiduccia's method): O(log e) polynomial squarings of k(k+1)/2 large
-    products each, then at most k - 1 single steps for the A^i v.
-
-    By Cayley-Hamilton A^e = r(A), so A^e v = sum r_i A^i v. Only
-    :func:`transfer_state` needs it: a state vector needs r whole, so its last
-    squaring is not cut to k products as :func:`_nth_term`'s is.
-    """
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    r = _x_pow_mod(e, _charpoly(matrix))
-    while len(r) > 1 and not r[-1]:
-        r.pop()  # so a short power, r = x^e with e < k, takes e steps, not k - 1
-    rows = _nonzero_rows(matrix)
-    out = [0] * len(vec)
-    power = tuple(vec)
-    for i, ri in enumerate(r):
-        if i:
-            power = _step(rows, power)
-        if ri:
-            out = [o + ri * p for o, p in zip(out, power)]
-    return tuple(out)
-
-
 def state_trajectory(system: TransferSystem, n: int) -> list[tuple[int, ...]]:
     """State vectors for lengths 1..n, by n-1 single steps of :func:`_step`,
     which visits only the nonzero entries of the update matrix (tabled once
@@ -181,14 +157,6 @@ def state_trajectory(system: TransferSystem, n: int) -> list[tuple[int, ...]]:
         vec = _step(rows, vec)
         out.append(vec)
     return out
-
-
-def transfer_state(system: TransferSystem, n: int) -> tuple[int, ...]:
-    """State vector at length n: A^(n-1) v(1), by :func:`mat_pow_vec` in
-    O(log n) polynomial squarings."""
-    if n < 1:
-        raise ValueError("length must be at least 1")
-    return mat_pow_vec(system.update_matrix, n - 1, system.initial_vector)
 
 
 @lru_cache

@@ -54,6 +54,7 @@ from .paper import (
     GAMMA_FORMULA,
     PRINTED_STATEMENTS,
     STATE_CONTAINS,
+    _state_count,
     defect_formula_value,
     derived_gf,
     derived_recurrence,
@@ -70,7 +71,6 @@ from .recurrences import (
     TransferSystem,
     eval_recurrence,
     state_trajectory,
-    transfer_state,
 )
 
 # The oracle judges every chain of at most AUDIT_CEILING vertices: triangle
@@ -643,7 +643,7 @@ def cross_check_family(family: Family) -> VerificationReport:
 def ortho_square_contains(k: int) -> int:
     """s'(k): sets of the length-k ortho-square chain containing its terminal
     vertex."""
-    return transfer_state(paper_transfer_system(Family.SQUARE_ORTHO), k)[STATE_CONTAINS]
+    return _state_count(paper_transfer_system(Family.SQUARE_ORTHO), STATE_CONTAINS, k)
 
 
 def corrected_para_defect_value(m: int, n: int) -> int:

@@ -20,7 +20,7 @@ from cactusids.paper import (
     derived_gf,
     derived_state_gfs,
 )
-from cactusids.recurrences import LinearRecurrence
+from cactusids.recurrences import LinearRecurrence, state_trajectory
 from cactusids.verify import (
     DEFECT_GRID,
     VerificationReport,
@@ -245,6 +245,27 @@ class TestDefects:
         assert defect_formula_value(Family.PARA_CHAIN_ORTHO_DEFECT, 2, 1) == 14
         assert defect_formula_value(Family.ORTHO_CHAIN_PARA_DEFECT, 1, 1) == 6
         assert defect_formula_value(Family.ORTHO_CHAIN_PARA_DEFECT, 2, 2) == 24
+
+    def test_formulas_at_far_arms(self):
+        # the reference reads the states of the printed square systems off one
+        # trajectory each, by position: (contains, avoids, extendable)
+        arms = [(m, n) for m in range(1, 9) for n in range(1, 9)] + [(4097, 2), (2, 4096)]
+        para = paper.paper_transfer_system(Family.SQUARE_PARA)
+        ortho = paper.paper_transfer_system(Family.SQUARE_ORTHO)
+        para_states = state_trajectory(para, 4098)
+        ortho_states = state_trajectory(ortho, 4097)
+        # index k is length k, and s(0) = 1
+        q = [None] + [para.count(v) for v in para_states]
+        avoids = [None] + [v[1] for v in para_states]
+        s = [1] + [ortho.count(v) for v in ortho_states]
+        contains = [None] + [v[0] for v in ortho_states]
+        for m, n in arms:
+            p_value = q[m] * avoids[n + 1] + q[n] * avoids[m + 1]
+            s_value = s[m] * s[n] + 2 * s[m - 1] * s[n - 1]
+            assert defect_formula_value(Family.PARA_CHAIN_ORTHO_DEFECT, m, n) == p_value, (m, n)
+            assert defect_formula_value(Family.ORTHO_CHAIN_PARA_DEFECT, m, n) == s_value, (m, n)
+            corrected = s_value + contains[m] * contains[n]
+            assert verify.corrected_para_defect_value(m, n) == corrected, (m, n)
 
     @pytest.mark.parametrize("family", LINEAR_FAMILIES, ids=lambda f: f.value)
     def test_non_defect_family(self, family):
@@ -850,15 +871,11 @@ class TestOneReferencePass:
     """Each family's transfer references are read off one trajectory."""
 
     def test_terms_past_the_range_read_the_trajectory(self, patched):
-        def no_power(matrix, e, vec):
-            raise AssertionError(f"transfer power A^{e}")
-
         def no_head(system):
             raise AssertionError("transfer count by run_transfer")
 
-        # every transfer run, from any module, powers the matrix or reads the
-        # head of counts that run_transfer extends
-        patched.setattr(recurrences, "mat_pow_vec", no_power)
+        # every far transfer term, a count or one state's count under its unit
+        # weights and from any module, reads the head that run_transfer extends
         patched.setattr(recurrences, "_transfer_head", no_head)
         patched.setattr(verify, "AUDIT_CEILING", 16)
         reports = {family: cross_check_family(family) for family in LINEAR_FAMILIES}
