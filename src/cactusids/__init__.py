@@ -1,10 +1,10 @@
 """Exact counting and verification of independent dominating sets in cactus chains.
 
 Three routes compute every count: a brute-force oracle over the built graphs,
-integer transfer systems, and rational generating functions. Only the oracle
-reads the graph; the derived generating functions and recurrences are read
-off the transfer systems (their characteristic polynomial and first terms),
-so they cross-check that arithmetic, not the systems. The paper module holds
+integer transfer systems, and rational generating functions. The derived
+generating functions and recurrences come from the graph too: Berlekamp-Massey
+reads them off the oracle's counts on chains of lengths 1..6, so they judge
+the transfer systems instead of repeating them. The paper module holds
 every published statement as printed; the verify module judges each against
 the routes and reports every discrepancy with a witness.
 """

@@ -1,20 +1,17 @@
 """Rational generating functions and the linear recurrences they encode.
 
-Covers four jobs:
+Covers three jobs:
 
 * conversion between generating functions and linear recurrences: a
   recurrence's run of initial terms becomes a GF in one product, so
   ``RationalGF.series`` is the one loop that steps a scalar sequence;
-* the generating function of a transfer system's series: the denominator is
-  det(I - xA), read off the characteristic polynomial that powering already
-  uses, and the numerator follows from the first k terms;
 * an exact solver for square linear systems with polynomial entries
   (Cramer's rule over Bareiss determinants);
 * dominant growth rate of a recurrence, from its largest root modulus.
 
-Nothing here names a chain family: the published generating functions and
-systems are transcribed in ``paper``, which also derives each family's
-corrected ones with :func:`annihilated_gf`.
+Nothing here names a chain family or finds a relation: the published
+generating functions and systems are transcribed in ``paper``, which derives
+the corrected ones with ``recurrences``' Berlekamp-Massey.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .polynomials import Polynomial, RationalGF, poly_divmod_exact, poly_gcd
-from .recurrences import LinearRecurrence, Matrix, _charpoly, eval_recurrence
+from .recurrences import LinearRecurrence, eval_recurrence
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -144,21 +141,6 @@ def recurrence_from_gf(gf: RationalGF) -> LinearRecurrence:
     return LinearRecurrence(tuple(coeffs), tuple(initial), valid_from)
 
 
-# -- transfer-system generating functions ------------------------------------
-
-
-def annihilated_gf(matrix: Matrix, terms: Sequence[int], first_index: int) -> RationalGF:
-    """The series whose k = len(matrix) terms from ``first_index`` on are
-    ``terms`` and which then obeys the recurrence of det(xI - A).
-
-    By Cayley-Hamilton every component of A^n v, and every weighted sum of
-    them, obeys that recurrence, so the denominator is det(I - xA).
-    """
-    coefficients = tuple(-c for c in _charpoly(matrix))
-    initial = tuple(enumerate(terms, first_index))
-    return gf_from_recurrence(LinearRecurrence(coefficients, initial, first_index + len(terms)))
-
-
 # -- dominant growth rate ---------------------------------------------------
 
 
@@ -166,11 +148,6 @@ class GrowthEstimate(NamedTuple):
     dominant_root: float
     empirical_ratio: float
     ratio_index: int
-
-
-def characteristic_polynomial(rec: LinearRecurrence) -> Polynomial:
-    """x^k - c_1 x^(k-1) - ... - c_k for a(n) = sum c_i a(n-i)."""
-    return Polynomial(tuple(-c for c in reversed(rec.coefficients)) + (1,))
 
 
 def dominant_growth_rate(rec: LinearRecurrence) -> GrowthEstimate:
@@ -188,7 +165,7 @@ def dominant_growth_rate(rec: LinearRecurrence) -> GrowthEstimate:
     """
     from fractions import Fraction
 
-    char = characteristic_polynomial(rec)
+    char = Polynomial(tuple(-c for c in reversed(rec.coefficients)) + (1,))
     derivative = Polynomial(i * c for i, c in enumerate(char.coeffs) if i)
     squarefree = poly_divmod_exact(char, poly_gcd(char, derivative))
     lo, hi = 0, 1 + Fraction(max(map(abs, squarefree.coeffs[:-1])), squarefree.leading())

@@ -30,7 +30,10 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Iterator, NamedTuple
 
-DEFAULT_MAX_VERTICES = 40  # hard resource cap for every oracle call
+# Hard resource cap for every oracle call. It stays at 40 or more: the derived
+# series read hexagon chains of length 6 (31 vertices), and a 6x6 defect grid
+# needs 40 (the (6,6) chain).
+DEFAULT_MAX_VERTICES = 40
 # Widest id-order frontier the oracle accepts; wider graphs are refused. A
 # live vertex is in the set, dominated or waiting, so a frontier of w
 # vertices has at most 3^w states, and a graph of V vertices costs at most

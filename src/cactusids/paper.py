@@ -7,10 +7,11 @@ no chain has length 0, so it is a formal seed of its recurrence.
 
 This is the only module that holds a transcription. ``recurrences`` and
 ``genfunc`` compute with any matrix, recurrence or series and never name a
-family; ``verify`` judges what is here. The values computed from one
-family's transcription live here too: its transfer system, whose unprinted
-seeds are measured on the built length-1 chain, the derived generating
-functions and recurrence read off that system, and the defect formulas.
+family; ``verify`` judges what is here. The values computed for one family
+live here too: its transfer system, whose unprinted seeds are measured on
+the built length-1 chain; the derived series, which Berlekamp-Massey finds in
+the oracle's boundary classes on the built chains of lengths 1..6, reading no
+transcription; and the defect formulas, on the square chains' series.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .chains import ChainSpec, Family, LINEAR_FAMILIES, build_chain
-from .genfunc import GFLinearSystem, annihilated_gf, recurrence_from_gf
-from .graphs import count_boundary_classes
+from .genfunc import GFLinearSystem, gf_from_recurrence, recurrence_from_gf
+from .graphs import BoundaryCounts, count_boundary_classes
 from .polynomials import Polynomial, RationalGF, as_poly
 from .recurrences import (
     LinearRecurrence,
     TransferSystem,
-    run_transfer,
-    state_trajectory,
+    _berlekamp_massey,
+    eval_recurrence,
 )
 
 STATE_CONTAINS = 0
@@ -64,10 +65,16 @@ def printed_seed_flags(family: Family) -> tuple[bool, ...]:
 
 
 @lru_cache(maxsize=None)
+def _oracle_profile(family: Family, n: int) -> BoundaryCounts:
+    """Boundary classes at the length-n chain's terminal vertex; the one cache."""
+    chain = build_chain(ChainSpec(family, length=n))
+    return count_boundary_classes(chain.graph, chain.terminal_vertex)
+
+
+@lru_cache(maxsize=None)
 def measured_extendable_seed(family: Family) -> int:
     """Oracle count of extendable sets on the length-1 chain."""
-    chain = build_chain(ChainSpec(family, length=1))
-    return count_boundary_classes(chain.graph, chain.terminal_vertex).extendable_count
+    return _oracle_profile(family, 1).extendable_count
 
 
 @lru_cache(maxsize=None)
@@ -227,26 +234,39 @@ def paper_gf_system(family: Family) -> Optional[GFLinearSystem]:
 
 # -- derived (corrected) generating functions --------------------------------
 
+# A length-n chain is an n-fold product of one 3x3 operator on its terminal
+# vertex's classes (contains, avoids, extendable), Telle & Proskurowski's DP
+# folded per block. So each class, and the count, obeys a relation of order at
+# most 3, fixed by lengths 1..6 (Massey 1969); hexagons at 6 have 31 vertices.
+_DERIVED_LENGTHS = range(1, 7)
+
+
+def _graph_gf(terms: Sequence[int], first_index: int) -> RationalGF:
+    """The series that is ``terms`` from coefficient ``first_index`` on and
+    then follows their shortest relation."""
+    coefficients = tuple(-c for c in _berlekamp_massey(terms))
+    initial = tuple(enumerate(terms, first_index))
+    return gf_from_recurrence(LinearRecurrence(coefficients, initial, first_index + len(terms)))
+
 
 @lru_cache(maxsize=None)
 def derived_state_gfs(family: Family) -> tuple[RationalGF, ...]:
-    """Per-state series of the family's transfer system: coefficient k of
-    series i is the state-i count at length k+1."""
-    ts = paper_transfer_system(family)
-    trajectory = state_trajectory(ts, len(ts.initial_vector))
-    return tuple(annihilated_gf(ts.update_matrix, column, 0) for column in zip(*trajectory))
+    """Per-class series of the built chains: coefficient k of series i is the
+    oracle's count of boundary class i at length k+1. A class that is empty
+    at every length, the triangle chains' extendable one, is left out."""
+    classes = zip(*(_oracle_profile(family, n) for n in _DERIVED_LENGTHS))
+    return tuple(_graph_gf(terms, 0) for terms in classes if any(terms))
 
 
 @lru_cache(maxsize=None)
 def derived_gf(family: Family) -> RationalGF:
-    """Corrected family generating function from the transfer system.
+    """Corrected family generating function, from the oracle's counts.
 
     Physical convention: coefficient n is the count at length n >= 1 and
     coefficient 0 is zero.
     """
-    ts = paper_transfer_system(family)
-    counts = [ts.count(v) for v in state_trajectory(ts, len(ts.initial_vector))]
-    return annihilated_gf(ts.update_matrix, counts, 1)
+    counts = [sum(_oracle_profile(family, n)[:2]) for n in _DERIVED_LENGTHS]
+    return _graph_gf(counts, 1)
 
 
 @lru_cache(maxsize=None)
@@ -281,27 +301,23 @@ DEFECT_FORMULA = {
 }
 
 
-def _state_count(system: TransferSystem, state: int, k: int) -> int:
-    """A state's count at length k: the system's count under its unit weights."""
-    unit = tuple(int(i == state) for i in range(len(system.initial_vector)))
-    return run_transfer(system._replace(output_weights=unit), k)
-
-
 def defect_formula_value(family: Family, m: int, n: int) -> int:
     """Evaluate a defect family's published composition formula from the
-    square transfer systems."""
+    square chains' derived series."""
     if family not in DEFECT_FORMULA:
         raise ValueError(f"no defect formula is published for {family.value}")
     if m < 1 or n < 1:
         raise ValueError("defect parameters must be at least 1")
     if family is Family.PARA_CHAIN_ORTHO_DEFECT:
-        q = paper_transfer_system(Family.SQUARE_PARA)
-        avoids_n, avoids_m = (_state_count(q, STATE_AVOIDS, k + 1) for k in (n, m))
-        return run_transfer(q, m) * avoids_n + run_transfer(q, n) * avoids_m
-    system = paper_transfer_system(Family.SQUARE_ORTHO)
+        q = derived_recurrence(Family.SQUARE_PARA)
+        # coefficient k of the avoids series is avoids(k+1)
+        avoids = recurrence_from_gf(derived_state_gfs(Family.SQUARE_PARA)[STATE_AVOIDS])
+        return (eval_recurrence(q, m) * eval_recurrence(avoids, n)
+                + eval_recurrence(q, n) * eval_recurrence(avoids, m))
+    rec = derived_recurrence(Family.SQUARE_ORTHO)
 
     def s(k: int) -> int:
-        return 1 if k == 0 else run_transfer(system, k)
+        return 1 if k == 0 else eval_recurrence(rec, k)
 
     return s(n) * s(m) + 2 * s(m - 1) * s(n - 1)
 

@@ -7,9 +7,11 @@ single term in O(log n) polynomial squarings (Fiduccia's method), the last
 one a Hankel quadratic form of k large products (Bostan and Mori). One state
 of a system is its count under that state's unit weight vector, by the same
 kernel; a run of terms is the series of ``genfunc.gf_from_recurrence``.
-Nothing here names a chain family: the published systems and recurrences are
-transcribed in ``paper``. Evaluations at different lengths are independent
-and safe to run concurrently.
+Berlekamp-Massey is the one code that finds a linear relation: a system's,
+from its first 2k counts, and each derived series' in ``paper``. Nothing here
+names a chain family: the published systems and recurrences are transcribed
+in ``paper``. Evaluations at different lengths are independent and safe to
+run concurrently.
 """
 
 from __future__ import annotations
@@ -81,27 +83,32 @@ def _step(rows: Rows, vec: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache
-def _charpoly(matrix: Matrix) -> tuple[int, ...]:
-    """(c_1, ..., c_k) with det(xI - A) = x^k + c_1 x^(k-1) + ... + c_k, by
-    Faddeev-LeVerrier: M_i = A M_(i-1) + c_(i-1) I and c_i = -tr(A M_i) / i.
-
-    The c_i are integers, so every division by i is exact. Matrices are held
-    as columns, so each product with A is k calls of :func:`_step` over the
-    nonzero entries of A, tabled once per call. Cached:
-    its k^2 steps would cost more than a short power itself, and only the six
-    transfer matrices reach it, counted under each weight vector by the audit
-    at many small lengths and read once more for the derived series.
+def _berlekamp_massey(terms: Sequence[int]) -> tuple[int, ...]:
+    """(c_1, ..., c_L) of the shortest relation s_n + c_1 s_(n-1) + ... +
+    c_L s_(n-L) = 0 that ``terms`` obey from n = L on (Massey 1969); empty for
+    the zero sequence. Fraction-free: where Massey subtracts d/b times the last
+    shorter relation, this scales the current one by b, and divides by the
+    leading coefficient once at the end. Refuses, with ``ValueError``, an
+    order above half the terms, which they do not fix, and a relation with
+    non-integer coefficients.
     """
-    k, rows = len(matrix), _nonzero_rows(matrix)
-    a_m = [(0,) * k] * k  # columns of A M_0 = 0
-    coeffs, c = [], 1
-    for i in range(1, k + 1):
-        m = [tuple(v + c * (r == j) for r, v in enumerate(col)) for j, col in enumerate(a_m)]
-        a_m = [_step(rows, col) for col in m]
-        c = -sum(col[j] for j, col in enumerate(a_m)) // i
-        coeffs.append(c)
-    return tuple(coeffs)
+    c, prev = [1], [1]  # the current relation and the last shorter one
+    order, shift, prev_d = 0, 1, 1
+    for n in range(len(terms)):
+        d = sum(map(mul, c, terms[n::-1]))
+        if d:
+            new = [prev_d * v for v in c] + [0] * (len(prev) + shift - len(c))
+            for i, v in enumerate(prev, shift):
+                new[i] -= d * v
+            if 2 * order <= n:
+                prev, prev_d, order, shift = c, d, n + 1 - order, 0
+            c = new
+        shift += 1
+    if 2 * order > len(terms):
+        raise ValueError(f"{len(terms)} terms do not fix a relation of order {order}")
+    if any(v % c[0] for v in c):
+        raise ValueError("the shortest relation has non-integer coefficients")
+    return tuple(v // c[0] for v in (c + [0] * order)[1:order + 1])
 
 
 def _x_pow_mod(e: int, c: tuple[int, ...]) -> list[int]:
@@ -139,7 +146,10 @@ def _nth_term(head: Sequence[int], c: tuple[int, ...], e: int) -> int:
     from its first 2k terms ``head``: sum_i r_i sum_j s_(i+j+b) r_j, with
     r = x^(e >> 1) mod that polynomial and b = e & 1. Exact, as x^e = r^2 x^b
     modulo it and x^m -> s_m vanishes on its multiples. The last squaring so
-    takes k large products, not k(k+1)/2; the inner sums are small x large."""
+    takes k large products, not k(k+1)/2; the inner sums are small x large.
+    The empty relation (k = 0) annihilates only the zero sequence."""
+    if not c:
+        return 0
     r, b = _x_pow_mod(e >> 1, c), e & 1
     return sum(ri * sum(map(mul, r, head[i + b:])) for i, ri in enumerate(r))
 
@@ -160,19 +170,20 @@ def state_trajectory(system: TransferSystem, n: int) -> list[tuple[int, ...]]:
 
 
 @lru_cache
-def _transfer_head(system: TransferSystem) -> tuple[int, ...]:
-    """Counts at lengths 1..2k; cached like :func:`_charpoly`, for the audit's
+def _transfer_head(system: TransferSystem) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Counts at lengths 1..2k and their shortest relation. By Cayley-Hamilton
+    it has order at most k, so the 2k counts fix it. Cached, for the audit's
     many short runs of the same systems."""
-    return tuple(map(system.count, state_trajectory(system, 2 * len(system.initial_vector))))
+    head = tuple(map(system.count, state_trajectory(system, 2 * len(system.initial_vector))))
+    return head, _berlekamp_massey(head)
 
 
 def run_transfer(system: TransferSystem, n: int) -> int:
     """Count at length n, by :func:`_nth_term` from the counts at lengths
-    1..2k: by Cayley-Hamilton the update matrix's characteristic polynomial
-    annihilates the counts, so no state vector is formed."""
+    1..2k and their shortest relation, so no state vector is formed."""
     if n < 1:
         raise ValueError("length must be at least 1")
-    return _nth_term(_transfer_head(system), _charpoly(system.update_matrix), n - 1)
+    return _nth_term(*_transfer_head(system), n - 1)
 
 
 class _LinearRecurrenceFields(NamedTuple):

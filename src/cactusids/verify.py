@@ -12,7 +12,7 @@ reconciled.
 
 One constructor, ``_judge``, makes every confirmed and refuted verdict: a
 claim is refuted at its first mismatch, and only then is its corrected
-statement derived from the transfer system. One judge, ``_check_series``,
+statement derived, from the built graph. One judge, ``_check_series``,
 serves every rational claim as a printed series: the family GF, the
 per-state series, and the closed recurrence as ``gf_from_recurrence``
 turns it, with every printed term, into a GF. One judge,
@@ -39,12 +39,11 @@ from .chains import (
     build_chain,
     expected_vertex_count,
 )
-from .genfunc import dominant_growth_rate, gf_from_recurrence
+from .genfunc import dominant_growth_rate, gf_from_recurrence, recurrence_from_gf
 from .graphs import (
     DEFAULT_MAX_VERTICES,
     BoundaryCounts,
     OracleLimitError,
-    count_boundary_classes,
     count_ids,
     independent_domination_number,
 )
@@ -54,7 +53,7 @@ from .paper import (
     GAMMA_FORMULA,
     PRINTED_STATEMENTS,
     STATE_CONTAINS,
-    _state_count,
+    _oracle_profile,
     defect_formula_value,
     derived_gf,
     derived_recurrence,
@@ -282,12 +281,6 @@ def require_oracle_fit(spec: ChainSpec) -> None:
         )
 
 
-@lru_cache(maxsize=None)
-def _oracle_profile(family: Family, n: int) -> BoundaryCounts:
-    chain = build_chain(ChainSpec(family, length=n))
-    return count_boundary_classes(chain.graph, chain.terminal_vertex)
-
-
 def oracle_count(family: Family, n: int) -> int:
     profile = _oracle_profile(family, n)
     return profile.in_count + profile.out_count
@@ -450,11 +443,8 @@ def _check_family_gf(claim: Claim, ctx: _Context) -> ClaimStatus:
 
 
 def _check_state_gf(claim: Claim, ctx: _Context, i: int, gf: RationalGF) -> ClaimStatus:
-    def refuted() -> tuple[Optional[str], Sequence[str]]:
-        derived = derived_state_gfs(ctx.family)
-        if i >= len(derived):
-            return None, ("the printed system has no extendable state",)
-        corrected = format_gf(derived[i])
+    def refuted() -> tuple[str, Sequence[str]]:
+        corrected = format_gf(derived_state_gfs(ctx.family)[i])
         return corrected, (f"corrected {_STATE_SHORT[i]} series: {corrected}",)
 
     return _check_series(claim, ctx, gf, "matches oracle boundary classes", refuted, state=i)
@@ -642,8 +632,9 @@ def cross_check_family(family: Family) -> VerificationReport:
 
 def ortho_square_contains(k: int) -> int:
     """s'(k): sets of the length-k ortho-square chain containing its terminal
-    vertex."""
-    return _state_count(paper_transfer_system(Family.SQUARE_ORTHO), STATE_CONTAINS, k)
+    vertex, coefficient k - 1 of the chain's derived contains series."""
+    contains = derived_state_gfs(Family.SQUARE_ORTHO)[STATE_CONTAINS]
+    return eval_recurrence(recurrence_from_gf(contains), k - 1)
 
 
 def corrected_para_defect_value(m: int, n: int) -> int:

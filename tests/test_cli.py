@@ -41,6 +41,25 @@ def test_import_leaves_numpy_out():
     assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
 
 
+def test_derived_series_leave_fractions_out():
+    # the derived series are integer work on the oracle's counts; a fresh
+    # process that imported fractions (with decimal) for them would pay for
+    # it in every ``gf --source derived`` and ``sequence --method gf``
+    code = (
+        "import sys\n"
+        "from cactusids.chains import LINEAR_FAMILIES\n"
+        "from cactusids.paper import derived_gf, derived_recurrence, derived_state_gfs\n"
+        "for family in LINEAR_FAMILIES:\n"
+        "    derived_gf(family), derived_state_gfs(family), derived_recurrence(family)\n"
+        "print([m for m in ('fractions', 'decimal') if m in sys.modules])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
+
 def test_fresh_process_json_matches_in_process(capsys):
     # pytest has json loaded already, so only a fresh interpreter exercises
     # the deferred import behind --format json as ``python -m`` runs it

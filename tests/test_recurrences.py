@@ -3,12 +3,11 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cactusids import recurrences
+from cactusids import paper, recurrences
 from cactusids.chains import ChainSpec, Family, LINEAR_FAMILIES, build_chain
-from cactusids.genfunc import characteristic_polynomial, gf_from_recurrence
+from cactusids.genfunc import gf_from_recurrence
 from cactusids.graphs import count_boundary_classes, count_ids
 from cactusids.paper import (
-    _state_count,
     derived_recurrence,
     measured_extendable_seed,
     paper_recurrence,
@@ -17,7 +16,7 @@ from cactusids.paper import (
 from cactusids.recurrences import (
     LinearRecurrence,
     TransferSystem,
-    _charpoly,
+    _berlekamp_massey,
     eval_recurrence,
     run_transfer,
     state_trajectory,
@@ -111,10 +110,17 @@ def _system(matrix, seed):
     return TransferSystem(matrix, seed, (1,) * k)
 
 
+def _unit_weights(system):
+    k = len(system.initial_vector)
+    return [tuple(int(i == j) for j in range(k)) for i in range(k)]
+
+
 def _states(system, n):
     """The state vector at length n, one state's count under its unit weights
     at a time."""
-    return tuple(_state_count(system, i, n) for i in range(len(system.initial_vector)))
+    return tuple(
+        run_transfer(system._replace(output_weights=unit), n) for unit in _unit_weights(system)
+    )
 
 
 @st.composite
@@ -195,8 +201,9 @@ class TestMatrixPowerEngine:
 
 
 class TestHankelLastStep:
-    """A far term powers x once, to half its exponent, and the head of counts
-    that run_transfer extends is built once per system."""
+    """A far term powers x once, to half its exponent; the head of counts
+    that run_transfer extends is built once per system, and the audit builds
+    each oracle profile once."""
 
     @pytest.fixture
     def exponents(self, monkeypatch):
@@ -219,16 +226,37 @@ class TestHankelLastStep:
         eval_recurrence(rec, 20000)
         assert exponents == [(20000 - base) >> 1]
 
-    def test_audit_builds_each_head_once(self):
-        for name, module in list(sys.modules.items()):
-            if name.startswith("cactusids"):
-                for value in list(vars(module).values()):
-                    if hasattr(value, "cache_clear"):
-                        value.cache_clear()
-        verify_all()
+    def test_each_head_is_built_once(self):
+        # every family's system, under its count weights and each state's
+        # unit weights, at short and far lengths, twice over
+        _clear_package_caches()
+        systems = [
+            system._replace(output_weights=weights)
+            for system in map(paper_transfer_system, LINEAR_FAMILIES)
+            for weights in [system.output_weights] + _unit_weights(system)
+        ]
+        for _ in range(2):
+            for system in systems:
+                for n in (1, 2, 7, 300, 4097):
+                    run_transfer(system, n)
         info = recurrences._transfer_head.cache_info()
+        assert info.hits == 9 * len(systems)
+        assert info.misses == info.currsize == len(systems) == 23
+
+    def test_audit_builds_each_oracle_profile_once(self):
+        _clear_package_caches()
+        verify_all()
+        info = paper._oracle_profile.cache_info()
         assert info.hits > 0
-        assert info.misses == info.currsize < info.maxsize
+        assert info.misses == info.currsize
+
+
+def _clear_package_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cactusids"):
+            for value in list(vars(module).values()):
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
 
 
 def _stepped(rec, n):
@@ -330,26 +358,68 @@ def _mat_mul(a, b):
     ]
 
 
-class TestCharacteristicPolynomial:
-    @pytest.mark.parametrize("kind, family", _ALL_RECURRENCES)
-    def test_companion_gives_the_recurrences_polynomial(self, kind, family):
-        rec = _BUILD[kind](family)
-        k = rec.order
-        companion = (rec.coefficients,) + tuple(
-            tuple(int(j == i) for j in range(k)) for i in range(k - 1)
-        )
-        c = _charpoly(companion)
-        assert tuple(reversed(c)) + (1,) == characteristic_polynomial(rec).coeffs
+def _follows(terms, relation):
+    """Whether every term from the relation's order on obeys it."""
+    return all(
+        terms[n] == -sum(c * terms[n - i] for i, c in enumerate(relation, 1))
+        for n in range(len(relation), len(terms))
+    )
 
-    @pytest.mark.parametrize("family", LINEAR_FAMILIES)
-    def test_cayley_hamilton(self, family):
-        a = paper_transfer_system(family).update_matrix
-        k = len(a)
-        total = [[0] * k for _ in range(k)]
-        for i, c in enumerate((1,) + _charpoly(a)):
-            power = _mat_power(a, k - i)
-            total = [[t + c * p for t, p in zip(tr, pr)] for tr, pr in zip(total, power)]
-        assert total == [[0] * k for _ in range(k)]
+
+class TestBerlekampMassey:
+    @pytest.mark.parametrize("kind, family", _ALL_RECURRENCES)
+    def test_reads_back_each_recurrence(self, kind, family):
+        # from the first index the relation reaches back to, 2 * order terms
+        # fix a relation that continues the series through n = 200
+        rec = _BUILD[kind](family)
+        base = max(rec.initial_map) - rec.order + 1
+        terms = [eval_recurrence(rec, n) for n in range(base, 201)]
+        relation = _berlekamp_massey(terms[: 2 * rec.order])
+        assert _follows(terms, relation)
+        assert len(relation) <= rec.order
+        if len(relation) == rec.order:
+            assert relation == tuple(-c for c in rec.coefficients)
+
+    def test_zero_sequence(self):
+        assert _berlekamp_massey((0,) * 6) == ()
+        assert _berlekamp_massey(()) == ()
+        system = _system(((1, 2), (3, 4)), (0, 0))
+        assert [run_transfer(system, n) for n in (1, 2, 5, 4097)] == [0, 0, 0, 0]
+        unweighted = TransferSystem(((1, 1), (1, 0)), (1, 2), (0, 0))
+        assert run_transfer(unweighted, 300) == 0
+
+    def test_nilpotent_system(self):
+        # counts 2, 1, 3 and then zeros: the relation is three zeros
+        system = _system(((0, 1, 0), (0, 0, 1), (0, 0, 0)), (1, -2, 3))
+        assert recurrences._transfer_head(system) == ((2, 1, 3, 0, 0, 0), (0, 0, 0))
+        assert [run_transfer(system, n) for n in range(1, 9)] == [2, 1, 3, 0, 0, 0, 0, 0]
+
+    def test_zero_last_coefficient(self):
+        # a singular matrix: its counts 0, 3, 15, 75, ... obey s(n) = 5 s(n-1)
+        # only from n = 2, a relation of order 2 with c_2 = 0
+        system = _system(((1, 2), (2, 4)), (-1, 1))
+        head, relation = recurrences._transfer_head(system)
+        assert (head, relation) == ((0, 3, 15, 75), (-5, 0))
+        assert run_transfer(system, 301) == 3 * 5**299
+
+    def test_final_division(self):
+        # fraction-free, the relations end as 5 + 0x and 4 - 12x + 8x^2: the
+        # division by the leading coefficient is exact
+        assert _berlekamp_massey((5, 0, 0, 0)) == (0,)
+        assert _berlekamp_massey((2, 3, 5, 9, 17, 33)) == (-3, 2)
+        # 2, 1 obeys s(n) = s(n-1) / 2 alone
+        with pytest.raises(ValueError, match="^the shortest relation has non-integer"):
+            _berlekamp_massey((2, 1))
+
+    @pytest.mark.parametrize("terms, order", [
+        ((0, 0, 0, 1), 4),
+        ((1, 1, 2), 2),
+        ((1, 2, 4, 8, 16, 33), 5),
+    ])
+    def test_refuses_a_relation_the_terms_do_not_fix(self, terms, order):
+        message = f"^{len(terms)} terms do not fix a relation of order {order}$"
+        with pytest.raises(ValueError, match=message):
+            _berlekamp_massey(terms)
 
 
 class TestAgainstOracle:
