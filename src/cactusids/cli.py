@@ -5,7 +5,11 @@ the oracle's 40-vertex cap, a ``count --n``/``--m`` above MAX_LENGTH, a
 ``build --n``/``--m`` above MAX_BUILD_LENGTH, or a ``sequence --max-n`` above
 MAX_SEQUENCE_LENGTH), 3 when ``verify`` finds refuted claims (so CI can gate
 on consistency), 141 (128 + SIGPIPE) when the reader closes stdout early, as
-``| head`` does. ``verify`` takes no scope option: the oracle judges every
+``| head`` does. Every ``--m``, ``--n`` and ``--max-n`` is checked in one
+place, right after parsing: below 1 is a usage error, above its command's cap
+a resource limit. Every linear-family route but the oracle reads one
+generating function: ``count`` its term n, ``sequence`` its prefix, and
+``gf`` prints it. ``verify`` takes no scope option: the oracle judges every
 chain under the fixed ``verify.AUDIT_CEILING``. Output is deterministic:
 identical invocations produce byte-identical output, and every count is
 printed exactly, however many digits it has.
@@ -28,7 +32,7 @@ from .chains import (
     to_edge_list_text,
     to_json_dict,
 )
-from .genfunc import gf_from_recurrence, recurrence_from_gf
+from .genfunc import gf_from_recurrence, gf_term, series_gf
 from .graphs import OracleLimitError, count_ids
 from .paper import (
     DEFECT_FORMULA,
@@ -39,8 +43,8 @@ from .paper import (
     paper_recurrence,
     paper_transfer_system,
 )
-from .polynomials import format_gf, gf_to_json_dict
-from .recurrences import eval_recurrence, run_transfer, state_trajectory
+from .polynomials import RationalGF, format_gf, gf_to_json_dict
+from .recurrences import state_trajectory
 from .verify import (
     check_defect_formula,
     corrected_para_defect_value,
@@ -65,6 +69,7 @@ MAX_SEQUENCE_LENGTH = 2_000
 # int per vertex as wide as its highest neighbour id, so memory grows as n^2:
 # hex-para peaked at 31, 38 and 61 MB RSS at n = 1000, 2000 and 4000.
 MAX_BUILD_LENGTH = 2_000
+_LENGTH_CAPS = {"count": MAX_LENGTH, "sequence": MAX_SEQUENCE_LENGTH, "build": MAX_BUILD_LENGTH}
 
 
 class LengthLimitError(RuntimeError):
@@ -142,9 +147,6 @@ def _parse_spec(parser, args) -> ChainSpec:
         parser.error(f"--m is only valid for defect families, not {args.family}")
     if family not in LINEAR_FAMILIES and m is None:
         parser.error(f"{args.family} requires --m and --n")
-    for flag, value in (("--m", m), ("--n", args.n)):
-        if value is not None and value < 1:
-            parser.error(f"{flag} must be at least 1")
     if family in LINEAR_FAMILIES:
         return ChainSpec(family, length=args.n)
     return ChainSpec(family, m=m, n=args.n)
@@ -180,9 +182,19 @@ def _print_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _check_length(flag: str, value: int, cap: int) -> None:
-    if value > cap:
-        raise LengthLimitError(f"{flag} {value} is above the cap {cap}")
+def _refuse_bad_lengths(parser, args) -> None:
+    """Every length flag: below 1 a usage error, above its command's cap a
+    resource limit."""
+    lengths = [(flag, getattr(args, flag[2:].replace("-", "_"), None))
+               for flag in ("--m", "--n", "--max-n")]
+    lengths = [(flag, value) for flag, value in lengths if value is not None]
+    for flag, value in lengths:
+        if value < 1:
+            parser.error(f"{flag} must be at least 1")
+    cap = _LENGTH_CAPS.get(args.command)
+    for flag, value in lengths:
+        if cap is not None and value > cap:
+            raise LengthLimitError(f"{flag} {value} is above the cap {cap}")
 
 
 def _oracle_count(spec: ChainSpec) -> int:
@@ -191,50 +203,47 @@ def _oracle_count(spec: ChainSpec) -> int:
     return count_ids(build_chain(spec).graph)
 
 
-def _prints_errata(method: str, gf_source: str) -> bool:
-    """Whether a route reads a published statement that may be an erratum."""
-    return method == "recurrence" or (method == "gf" and gf_source == "paper")
-
-
-def _linear_count(family: Family, n: int, method: str, gf_source: str) -> int:
-    if method == "oracle":
-        return _oracle_count(ChainSpec(family, length=n))
+def _route_gf(family: Family, method: str, gf_source: str) -> RationalGF:
+    """The generating function a linear route reads: coefficient n is the
+    count at length n (a printed recurrence's formal a(0) is coefficient 0)."""
     if method == "transfer":
-        return run_transfer(paper_transfer_system(family), n)
+        system = paper_transfer_system(family)
+        # by Cayley-Hamilton the counts at lengths 1..2k fix the relation
+        head = state_trajectory(system, 2 * len(system.initial_vector))
+        return series_gf([system.count(v) for v in head], 1)
     if method == "recurrence":
-        value = eval_recurrence(paper_recurrence(family), n)
-    else:
-        gf = paper_gf(family) if gf_source == "paper" else derived_gf(family)
-        # coefficient n in O(log n) polynomial squarings, from the recurrence
-        # the GF's denominator defines and the GF's own leading coefficients
-        value = eval_recurrence(recurrence_from_gf(gf), n)
-    if _prints_errata(method, gf_source):
-        expected = run_transfer(paper_transfer_system(family), n)
-        _warn_if_errata(family, method, value, n, expected)
-    return value
+        return gf_from_recurrence(paper_recurrence(family))
+    return paper_gf(family) if gf_source == "paper" else derived_gf(family)
+
+
+def _route_counts(family: Family, args, lengths, read) -> list[int]:
+    """The counts at ``lengths`` that ``read`` takes from the route's GF. A
+    route that reads a published statement, which may be an erratum, warns
+    at each length where it differs from the transfer GF, read the same way."""
+    counts = read(_route_gf(family, args.method, args.gf_source))
+    if args.method == "recurrence" or (args.method == "gf" and args.gf_source == "paper"):
+        reference = read(_route_gf(family, "transfer", args.gf_source))
+        for n, value, expected in zip(lengths, counts, reference):
+            _warn_if_errata(family, args.method, value, n, expected)
+    return counts
 
 
 def _cmd_count(parser, args) -> int:
     spec = _parse_spec(parser, args)
     family = spec.family
-    if family in LINEAR_FAMILIES:
-        if args.method == "formula":
-            parser.error("--method formula applies only to defect families")
-        _check_length("--n", args.n, MAX_LENGTH)
-        value = _linear_count(family, args.n, args.method, args.gf_source)
+    if family in LINEAR_FAMILIES and args.method == "formula":
+        parser.error("--method formula applies only to defect families")
+    if family not in LINEAR_FAMILIES and args.method not in ("oracle", "formula"):
+        parser.error(
+            f"defect families support --method oracle or formula, not {args.method}"
+        )
+    if args.method == "oracle":
+        value = _oracle_count(spec)
+    elif args.method == "formula":
+        value = defect_formula_value(family, spec.m, spec.n)
+        _warn_if_defect_erratum(family, spec.m, spec.n, value)
     else:
-        if args.method not in ("oracle", "formula"):
-            parser.error(
-                "defect families support --method oracle or formula, "
-                f"not {args.method}"
-            )
-        _check_length("--m", spec.m, MAX_LENGTH)
-        _check_length("--n", spec.n, MAX_LENGTH)
-        if args.method == "oracle":
-            value = _oracle_count(spec)
-        else:
-            value = defect_formula_value(family, spec.m, spec.n)
-            _warn_if_defect_erratum(family, spec.m, spec.n, value)
+        [value] = _route_counts(family, args, [args.n], lambda gf: [gf_term(gf, args.n)])
     if args.format == "json":
         doc = {"family": args.family, "method": args.method, "count": value}
         if family in LINEAR_FAMILIES:
@@ -249,33 +258,15 @@ def _cmd_count(parser, args) -> int:
     return 0
 
 
-def _transfer_counts(family: Family, max_n: int) -> list[int]:
-    """Counts at lengths 1..max_n by stepping the family's transfer system."""
-    system = paper_transfer_system(family)
-    return [system.count(v) for v in state_trajectory(system, max_n)]
-
-
 def _cmd_sequence(parser, args) -> int:
     family = Family(args.family)
-    if args.max_n < 1:
-        parser.error("--max-n must be at least 1")
-    _check_length("--max-n", args.max_n, MAX_SEQUENCE_LENGTH)
     lengths = range(1, args.max_n + 1)
     if args.method == "oracle":
         # refuse the longest chain before building any shorter one
         require_oracle_fit(ChainSpec(family, length=args.max_n))
         counts = [_oracle_count(ChainSpec(family, length=n)) for n in lengths]
-    elif args.method == "transfer":
-        counts = _transfer_counts(family, args.max_n)
-    elif args.method == "recurrence":
-        counts = gf_from_recurrence(paper_recurrence(family)).series(args.max_n)[1:]
     else:
-        gf = paper_gf(family) if args.gf_source == "paper" else derived_gf(family)
-        counts = gf.series(args.max_n)[1:]
-    if _prints_errata(args.method, args.gf_source):
-        reference = _transfer_counts(family, args.max_n)
-        for n, value, expected in zip(lengths, counts, reference):
-            _warn_if_errata(family, args.method, value, n, expected)
+        counts = _route_counts(family, args, lengths, lambda gf: gf.series(args.max_n)[1:])
     if args.format == "json":
         doc = {
             "family": args.family,
@@ -291,8 +282,7 @@ def _cmd_sequence(parser, args) -> int:
 
 
 def _cmd_gf(parser, args) -> int:
-    family = Family(args.family)
-    gf = paper_gf(family) if args.source == "paper" else derived_gf(family)
+    gf = _route_gf(Family(args.family), "gf", args.source)
     if args.format == "json":
         doc = {"family": args.family, "source": args.source, "text": format_gf(gf)}
         doc.update(gf_to_json_dict(gf))
@@ -304,9 +294,6 @@ def _cmd_gf(parser, args) -> int:
 
 def _cmd_build(parser, args) -> int:
     spec = _parse_spec(parser, args)
-    _check_length("--n", args.n, MAX_BUILD_LENGTH)
-    if args.m is not None:
-        _check_length("--m", args.m, MAX_BUILD_LENGTH)
     chain = build_chain(spec)
     if args.format == "json":
         _print_json(to_json_dict(spec, chain))
@@ -316,10 +303,7 @@ def _cmd_build(parser, args) -> int:
 
 
 def _cmd_gamma(parser, args) -> int:
-    family = Family(args.family)
-    if args.max_n is not None and args.max_n < 1:
-        parser.error("--max-n must be at least 1")
-    rows = gamma_rows(family, args.max_n)
+    rows = gamma_rows(Family(args.family), args.max_n)
     if args.format == "json":
         doc = {
             "family": args.family,
@@ -338,8 +322,6 @@ def _cmd_gamma(parser, args) -> int:
 
 def _cmd_defect(parser, args) -> int:
     family = Family(args.family)
-    if args.m < 1 or args.n < 1:
-        parser.error("--m and --n must be at least 1")
     status = check_defect_formula(family, args.m, args.n)
     if args.format == "json":
         _print_json(status.to_json_dict())
@@ -394,6 +376,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _refuse_bad_lengths(parser, args)
         with _exact_int_text():
             return _HANDLERS[args.command](parser, args)
     except SystemExit as exc:

@@ -1,17 +1,20 @@
 """Rational generating functions and the linear recurrences they encode.
 
-Covers three jobs:
+Covers four jobs:
 
 * conversion between generating functions and linear recurrences: a
   recurrence's run of initial terms becomes a GF in one product, so
-  ``RationalGF.series`` is the one loop that steps a scalar sequence;
+  ``RationalGF.series`` is the one loop that steps a scalar sequence, and
+  :func:`gf_term` is the one reader of a single far coefficient;
+* the one "terms to GF" step, :func:`series_gf`: the shortest relation that
+  ``recurrences``' Berlekamp-Massey finds in a run of terms, as a GF;
 * an exact solver for square linear systems with polynomial entries
   (Cramer's rule over Bareiss determinants);
 * dominant growth rate of a recurrence, from its largest root modulus.
 
-Nothing here names a chain family or finds a relation: the published
-generating functions and systems are transcribed in ``paper``, which derives
-the corrected ones with ``recurrences``' Berlekamp-Massey.
+Nothing here names a chain family: the published generating functions and
+systems are transcribed in ``paper``, which derives the corrected ones with
+:func:`series_gf` from the oracle's counts.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .polynomials import Polynomial, RationalGF, poly_divmod_exact, poly_gcd
-from .recurrences import LinearRecurrence, eval_recurrence
+from .recurrences import LinearRecurrence, _berlekamp_massey, eval_recurrence
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -139,6 +142,20 @@ def recurrence_from_gf(gf: RationalGF) -> LinearRecurrence:
             raise ValueError("series has non-integer coefficients")
         initial.append((idx, value))
     return LinearRecurrence(tuple(coeffs), tuple(initial), valid_from)
+
+
+def gf_term(gf: RationalGF, n: int) -> int:
+    """Coefficient n, in O(log n) polynomial squarings, from the recurrence
+    the GF's denominator defines and the GF's own leading coefficients."""
+    return eval_recurrence(recurrence_from_gf(gf), n)
+
+
+def series_gf(terms: Sequence[int], first_index: int) -> RationalGF:
+    """The series that is ``terms`` from coefficient ``first_index`` on and
+    then follows their shortest relation."""
+    coefficients = tuple(-c for c in _berlekamp_massey(terms))
+    initial = tuple(enumerate(terms, first_index))
+    return gf_from_recurrence(LinearRecurrence(coefficients, initial, first_index + len(terms)))
 
 
 # -- dominant growth rate ---------------------------------------------------

@@ -9,9 +9,11 @@ This is the only module that holds a transcription. ``recurrences`` and
 ``genfunc`` compute with any matrix, recurrence or series and never name a
 family; ``verify`` judges what is here. The values computed for one family
 live here too: its transfer system, whose unprinted seeds are measured on
-the built length-1 chain; the derived series, which Berlekamp-Massey finds in
-the oracle's boundary classes on the built chains of lengths 1..6, reading no
-transcription; and the defect formulas, on the square chains' series.
+the built length-1 chain; the derived series, which ``genfunc.series_gf``
+reads off the oracle's boundary classes on the built chains of lengths 1..6,
+reading no transcription; and the defect formulas, whose far terms
+``genfunc.gf_term`` and the derived recurrences read off the square chains'
+series.
 """
 
 from __future__ import annotations
@@ -20,15 +22,10 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .chains import ChainSpec, Family, LINEAR_FAMILIES, build_chain
-from .genfunc import GFLinearSystem, gf_from_recurrence, recurrence_from_gf
+from .genfunc import GFLinearSystem, gf_term, recurrence_from_gf, series_gf
 from .graphs import BoundaryCounts, count_boundary_classes
 from .polynomials import Polynomial, RationalGF, as_poly
-from .recurrences import (
-    LinearRecurrence,
-    TransferSystem,
-    _berlekamp_massey,
-    eval_recurrence,
-)
+from .recurrences import LinearRecurrence, TransferSystem, eval_recurrence
 
 STATE_CONTAINS = 0
 STATE_AVOIDS = 1
@@ -241,21 +238,13 @@ def paper_gf_system(family: Family) -> Optional[GFLinearSystem]:
 _DERIVED_LENGTHS = range(1, 7)
 
 
-def _graph_gf(terms: Sequence[int], first_index: int) -> RationalGF:
-    """The series that is ``terms`` from coefficient ``first_index`` on and
-    then follows their shortest relation."""
-    coefficients = tuple(-c for c in _berlekamp_massey(terms))
-    initial = tuple(enumerate(terms, first_index))
-    return gf_from_recurrence(LinearRecurrence(coefficients, initial, first_index + len(terms)))
-
-
 @lru_cache(maxsize=None)
 def derived_state_gfs(family: Family) -> tuple[RationalGF, ...]:
     """Per-class series of the built chains: coefficient k of series i is the
     oracle's count of boundary class i at length k+1. A class that is empty
     at every length, the triangle chains' extendable one, is left out."""
     classes = zip(*(_oracle_profile(family, n) for n in _DERIVED_LENGTHS))
-    return tuple(_graph_gf(terms, 0) for terms in classes if any(terms))
+    return tuple(series_gf(terms, 0) for terms in classes if any(terms))
 
 
 @lru_cache(maxsize=None)
@@ -266,7 +255,7 @@ def derived_gf(family: Family) -> RationalGF:
     coefficient 0 is zero.
     """
     counts = [sum(_oracle_profile(family, n)[:2]) for n in _DERIVED_LENGTHS]
-    return _graph_gf(counts, 1)
+    return series_gf(counts, 1)
 
 
 @lru_cache(maxsize=None)
@@ -311,9 +300,9 @@ def defect_formula_value(family: Family, m: int, n: int) -> int:
     if family is Family.PARA_CHAIN_ORTHO_DEFECT:
         q = derived_recurrence(Family.SQUARE_PARA)
         # coefficient k of the avoids series is avoids(k+1)
-        avoids = recurrence_from_gf(derived_state_gfs(Family.SQUARE_PARA)[STATE_AVOIDS])
-        return (eval_recurrence(q, m) * eval_recurrence(avoids, n)
-                + eval_recurrence(q, n) * eval_recurrence(avoids, m))
+        avoids = derived_state_gfs(Family.SQUARE_PARA)[STATE_AVOIDS]
+        return (eval_recurrence(q, m) * gf_term(avoids, n)
+                + eval_recurrence(q, n) * gf_term(avoids, m))
     rec = derived_recurrence(Family.SQUARE_ORTHO)
 
     def s(k: int) -> int:

@@ -4,11 +4,11 @@ A transfer system is a small integer state-update matrix with a seed vector
 and output weights; a recurrence is a coefficient vector with one run of
 consecutive initial terms. Both are evaluated exactly over Python ints, a
 single term in O(log n) polynomial squarings (Fiduccia's method), the last
-one a Hankel quadratic form of k large products (Bostan and Mori). One state
-of a system is its count under that state's unit weight vector, by the same
-kernel; a run of terms is the series of ``genfunc.gf_from_recurrence``.
-Berlekamp-Massey is the one code that finds a linear relation: a system's,
-from its first 2k counts, and each derived series' in ``paper``. Nothing here
+one a Hankel quadratic form of k large products (Bostan and Mori). State
+vectors are stepped one length at a time; a run of terms is the series of
+``genfunc.gf_from_recurrence``. Berlekamp-Massey is the one code that finds a
+linear relation: a system's, from its first 2k counts, and every other
+through ``genfunc.series_gf``. Nothing here
 names a chain family: the published systems and recurrences are transcribed
 in ``paper``. Evaluations at different lengths are independent and safe to
 run concurrently.

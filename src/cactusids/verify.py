@@ -39,7 +39,7 @@ from .chains import (
     build_chain,
     expected_vertex_count,
 )
-from .genfunc import dominant_growth_rate, gf_from_recurrence, recurrence_from_gf
+from .genfunc import dominant_growth_rate, gf_from_recurrence, gf_term
 from .graphs import (
     DEFAULT_MAX_VERTICES,
     BoundaryCounts,
@@ -634,7 +634,7 @@ def ortho_square_contains(k: int) -> int:
     """s'(k): sets of the length-k ortho-square chain containing its terminal
     vertex, coefficient k - 1 of the chain's derived contains series."""
     contains = derived_state_gfs(Family.SQUARE_ORTHO)[STATE_CONTAINS]
-    return eval_recurrence(recurrence_from_gf(contains), k - 1)
+    return gf_term(contains, k - 1)
 
 
 def corrected_para_defect_value(m: int, n: int) -> int:

@@ -7,12 +7,19 @@ import time
 from decimal import Decimal
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cactusids import cli, verify
 from cactusids.chains import DEFECT_FAMILIES, Family, LINEAR_FAMILIES
 from cactusids.cli import MAX_BUILD_LENGTH, MAX_LENGTH, MAX_SEQUENCE_LENGTH, main
-from cactusids.paper import GAMMA_FORMULA, derived_gf, paper_gf, paper_transfer_system
-from cactusids.recurrences import run_transfer
+from cactusids.paper import (
+    GAMMA_FORMULA,
+    derived_gf,
+    paper_gf,
+    paper_recurrence,
+    paper_transfer_system,
+)
+from cactusids.recurrences import eval_recurrence, run_transfer
 
 
 def run(capsys, *argv):
@@ -159,6 +166,10 @@ class TestCount:
         (("build", "--family", "tri", "--n", "0"), "--n"),
         (("build", "--family", "p-defect", "--m", "0", "--n", "2"), "--m"),
         (("build", "--family", "s-defect", "--m", "2", "--n", "-1"), "--n"),
+        (("sequence", "--family", "tri", "--max-n", "0"), "--max-n"),
+        (("gamma", "--family", "tri", "--max-n", "0"), "--max-n"),
+        (("defect", "--family", "p-defect", "--m", "0", "--n", "1"), "--m"),
+        (("defect", "--family", "s-defect", "--m", "1", "--n", "0"), "--n"),
     ])
     def test_lengths_below_one_are_usage_errors(self, capsys, argv, flag):
         code, out, err = run(capsys, *argv)
@@ -580,6 +591,38 @@ def test_all_terms_routes_digest_at_the_cap(capsys):
     assert digest.hexdigest() == (
         "bd802aacc1c64e3d4e5b6ba3ce8d5087f2db24cad7c63868eccfad035a44a00b"
     )
+
+
+# each linear route's flags, and the library value it must print at length n
+_LINEAR_ROUTES = {
+    "transfer": (("transfer",), lambda f, n: run_transfer(paper_transfer_system(f), n)),
+    "recurrence": (("recurrence",), lambda f, n: eval_recurrence(paper_recurrence(f), n)),
+    "derived-gf": (("gf", "--gf-source", "derived"),
+                   lambda f, n: run_transfer(paper_transfer_system(f), n)),
+    "paper-gf": (("gf", "--gf-source", "paper"), lambda f, n: paper_gf(f).series(n)[n]),
+}
+
+
+@pytest.mark.parametrize("route", _LINEAR_ROUTES)
+@pytest.mark.parametrize("family", LINEAR_FAMILIES, ids=lambda f: f.value)
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 400))
+@example(n=1)
+@example(n=400)
+def test_count_and_sequence_agree_with_the_library(capsys, family, route, n):
+    flags, library = _LINEAR_ROUTES[route]
+    argv = ("--family", family.value, "--method", *flags)
+    code, out, err = run(capsys, "count", *argv, "--n", str(n))
+    seq_code, seq_out, seq_err = run(capsys, "sequence", *argv, "--max-n", str(n))
+    assert (code, seq_code) == (0, 0)
+    value = library(family, n)
+    assert out == f"{value}\n"
+    assert seq_out.splitlines()[-1] == f"{n},{value}"
+    # a route warns exactly where its value is not the transfer system's
+    differs = value != run_transfer(paper_transfer_system(family), n)
+    assert err.count("warning:") == differs
+    assert (f" at n = {n}; " in seq_err) == differs
 
 
 @pytest.fixture(scope="module")
