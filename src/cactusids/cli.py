@@ -44,7 +44,7 @@ from .paper import (
     paper_transfer_system,
 )
 from .polynomials import RationalGF, format_gf, gf_to_json_dict
-from .recurrences import state_trajectory
+from .recurrences import _transfer_head
 from .verify import (
     check_defect_formula,
     corrected_para_defect_value,
@@ -207,10 +207,8 @@ def _route_gf(family: Family, method: str, gf_source: str) -> RationalGF:
     """The generating function a linear route reads: coefficient n is the
     count at length n (a printed recurrence's formal a(0) is coefficient 0)."""
     if method == "transfer":
-        system = paper_transfer_system(family)
-        # by Cayley-Hamilton the counts at lengths 1..2k fix the relation
-        head = state_trajectory(system, 2 * len(system.initial_vector))
-        return series_gf([system.count(v) for v in head], 1)
+        # the counts at lengths 1..2k, which fix the system's relation
+        return series_gf(_transfer_head(paper_transfer_system(family))[0], 1)
     if method == "recurrence":
         return gf_from_recurrence(paper_recurrence(family))
     return paper_gf(family) if gf_source == "paper" else derived_gf(family)

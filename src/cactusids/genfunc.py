@@ -5,7 +5,8 @@ Covers four jobs:
 * conversion between generating functions and linear recurrences: a
   recurrence's run of initial terms becomes a GF in one product, so
   ``RationalGF.series`` is the one loop that steps a scalar sequence, and
-  :func:`gf_term` is the one reader of a single far coefficient;
+  :func:`gf_term` is the one reader of a single far coefficient; both refuse
+  a GF that is not an integer series;
 * the one "terms to GF" step, :func:`series_gf`: the shortest relation that
   ``recurrences``' Berlekamp-Massey finds in a run of terms, as a GF;
 * an exact solver for square linear systems with polynomial entries
@@ -118,30 +119,18 @@ def gf_from_recurrence(rec: LinearRecurrence) -> RationalGF:
 def recurrence_from_gf(gf: RationalGF) -> LinearRecurrence:
     """Read the recurrence off a reduced rational generating function.
 
-    Coefficients come from the denominator, validity starts one past the
-    numerator degree, and the initial terms are the series coefficients up
-    to that point.
+    The series comes first, so a GF that is not an integer series is refused
+    there; its denominator then starts with 1, and coefficient i of the
+    recurrence is minus the denominator's coefficient i. Validity starts one
+    past the numerator degree, and the initial terms are the series
+    coefficients up to that point.
     """
-    den = gf.denominator
-    d0 = den[0]
-    if d0 == 0:
-        raise ValueError("denominator constant term is zero")
-    coeffs = []
-    for i in range(1, den.degree + 1):
-        q, r = divmod(-den[i], d0)
-        if r:
-            raise ValueError("denominator does not normalise to integer coefficients")
-        coeffs.append(q)
+    den, valid_from = gf.denominator, max(gf.numerator.degree + 1, 1)
+    series = gf.series(max(valid_from - 1, den.degree - 1))
+    coeffs = tuple(-den[i] for i in range(1, den.degree + 1))
     if not coeffs:
         raise ValueError("polynomial (finite) series has no recurrence order")
-    valid_from = max(gf.numerator.degree + 1, 1)
-    series = gf.series(max(valid_from - 1, len(coeffs) - 1, 0))
-    initial = []
-    for idx, value in enumerate(series):
-        if not isinstance(value, int):
-            raise ValueError("series has non-integer coefficients")
-        initial.append((idx, value))
-    return LinearRecurrence(tuple(coeffs), tuple(initial), valid_from)
+    return LinearRecurrence(coeffs, tuple(enumerate(series)), valid_from)
 
 
 def gf_term(gf: RationalGF, n: int) -> int:

@@ -12,8 +12,7 @@ live here too: its transfer system, whose unprinted seeds are measured on
 the built length-1 chain; the derived series, which ``genfunc.series_gf``
 reads off the oracle's boundary classes on the built chains of lengths 1..6,
 reading no transcription; and the defect formulas, whose far terms
-``genfunc.gf_term`` and the derived recurrences read off the square chains'
-series.
+``genfunc.gf_term`` reads off the square chains' derived series.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .chains import ChainSpec, Family, LINEAR_FAMILIES, build_chain
 from .genfunc import GFLinearSystem, gf_term, recurrence_from_gf, series_gf
 from .graphs import BoundaryCounts, count_boundary_classes
 from .polynomials import Polynomial, RationalGF, as_poly
-from .recurrences import LinearRecurrence, TransferSystem, eval_recurrence
+from .recurrences import LinearRecurrence, TransferSystem
 
 STATE_CONTAINS = 0
 STATE_AVOIDS = 1
@@ -298,15 +297,14 @@ def defect_formula_value(family: Family, m: int, n: int) -> int:
     if m < 1 or n < 1:
         raise ValueError("defect parameters must be at least 1")
     if family is Family.PARA_CHAIN_ORTHO_DEFECT:
-        q = derived_recurrence(Family.SQUARE_PARA)
+        q = derived_gf(Family.SQUARE_PARA)
         # coefficient k of the avoids series is avoids(k+1)
         avoids = derived_state_gfs(Family.SQUARE_PARA)[STATE_AVOIDS]
-        return (eval_recurrence(q, m) * gf_term(avoids, n)
-                + eval_recurrence(q, n) * gf_term(avoids, m))
-    rec = derived_recurrence(Family.SQUARE_ORTHO)
+        return gf_term(q, m) * gf_term(avoids, n) + gf_term(q, n) * gf_term(avoids, m)
+    gf = derived_gf(Family.SQUARE_ORTHO)
 
     def s(k: int) -> int:
-        return 1 if k == 0 else eval_recurrence(rec, k)
+        return 1 if k == 0 else gf_term(gf, k)
 
     return s(n) * s(m) + 2 * s(m - 1) * s(n - 1)
 

@@ -4,8 +4,9 @@ Polynomials are immutable ascending coefficient tuples with no trailing zeros,
 and support +, - and *. Rational functions have no arithmetic: each is built
 once from a numerator and a denominator and reduces on construction
 (polynomial gcd via the primitive PRS, joint integer content, sign
-normalisation), so equal functions compare equal structurally. Everything
-here is pure and safe to share across threads.
+normalisation), so equal functions compare equal structurally, and expand
+only to an integer power series, which needs a denominator constant term of
+1. Everything here is pure and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -270,9 +271,11 @@ class RationalGF:
 
     Canonical form: numerator and denominator share no polynomial factor and
     no integer content, and the denominator's lowest nonzero coefficient is
-    positive. Power-series extraction additionally requires a nonzero
-    denominator constant term (checked in :func:`series`, not here, so any
-    Cramer quotient det(M_i)/det(M) can be held).
+    positive. By Fatou's lemma (P. Fatou, Acta Math. 30, 1906) a rational
+    series with integer coefficients is P/Q with Q(0) = 1, so a canonical GF
+    is an integer series if and only if its denominator's constant term is 1.
+    :func:`series` refuses every other GF; construction does not, so any
+    Cramer quotient det(M_i)/det(M) can be held.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -321,41 +324,29 @@ class RationalGF:
     def __str__(self):
         return format_gf(self)
 
-    def series(self, upto: int) -> list:
+    def series(self, upto: int) -> list[int]:
         """Power-series coefficients 0..upto, exact.
 
-        Integrality is not assumed: entries are ints when integral and
-        ``Fraction`` otherwise (a fractional entry signals a malformed
-        claimed generating function). Each entry costs one product per
-        nonzero denominator coefficient. Only when the constant term d0 is
-        not 1 does it also cost an exact division by d0, in int arithmetic
-        up to the first entry that does not divide and in ``Fraction``
-        arithmetic after it; with d0 = 1 every entry is an int.
+        Refuses, with ``ValueError``, a denominator whose constant term d0 is
+        not 1: in canonical form that is exactly a GF whose series is not an
+        integer sequence (Fatou 1906), and with d0 = 0 there is no power
+        series at all. Each entry costs one product per nonzero denominator
+        coefficient.
         """
         d0 = self.denominator[0]
-        if d0 == 0:
+        if d0 != 1:
             raise ValueError(
-                "denominator constant term is zero; series is not extractable"
+                f"denominator constant term is {d0}, not 1: no integer power series"
             )
         num = self.numerator.coeffs
         terms = [(i, d) for i, d in enumerate(self.denominator.coeffs) if i and d]
-        if d0 != 1:  # only then can an entry leave the integers
-            from fractions import Fraction
-        out: list = []
+        out: list[int] = []
         for n in range(upto + 1):
             acc = num[n] if n < len(num) else 0
             for i, d in terms:
                 if i > n:
                     break
                 acc -= d * out[n - i]
-            if d0 != 1:
-                if isinstance(acc, int):
-                    q, r = divmod(acc, d0)
-                    acc = Fraction(acc, d0) if r else q
-                else:
-                    acc /= d0
-                    if acc.denominator == 1:
-                        acc = int(acc)
             out.append(acc)
         return out
 

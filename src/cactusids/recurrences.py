@@ -172,8 +172,8 @@ def state_trajectory(system: TransferSystem, n: int) -> list[tuple[int, ...]]:
 @lru_cache
 def _transfer_head(system: TransferSystem) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Counts at lengths 1..2k and their shortest relation. By Cayley-Hamilton
-    it has order at most k, so the 2k counts fix it. Cached, for the audit's
-    many short runs of the same systems."""
+    it has order at most k, so the 2k counts fix it. Cached: every
+    :func:`run_transfer` and the CLI's transfer route read it."""
     head = tuple(map(system.count, state_trajectory(system, 2 * len(system.initial_vector))))
     return head, _berlekamp_massey(head)
 

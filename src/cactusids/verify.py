@@ -109,19 +109,15 @@ class ClaimStatus(NamedTuple):
     claim: Claim
     verdict: str
     witness: Witness = None
-    claimed_value: Union[int, float, str, None] = None  # or a Fraction, see to_json_dict
+    claimed_value: Union[int, float, str, None] = None
     oracle_value: Union[int, float, str, None] = None
     reference: Optional[str] = None  # which trusted source the values came from
     corrected: Optional[str] = None
     details: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
-        """JSON fields: a pair witness becomes a list, and a fractional claimed
-        value, which only a malformed printed series yields, the string "p/q"."""
+        """JSON fields: a pair witness becomes a list."""
         witness = list(self.witness) if isinstance(self.witness, tuple) else self.witness
-        claimed = self.claimed_value
-        if not isinstance(claimed, (int, float, str, type(None))):
-            claimed = str(claimed)
         return {
             "id": self.claim.id,
             "family": self.claim.family.value if self.claim.family else None,
@@ -131,7 +127,7 @@ class ClaimStatus(NamedTuple):
             "verdict": self.verdict,
             "witness": witness,
             "oracle_value": self.oracle_value,
-            "claimed_value": claimed,
+            "claimed_value": self.claimed_value,
             "reference": self.reference,
             "corrected": self.corrected,
             "details": list(self.details),
@@ -395,13 +391,15 @@ def _check_series(
     count at length n or, for a state, coefficient n - 1 is that state's
     count. A seed mismatch, the printed formal a(0) against the constant
     term, counts only where every length agrees; notes lead the details of
-    a confirmed claim. A GF whose denominator has constant term 0 has no
-    power series and is refuted at length 1."""
+    a confirmed claim. A GF whose denominator constant term is not 1 has no
+    integer power series (Fatou 1906), so it counts no sets: it is refuted
+    at length 1."""
     shift = 0 if state is None else 1
-    if not gf.denominator[0]:
+    d0 = gf.denominator[0]
+    if d0 != 1:
         corrected, details = refuted()
-        why = "denominator constant term is 0: no power series"
-        return _judge(claim, (1, "no power series", *ctx.value(1, state)),
+        why = f"denominator constant term is {d0}, not 1: no integer series"
+        return _judge(claim, (1, "no integer power series", *ctx.value(1, state)),
                       refuted=lambda: (corrected, (why, *details)))
     series = gf.series(SYMBOLIC_MAX - shift)
     mismatch = _first_mismatch(
@@ -418,7 +416,7 @@ def _check_series(
 def _check_family_gf(claim: Claim, ctx: _Context) -> ClaimStatus:
     gf, n_max_oracle = paper_gf(ctx.family), ctx.n_max_oracle
     formal, seed, notes = paper_recurrence(ctx.family).initial_map.get(0), None, ()
-    if gf.denominator[0]:  # else there is no power series, and no constant term
+    if gf.denominator[0] == 1:  # else there is no integer series, and no constant term
         constant = gf.series(0)[0]
         if formal is None:
             note = f"no printed length-0 value; constant term {constant} is formal only"

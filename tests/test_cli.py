@@ -10,16 +10,26 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cactusids import cli, verify
-from cactusids.chains import DEFECT_FAMILIES, Family, LINEAR_FAMILIES
+from cactusids.chains import (
+    DEFECT_FAMILIES,
+    ChainSpec,
+    Family,
+    LINEAR_FAMILIES,
+    build_chain,
+    to_json_dict,
+)
 from cactusids.cli import MAX_BUILD_LENGTH, MAX_LENGTH, MAX_SEQUENCE_LENGTH, main
+from cactusids.graphs import DEFAULT_MAX_VERTICES, count_ids
 from cactusids.paper import (
     GAMMA_FORMULA,
+    defect_formula_value,
     derived_gf,
     paper_gf,
     paper_recurrence,
     paper_transfer_system,
 )
 from cactusids.recurrences import eval_recurrence, run_transfer
+from cactusids.verify import check_defect_formula, gamma_rows, max_length_within
 
 
 def run(capsys, *argv):
@@ -330,9 +340,9 @@ class TestSequence:
     @pytest.mark.parametrize("method", ["gf", "oracle"])
     def test_exact_routes_never_step_the_transfer_system(self, capsys, monkeypatch, method):
         def refuse(*args):
-            raise AssertionError("state_trajectory called")
+            raise AssertionError("_transfer_head called")
 
-        monkeypatch.setattr(cli, "state_trajectory", refuse)
+        monkeypatch.setattr(cli, "_transfer_head", refuse)
         code, out, err = run(
             capsys, "sequence", "--family", "tri", "--max-n", "5", "--method", method,
         )
@@ -623,6 +633,70 @@ def test_count_and_sequence_agree_with_the_library(capsys, family, route, n):
     differs = value != run_transfer(paper_transfer_system(family), n)
     assert err.count("warning:") == differs
     assert (f" at n = {n}; " in seq_err) == differs
+
+
+def _drawn_chain(draw, families, max_vertices):
+    """A chain of one of ``families`` with at most ``max_vertices`` vertices,
+    and its length flags."""
+    family = draw(st.sampled_from(families))
+    if family in LINEAR_FAMILIES:
+        n = draw(st.integers(1, max_length_within(family, max_vertices)))
+        return ChainSpec(family, length=n), ("--n", str(n))
+    arms = (max_vertices - 4) // 3  # m + n + 1 squares on one shared vertex
+    m = draw(st.integers(1, arms - 1))
+    n = draw(st.integers(1, arms - m))
+    return ChainSpec(family, m=m, n=n), ("--m", str(m), "--n", str(n))
+
+
+def _differential_case(draw, command):
+    """A drawn invocation of ``command``: its argv, how to read its stdout,
+    and the library value that reading must equal."""
+    if command == "gf":
+        family = draw(st.sampled_from(LINEAR_FAMILIES))
+        source = draw(st.sampled_from(("paper", "derived")))
+        gf = paper_gf(family) if source == "paper" else derived_gf(family)
+        argv = ("gf", "--family", family.value, "--source", source, "--format", "json")
+        return (argv, lambda out: [json.loads(out)[key] for key in ("num", "den")],
+                [list(gf.numerator.coeffs), list(gf.denominator.coeffs)])
+    if command == "count-oracle":
+        spec, flags = _drawn_chain(draw, tuple(Family), DEFAULT_MAX_VERTICES)
+        argv = ("count", "--family", spec.family.value, *flags, "--method", "oracle")
+        return argv, int, count_ids(build_chain(spec).graph)
+    if command == "count-formula":
+        family = draw(st.sampled_from(DEFECT_FAMILIES))
+        m, n = draw(st.integers(1, 2000)), draw(st.integers(1, 2000))
+        argv = ("count", "--family", family.value, "--m", str(m), "--n", str(n),
+                "--method", "formula")
+        return argv, int, defect_formula_value(family, m, n)
+    if command == "gamma":
+        family = draw(st.sampled_from(tuple(GAMMA_FORMULA)))
+        top = max_length_within(family, DEFAULT_MAX_VERTICES)
+        max_n = draw(st.none() | st.integers(1, top))
+        argv = ("gamma", "--family", family.value, "--format", "json")
+        argv += () if max_n is None else ("--max-n", str(max_n))
+        rows = [(n, f, o, f == o) for n, f, o in gamma_rows(family, max_n)]
+        return argv, lambda out: [tuple(row.values()) for row in json.loads(out)["rows"]], rows
+    if command == "defect":
+        spec, flags = _drawn_chain(draw, DEFECT_FAMILIES, DEFAULT_MAX_VERTICES)
+        argv = ("defect", "--family", spec.family.value, *flags, "--format", "json")
+        status = check_defect_formula(spec.family, spec.m, spec.n)
+        return argv, json.loads, json.loads(json.dumps(status.to_json_dict()))
+    spec, flags = _drawn_chain(draw, tuple(Family), 200)
+    argv = ("build", "--family", spec.family.value, *flags, "--format", "json")
+    return argv, json.loads, json.loads(json.dumps(to_json_dict(spec, build_chain(spec))))
+
+
+@pytest.mark.parametrize(
+    "command", ["gf", "count-oracle", "count-formula", "gamma", "defect", "build"]
+)
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_commands_agree_with_the_library(capsys, command, data):
+    argv, read, expected = _differential_case(data.draw, command)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert read(out) == expected
 
 
 @pytest.fixture(scope="module")

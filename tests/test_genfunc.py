@@ -14,6 +14,7 @@ from cactusids.genfunc import (
     SingularSystemError,
     dominant_growth_rate,
     gf_from_recurrence,
+    gf_term,
     recurrence_from_gf,
     solve_gf_system,
 )
@@ -183,6 +184,20 @@ class TestConversions:
         rec_s = recurrence_from_gf(RationalGF(P(1), P(1, -2)))
         assert rec_s.coefficients == (2,)
         assert rec_s.valid_from == 1
+
+    # (1 + x)/x has no power series; (1 + x)/(2 - x) = 1/2 + 3x/4 + ... is not integer
+    @pytest.mark.parametrize("den, d0", [((0, 1), 0), ((2, -1), 2)])
+    def test_non_integer_series_have_no_recurrence(self, den, d0):
+        gf = RationalGF(P(1, 1), P(*den))
+        message = f"^denominator constant term is {d0}, not 1: no integer power series$"
+        with pytest.raises(ValueError, match=message):
+            recurrence_from_gf(gf)
+        with pytest.raises(ValueError, match=message):
+            gf_term(gf, 40)
+
+    def test_polynomial_has_no_recurrence(self):
+        with pytest.raises(ValueError, match="^polynomial .finite. series has no recurrence"):
+            recurrence_from_gf(RationalGF(P(1, 2, 3)))
 
     def test_round_trip_spec_suite(self):
         rng = random.Random(20240)

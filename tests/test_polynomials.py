@@ -28,7 +28,7 @@ def _series_reference(gf, upto):
         for i in range(1, n + 1):
             acc -= d[i] * out[n - i]
         out.append(acc / d[0])
-    return [int(v) if v.denominator == 1 else v for v in out]
+    return out
 
 
 class TestPolynomial:
@@ -193,34 +193,38 @@ class TestRationalGF:
         with pytest.raises(ValueError):
             gf.series(3)
 
-    def test_series_can_be_fractional(self):
-        vals = RationalGF(P(1), P(2, -1)).series(2)
-        assert vals == [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
-        assert all(type(v) is Fraction for v in vals)
-
-    def test_series_d0_two_mixes_ints_and_fractions(self):
-        # (2 + x^2)/(2 - 2x) = 1 + x + 3/2 x^2 + 3/2 x^3 + ...
-        vals = RationalGF(P(2, 0, 1), P(2, -2)).series(4)
-        assert vals == [1, 1, Fraction(3, 2), Fraction(3, 2), Fraction(3, 2)]
-        assert [type(v) for v in vals] == [int, int, Fraction, Fraction, Fraction]
+    def test_series_refuses_a_non_integer_gf(self):
+        # 1/(2 - x) = 1/2 + x/4 + ...; (2 + x^2)/(2 - 2x) = 1 + x + 3/2 x^2 + ...,
+        # whose first two coefficients are integers
+        for num, den in ((P(1), P(2, -1)), (P(2, 0, 1), P(2, -2))):
+            gf = RationalGF(num, den)
+            with pytest.raises(ValueError, match="^denominator constant term is 2, not 1: "
+                               "no integer power series$"):
+                gf.series(0)
 
     @given(
         st.lists(st.integers(-6, 6), min_size=1, max_size=5),
-        st.lists(st.integers(-6, 6), min_size=1, max_size=5),
+        st.sampled_from((1, 1, 0, 2, -3)),
+        st.lists(st.integers(-6, 6), max_size=4),
     )
     # d0 = 1 with a numerator longer than the prefix: ints only, no division
-    @example([3, -1, 4, 1, -5, 9, -2, 6, 5, -3, 5, 8, -9, 7, 9, -3], [1, -2, 0, 3, -2])
-    @example([1, 2], [3, -1, 2])  # d0 = 3: Fraction entries from the first
+    @example([3, -1, 4, 1, -5, 9, -2, 6, 5, -3, 5, 8, -9, 7, 9, -3], 1, [-2, 0, 3, -2])
+    @example([1, 2], 3, [-1, 2])  # d0 = 3: refused
+    @example([1, 1], 0, [1])  # d0 = 0: no power series at all
     @settings(max_examples=150, deadline=None)
-    def test_series_matches_fraction_reference(self, cn, cd):
-        den = Polynomial(cd)
-        if den[0] == 0:
+    def test_series_matches_fraction_reference(self, cn, c0, tail):
+        den = Polynomial([c0, *tail])
+        if den.is_zero:
             return
         gf = RationalGF(Polynomial(cn), den)
+        d0 = gf.denominator[0]
+        if d0 != 1:
+            with pytest.raises(ValueError, match=f"^denominator constant term is {d0}, not 1"):
+                gf.series(12)
+            return
         got = gf.series(12)
-        expected = _series_reference(gf, 12)
-        assert got == expected
-        assert [type(v) for v in got] == [type(v) for v in expected]
+        assert got == _series_reference(gf, 12)
+        assert all(type(v) is int for v in got)
 
     def test_format(self):
         assert format_gf(RationalGF(P(1, -1, 2), P(1, -3, -1, -2))) == (

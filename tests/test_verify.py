@@ -580,26 +580,44 @@ class TestRefutedBranches:
         status = status_map(report)[claim_id]
         assert status.verdict == "refuted"
         assert (status.witness, status.claimed_value, status.oracle_value, status.reference) == (
-            1, "no power series", expected, "oracle"
+            1, "no integer power series", expected, "oracle"
         )
-        assert status.details[0] == "denominator constant term is 0: no power series"
+        assert status.details[0] == "denominator constant term is 0, not 1: no integer series"
         assert status.corrected is not None
         doc = json.loads(errata_report([report], "json"))
-        assert {c["id"]: c for c in doc["claims"]}[claim_id]["claimed_value"] == "no power series"
-        assert f"(claimed no power series, oracle {expected})" in errata_report(
+        claimed = {c["id"]: c for c in doc["claims"]}[claim_id]["claimed_value"]
+        assert claimed == "no integer power series"
+        assert f"(claimed no integer power series, oracle {expected})" in errata_report(
             [report], "markdown"
         )
 
-    def test_fractional_claimed_value_in_json(self, patched):
-        # a denominator with constant term 2 expands to x/2 + ...
+    def test_non_integer_gf_refuted_at_length_one(self, patched):
+        # a denominator with constant term 2 expands to x/2 + ..., which counts no sets
         patched.setitem(paper._PAPER_GF, Family.TRIANGULAR, ((0, 1, 1), (2, -1, -1)))
         report = checked_through(Family.TRIANGULAR, 4)
         doc = json.loads(errata_report([report], "json"))
         status = {c["id"]: c for c in doc["claims"]}["tri-gf"]
         assert (status["verdict"], status["witness"], status["claimed_value"]) == (
-            "refuted", 1, "1/2"
+            "refuted", 1, "no integer power series"
         )
-        assert "(claimed 1/2, oracle 3)" in errata_report([report], "markdown")
+        assert status["details"][0] == "denominator constant term is 2, not 1: no integer series"
+        assert "(claimed no integer power series, oracle 3)" in errata_report(
+            [report], "markdown"
+        )
+
+    def test_gf_that_leaves_the_integers_past_the_transfer_range(self, patched):
+        # 1/(1 - 2x) + x^31/(2 - x): coefficients 0..30 are the true counts and
+        # coefficient 31 is off by 1/2, one past SYMBOLIC_MAX, so only the
+        # denominator's constant term 2 shows that this is no count series
+        num = (2, -1) + (0,) * 29 + (1, -2)
+        patched.setitem(paper._PAPER_GF, Family.SQUARE_ORTHO, (num, (2, -5, 2)))
+        status = status_map(cross_check_family(Family.SQUARE_ORTHO))["sq-ortho-gf"]
+        assert verify.SYMBOLIC_MAX == 30
+        assert status.verdict == "refuted"
+        assert (status.witness, status.claimed_value, status.oracle_value, status.reference) == (
+            1, "no integer power series", 2, "oracle"
+        )
+        assert status.details[0] == "denominator constant term is 2, not 1: no integer series"
 
     def test_gamma(self, patched):
         formula, text = GAMMA_FORMULA[Family.TRIANGULAR]
