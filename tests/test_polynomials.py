@@ -193,14 +193,20 @@ class TestRationalGF:
         with pytest.raises(ValueError):
             gf.series(3)
 
-    def test_series_refuses_a_non_integer_gf(self):
-        # 1/(2 - x) = 1/2 + x/4 + ...; (2 + x^2)/(2 - 2x) = 1 + x + 3/2 x^2 + ...,
-        # whose first two coefficients are integers
-        for num, den in ((P(1), P(2, -1)), (P(2, 0, 1), P(2, -2))):
-            gf = RationalGF(num, den)
-            with pytest.raises(ValueError, match="^denominator constant term is 2, not 1: "
-                               "no integer power series$"):
-                gf.series(0)
+    _NON_INTEGER = "^denominator constant term is 2, not 1: no integer power series$"
+
+    def test_series_can_be_fractional(self):
+        # 1/(2 - x) = 1/2 + x/4 + ... is not an integer series: refused
+        with pytest.raises(ValueError, match=self._NON_INTEGER):
+            RationalGF(P(1), P(2, -1)).series(0)
+
+    def test_series_d0_two_mixes_ints_and_fractions(self):
+        # (2 + x^2)/(2 - 2x) = 1 + x + 3/2 x^2 + ...: refused even though its
+        # first two coefficients are integers
+        gf = RationalGF(P(2, 0, 1), P(2, -2))
+        for upto in (0, 1, 4):
+            with pytest.raises(ValueError, match=self._NON_INTEGER):
+                gf.series(upto)
 
     @given(
         st.lists(st.integers(-6, 6), min_size=1, max_size=5),
