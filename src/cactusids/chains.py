@@ -133,17 +133,28 @@ class LabeledChain(NamedTuple):
 
 def _build_word(word: Sequence[Letter]) -> LabeledChain:
     """Construct the chain whose blocks, left to right, are the letters of
-    ``word``; each block is numbered walking its cycle from the entry vertex."""
-    edges: list[tuple[int, int]] = []
+    ``word``; each block is numbered walking its cycle from the entry vertex.
+
+    Each cycle's edges are ORed straight into the adjacency masks. Its
+    vertices are in range and distinct (every letter has c >= 3), so the
+    checks of ``Graph.from_edges``, the entry for edges from outside, are
+    not needed here.
+    """
+    adjacency = [0]
     blocks: list[tuple[int, ...]] = []
-    entry, next_id = 0, 1
+    entry = 0
     for c, d in word:
-        cycle = (entry, *range(next_id, next_id + c - 1))
-        next_id += c - 1
-        edges.extend(zip(cycle, cycle[1:] + cycle[:1]))
+        first = len(adjacency)
+        cycle = (entry, *range(first, first + c - 1))
+        adjacency += [0] * (c - 1)
+        prev = cycle[-1]
+        for v in cycle:
+            adjacency[v] |= 1 << prev
+            adjacency[prev] |= 1 << v
+            prev = v
         blocks.append(cycle)
         entry = cycle[d]
-    graph = Graph.from_edges(next_id, edges)
+    graph = Graph(len(adjacency), tuple(adjacency))
     return LabeledChain(graph, tuple(blocks), tuple(b[0] for b in blocks[1:]), entry)
 
 

@@ -15,7 +15,9 @@ number of vertices. A listing runs the loop in two halves and builds each set
 as heads × tails, one OR per listed set. A graph above ``DEFAULT_MAX_VERTICES``
 vertices, or whose id order keeps more than ``DP_MAX_WIDTH`` vertices live,
 is refused, so the cost bound documented at ``DP_MAX_WIDTH`` holds for every
-public call.
+public call. A call walks the vertices once to build the retire masks and
+once more to count the frontier width; the DP then reads those masks and
+branches each state inline into its successors.
 
 Two reference engines stay here for the tests, reached by no public call:
 ``_scan_counts`` checks the definition over all 2^n vertex subsets, and
@@ -100,17 +102,9 @@ def _retire_masks(g: Graph, keep: int | None) -> list[int]:
     retire = [0] * g.n_vertices
     for u, a in enumerate(g.adjacency):
         if u != keep:
-            retire[max(u, a.bit_length() - 1)] |= 1 << u
+            last = a.bit_length() - 1
+            retire[last if last > u else u] |= 1 << u
     return retire
-
-
-def _frontier_width(retire: list[int]) -> int:
-    """Most vertices the frontier DP keeps live at once, given its retire masks."""
-    live = width = 0
-    for v, gone in enumerate(retire):
-        live = (live | 1 << v) & ~gone
-        width = max(width, live.bit_count())
-    return width
 
 
 # Modes of the engines, ``(start, join, combine)``: the value of the empty
@@ -140,6 +134,10 @@ def _dp_states(g: Graph, retire: list[int], mode: tuple = _COUNT,
     only ``keep``'s bits are left: the states say whether ``keep`` is in the
     set, out and dominated, or out and not.
 
+    Each state branches inline into its one or two successors, and a
+    successor is joined (``join``) only if it survives, so a state costs a
+    few mask operations and one or two dict merges.
+
     A prefix of ``retire`` stops the DP early; ``states`` and ``first`` resume
     it from the states such a run ended with and the first vertex it left
     (by default, the empty set's one state and vertex 0).
@@ -147,24 +145,32 @@ def _dp_states(g: Graph, retire: list[int], mode: tuple = _COUNT,
     start, join, combine = mode
     if states is None:
         states = {(0, 0): start}
+    adjacency = g.adjacency
     for v, gone in enumerate(retire[first:], first):
         vbit = 1 << v
-        earlier = g.adjacency[v] & (vbit - 1)
+        earlier = adjacency[v] & (vbit - 1)
+        stays, covered = ~gone, ~earlier
         nxt: dict = {}
+        get = nxt.get
         for (ins, undom), value in states.items():
             if ins & earlier:  # v is out, dominated by an earlier neighbour
-                choices = ((ins, undom, value),)
-            else:  # v joins and dominates its earlier neighbours, or is out and waits
-                choices = (
-                    (ins | vbit, undom & ~earlier, join(value, vbit)),
-                    (ins, undom | vbit, value),
-                )
-            for ins2, undom2, value2 in choices:
-                if undom2 & gone:
-                    continue
-                key = (ins2 & ~gone, undom2)
-                old = nxt.get(key)
-                nxt[key] = value2 if old is None else combine(old, value2)
+                if not undom & gone:
+                    key = (ins & stays, undom)
+                    old = get(key)
+                    nxt[key] = value if old is None else combine(old, value)
+                continue
+            # v joins and dominates its earlier neighbours
+            undom2 = undom & covered
+            if not undom2 & gone:
+                key = ((ins | vbit) & stays, undom2)
+                old, joined = get(key), join(value, vbit)
+                nxt[key] = joined if old is None else combine(old, joined)
+            # or v is out and waits
+            undom2 = undom | vbit
+            if not undom2 & gone:
+                key = (ins & stays, undom2)
+                old = get(key)
+                nxt[key] = value if old is None else combine(old, value)
         states = nxt
     return states
 
@@ -260,14 +266,24 @@ def _mis_masks_pivot(adjacency: tuple[int, ...], allowed: int) -> list[int]:
 
 
 def _checked_retire(g: Graph, keep: int | None = None) -> list[int]:
-    """``_retire_masks(g, keep)``; refused above the vertex cap or frontier width."""
+    """``_retire_masks(g, keep)``; refused above the vertex cap or frontier width.
+
+    The vertex cap is checked before any mask is built. The frontier width,
+    the most vertices the DP keeps live at once, is counted in one walk over
+    the retire masks: each vertex retires once, at or after its own step, so
+    step v leaves the live count up by 1 less the vertices retiring there.
+    """
     if g.n_vertices > DEFAULT_MAX_VERTICES:
         raise OracleLimitError(
             f"graph has {g.n_vertices} vertices, above the oracle ceiling "
             f"{DEFAULT_MAX_VERTICES}"
         )
     retire = _retire_masks(g, keep)
-    width = _frontier_width(retire)
+    live = width = 0
+    for gone in retire:
+        live += 1 - gone.bit_count()
+        if live > width:
+            width = live
     if width > DP_MAX_WIDTH:
         raise OracleLimitError(
             f"graph keeps {width} vertices live in id order, above the "

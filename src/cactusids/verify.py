@@ -6,7 +6,8 @@ initial terms, domination-number formulas, defect-composition formulas, the
 Fibonacci asymptotic) is registered as a claim with a stable id, and judged
 at each length against the most trusted source there: the brute-force
 oracle through the fixed ``AUDIT_CEILING``, the transfer system beyond it
-through ``SYMBOLIC_MAX``, so a verdict depends only on the claim.
+through ``SYMBOLIC_MAX`` (further for a printed series whose degree needs
+it), so a verdict depends only on the claim.
 Every mismatch is reported with its smallest witness; nothing is silently
 reconciled.
 
@@ -78,10 +79,11 @@ from .recurrences import (
 # gives the same verdicts, witnesses and values; 26 is the range the report
 # has always printed, and another would move only its "n = 1..k" texts.
 AUDIT_CEILING = 26
-# Every printed and derived GF has degree at most 4, so two that agree on 9
-# coefficients are equal: the transfer states through n = 30 decide every
-# rational claim. 30 is past every oracle length (tri's longest is 19, at the
-# 40-vertex cap) and every formal seed, judged at n = order <= 4.
+# The transfer states reach n = 30 for every family, past every oracle length
+# (tri's longest is 19, at the 40-vertex cap) and every formal seed, judged at
+# n = order <= 4. A printed series is judged through 30 or through its degree
+# bound (see ``_check_series``), whichever is larger; for every real claim the
+# bound is at most 8.
 SYMBOLIC_MAX = 30
 
 CONFIRMED = "confirmed"
@@ -351,11 +353,17 @@ class _Context(NamedTuple):
     family: Family
     n_max_oracle: int
     system: TransferSystem
-    trajectory: list  # three-state vectors for lengths 1..SYMBOLIC_MAX
+    trajectory: list  # three-state vectors for lengths 1..SYMBOLIC_MAX or more
 
     @property
     def lengths(self) -> range:
-        return range(1, SYMBOLIC_MAX + 1)
+        return range(1, len(self.trajectory) + 1)
+
+    def through(self, n: int) -> "_Context":
+        """This context, with the transfer states reaching at least length n."""
+        if n <= len(self.trajectory):
+            return self
+        return self._replace(trajectory=_trajectory(self.system, n))
 
     @property
     def oracle_range(self) -> range:
@@ -393,7 +401,15 @@ def _check_series(
     term, counts only where every length agrees; notes lead the details of
     a confirmed claim. A GF whose denominator constant term is not 1 has no
     integer power series (Fatou 1906), so it counts no sets: it is refuted
-    at length 1."""
+    at length 1.
+
+    The scan runs through SYMBOLIC_MAX, or further for a GF P/Q of high
+    degree: through B = max(deg P, deg Q) + k, where k is the number of
+    transfer states, plus one for a state series. The true series is
+    R/S with deg R, deg S <= k, so the difference of the two has a
+    numerator of degree at most B; once its coefficients 1..B (0..B for a
+    state series, which has no formal a(0)) vanish, the two agree at every
+    length."""
     shift = 0 if state is None else 1
     d0 = gf.denominator[0]
     if d0 != 1:
@@ -401,14 +417,16 @@ def _check_series(
         why = f"denominator constant term is {d0}, not 1: no integer series"
         return _judge(claim, (1, "no integer power series", *ctx.value(1, state)),
                       refuted=lambda: (corrected, (why, *details)))
-    series = gf.series(SYMBOLIC_MAX - shift)
+    degree = max(gf.numerator.degree, gf.denominator.degree)
+    ctx = ctx.through(degree + len(ctx.system.initial_vector) + shift)
+    limit = len(ctx.trajectory)
+    series = gf.series(limit - shift)
     mismatch = _first_mismatch(
         ctx.lengths, lambda n: series[n - shift], lambda n: ctx.value(n, state)
     )
     source = "transfer system" if state is None else "transfer states"
     confirmed = (
-        f"{matches} for n = 1..{ctx.n_max_oracle} and the {source} through n = "
-        f"{SYMBOLIC_MAX}"
+        f"{matches} for n = 1..{ctx.n_max_oracle} and the {source} through n = {limit}"
     )
     return _judge(claim, mismatch or seed, notes + (confirmed,), refuted)
 
@@ -612,16 +630,20 @@ _STATEMENT_CHECKS: dict[str, Check] = {
 # -- orchestration -----------------------------------------------------------
 
 
+def _trajectory(system: TransferSystem, n: int) -> list:
+    """The system's three-state vectors at lengths 1..n; a two-state system
+    claims that no set is extendable."""
+    pad = (0,) * (3 - len(system.initial_vector))
+    return [vec + pad for vec in state_trajectory(system, n)]
+
+
 def cross_check_family(family: Family) -> VerificationReport:
     """Run every registered check for one linear family: against the oracle
     at every length under AUDIT_CEILING, against the transfer system beyond."""
     registry = _registry(family)
     n_max_oracle = max_length_within(family, AUDIT_CEILING)
     system = paper_transfer_system(family)
-    # a two-state system claims that no set is extendable
-    pad = (0,) * (3 - len(system.initial_vector))
-    trajectory = [vec + pad for vec in state_trajectory(system, SYMBOLIC_MAX)]
-    ctx = _Context(family, n_max_oracle, system, trajectory)
+    ctx = _Context(family, n_max_oracle, system, _trajectory(system, SYMBOLIC_MAX))
     return VerificationReport(
         scope=family.value,
         statuses=[check(claim, ctx) for claim, check in registry.values()],

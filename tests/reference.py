@@ -12,6 +12,9 @@ frontier DP, and no command checks isomorphism or the cactus property.
 * ``all_claims`` - every registered claim, in registry order;
 * ``pivot_states`` - the DP's final states from the pivot engine's maximal
   independent sets, a second oracle independent of the DP;
+* ``frontier_width`` - the most vertices the DP keeps live at once, walked
+  with the live-vertex mask itself, against which the oracle's one-walk
+  count is judged;
 * ``is_isomorphic`` - backtracking isomorphism test for small graphs;
 * ``is_cactus``     - every edge lies in at most one cycle;
 * ``compile_letter`` / ``run_word`` - a chain's boundary classes from its
@@ -139,6 +142,15 @@ def pivot_states(g: Graph, keep: int | None = None, mode: tuple = _COUNT) -> dic
             if not mask & near
         ))
     return _fold(listed, mode)
+
+
+def frontier_width(retire: list[int]) -> int:
+    """Most vertices the frontier DP keeps live at once, given its retire masks."""
+    live = width = 0
+    for v, gone in enumerate(retire):
+        live = (live | 1 << v) & ~gone
+        width = max(width, live.bit_count())
+    return width
 
 
 # Semirings for the block operators, ``(zero, add, mul, weight, start)``:

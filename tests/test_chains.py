@@ -133,6 +133,25 @@ class TestBlockStructure:
             for j in range(i + 2, len(blocks)):
                 assert not blocks[i] & blocks[j]
 
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_masks_match_from_edges(self, family):
+        # the builder ORs each cycle straight into the masks; Graph.from_edges,
+        # the checked entry, builds the same graph from the blocks' cycle edges
+        # (every linear length up to the oracle's vertex cap, defect arms 1..6)
+        if family in LINEAR_FAMILIES:
+            specs = [ChainSpec(family, length=n) for n in range(1, DEFAULT_MAX_VERTICES)]
+            specs = [s for s in specs if expected_vertex_count(s) <= DEFAULT_MAX_VERTICES]
+        else:
+            specs = [ChainSpec(family, m=m, n=n) for m in range(1, 7) for n in range(1, 7)]
+        for spec in specs:
+            chain = build_chain(spec)
+            g = chain.graph
+            edges = [(b[i - 1], b[i]) for b in chain.blocks for i in range(len(b))]
+            assert g == Graph.from_edges(expected_vertex_count(spec), edges), spec
+            for v, a in enumerate(g.adjacency):
+                assert not a >> v & 1, (spec, v)
+                assert all(g.adjacency[u] >> v & 1 for u in vertices_of(a)), (spec, v)
+
     def test_terminal_vertex_in_last_block(self):
         for family in LINEAR_FAMILIES:
             chain = linear(family, 3)

@@ -28,6 +28,7 @@ from reference import (
     closed_neighborhood,
     complete_graph,
     cycle_graph,
+    frontier_width as reference_width,
     is_independent,
     is_independent_dominating,
     is_isomorphic,
@@ -45,7 +46,7 @@ def dp_states(g: Graph, keep=None, mode: tuple = graphs_module._COUNT) -> dict:
 
 
 def frontier_width(g: Graph, keep=None) -> int:
-    return graphs_module._frontier_width(graphs_module._retire_masks(g, keep))
+    return reference_width(graphs_module._retire_masks(g, keep))
 
 
 ENGINES = (dp_states, pivot_states, graphs_module._scan_counts)
@@ -430,6 +431,41 @@ class TestFrontierDP:
             ):
                 call()
         assert dp_states(g, 0) == {(1, 0): 1, (0, 0): 1, (0, 1): 1}
+
+    @given(graphs(max_n=14))
+    # a last vertex next to all others keeps them live: widths 10, 11 and 13
+    @example(Graph.from_edges(11, [(i, 10) for i in range(10)]))
+    @example(Graph.from_edges(12, [(i, 11) for i in range(11)]))
+    @example(Graph.from_edges(14, [(i, 13) for i in range(13)]))
+    @settings(max_examples=150, deadline=None)
+    def test_width_check_matches_the_live_mask_walk(self, g):
+        # the one-walk count refuses exactly where the reference walk, which
+        # keeps the live vertices as a mask, exceeds the limit, and says so
+        # in the same words
+        for keep in (None, *range(g.n_vertices)):
+            retire = graphs_module._retire_masks(g, keep)
+            width = reference_width(retire)
+            if width > DP_MAX_WIDTH:
+                message = (
+                    f"graph keeps {width} vertices live in id order, above the "
+                    f"frontier limit {DP_MAX_WIDTH}"
+                )
+                with pytest.raises(OracleLimitError) as refused:
+                    graphs_module._checked_retire(g, keep)
+                assert str(refused.value) == message
+            else:
+                assert graphs_module._checked_retire(g, keep) == retire
+
+    def test_vertex_cap_before_any_mask_walk(self, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("retire masks built above the vertex cap")
+
+        monkeypatch.setattr(graphs_module, "_retire_masks", no_walk)
+        big = Graph.from_edges(DEFAULT_MAX_VERTICES + 1, [])
+        calls = [call for _, call in oracle_calls(big)]
+        for call in [lambda: graphs_module._checked_retire(big), *calls]:
+            with pytest.raises(OracleLimitError, match="above the oracle ceiling 40"):
+                call()
 
     def test_one_mask_walk_per_call(self, monkeypatch):
         # the width check and the DP read one list of retire masks

@@ -619,6 +619,28 @@ class TestRefutedBranches:
         )
         assert status.details[0] == "denominator constant term is 2, not 1: no integer series"
 
+    # each printed series is the true one plus x^j times its denominator
+    # (j = 31 for the GF, 30 for the state series, whose coefficient n - 1 is
+    # length n): off by one only at length 31, past SYMBOLIC_MAX, so only a
+    # scan through max(deg P, deg Q) + k transfer states reaches it
+    @pytest.mark.parametrize("table, family, datum, claim_id, witness", [
+        ("_PAPER_GF", Family.SQUARE_ORTHO, ((1,) + (0,) * 30 + (1, -2), (1, -2)),
+         "sq-ortho-gf", 31),
+        ("_PAPER_STATE_GF", Family.HEX_ORTHO,
+         (((2, 2) + (0,) * 28 + (1, -3, -3), (1, -3, -3)),)
+         + paper._PAPER_STATE_GF[Family.HEX_ORTHO][1:],
+         "hex-ortho-state-gf-contains", 31),
+    ])
+    def test_series_off_past_the_transfer_range(
+        self, patched, table, family, datum, claim_id, witness
+    ):
+        patched.setitem(getattr(paper, table), family, datum)
+        status = status_map(cross_check_family(family))[claim_id]
+        assert verify.SYMBOLIC_MAX == 30
+        assert status.verdict == "refuted"
+        assert (status.witness, status.reference) == (witness, "transfer")
+        assert status.claimed_value == status.oracle_value + 1
+
     def test_gamma(self, patched):
         formula, text = GAMMA_FORMULA[Family.TRIANGULAR]
         patched.setitem(
