@@ -18,12 +18,12 @@ reading no transcription; and the defect formulas, whose far terms
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .chains import ChainSpec, Family, LINEAR_FAMILIES, build_chain
 from .genfunc import GFLinearSystem, gf_term, recurrence_from_gf, series_gf
 from .graphs import BoundaryCounts, count_boundary_classes
-from .polynomials import Polynomial, RationalGF, as_poly
+from .polynomials import Polynomial, RationalGF
 from .recurrences import LinearRecurrence, TransferSystem
 
 STATE_CONTAINS = 0
@@ -152,56 +152,34 @@ _PAPER_STATE_GF = {
 }
 
 
-def _system(rows: Sequence[Sequence], rhs: Sequence, unknowns: Sequence[str]) -> GFLinearSystem:
-    return GFLinearSystem(
-        tuple(tuple(as_poly(e) for e in row) for row in rows),
-        tuple(as_poly(e) for e in rhs),
-        tuple(unknowns),
-    )
-
-
 # Published linear systems for the per-state series, transcribed verbatim
-# (including their wrong right-hand sides where the source slipped).
-_X = Polynomial.x()
-_PAPER_GF_SYSTEM: dict[Family, GFLinearSystem] = {
-    Family.TRIANGULAR: _system(
-        [[as_poly((1, -1)), -_X], [-_X, 1]],
-        [1, 0],
+# (including their wrong right-hand sides where the source slipped): the
+# matrix rows, the right-hand side and the unknowns, each entry a polynomial's
+# coefficients.
+_PAPER_GF_SYSTEM = {
+    Family.TRIANGULAR: (
+        (((1, -1), (0, -1)), ((0, -1), (1,))),
+        ((1,), (0,)),
         ("avoids-terminal", "contains-terminal"),
     ),
-    Family.SQUARE_PARA: _system(
-        [
-            [as_poly((1, -1)), -_X, 0],
-            [0, as_poly((1, -1)), -_X],
-            [-_X, 0, 1],
-        ],
-        [1, 1, 1],
+    Family.SQUARE_PARA: (
+        (((1, -1), (0, -1), (0,)), ((0,), (1, -1), (0, -1)), ((0, -1), (0,), (1,))),
+        ((1,), (1,), (1,)),
         STATE_NAMES_3,
     ),
-    Family.HEX_ORTHO: _system(
-        [
-            [1, as_poly((0, -2)), as_poly((0, -2))],
-            [as_poly((0, -2)), as_poly((1, -2)), -_X],
-            [0, -_X, as_poly((1, -1))],
-        ],
-        [2, 3, 1],
+    Family.HEX_ORTHO: (
+        (((1,), (0, -2), (0, -2)), ((0, -2), (1, -2), (0, -1)), ((0,), (0, -1), (1, -1))),
+        ((2,), (3,), (1,)),
         STATE_NAMES_3,
     ),
-    Family.HEX_META: _system(
-        [
-            [as_poly((1, -1, -1)), as_poly((0, -2))],
-            [as_poly((0, -1, -2)), as_poly((1, -2))],
-        ],
-        [as_poly((1, 1)), as_poly((1, 2))],
+    Family.HEX_META: (
+        (((1, -1, -1), (0, -2)), ((0, -1, -2), (1, -2))),
+        ((1, 1), (1, 2)),
         STATE_NAMES_2,
     ),
-    Family.HEX_PARA: _system(
-        [
-            [as_poly((1, -1)), -_X, -_X],
-            [-_X, as_poly((1, -3)), as_poly((0, -2))],
-            [0, -_X, as_poly((1, -1))],
-        ],
-        [2, 3, 1],
+    Family.HEX_PARA: (
+        (((1, -1), (0, -1), (0, -1)), ((0, -1), (1, -3), (0, -2)), ((0,), (0, -1), (1, -1))),
+        ((2,), (3,), (1,)),
         STATE_NAMES_3,
     ),
 }
@@ -225,7 +203,12 @@ def paper_state_gfs(family: Family) -> Optional[tuple[RationalGF, ...]]:
 
 def paper_gf_system(family: Family) -> Optional[GFLinearSystem]:
     """Published linear system for the per-state series, or None."""
-    return _PAPER_GF_SYSTEM.get(family)
+    data = _PAPER_GF_SYSTEM.get(family)
+    if data is None:
+        return None
+    rows, rhs, unknowns = data
+    matrix = tuple(tuple(map(Polynomial, row)) for row in rows)
+    return GFLinearSystem(matrix, tuple(map(Polynomial, rhs)), unknowns)
 
 
 # -- derived (corrected) generating functions --------------------------------

@@ -4,6 +4,7 @@ the chain builders, the oracle, the transcriptions or the layers above, and
 never name a family."""
 
 import ast
+import hashlib
 import importlib
 import pkgutil
 from pathlib import Path
@@ -11,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import cactusids
+from cactusids.chains import LINEAR_FAMILIES
+from cactusids.paper import paper_gf_system
 
 PACKAGE = Path(cactusids.__file__).resolve().parent
 ENGINES = ("polynomials", "recurrences", "genfunc")
@@ -59,3 +62,21 @@ def test_the_tables_live_only_in_paper():
     for table in TABLES:
         holders = [module.__name__ for module in modules if hasattr(module, table)]
         assert holders == ["cactusids.paper"], (table, holders)
+
+
+def test_printed_gf_systems_keep_their_coefficients():
+    # sha256 over every printed system's matrix, right-hand side and unknowns,
+    # taken while the tables were still written as Polynomial expressions
+    records = tuple(
+        (family.value, (
+            tuple(tuple(p.coeffs for p in row) for row in system.matrix),
+            tuple(p.coeffs for p in system.rhs),
+            system.unknowns,
+        ))
+        for family in LINEAR_FAMILIES
+        if (system := paper_gf_system(family)) is not None
+    )
+    assert len(records) == 5
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == (
+        "e341ecfd7f9261627cca4f212395870450f1f3b6d5eff1f7402d0fdf5b136acd"
+    )

@@ -158,6 +158,19 @@ class TestCrossCheckFamily:
         large = status_map(checked_through(Family.TRIANGULAR, 8))
         assert small["tri-gf"].witness == large["tri-gf"].witness == 1
 
+    def test_every_oracle_range_from_21_to_the_cap_judges_alike(self, full_run, monkeypatch):
+        # the README's claim: any AUDIT_CEILING from 21 vertices to the cap
+        # gives every claim the verdict and values it has at 26; only the
+        # details, which name the lengths checked, may move
+        def judged(reports):
+            return [s._replace(details=()) for r in reports for s in r.statuses]
+
+        expected = judged(full_run)
+        assert len(expected) == 67
+        for ceiling in range(21, DEFAULT_MAX_VERTICES + 1):
+            monkeypatch.setattr(verify, "AUDIT_CEILING", ceiling)
+            assert judged(verify_all()) == expected, ceiling
+
     def test_refuted_carry_witness_and_values(self, full_run):
         for report in full_run:
             for status in report.refuted():
