@@ -287,14 +287,10 @@ class RationalGF:
         if num.is_zero:
             num, den = Polynomial(), Polynomial.one()
         else:
+            # g is the primitive gcd times the joint content, so by Gauss's
+            # lemma the quotients share neither a factor nor content
             g = poly_gcd(num, den)
-            if g.degree > 0 or g.leading() != 1:
-                num = poly_divmod_exact(num, g)
-                den = poly_divmod_exact(den, g)
-            c = gcd(num.content(), den.content())
-            if c > 1:
-                num = Polynomial(v // c for v in num.coeffs)
-                den = Polynomial(v // c for v in den.coeffs)
+            num, den = poly_divmod_exact(num, g), poly_divmod_exact(den, g)
         if next(c for c in den.coeffs if c != 0) < 0:
             num, den = -num, -den
         self.numerator = num

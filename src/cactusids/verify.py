@@ -255,10 +255,10 @@ DEFECT_GRID = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
 def max_length_within(family: Family, ceiling_vertices: int) -> int:
-    """Largest chain length n whose 1 + n(c - 1) vertices fit under the ceiling,
-    with c - 1 the vertices one block adds, as the length-1 chain has c."""
+    """Largest chain length n whose 1 + n(c - 1) vertices fit under a positive
+    ceiling, with c - 1 the vertices one block adds, as the length-1 chain has c."""
     per_block = expected_vertex_count(ChainSpec(family, length=1)) - 1
-    return max((ceiling_vertices - 1) // per_block, 0)
+    return (ceiling_vertices - 1) // per_block
 
 
 def _chain_name(spec: ChainSpec) -> str:

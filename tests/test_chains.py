@@ -59,7 +59,8 @@ class TestSpecValidation:
         ((Family.HEX_PARA, 0), "length must be at least 1"),
         ((Family.TRIANGULAR, 2, 1), "tri takes a single length"),
         ((Family.PARA_CHAIN_ORTHO_DEFECT, 3), "p-defect takes m and n"),
-        ((Family.ORTHO_CHAIN_PARA_DEFECT, None, 0, 1), "defect parameters m, n must be at least 1"),
+        ((Family.ORTHO_CHAIN_PARA_DEFECT, None, 0, 1),
+         "defect parameters m, n must be at least 1"),
     ])
     def test_refusals_by_position_and_keyword(self, args, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

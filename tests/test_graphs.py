@@ -101,10 +101,14 @@ def graphs(draw, max_n=12):
 
 class TestGraphBasics:
     def test_from_edges_validates(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^edge \(0, 3\) out of range 0\.\.2$"):
             Graph.from_edges(3, [(0, 3)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^edge \(-1, 2\) out of range 0\.\.2$"):
+            Graph.from_edges(3, [(-1, 2)])
+        with pytest.raises(ValueError, match="^loop at vertex 1 not allowed$"):
             Graph.from_edges(3, [(1, 1)])
+        with pytest.raises(ValueError, match="^negative vertex count$"):
+            Graph.from_edges(-1, [])
 
     def test_symmetric_irreflexive(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
@@ -427,7 +431,8 @@ class TestFrontierDP:
             assert width > DP_MAX_WIDTH
             with pytest.raises(
                 OracleLimitError,
-                match=f"keeps {width} vertices live in id order, above the frontier limit {DP_MAX_WIDTH}",
+                match=f"keeps {width} vertices live in id order, "
+                f"above the frontier limit {DP_MAX_WIDTH}",
             ):
                 call()
         assert dp_states(g, 0) == {(1, 0): 1, (0, 0): 1, (0, 1): 1}

@@ -18,7 +18,9 @@ from cactusids.paper import paper_gf_system
 PACKAGE = Path(cactusids.__file__).resolve().parent
 ENGINES = ("polynomials", "recurrences", "genfunc")
 ABOVE_THE_ENGINES = {"chains", "graphs", "paper", "verify", "cli"}
-TABLES = ("_SYSTEM_DATA", "_RECURRENCE_DATA", "_PAPER_GF", "_PAPER_STATE_GF", "_PAPER_GF_SYSTEM")
+TABLES = (
+    "_SYSTEM_DATA", "_RECURRENCE_DATA", "_PAPER_GF", "_PAPER_STATE_GF", "_PAPER_GF_SYSTEM"
+)
 
 
 def _package_imports(tree):

@@ -160,7 +160,9 @@ class TestMatrixPowerEngine:
     @example((((0, 1, 0), (0, 0, 1), (0, 0, 0)), (1, -2, 3)), 2)  # nilpotent
     @example((((0, 1, 0), (0, 0, 1), (0, 0, 0)), (1, -2, 3)), 3)
     @example((((1, 2), (2, 4)), (-1, 1)), 9)  # singular
-    @example((((-3, 3, 0, 1), (2, -1, 3, -3), (0, 0, -2, 1), (3, -3, 1, 0)), (-7, 0, 5, 2)), 300)
+    @example(
+        (((-3, 3, 0, 1), (2, -1, 3, -3), (0, 0, -2, 1), (3, -3, 1, 0)), (-7, 0, 5, 2)), 300
+    )
     @settings(max_examples=300, deadline=None)
     def test_matches_naive_stepping(self, system, e):
         matrix, vec = system
@@ -187,7 +189,9 @@ class TestMatrixPowerEngine:
     @example(_system(((0, 1, 0), (0, 0, 1), (0, 0, 0)), (1, -2, 3)))  # nilpotent
     @example(_system(((0, 1, 3), (0, 2, 0), (0, 3, 1)), (50, -1, 4)))  # zero column
     @example(TransferSystem(  # negative entries, seeds and weights
-        ((-3, 3, 0, 1), (2, -1, 3, -3), (0, 0, -2, 1), (3, -3, 1, 0)), (-7, 0, 5, 2), (1, -2, 0, 3)
+        ((-3, 3, 0, 1), (2, -1, 3, -3), (0, 0, -2, 1), (3, -3, 1, 0)),
+        (-7, 0, 5, 2),
+        (1, -2, 0, 3),
     ))
     @settings(max_examples=100, deadline=None)
     def test_run_transfer_matches_dense_stepping(self, system):

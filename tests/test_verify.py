@@ -140,7 +140,9 @@ class TestCrossCheckFamily:
 
     def test_formal_seeds_are_formal_only(self, full_run):
         statuses = {s.claim.id: s for r in full_run for s in r.statuses}
-        for claim_id in ("tri-initial-0", "sq-ortho-initial-0", "hex-meta-initial-0", "hex-para-initial-0"):
+        for claim_id in (
+            "tri-initial-0", "sq-ortho-initial-0", "hex-meta-initial-0", "hex-para-initial-0"
+        ):
             assert statuses[claim_id].verdict == "formal-only"
         assert any(
             "inconsistent" in d for d in statuses["hex-para-initial-0"].details
@@ -583,7 +585,8 @@ class TestRefutedBranches:
     # the hexagon has 5 independent dominating sets, 2 of them containing its terminal vertex
     @pytest.mark.parametrize("table, datum, claim_id, expected", [
         ("_PAPER_GF", ((1, 2, 1), (0, -3, -3)), "hex-ortho-gf", 5),
-        ("_PAPER_STATE_GF", (((2, 2), (0, -3, -3)),) + paper._PAPER_STATE_GF[Family.HEX_ORTHO][1:],
+        ("_PAPER_STATE_GF",
+         (((2, 2), (0, -3, -3)),) + paper._PAPER_STATE_GF[Family.HEX_ORTHO][1:],
          "hex-ortho-state-gf-contains", 2),
     ])
     def test_gf_without_power_series(self, patched, table, datum, claim_id, expected):
@@ -592,7 +595,9 @@ class TestRefutedBranches:
         report = checked_through(Family.HEX_ORTHO, 3)
         status = status_map(report)[claim_id]
         assert status.verdict == "refuted"
-        assert (status.witness, status.claimed_value, status.oracle_value, status.reference) == (
+        assert (
+            status.witness, status.claimed_value, status.oracle_value, status.reference
+        ) == (
             1, "no integer power series", expected, "oracle"
         )
         assert status.details[0] == "denominator constant term is 0, not 1: no integer series"
@@ -613,7 +618,9 @@ class TestRefutedBranches:
         assert (status["verdict"], status["witness"], status["claimed_value"]) == (
             "refuted", 1, "no integer power series"
         )
-        assert status["details"][0] == "denominator constant term is 2, not 1: no integer series"
+        assert status["details"][0] == (
+            "denominator constant term is 2, not 1: no integer series"
+        )
         assert "(claimed no integer power series, oracle 3)" in errata_report(
             [report], "markdown"
         )
@@ -627,7 +634,9 @@ class TestRefutedBranches:
         status = status_map(cross_check_family(Family.SQUARE_ORTHO))["sq-ortho-gf"]
         assert verify.SYMBOLIC_MAX == 30
         assert status.verdict == "refuted"
-        assert (status.witness, status.claimed_value, status.oracle_value, status.reference) == (
+        assert (
+            status.witness, status.claimed_value, status.oracle_value, status.reference
+        ) == (
             1, "no integer power series", 2, "oracle"
         )
         assert status.details[0] == "denominator constant term is 2, not 1: no integer series"
