@@ -22,8 +22,6 @@ from .genfunc import (
     NoRealDominantRootError,
     SingularSystemError,
     dominant_growth_rate,
-    gf_from_recurrence,
-    recurrence_from_gf,
     solve_gf_system,
 )
 from .graphs import (
@@ -50,6 +48,8 @@ from .recurrences import (
     LinearRecurrence,
     TransferSystem,
     eval_recurrence,
+    gf_from_recurrence,
+    recurrence_from_gf,
     run_transfer,
     state_trajectory,
 )

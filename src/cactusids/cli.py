@@ -32,7 +32,6 @@ from .chains import (
     to_edge_list_text,
     to_json_dict,
 )
-from .genfunc import gf_from_recurrence, gf_term, series_gf
 from .graphs import OracleLimitError, count_ids
 from .paper import (
     DEFECT_FORMULA,
@@ -44,7 +43,7 @@ from .paper import (
     paper_transfer_system,
 )
 from .polynomials import RationalGF, format_gf, gf_to_json_dict
-from .recurrences import _transfer_head
+from .recurrences import gf_from_recurrence, gf_term, transfer_gf
 from .verify import (
     check_defect_formula,
     corrected_para_defect_value,
@@ -207,8 +206,7 @@ def _route_gf(family: Family, method: str, gf_source: str) -> RationalGF:
     """The generating function a linear route reads: coefficient n is the
     count at length n (a printed recurrence's formal a(0) is coefficient 0)."""
     if method == "transfer":
-        # the counts at lengths 1..2k, which fix the system's relation
-        return series_gf(_transfer_head(paper_transfer_system(family))[0], 1)
+        return transfer_gf(paper_transfer_system(family))
     if method == "recurrence":
         return gf_from_recurrence(paper_recurrence(family))
     return paper_gf(family) if gf_source == "paper" else derived_gf(family)

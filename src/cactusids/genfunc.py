@@ -1,21 +1,14 @@
-"""Rational generating functions and the linear recurrences they encode.
+"""Polynomial linear systems and growth rates.
 
-Covers four jobs:
+Covers two jobs:
 
-* conversion between generating functions and linear recurrences: a
-  recurrence's run of initial terms becomes a GF in one product, so
-  ``RationalGF.series`` is the one loop that steps a scalar sequence, and
-  :func:`gf_term` is the one reader of a single far coefficient; both refuse
-  a GF that is not an integer series;
-* the one "terms to GF" step, :func:`series_gf`: the shortest relation that
-  ``recurrences``' Berlekamp-Massey finds in a run of terms, as a GF;
 * an exact solver for square linear systems with polynomial entries
   (Cramer's rule over Bareiss determinants);
 * dominant growth rate of a recurrence, from its largest root modulus.
 
-Nothing here names a chain family: the published generating functions and
-systems are transcribed in ``paper``, which derives the corrected ones with
-:func:`series_gf` from the oracle's counts.
+Nothing here names a chain family: the published systems are transcribed in
+``paper``. Conversions between generating functions, recurrences and runs of
+terms, and the reader of a far coefficient, are in ``recurrences``.
 """
 
 from __future__ import annotations
@@ -23,7 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .polynomials import Polynomial, RationalGF, poly_divmod_exact, poly_gcd
-from .recurrences import LinearRecurrence, _berlekamp_massey, eval_recurrence
+from .recurrences import LinearRecurrence, eval_recurrence
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -101,50 +94,6 @@ def solve_gf_system(system: GFLinearSystem) -> list[RationalGF]:
         for i in range(len(system.rhs))
     )
     return [RationalGF(num, den) for num in nums]
-
-
-def gf_from_recurrence(rec: LinearRecurrence) -> RationalGF:
-    """The rational function whose expansion is zero below the run of
-    initial terms, equals it along the run, and follows the relation past it.
-
-    With D = 1 - sum c_i x^i and P = sum a_i x^i over the supplied terms, the
-    numerator is D P cut after the last supplied index: D times the series
-    agrees with D P through that index and vanishes beyond it.
-    """
-    den = Polynomial([1] + [-c for c in rec.coefficients])
-    terms = [0] * rec.min_index + [v for _, v in sorted(rec.initial_terms)]
-    return RationalGF(Polynomial((den * Polynomial(terms)).coeffs[: len(terms)]), den)
-
-
-def recurrence_from_gf(gf: RationalGF) -> LinearRecurrence:
-    """Read the recurrence off a reduced rational generating function.
-
-    The series comes first, so a GF that is not an integer series is refused
-    there; its denominator then starts with 1, and coefficient i of the
-    recurrence is minus the denominator's coefficient i. Validity starts one
-    past the numerator degree, and the initial terms are the series
-    coefficients up to that point.
-    """
-    den, valid_from = gf.denominator, max(gf.numerator.degree + 1, 1)
-    series = gf.series(max(valid_from - 1, den.degree - 1))
-    coeffs = tuple(-den[i] for i in range(1, den.degree + 1))
-    if not coeffs:
-        raise ValueError("polynomial (finite) series has no recurrence order")
-    return LinearRecurrence(coeffs, tuple(enumerate(series)), valid_from)
-
-
-def gf_term(gf: RationalGF, n: int) -> int:
-    """Coefficient n, in O(log n) polynomial squarings, from the recurrence
-    the GF's denominator defines and the GF's own leading coefficients."""
-    return eval_recurrence(recurrence_from_gf(gf), n)
-
-
-def series_gf(terms: Sequence[int], first_index: int) -> RationalGF:
-    """The series that is ``terms`` from coefficient ``first_index`` on and
-    then follows their shortest relation."""
-    coefficients = tuple(-c for c in _berlekamp_massey(terms))
-    initial = tuple(enumerate(terms, first_index))
-    return gf_from_recurrence(LinearRecurrence(coefficients, initial, first_index + len(terms)))
 
 
 # -- dominant growth rate ---------------------------------------------------

@@ -9,10 +9,10 @@ This is the only module that holds a transcription. ``recurrences`` and
 ``genfunc`` compute with any matrix, recurrence or series and never name a
 family; ``verify`` judges what is here. The values computed for one family
 live here too: its transfer system, whose unprinted seeds are measured on
-the built length-1 chain; the derived series, which ``genfunc.series_gf``
+the built length-1 chain; the derived series, which ``recurrences.series_gf``
 reads off the oracle's boundary classes on the built chains of lengths 1..6,
 reading no transcription; and the defect formulas, whose far terms
-``genfunc.gf_term`` reads off the square chains' derived series.
+``recurrences.gf_term`` reads off the square chains' derived series.
 """
 
 from __future__ import annotations
@@ -21,10 +21,12 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .chains import ChainSpec, Family, LINEAR_FAMILIES, build_chain
-from .genfunc import GFLinearSystem, gf_term, recurrence_from_gf, series_gf
+from .genfunc import GFLinearSystem
 from .graphs import BoundaryCounts, count_boundary_classes
 from .polynomials import Polynomial, RationalGF
-from .recurrences import LinearRecurrence, TransferSystem
+from .recurrences import (
+    LinearRecurrence, TransferSystem, gf_term, recurrence_from_gf, series_gf,
+)
 
 STATE_CONTAINS = 0
 STATE_AVOIDS = 1

@@ -39,10 +39,6 @@ class Polynomial:
     def one(cls) -> "Polynomial":
         return cls((1,))
 
-    @classmethod
-    def x(cls) -> "Polynomial":
-        return cls((0, 1))
-
     # -- basic queries ------------------------------------------------
 
     @property

@@ -1,17 +1,14 @@
-"""Integer transfer systems and constant-coefficient linear recurrences.
+"""Integer transfer systems and linear recurrences, each read as one GF.
 
 A transfer system is a small integer state-update matrix with a seed vector
-and output weights; a recurrence is a coefficient vector with one run of
-consecutive initial terms. Both are evaluated exactly over Python ints, a
-single term in O(log n) polynomial squarings (Fiduccia's method), the last
-one a Hankel quadratic form of k large products (Bostan and Mori). State
-vectors are stepped one length at a time; a run of terms is the series of
-``genfunc.gf_from_recurrence``. Berlekamp-Massey is the one code that finds a
-linear relation: a system's, from its first 2k counts, and every other
-through ``genfunc.series_gf``. Nothing here
-names a chain family: the published systems and recurrences are transcribed
-in ``paper``. Evaluations at different lengths are independent and safe to
-run concurrently.
+and output weights, read as its count series :func:`transfer_gf`; a
+recurrence is a coefficient vector with one run of consecutive initial
+terms, read as :func:`gf_from_recurrence`. :func:`gf_term` is the one reader
+of a far coefficient, in O(log n) polynomial squarings (Fiduccia's method),
+the last one a Hankel quadratic form of k large products (Bostan and Mori).
+Berlekamp-Massey is the one code that finds a linear relation, called only
+by :func:`series_gf`, the one step from terms to a GF. Nothing here names a
+family: the published systems and recurrences are transcribed in ``paper``.
 """
 
 from __future__ import annotations
@@ -19,6 +16,8 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 from typing import NamedTuple, Sequence
+
+from .polynomials import Polynomial, RationalGF
 
 
 class _TransferSystemFields(NamedTuple):
@@ -170,20 +169,20 @@ def state_trajectory(system: TransferSystem, n: int) -> list[tuple[int, ...]]:
 
 
 @lru_cache
-def _transfer_head(system: TransferSystem) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Counts at lengths 1..2k and their shortest relation. By Cayley-Hamilton
-    it has order at most k, so the 2k counts fix it. Cached: every
-    :func:`run_transfer` and the CLI's transfer route read it."""
-    head = tuple(map(system.count, state_trajectory(system, 2 * len(system.initial_vector))))
-    return head, _berlekamp_massey(head)
+def transfer_gf(system: TransferSystem) -> RationalGF:
+    """The count series, 0 at n = 0: by Cayley-Hamilton the counts obey a
+    relation of order at most k, so those at lengths 1..2k fix it. Cached:
+    every :func:`run_transfer` and the CLI's transfer route read it."""
+    trajectory = state_trajectory(system, 2 * len(system.initial_vector))
+    return series_gf(tuple(map(system.count, trajectory)), 1)
 
 
 def run_transfer(system: TransferSystem, n: int) -> int:
-    """Count at length n, by :func:`_nth_term` from the counts at lengths
-    1..2k and their shortest relation, so no state vector is formed."""
+    """Count at length n, coefficient n of :func:`transfer_gf`, so no state
+    vector past length 2k is formed."""
     if n < 1:
         raise ValueError("length must be at least 1")
-    return _nth_term(*_transfer_head(system), n - 1)
+    return gf_term(transfer_gf(system), n)
 
 
 class _LinearRecurrenceFields(NamedTuple):
@@ -197,9 +196,10 @@ class LinearRecurrence(_LinearRecurrenceFields):
 
     ``initial_terms`` holds (index, value) pairs for one run of consecutive
     indices, at least ``order`` of them; the relation gives every index past
-    the run. ``valid_from`` is the first index at which the relation is
-    claimed to hold. Construction refuses, with ``ValueError``, an empty
-    coefficient tuple, a repeated initial index, and any other set of
+    the run. The indices are series coefficients, so none is negative.
+    ``valid_from`` is the first index at which the relation is claimed to
+    hold. Construction refuses, with ``ValueError``, an empty coefficient
+    tuple, a repeated or negative initial index, and any other set of
     initial terms: a gap among the indices, or fewer terms than the order.
     """
 
@@ -212,6 +212,8 @@ class LinearRecurrence(_LinearRecurrenceFields):
         idx = sorted(i for i, _ in self.initial_terms)
         if len(set(idx)) != len(idx):
             raise ValueError("duplicate initial indices")
+        if idx and idx[0] < 0:
+            raise ValueError("negative initial index")
         if len(idx) < self.order or idx[-1] - idx[0] != len(idx) - 1:
             raise ValueError(f"need a run of at least {self.order} consecutive initial indices")
         return self
@@ -234,15 +236,62 @@ class LinearRecurrence(_LinearRecurrenceFields):
 
 
 def eval_recurrence(rec: LinearRecurrence, n: int) -> int:
-    """Value at index n: the supplied term, or past the run, by :func:`_nth_term`
-    from the run's last k terms, stepped k more times with small ints."""
-    values = rec.initial_map
-    if n in values:
-        return values[n]
+    """Value at index n: coefficient n of :func:`gf_from_recurrence`."""
     if n < rec.min_index:
         raise ValueError(f"index {n} below the smallest initial index {rec.min_index}")
-    base = max(values) - rec.order + 1
-    head = [values[base + i] for i in range(rec.order)]
-    for _ in range(rec.order):
-        head.append(sum(map(mul, rec.coefficients, reversed(head))))
-    return _nth_term(head, tuple(-c for c in rec.coefficients), n - base)
+    return gf_term(gf_from_recurrence(rec), n)
+
+
+@lru_cache
+def gf_from_recurrence(rec: LinearRecurrence) -> RationalGF:
+    """The rational function whose expansion is zero below the run of
+    initial terms, equals it along the run, and follows the relation past it.
+
+    With D = 1 - sum c_i x^i and P = sum a_i x^i over the supplied terms, the
+    numerator is D P cut after the last supplied index: D times the series
+    agrees with D P through that index and vanishes beyond it. Cached: every
+    :func:`eval_recurrence` reads it.
+    """
+    den = Polynomial([1] + [-c for c in rec.coefficients])
+    terms = [0] * rec.min_index + [v for _, v in sorted(rec.initial_terms)]
+    return RationalGF(Polynomial((den * Polynomial(terms)).coeffs[: len(terms)]), den)
+
+
+def recurrence_from_gf(gf: RationalGF) -> LinearRecurrence:
+    """Read the recurrence off a reduced rational generating function.
+
+    The series comes first, so a GF that is not an integer series is refused
+    there; its denominator then starts with 1, and coefficient i of the
+    recurrence is minus the denominator's coefficient i. Validity starts one
+    past the numerator degree, and the initial terms are the series
+    coefficients up to that point.
+    """
+    den, valid_from = gf.denominator, max(gf.numerator.degree + 1, 1)
+    series = gf.series(max(valid_from - 1, den.degree - 1))
+    coeffs = tuple(-den[i] for i in range(1, den.degree + 1))
+    if not coeffs:
+        raise ValueError("polynomial (finite) series has no recurrence order")
+    return LinearRecurrence(coeffs, tuple(enumerate(series)), valid_from)
+
+
+def gf_term(gf: RationalGF, n: int) -> int:
+    """Coefficient n of an integer series P/Q = P/(1 + c_1 x + ... + c_k x^k).
+    From b = max(deg P + 1 - k, 0) on the coefficients obey the relation c,
+    so the first b + 2k are read off the series, and each later one by
+    :func:`_nth_term` from the 2k at b on. Refuses, with ``ValueError``, what
+    ``RationalGF.series`` refuses, and a negative n."""
+    if n < 0:
+        raise ValueError(f"coefficient index {n} is negative")
+    c = gf.denominator.coeffs[1:]
+    b = max(gf.numerator.degree + 1 - len(c), 0)
+    head = gf.series(min(n, b + 2 * len(c) - 1))
+    return head[n] if n < len(head) else _nth_term(head[b:], c, n - b)
+
+
+def series_gf(terms: Sequence[int], first_index: int) -> RationalGF:
+    """The series that is ``terms`` from coefficient ``first_index`` on and
+    then follows their shortest relation; zero for a run of zeros."""
+    # a run of zeros has the empty relation, and obeys s_n = 0 s_(n-1) too
+    coefficients = tuple(-c for c in _berlekamp_massey(terms)) or (0,)
+    initial = tuple(enumerate(terms, first_index))
+    return gf_from_recurrence(LinearRecurrence(coefficients, initial, first_index + len(terms)))

@@ -39,7 +39,7 @@ from .chains import (
     build_chain,
     expected_vertex_count,
 )
-from .genfunc import dominant_growth_rate, gf_from_recurrence, gf_term
+from .genfunc import dominant_growth_rate
 from .graphs import (
     DEFAULT_MAX_VERTICES,
     BoundaryCounts,
@@ -69,6 +69,8 @@ from .recurrences import (
     LinearRecurrence,
     TransferSystem,
     eval_recurrence,
+    gf_from_recurrence,
+    gf_term,
     state_trajectory,
 )
 

@@ -13,12 +13,7 @@ import pytest
 
 from cactusids.chains import ChainSpec, Family, build_chain
 from cactusids.cli import main as cli_main
-from cactusids.genfunc import (
-    gf_from_recurrence,
-    recurrence_from_gf,
-    solve_gf_system,
-    dominant_growth_rate,
-)
+from cactusids.genfunc import solve_gf_system, dominant_growth_rate
 from cactusids.graphs import (
     Graph,
     _scan_counts,
@@ -33,7 +28,13 @@ from cactusids.paper import (
     paper_state_gfs,
     paper_transfer_system,
 )
-from cactusids.recurrences import LinearRecurrence, eval_recurrence, run_transfer
+from cactusids.recurrences import (
+    LinearRecurrence,
+    eval_recurrence,
+    gf_from_recurrence,
+    recurrence_from_gf,
+    run_transfer,
+)
 from cactusids.verify import (
     check_defect_formula,
     max_length_within,

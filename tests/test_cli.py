@@ -347,9 +347,9 @@ class TestSequence:
     @pytest.mark.parametrize("method", ["gf", "oracle"])
     def test_exact_routes_never_step_the_transfer_system(self, capsys, monkeypatch, method):
         def refuse(*args):
-            raise AssertionError("_transfer_head called")
+            raise AssertionError("transfer_gf called")
 
-        monkeypatch.setattr(cli, "_transfer_head", refuse)
+        monkeypatch.setattr(cli, "transfer_gf", refuse)
         code, out, err = run(
             capsys, "sequence", "--family", "tri", "--max-n", "5", "--method", method,
         )

@@ -13,9 +13,6 @@ from cactusids.genfunc import (
     NoRealDominantRootError,
     SingularSystemError,
     dominant_growth_rate,
-    gf_from_recurrence,
-    gf_term,
-    recurrence_from_gf,
     solve_gf_system,
 )
 from cactusids.paper import (
@@ -30,7 +27,14 @@ from cactusids.paper import (
     paper_transfer_system,
 )
 from cactusids.polynomials import Polynomial, RationalGF, format_gf, poly_divmod_exact
-from cactusids.recurrences import LinearRecurrence, eval_recurrence, state_trajectory
+from cactusids.recurrences import (
+    LinearRecurrence,
+    eval_recurrence,
+    gf_from_recurrence,
+    gf_term,
+    recurrence_from_gf,
+    state_trajectory,
+)
 
 PHI = (1 + math.sqrt(5)) / 2
 

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from cactusids.polynomials import (
     Polynomial,
     RationalGF,
+    _rem,
     format_gf,
     format_poly,
     poly_divmod_exact,
@@ -102,6 +103,11 @@ class TestGcd:
         assert got.content() == int_gcd(a.content(), b.content())
         if not a.is_zero:
             poly_divmod_exact(a * got.content(), got * int_gcd(1, 1))
+
+    def test_remainder_scales_by_the_least_factor(self):
+        # 8 * 2x^2 = (4x - 1)(4x + 1) + 1, and 8 is the least multiplier whose
+        # long division by 4x + 1 keeps integer quotient coefficients
+        assert _rem(P(0, 0, 2), P(1, 4)) == P(1)
 
     def test_divides_both(self):
         a = P(2, 4) * P(1, 0, 1)

@@ -3,9 +3,8 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cactusids import paper, recurrences
+from cactusids import cli, paper, recurrences
 from cactusids.chains import ChainSpec, Family, LINEAR_FAMILIES, build_chain
-from cactusids.genfunc import gf_from_recurrence
 from cactusids.graphs import count_boundary_classes, count_ids
 from cactusids.paper import (
     derived_recurrence,
@@ -13,13 +12,18 @@ from cactusids.paper import (
     paper_recurrence,
     paper_transfer_system,
 )
+from cactusids.polynomials import Polynomial, RationalGF
 from cactusids.recurrences import (
     LinearRecurrence,
     TransferSystem,
     _berlekamp_massey,
     eval_recurrence,
+    gf_from_recurrence,
+    gf_term,
     run_transfer,
+    series_gf,
     state_trajectory,
+    transfer_gf,
 )
 from cactusids.verify import verify_all
 
@@ -188,6 +192,7 @@ class TestMatrixPowerEngine:
     @example(_system(((3,),), (-50,)))  # 1 x 1
     @example(_system(((0, 1, 0), (0, 0, 1), (0, 0, 0)), (1, -2, 3)))  # nilpotent
     @example(_system(((0, 1, 3), (0, 2, 0), (0, 3, 1)), (50, -1, 4)))  # zero column
+    @example(_system(((1, 2), (3, 4)), (0, 0)))  # zero counts
     @example(TransferSystem(  # negative entries, seeds and weights
         ((-3, 3, 0, 1), (2, -1, 3, -3), (0, 0, -2, 1), (3, -3, 1, 0)),
         (-7, 0, 5, 2),
@@ -200,14 +205,15 @@ class TestMatrixPowerEngine:
         for _ in range(4097):
             counts.append(system.count(vec))
             vec = _dense_step(system.update_matrix, vec)
+        gf = transfer_gf(system)  # the GF that the CLI's transfer route reads
         for n in list(range(1, 61)) + [4097]:
-            assert run_transfer(system, n) == counts[n - 1], n
+            assert run_transfer(system, n) == gf_term(gf, n) == counts[n - 1], n
 
 
 class TestHankelLastStep:
-    """A far term powers x once, to half its exponent; the head of counts
-    that run_transfer extends is built once per system, and the audit builds
-    each oracle profile once."""
+    """A far term powers x once, to half its exponent; the count GF that
+    run_transfer reads is built once per system, and the audit builds each
+    oracle profile once."""
 
     @pytest.fixture
     def exponents(self, monkeypatch):
@@ -243,9 +249,25 @@ class TestHankelLastStep:
             for system in systems:
                 for n in (1, 2, 7, 300, 4097):
                     run_transfer(system, n)
-        info = recurrences._transfer_head.cache_info()
+        info = recurrences.transfer_gf.cache_info()
         assert info.hits == 9 * len(systems)
         assert info.misses == info.currsize == len(systems) == 23
+
+    def test_berlekamp_massey_runs_once_per_system(self, monkeypatch, capsys):
+        # the CLI's transfer route and run_transfer read one cached GF
+        calls, relation = [], recurrences._berlekamp_massey
+
+        def counted(terms):
+            calls.append(terms)
+            return relation(terms)
+
+        monkeypatch.setattr(recurrences, "_berlekamp_massey", counted)
+        _clear_package_caches()
+        family = Family.HEX_PARA
+        assert cli.main(["count", "--family", family.value, "--n", "5000"]) == 0
+        assert int(capsys.readouterr().out) == run_transfer(paper_transfer_system(family), 5000)
+        run_transfer(paper_transfer_system(family), 7)
+        assert len(calls) == 1
 
     def test_audit_builds_each_oracle_profile_once(self):
         _clear_package_caches()
@@ -292,6 +314,30 @@ _ALL_RECURRENCES = [
     for kind in ("paper", "derived")
 ]
 _BUILD = {"paper": paper_recurrence, "derived": derived_recurrence}
+
+
+class TestGfTerm:
+    def test_finite_and_zero_series(self):
+        # a polynomial is zero past its degree, and the zero GF is zero
+        finite = RationalGF((0, 2, 1, 3))
+        assert [gf_term(finite, n) for n in range(7)] == [0, 2, 1, 3, 0, 0, 0]
+        assert gf_term(finite, 10**5) == 0
+        assert [gf_term(RationalGF(0), n) for n in (0, 1, 10**5)] == [0, 0, 0]
+
+    def test_refuses_a_negative_index(self):
+        with pytest.raises(ValueError, match="^coefficient index -1 is negative$"):
+            gf_term(RationalGF((1,), (1, -1)), -1)
+
+    @given(
+        st.lists(st.integers(-5, 5), max_size=8),
+        st.lists(st.integers(-3, 3), max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_series(self, num, tail):
+        # numerators of every degree against denominators of order 0-4,
+        # reducible ones and a zero last coefficient included
+        gf = RationalGF(Polynomial(num), Polynomial([1] + tail))
+        assert [gf_term(gf, n) for n in range(41)] == gf.series(40)
 
 
 class TestEvalRecurrenceAgainstStepping:
@@ -387,6 +433,7 @@ class TestBerlekampMassey:
     def test_zero_sequence(self):
         assert _berlekamp_massey((0,) * 6) == ()
         assert _berlekamp_massey(()) == ()
+        assert series_gf((0,) * 4, 1) == RationalGF(0)
         system = _system(((1, 2), (3, 4)), (0, 0))
         assert [run_transfer(system, n) for n in (1, 2, 5, 4097)] == [0, 0, 0, 0]
         unweighted = TransferSystem(((1, 1), (1, 0)), (1, 2), (0, 0))
@@ -395,15 +442,15 @@ class TestBerlekampMassey:
     def test_nilpotent_system(self):
         # counts 2, 1, 3 and then zeros: the relation is three zeros
         system = _system(((0, 1, 0), (0, 0, 1), (0, 0, 0)), (1, -2, 3))
-        assert recurrences._transfer_head(system) == ((2, 1, 3, 0, 0, 0), (0, 0, 0))
+        assert transfer_gf(system) == RationalGF((0, 2, 1, 3))
         assert [run_transfer(system, n) for n in range(1, 9)] == [2, 1, 3, 0, 0, 0, 0, 0]
 
     def test_zero_last_coefficient(self):
         # a singular matrix: its counts 0, 3, 15, 75, ... obey s(n) = 5 s(n-1)
         # only from n = 2, a relation of order 2 with c_2 = 0
         system = _system(((1, 2), (2, 4)), (-1, 1))
-        head, relation = recurrences._transfer_head(system)
-        assert (head, relation) == ((0, 3, 15, 75), (-5, 0))
+        assert _berlekamp_massey((0, 3, 15, 75)) == (-5, 0)
+        assert transfer_gf(system) == RationalGF((0, 0, 3), (1, -5))
         assert run_transfer(system, 301) == 3 * 5**299
 
     def test_final_division(self):
@@ -501,6 +548,7 @@ class TestPaperRecurrences:
         (((0, 0, 0, 0), ((0, 5), (1, 6), (2, 7), (3, 8), (6, 1)), 4),
          "need a run of at least 4 consecutive initial indices"),
         (((1, 1), ((0, 1), (2, 1)), 2), "need a run of at least 2 consecutive initial indices"),
+        (((1,), ((-1, 1), (0, 2)), 1), "negative initial index"),
     ])
     def test_refusals_by_position_and_keyword(self, args, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

@@ -754,6 +754,17 @@ class TestRefutedBranches:
             "index shift(s) (1,1) would reconcile the formula (possible transcription slip)",
         )
 
+    @pytest.mark.parametrize("m, n", [(2, 5), (3, 3)])
+    def test_defect_shift_in_one_index_or_both_ways(self, m, n):
+        # no audit point reaches these shifts: the oracle here is the formula
+        # at (2, 4)'s neighbour (m, n), whose value no other neighbour shares
+        family = Family.PARA_CHAIN_ORTHO_DEFECT
+        formula, oracle = defect_formula_value(family, 2, 4), defect_formula_value(family, m, n)
+        assert verify._defect_correction(family, 2, 4, formula, oracle) == (None, [
+            f"index shift(s) ({m},{n}) would reconcile the formula"
+            " (possible transcription slip)"
+        ])
+
     def test_para_defect_correction_that_does_not_reconcile(self, patched):
         corrected = verify.corrected_para_defect_value
         patched.setattr(
@@ -938,12 +949,12 @@ class TestOneReferencePass:
     """Each family's transfer references are read off one trajectory."""
 
     def test_terms_past_the_range_read_the_trajectory(self, patched):
-        def no_head(system):
+        def no_gf(system):
             raise AssertionError("transfer count by run_transfer")
 
         # every far transfer term, a count or one state's count under its unit
-        # weights and from any module, reads the head that run_transfer extends
-        patched.setattr(recurrences, "_transfer_head", no_head)
+        # weights and from any module, reads the GF that run_transfer reads
+        patched.setattr(recurrences, "transfer_gf", no_gf)
         patched.setattr(verify, "AUDIT_CEILING", 16)
         reports = {family: cross_check_family(family) for family in LINEAR_FAMILIES}
         # hex-para's formal seed a(0) is judged at n = 4, past the oracle's n = 3
