@@ -17,7 +17,6 @@ from .chains import (
     expected_vertex_count,
 )
 from .genfunc import (
-    GFLinearSystem,
     GrowthEstimate,
     NoRealDominantRootError,
     SingularSystemError,
@@ -72,7 +71,6 @@ __all__ = [
     "Claim",
     "ClaimStatus",
     "Family",
-    "GFLinearSystem",
     "Graph",
     "GrowthEstimate",
     "LabeledChain",

@@ -70,23 +70,26 @@ class ChainSpec(_ChainSpecFields):
 
     Linear families take ``length``; defect families take ``m`` and ``n``
     (m + n + 1 blocks, the defect at block m + 1). Construction refuses any
-    other combination with ``ValueError``.
+    other combination with ``ValueError``, and a parameter that is not an int
+    with ``TypeError``.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.family in LINEAR_FAMILIES:
-            if self.length is None or self.m is not None or self.n is not None:
-                raise ValueError(f"{self.family.value} takes a single length")
-            if self.length < 1:
-                raise ValueError("length must be at least 1")
-        else:
-            if self.m is None or self.n is None or self.length is not None:
-                raise ValueError(f"{self.family.value} takes m and n")
-            if self.m < 1 or self.n < 1:
-                raise ValueError("defect parameters m, n must be at least 1")
+        linear = self.family in LINEAR_FAMILIES
+        if linear and (self.length is None or self.m is not None or self.n is not None):
+            raise ValueError(f"{self.family.value} takes a single length")
+        if not linear and (self.m is None or self.n is None or self.length is not None):
+            raise ValueError(f"{self.family.value} takes m and n")
+        for name, value in self.params.items():
+            if not isinstance(value, int):
+                raise TypeError(f"integer {name} required, got {value!r}")
+        if linear and self.length < 1:
+            raise ValueError("length must be at least 1")
+        if not linear and (self.m < 1 or self.n < 1):
+            raise ValueError("defect parameters m, n must be at least 1")
         return self
 
     @classmethod

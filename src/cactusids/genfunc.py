@@ -2,20 +2,21 @@
 
 Covers two jobs:
 
-* an exact solver for square linear systems with polynomial entries
-  (Cramer's rule over Bareiss determinants);
+* an exact solver for square linear systems with polynomial entries, given
+  as plain tables whose shape it checks (Cramer's rule, Bareiss determinants);
 * dominant growth rate of a recurrence, from its largest root modulus.
 
 Nothing here names a chain family: the published systems are transcribed in
-``paper``. Conversions between generating functions, recurrences and runs of
-terms, and the reader of a far coefficient, are in ``recurrences``.
+``paper`` as coefficient tables, which the solver reads as they are.
+Conversions between generating functions, recurrences and runs of terms,
+and the reader of a far coefficient, are in ``recurrences``.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .polynomials import Polynomial, RationalGF, poly_divmod_exact, poly_gcd
+from .polynomials import PolyLike, Polynomial, RationalGF, as_poly, poly_divmod_exact, poly_gcd
 from .recurrences import LinearRecurrence, eval_recurrence
 
 if TYPE_CHECKING:
@@ -28,35 +29,6 @@ class SingularSystemError(ValueError):
 
 class NoRealDominantRootError(ValueError):
     """The dominant characteristic roots form a complex pair."""
-
-
-class _GFLinearSystemFields(NamedTuple):
-    matrix: tuple[tuple[Polynomial, ...], ...]
-    rhs: tuple[Polynomial, ...]
-    unknowns: tuple[str, ...]
-
-
-class GFLinearSystem(_GFLinearSystemFields):
-    """Square linear system with polynomial entries, one unknown per state.
-
-    Construction refuses, with ``ValueError``, a matrix that is not square
-    with one rhs entry and one unknown name per row.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        k = len(self.rhs)
-        if len(self.matrix) != k or any(len(r) != k for r in self.matrix):
-            raise ValueError("system must be square with matching rhs")
-        if len(self.unknowns) != k:
-            raise ValueError("one unknown name per equation required")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)  # so that _replace checks its fields too
 
 
 def _det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
@@ -82,16 +54,23 @@ def _det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     return prev * sign
 
 
-def solve_gf_system(system: GFLinearSystem) -> list[RationalGF]:
-    """Exact solution over the rational function field, by Cramer's rule:
-    unknown i is det(M_i)/det(M), M_i being M with column i replaced by the
-    rhs, both determinants taken fraction-free (Bareiss), reduced once."""
-    den = _det(system.matrix)
+def solve_gf_system(
+    matrix: Sequence[Sequence[PolyLike]], rhs: Sequence[PolyLike]
+) -> list[RationalGF]:
+    """Exact solution of matrix . F = rhs, each entry read by ``as_poly``, by
+    Cramer's rule: unknown i is det(M_i)/det(M), M_i being M with column i
+    replaced by the rhs, both determinants Bareiss (fraction-free). Refuses,
+    with ``ValueError``, a matrix not square with one rhs entry per row."""
+    rows = [tuple(map(as_poly, row)) for row in matrix]
+    b = tuple(map(as_poly, rhs))
+    if len(rows) != len(b) or any(len(row) != len(b) for row in rows):
+        raise ValueError("system must be square with matching rhs")
+    den = _det(rows)
     if den.is_zero:
         raise SingularSystemError("zero determinant")
     nums = (
-        _det([row[:i] + (b,) + row[i + 1:] for row, b in zip(system.matrix, system.rhs)])
-        for i in range(len(system.rhs))
+        _det([row[:i] + (v,) + row[i + 1:] for row, v in zip(rows, b)])
+        for i in range(len(b))
     )
     return [RationalGF(num, den) for num in nums]
 

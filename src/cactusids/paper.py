@@ -5,14 +5,16 @@ sentences of the remaining claims. Known-wrong statements are kept as
 printed, so that the verifier can refute them. A printed a(0) is kept too:
 no chain has length 0, so it is a formal seed of its recurrence.
 
-This is the only module that holds a transcription. ``recurrences`` and
-``genfunc`` compute with any matrix, recurrence or series and never name a
-family; ``verify`` judges what is here. The values computed for one family
-live here too: its transfer system, whose unprinted seeds are measured on
-the built length-1 chain; the derived series, which ``recurrences.series_gf``
-reads off the oracle's boundary classes on the built chains of lengths 1..6,
-reading no transcription; and the defect formulas, whose far terms
-``recurrences.gf_term`` reads off the square chains' derived series.
+This is the only module that holds a transcription. ``recurrences``
+computes with any matrix, recurrence or series and never names a family,
+and the Bareiss solver reads a printed linear system as the coefficient
+table kept here; ``verify`` judges what is here. The values computed for
+one family live here too: its transfer system, whose unprinted seeds are
+measured on the built length-1 chain; the derived series, which
+``recurrences.series_gf`` reads off the oracle's boundary classes on the
+built chains of lengths 1..6, reading no transcription; and the defect
+formulas, whose far terms ``recurrences.gf_term`` reads off the square
+chains' derived series.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .chains import ChainSpec, Family, LINEAR_FAMILIES, build_chain
-from .genfunc import GFLinearSystem
 from .graphs import BoundaryCounts, count_boundary_classes
 from .polynomials import Polynomial, RationalGF
 from .recurrences import (
@@ -203,14 +204,11 @@ def paper_state_gfs(family: Family) -> Optional[tuple[RationalGF, ...]]:
     return tuple(RationalGF(Polynomial(n), Polynomial(d)) for n, d in data)
 
 
-def paper_gf_system(family: Family) -> Optional[GFLinearSystem]:
-    """Published linear system for the per-state series, or None."""
-    data = _PAPER_GF_SYSTEM.get(family)
-    if data is None:
-        return None
-    rows, rhs, unknowns = data
-    matrix = tuple(tuple(map(Polynomial, row)) for row in rows)
-    return GFLinearSystem(matrix, tuple(map(Polynomial, rhs)), unknowns)
+def paper_gf_system(family: Family) -> Optional[tuple]:
+    """Published linear system for the per-state series as transcribed, or
+    None: (matrix rows, right-hand side, unknown names), each polynomial a
+    coefficient tuple, as the Bareiss solver takes them."""
+    return _PAPER_GF_SYSTEM.get(family)
 
 
 # -- derived (corrected) generating functions --------------------------------

@@ -33,9 +33,10 @@ class TransferSystem(_TransferSystemFields):
     n feeds state i at length n+1. ``output_weights`` select the two genuine
     count states (contains + avoids); the extendable state is bookkeeping.
     The state count is the seed's length; construction refuses, with
-    ``ValueError``, a matrix or weight vector whose shape does not match it.
-    Entries may be negative: the arithmetic is exact over the integers, so a
-    printed system with a negative entry is judged.
+    ``ValueError``, no states and a matrix or weight vector whose shape does
+    not match it, and with ``TypeError`` an entry that is not an int. Entries
+    may be negative: the arithmetic is exact over the integers, so a printed
+    system with a negative entry is judged.
     """
 
     __slots__ = ()
@@ -43,10 +44,16 @@ class TransferSystem(_TransferSystemFields):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         k = len(self.initial_vector)
+        if k == 0:
+            raise ValueError("transfer system needs at least one state")
         if len(self.update_matrix) != k or any(len(r) != k for r in self.update_matrix):
             raise ValueError("update matrix shape does not match state count")
         if len(self.output_weights) != k:
             raise ValueError("vector lengths do not match state count")
+        for row in (*self.update_matrix, self.initial_vector, self.output_weights):
+            for c in row:
+                if not isinstance(c, int):
+                    raise TypeError(f"integer entry required, got {c!r}")
         return self
 
     @classmethod

@@ -194,11 +194,11 @@ def test_criterion_6_defect_formulas(full_verify):
 
 def test_criterion_7_symbolic_pipeline():
     try:
-        avoids, contains = solve_gf_system(paper_gf_system(Family.TRIANGULAR))
+        avoids, contains = solve_gf_system(*paper_gf_system(Family.TRIANGULAR)[:2])
         printed_contains, printed_avoids = paper_state_gfs(Family.TRIANGULAR)
         assert contains == printed_contains
         assert avoids == printed_avoids
-        solution = solve_gf_system(paper_gf_system(Family.SQUARE_PARA))
+        solution = solve_gf_system(*paper_gf_system(Family.SQUARE_PARA)[:2])
         assert tuple(solution) == paper_state_gfs(Family.SQUARE_PARA)
     except AssertionError:
         _report("FAIL criterion 7: symbolic pipeline")

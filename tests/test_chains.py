@@ -61,12 +61,20 @@ class TestSpecValidation:
         ((Family.PARA_CHAIN_ORTHO_DEFECT, 3), "p-defect takes m and n"),
         ((Family.ORTHO_CHAIN_PARA_DEFECT, None, 0, 1),
          "defect parameters m, n must be at least 1"),
+        # a parameter that is not an int: a float length has no chain, and
+        # would give a float vertex count
+        ((Family.TRIANGULAR, 2.5), "integer length required, got 2.5"),
+        ((Family.PARA_CHAIN_ORTHO_DEFECT, None, 1.0, 2), "integer m required, got 1.0"),
+        ((Family.ORTHO_CHAIN_PARA_DEFECT, None, 2, "3"), "integer n required, got '3'"),
     ])
     def test_refusals_by_position_and_keyword(self, args, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            ChainSpec(*args)
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            ChainSpec(**dict(zip(ChainSpec._fields, args)))
+        error = TypeError if message.startswith("integer ") else ValueError
+        fields = dict(zip(ChainSpec._fields, args + (None,) * (4 - len(args))))
+        valid = ChainSpec(Family.TRIANGULAR, length=1)
+        for make in (lambda: ChainSpec(*args), lambda: ChainSpec(**fields),
+                     lambda: valid._replace(**fields)):
+            with pytest.raises(error, match=f"^{message}$"):
+                make()
 
     def test_positional_and_keyword_specs_agree(self):
         assert ChainSpec(Family.TRIANGULAR, 4) == ChainSpec(family=Family.TRIANGULAR, length=4)

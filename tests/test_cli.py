@@ -165,12 +165,26 @@ class TestCount:
         assert doc == {"family": "tri", "method": "transfer", "count": 13, "n": 4}
 
     def test_usage_errors(self, capsys):
-        assert run(
-            capsys, "count", "--family", "tri", "--n", "2", "--method", "formula"
-        )[0] == 1
-        assert run(capsys, "count", "--family", "p-defect", "--n", "2")[0] == 1
-        assert run(capsys, "count", "--family", "tri", "--n", "2", "--m", "1")[0] == 1
-        assert run(capsys, "count", "--family", "nope", "--n", "1")[0] == 1
+        for argv, message in [
+            (("--family", "tri", "--n", "2", "--method", "formula"),
+             "cactusids: error: --method formula applies only to defect families"),
+            (("--family", "p-defect", "--n", "2"),
+             "cactusids: error: p-defect requires --m and --n"),
+            (("--family", "tri", "--n", "2", "--m", "1"),
+             "cactusids: error: --m is only valid for defect families, not tri"),
+            # transfer is count's default method
+            (("--family", "p-defect", "--m", "1", "--n", "1"),
+             "cactusids: error: defect families support --method oracle or formula, "
+             "not transfer"),
+        ]:
+            code, out, err = run(capsys, "count", *argv)
+            assert (code, out, err.splitlines()[-1]) == (1, "", message), argv
+        # argparse words the list of choices differently across Python versions
+        code, out, err = run(capsys, "count", "--family", "nope", "--n", "1")
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1].startswith(
+            "cactusids count: error: argument --family: invalid choice: 'nope'"
+        )
 
     @pytest.mark.parametrize("argv, flag", [
         (("count", "--family", "tri", "--n", "0"), "--n"),

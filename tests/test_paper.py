@@ -14,6 +14,7 @@ import pytest
 import cactusids
 from cactusids.chains import LINEAR_FAMILIES
 from cactusids.paper import paper_gf_system
+from cactusids.polynomials import Polynomial
 
 PACKAGE = Path(cactusids.__file__).resolve().parent
 ENGINES = ("polynomials", "recurrences", "genfunc")
@@ -66,19 +67,32 @@ def test_the_tables_live_only_in_paper():
         assert holders == ["cactusids.paper"], (table, holders)
 
 
+# the families whose section prints a linear system for its per-state series
+PRINTED_GF_SYSTEMS = [f for f in LINEAR_FAMILIES if paper_gf_system(f) is not None]
+
+
 def test_printed_gf_systems_keep_their_coefficients():
     # sha256 over every printed system's matrix, right-hand side and unknowns,
     # taken while the tables were still written as Polynomial expressions
-    records = tuple(
-        (family.value, (
-            tuple(tuple(p.coeffs for p in row) for row in system.matrix),
-            tuple(p.coeffs for p in system.rhs),
-            system.unknowns,
-        ))
-        for family in LINEAR_FAMILIES
-        if (system := paper_gf_system(family)) is not None
-    )
+    def coeffs(entry):
+        return Polynomial(entry).coeffs
+
+    records = []
+    for family in PRINTED_GF_SYSTEMS:
+        rows, rhs, unknowns = paper_gf_system(family)
+        matrix = tuple(tuple(map(coeffs, row)) for row in rows)
+        records.append((family.value, (matrix, tuple(map(coeffs, rhs)), unknowns)))
+    records = tuple(records)
     assert len(records) == 5
     assert hashlib.sha256(repr(records).encode()).hexdigest() == (
         "e341ecfd7f9261627cca4f212395870450f1f3b6d5eff1f7402d0fdf5b136acd"
     )
+
+
+@pytest.mark.parametrize("family", PRINTED_GF_SYSTEMS, ids=lambda f: f.value)
+def test_printed_gf_systems_are_square_with_one_name_per_row(family):
+    # the solver checks the shape of the system it is given; this checks the
+    # transcription itself, unknown names included, which no solver reads
+    rows, rhs, unknowns = paper_gf_system(family)
+    assert all(len(row) == len(rows) for row in rows)
+    assert len(rhs) == len(unknowns) == len(rows)

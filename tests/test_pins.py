@@ -121,6 +121,20 @@ ROWS = [
       ["gamma", "--family", "tri", "--format", "json"]], 0,
      "35c3558c9189476e4d0f12710dfac63eae306c67c310f9304ecc94b2f8247681",
      "c07fd2a3ceee8ef7d8836888bd85013535e6eb9727692ecd738e3ac4e80a4bf3"),
+    # count's other JSON shapes: a defect count, which carries m and n (the
+    # formula's erratum warning on stderr), and a gf count, which names its
+    # source (the printed GF's erratum warning on stderr)
+    ([["count", "--family", "p-defect", "--m", "2", "--n", "3", "--method", "oracle",
+       "--format", "json"]], 0,
+     "1d1239f662e0bde432967acde159c2b5c946409d103e0c1c7ea7d39274d1534c", EMPTY),
+    ([["count", "--family", "s-defect", "--m", "2", "--n", "3", "--method", "formula",
+       "--format", "json"]], 0,
+     "1deef587554ec539fdc2f28d62b38a04ba9c0042b740771f5723efd5367e568a",
+     "4e7fdf798c5ff82c59b296be3fff1044f0e7f5f81c523731b29960fe510dbab9"),
+    ([["count", "--family", "tri", "--n", "30", "--method", "gf", "--gf-source", source,
+       "--format", "json"] for source in ("derived", "paper")], 0,
+     "5e316ba7988ee598111f3a9aa1cec131b1fcf9337d85ff0aa6ec92df1aceb00f",
+     "c225c13171fe8d4b02a31a2fa9cdbaf40b971d4c35a3fc6266cdd4177a57d7b4"),
     # hex-para's all-terms prefix at the sequence cap: the transfer route, and
     # the printed recurrence, whose errata warnings go to stderr
     (_all_terms(["hex-para"], "transfer"), 0,
@@ -227,6 +241,12 @@ def test_the_table_covers_every_route():
     assert {a.gf_source for a in covered if getattr(a, "method", None) == "gf"} == {
         "derived", "paper"
     }
+    # and every shape of count's JSON document: a defect count by either
+    # method, and a gf count from either source
+    json_counts = {(a.family in DEFECT, a.method, a.gf_source if a.method == "gf" else None)
+                   for a in covered if a.command == "count" and a.format == "json"}
+    assert {(True, "oracle", None), (True, "formula", None),
+            (False, "gf", "derived"), (False, "gf", "paper")} <= json_counts
 
 
 def test_mis_listing_at_the_cap():

@@ -47,6 +47,8 @@ class TestPolynomial:
     def test_non_integer_rejected(self):
         with pytest.raises(TypeError):
             Polynomial((1.5,))
+        with pytest.raises(ValueError, match="^zero polynomial has no leading coefficient$"):
+            Polynomial().leading()
 
     def test_eval_and_degree(self):
         p = P(1, -1, -1)
@@ -59,6 +61,10 @@ class TestPolynomial:
         assert q == P(1, -1)
         with pytest.raises(ArithmeticError):
             poly_divmod_exact(P(1, 0, 1), P(1, 1))
+        with pytest.raises(ArithmeticError, match="^inexact polynomial division$"):
+            poly_divmod_exact(P(1, 1), P(1, 2))
+        with pytest.raises(ZeroDivisionError, match="^polynomial division by zero$"):
+            poly_divmod_exact(P(1, 1), Polynomial())
 
     def test_format(self):
         assert format_poly(P(1, -3, -1, -2)) == "1 - 3x - x^2 - 2x^3"

@@ -52,8 +52,13 @@ class TestTransferSystems:
             assert measured_extendable_seed(family) == 1
 
     def test_defect_family_rejected(self):
-        with pytest.raises(ValueError):
-            paper_transfer_system(Family.PARA_CHAIN_ORTHO_DEFECT)
+        for read, message in [
+            (paper_transfer_system, "no transfer system for family p-defect"),
+            (paper_recurrence, "no published recurrence for family p-defect"),
+            (paper.paper_gf, "no published generating function for p-defect"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                read(Family.PARA_CHAIN_ORTHO_DEFECT)
 
 
 class TestRunTransfer:
@@ -68,6 +73,8 @@ class TestRunTransfer:
             run_transfer(paper_transfer_system(Family.TRIANGULAR), 0)
         with pytest.raises(ValueError):
             run_transfer(paper_transfer_system(Family.TRIANGULAR), -3)
+        with pytest.raises(ValueError, match="^length must be at least 1$"):
+            state_trajectory(paper_transfer_system(Family.TRIANGULAR), 0)
 
     def test_trajectories(self):
         assert state_trajectory(paper_transfer_system(Family.SQUARE_PARA), 2) == [
@@ -565,12 +572,21 @@ class TestPaperRecurrences:
     ((((1, 0),), (1, 1), (1, 1)), "update matrix shape does not match state count"),
     ((((1,),), (1, 2), (1, 2)), "update matrix shape does not match state count"),
     ((((1,),), (1,), ()), "vector lengths do not match state count"),
+    # a system with no states has no count at any length
+    (((), (), ()), "transfer system needs at least one state"),
+    # the arithmetic is exact over the integers, so a float is refused
+    ((((0.5,),), (1,), (1,)), "integer entry required, got 0.5"),
+    ((((1,),), (1.0,), (1,)), "integer entry required, got 1.0"),
+    ((((1,),), (1,), (None,)), "integer entry required, got None"),
 ])
 def test_transfer_system_refusals_by_position_and_keyword(args, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        TransferSystem(*args)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        TransferSystem(**dict(zip(TransferSystem._fields, args)))
+    error = TypeError if message.startswith("integer ") else ValueError
+    fields = dict(zip(TransferSystem._fields, args))
+    valid = TransferSystem(((1,),), (1,), (1,))
+    for make in (lambda: TransferSystem(*args), lambda: TransferSystem(**fields),
+                 lambda: valid._replace(**fields)):
+        with pytest.raises(error, match=f"^{message}$"):
+            make()
 
 
 def test_transfer_system_takes_negative_entries():

@@ -261,6 +261,8 @@ class TestDefects:
         assert defect_formula_value(Family.PARA_CHAIN_ORTHO_DEFECT, 2, 1) == 14
         assert defect_formula_value(Family.ORTHO_CHAIN_PARA_DEFECT, 1, 1) == 6
         assert defect_formula_value(Family.ORTHO_CHAIN_PARA_DEFECT, 2, 2) == 24
+        with pytest.raises(ValueError, match="^defect parameters must be at least 1$"):
+            defect_formula_value(Family.PARA_CHAIN_ORTHO_DEFECT, 0, 1)
 
     def test_formulas_at_far_arms(self):
         # the reference reads the states of the printed square systems off one
@@ -340,7 +342,6 @@ def _records():
         "LabeledChain": chain,
         "TransferSystem": system,
         "LinearRecurrence": paper.paper_recurrence(Family.TRIANGULAR),
-        "GFLinearSystem": paper.paper_gf_system(Family.TRIANGULAR),
         "Claim": report.statuses[0].claim,
         "ClaimStatus": report.statuses[0],
         "VerificationReport": report,
@@ -350,7 +351,7 @@ def _records():
 
 @pytest.mark.parametrize("name", [
     "Graph", "ChainSpec", "LabeledChain", "TransferSystem", "LinearRecurrence",
-    "GFLinearSystem", "Claim", "ClaimStatus", "VerificationReport", "_Context",
+    "Claim", "ClaimStatus", "VerificationReport", "_Context",
 ])
 def test_records_refuse_attribute_assignment(name):
     record = _records()[name]
@@ -367,7 +368,6 @@ def test_validating_records_check_replaced_fields():
         (ChainSpec(Family.TRIANGULAR, length=2), {"length": 0}),
         (paper.paper_transfer_system(Family.TRIANGULAR), {"initial_vector": (1,)}),
         (paper.paper_recurrence(Family.TRIANGULAR), {"coefficients": ()}),
-        (paper.paper_gf_system(Family.TRIANGULAR), {"unknowns": ("only",)}),
     ]
     for record, change in cases:
         with pytest.raises(ValueError):
