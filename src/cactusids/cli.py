@@ -56,10 +56,12 @@ from .verify import (
 
 # Largest --n (and --m) that ``count`` accepts. Every count route other than
 # the oracle takes O(log n) polynomial squarings. At n = 10^5 a count has up to
-# about 62k digits, and computing plus printing hex-para's took 0.067 s by
-# transfer and 0.20 s by recurrence (which also runs the transfer as its
-# errata check), in-process on Python 3.11 and a 2-CPU Xeon. At 10^6 the
-# transfer took 0.5 s and the decimal conversion of its 611k digits 5-6 s.
+# about 62k digits, and computing plus printing hex-para's took 0.064 s by
+# transfer and 0.19 s by recurrence (which also runs the transfer as its
+# errata check and prints both values in its warning), in-process on Python
+# 3.11.7 and a 2-CPU machine; the count itself took 0.010 s, the rest is
+# decimal conversion. At 10^6 the transfer took 0.40 s and the decimal
+# conversion of its 611k digits 5.4 s.
 MAX_LENGTH = 100_000
 # Largest ``sequence --max-n``. It keeps every count up to that length:
 # hex-para prints 1.2 MB at 2000.
@@ -338,7 +340,7 @@ def _cmd_defect(parser, args) -> int:
 def _cmd_verify(parser, args) -> int:
     reports = verify_all()
     print(errata_report(reports, format=args.report))
-    refuted = sum(1 for r in reports for s in r.statuses if s.verdict == "refuted")
+    refuted = sum(len(r.refuted()) for r in reports)
     return 3 if refuted else 0
 
 

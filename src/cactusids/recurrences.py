@@ -5,10 +5,12 @@ and output weights, read as its count series :func:`transfer_gf`; a
 recurrence is a coefficient vector with one run of consecutive initial
 terms, read as :func:`gf_from_recurrence`. :func:`gf_term` is the one reader
 of a far coefficient, in O(log n) polynomial squarings (Fiduccia's method),
-the last one a Hankel quadratic form of k large products (Bostan and Mori).
-Berlekamp-Massey is the one code that finds a linear relation, called only
-by :func:`series_gf`, the one step from terms to a GF. Nothing here names a
-family: the published systems and recurrences are transcribed in ``paper``.
+the last one a Hankel quadratic form (Bostan and Mori). Each squaring squares
+large ints and multiplies none by another: CPython 3.11 squares a 20k-200k bit
+int in about 0.7 of the time of a product of two. Berlekamp-Massey is the one
+code that finds a linear relation, called only by :func:`series_gf`, the one
+step from terms to a GF. Nothing here names a family: the published systems
+and recurrences are transcribed in ``paper``.
 """
 
 from __future__ import annotations
@@ -120,22 +122,25 @@ def _berlekamp_massey(terms: Sequence[int]) -> tuple[int, ...]:
 def _x_pow_mod(e: int, c: tuple[int, ...]) -> list[int]:
     """Coefficients r_0..r_(k-1) of x^e mod x^k + c_1 x^(k-1) + ... + c_k.
 
-    Left-to-right binary powering: a squaring takes k(k+1)/2 products of
-    large coefficients (r_i^2 once, 2 r_i r_j for i < j), a multiplication by
-    x is a shift, and reduction by the monic modulus multiplies large
-    coefficients only by the small c_i. The one caller, :func:`_nth_term`,
-    asks for x^(e >> 1): its last squaring is a Hankel quadratic form.
+    Left-to-right binary powering: a squaring takes k(k+1)/2 squarings of
+    large coefficients and no product of two of them, as each cross term
+    2 r_i r_j (i < j) is (r_i + r_j)^2 - r_i^2 - r_j^2 with the k squares
+    r_i^2 reused (a large squaring takes about 0.7 of the time of a large
+    product). A multiplication by x is a shift, and reduction by the monic
+    modulus multiplies large coefficients only by the small c_i. The one
+    caller, :func:`_nth_term`, asks for x^(e >> 1): its last squaring is a
+    Hankel quadratic form.
     """
     k = len(c)
     r = [1] + [0] * (k - 1)
     for bit in bin(e)[2:]:
+        squares = [ri * ri for ri in r]
         sq = [0] * (2 * k - 1)
-        for i, ri in enumerate(r):
-            if ri:
-                sq[2 * i] += ri * ri
-                twice = 2 * ri
-                for j in range(i + 1, k):
-                    sq[i + j] += twice * r[j]
+        sq[::2] = squares
+        for i in range(k):
+            for j in range(i + 1, k):
+                s = r[i] + r[j]
+                sq[i + j] += s * s - squares[i] - squares[j]
         if bit == "1":
             sq.insert(0, 0)
         for d in range(len(sq) - 1, k - 1, -1):
@@ -149,15 +154,32 @@ def _x_pow_mod(e: int, c: tuple[int, ...]) -> list[int]:
 
 def _nth_term(head: Sequence[int], c: tuple[int, ...], e: int) -> int:
     """Term e of a sequence s that x^k + c_1 x^(k-1) + ... + c_k annihilates,
-    from its first 2k terms ``head``: sum_i r_i sum_j s_(i+j+b) r_j, with
-    r = x^(e >> 1) mod that polynomial and b = e & 1. Exact, as x^e = r^2 x^b
-    modulo it and x^m -> s_m vanishes on its multiples. The last squaring so
-    takes k large products, not k(k+1)/2; the inner sums are small x large.
-    The empty relation (k = 0) annihilates only the zero sequence."""
+    from its first 2k terms ``head``: the Hankel form sum_ij r_i s_(i+j+b) r_j,
+    with r = x^(e >> 1) mod that polynomial and b = e & 1. Exact, as
+    x^e = r^2 x^b modulo it and x^m -> s_m vanishes on its multiples. The last
+    squaring so takes at most k large squarings (:func:`_quadratic_form`), not
+    k(k+1)/2. The empty relation (k = 0) annihilates only the zero sequence."""
     if not c:
         return 0
     r, b = _x_pow_mod(e >> 1, c), e & 1
-    return sum(ri * sum(map(mul, r, head[i + b:])) for i, ri in enumerate(r))
+    return _quadratic_form([head[i + b:i + b + len(c)] for i in range(len(c))], r)
+
+
+def _quadratic_form(h: Sequence[Sequence[int]], r: Sequence[int]) -> int:
+    """sum_i r_i sum_j h_ij r_j for a symmetric integer matrix h with small
+    entries and large r, by fraction-free symmetric elimination: with
+    p = h_00 != 0, p Q(r) = (h_0 . r)^2 + Q'(r_1..), where Q' has the integer
+    matrix p h_ij - h_0i h_0j (i, j >= 1), so the division by p is exact. Each
+    row so takes one large squaring, in about 0.7 of the time of a large
+    product; from a zero pivot on, the rows are summed as products."""
+    p, top = h[0][0], h[0]
+    if not p:
+        return sum(ri * sum(map(mul, row, r)) for ri, row in zip(r, h))
+    if len(r) == 1:
+        return p * (r[0] * r[0])
+    lead = sum(map(mul, top, r))
+    rest = [[p * v - t * w for v, w in zip(row[1:], top[1:])] for t, row in zip(top[1:], h[1:])]
+    return (lead * lead + _quadratic_form(rest, r[1:])) // p
 
 
 def state_trajectory(system: TransferSystem, n: int) -> list[tuple[int, ...]]:

@@ -180,6 +180,21 @@ class TestRationalGF:
         with pytest.raises(ZeroDivisionError):
             RationalGF(P(1), Polynomial())
 
+    def test_equal_values_hash_alike_and_mix_with_ints(self):
+        # 2(1 + x) / 2(1 - x^2) and 1/(1 - x); 1 + 2x with and without a zero
+        gf, same_gf = RationalGF(P(2, 2), P(2, 0, -2)), RationalGF(P(1), P(1, -1))
+        p, same_p = P(1, 2, 0), Polynomial([1, 2])
+        assert hash(gf) == hash(same_gf) and hash(p) == hash(same_p)
+        assert {gf: "geometric"}[same_gf] == "geometric"
+        assert {p: "linear"}[same_p] == "linear"
+        assert 1 - p == P(0, -2)
+        assert P(1) == 1 and 1 == P(1) and p != 1
+        # other operand types are left to Python, which refuses them
+        assert p != "1 + 2x" and gf != 1
+        for op in (lambda: p + 1.5, lambda: p - 1.5, lambda: 1.5 - p, lambda: p * 1.5):
+            with pytest.raises(TypeError):
+                op()
+
     @given(
         st.lists(st.integers(-6, 6), min_size=1, max_size=4),
         st.lists(st.integers(-6, 6), min_size=1, max_size=4),

@@ -17,6 +17,8 @@ from cactusids.recurrences import (
     LinearRecurrence,
     TransferSystem,
     _berlekamp_massey,
+    _nth_term,
+    _quadratic_form,
     eval_recurrence,
     gf_from_recurrence,
     gf_term,
@@ -215,6 +217,32 @@ class TestMatrixPowerEngine:
         gf = transfer_gf(system)  # the GF that the CLI's transfer route reads
         for n in list(range(1, 61)) + [4097]:
             assert run_transfer(system, n) == gf_term(gf, n) == counts[n - 1], n
+
+
+@st.composite
+def _symmetric_forms(draw):
+    k = draw(st.integers(1, 4))
+    h = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            h[i][j] = h[j][i] = draw(st.integers(-9, 9))
+    return h, draw(st.lists(st.integers(-(2**3000), 2**3000), min_size=k, max_size=k))
+
+
+class TestQuadraticForm:
+    @given(_symmetric_forms())
+    @example(([[0, 3], [3, 5]], [7**900, -(5**1000)]))  # zero leading pivot
+    @example(([[0] * 3] * 3, [3**2000, -1, 5**1500]))  # all-zero matrix
+    @example(([[4]], [2**49999]))  # k = 1: sq-ortho's 2x/(1 - 2x) at n = 10^5
+    # singular, b = 1 and c_k = 0: counts 0, 3, 15, 75, ... at n = 10^5, whose
+    # second pivot 3 * 75 - 15^2 is zero
+    @example(([[3, 15], [15, 75]], [0, 5**49998]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_product_sum(self, form):
+        h, r = form
+        assert _quadratic_form(h, r) == sum(
+            ri * sum(hij * rj for hij, rj in zip(row, r)) for ri, row in zip(r, h)
+        )
 
 
 class TestHankelLastStep:
@@ -459,6 +487,9 @@ class TestBerlekampMassey:
         assert _berlekamp_massey((0, 3, 15, 75)) == (-5, 0)
         assert transfer_gf(system) == RationalGF((0, 0, 3), (1, -5))
         assert run_transfer(system, 301) == 3 * 5**299
+        # the unreduced relation x^2 - 5x at n = 10^5 (odd shift b = 1): its
+        # Hankel form has pivots 3 and 3 * 75 - 15^2 = 0
+        assert _nth_term((0, 3, 15, 75), (-5, 0), 10**5 - 1) == 3 * 5 ** (10**5 - 2)
 
     def test_final_division(self):
         # fraction-free, the relations end as 5 + 0x and 4 - 12x + 8x^2: the
