@@ -179,7 +179,7 @@ def to_edge_list_text(spec: ChainSpec, chain: LabeledChain) -> str:
         "# " + " ".join(f"{k}={v}" for k, v in spec.params.items()),
         f"# vertices={chain.graph.n_vertices}",
     ]
-    lines.extend(f"{u} {v}" for u, v in sorted(chain.graph.edges()))
+    lines.extend(f"{u} {v}" for u, v in chain.graph.edges())
     return "\n".join(lines)
 
 
@@ -187,7 +187,7 @@ def to_json_dict(spec: ChainSpec, chain: LabeledChain) -> dict:
     return {
         "family": spec.family.value,
         "n_vertices": chain.graph.n_vertices,
-        "edges": [list(e) for e in sorted(chain.graph.edges())],
+        "edges": [list(e) for e in chain.graph.edges()],
         "blocks": [list(b) for b in chain.blocks],
         "cut_vertices": list(chain.cut_vertices),
         "terminal_vertex": chain.terminal_vertex,

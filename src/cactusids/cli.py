@@ -56,9 +56,9 @@ from .verify import (
 
 # Largest --n (and --m) that ``count`` accepts. Every count route other than
 # the oracle takes O(log n) polynomial squarings. At n = 10^5 a count has up to
-# about 62k digits, and computing plus printing hex-para's took 0.064 s by
-# transfer and 0.19 s by recurrence (which also runs the transfer as its
-# errata check and prints both values in its warning), in-process on Python
+# about 62k digits, and computing plus printing hex-para's took 0.08 s by
+# transfer and 0.16 s by recurrence (which also runs the transfer as its
+# errata check and prints its value in the warning), in-process on Python
 # 3.11.7 and a 2-CPU machine; the count itself took 0.010 s, the rest is
 # decimal conversion. At 10^6 the transfer took 0.40 s and the decimal
 # conversion of its 611k digits 5.4 s.
@@ -153,15 +153,14 @@ def _parse_spec(parser, args) -> ChainSpec:
     return ChainSpec(family, m=m, n=args.n)
 
 
-def _warn_if_errata(family: Family, method: str, value: int, n: int, expected: int) -> None:
-    if value != expected:
-        claim = f"{family.value}-recurrence" if method == "recurrence" else f"{family.value}-gf"
-        print(
-            f"warning: {method} value {value} differs from the transfer system "
-            f"value {expected} at n = {n}; the printed statement is a known "
-            f"erratum (claim {claim})",
-            file=sys.stderr,
-        )
+def _warn_of_erratum(family: Family, method: str, value: str, n: int, expected: int) -> None:
+    claim = f"{family.value}-recurrence" if method == "recurrence" else f"{family.value}-gf"
+    print(
+        f"warning: {method} value {value} differs from the transfer system "
+        f"value {expected} at n = {n}; the printed statement is a known "
+        f"erratum (claim {claim})",
+        file=sys.stderr,
+    )
 
 
 def _warn_if_defect_erratum(family: Family, m: int, n: int, value: int) -> None:
@@ -214,16 +213,20 @@ def _route_gf(family: Family, method: str, gf_source: str) -> RationalGF:
     return paper_gf(family) if gf_source == "paper" else derived_gf(family)
 
 
-def _route_counts(family: Family, args, lengths, read) -> list[int]:
-    """The counts at ``lengths`` that ``read`` takes from the route's GF. A
-    route that reads a published statement, which may be an erratum, warns
-    at each length where it differs from the transfer GF, read the same way."""
+def _route_counts(family: Family, args, lengths, read) -> list:
+    """The counts at ``lengths`` that ``read`` takes from the route's GF: ints
+    for JSON output, else their decimal text, converted once (a far count's
+    conversion costs more than the count). A route that reads a published
+    statement, which may be an erratum, warns at each length where it differs
+    from the transfer GF, read the same way."""
     counts = read(_route_gf(family, args.method, args.gf_source))
+    shown = counts if args.format == "json" else [str(c) for c in counts]
     if args.method == "recurrence" or (args.method == "gf" and args.gf_source == "paper"):
         reference = read(_route_gf(family, "transfer", args.gf_source))
-        for n, value, expected in zip(lengths, counts, reference):
-            _warn_if_errata(family, args.method, value, n, expected)
-    return counts
+        for n, value, text, expected in zip(lengths, counts, shown, reference):
+            if value != expected:
+                _warn_of_erratum(family, args.method, text, n, expected)
+    return shown
 
 
 def _cmd_count(parser, args) -> int:

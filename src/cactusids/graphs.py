@@ -75,6 +75,7 @@ class Graph(NamedTuple):
         return self.adjacency[v].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
+        """Every edge once, as (u, v) with u < v, in ascending order."""
         out = []
         for u in range(self.n_vertices):
             m = self.adjacency[u] >> (u + 1)

@@ -6,7 +6,8 @@ once from a numerator and a denominator and reduces on construction
 (polynomial gcd via the primitive PRS, joint integer content, sign
 normalisation), so equal functions compare equal structurally, and expand
 only to an integer power series, which needs a denominator constant term of
-1. Everything here is pure and safe to share across threads.
+1. One integer long division serves both exact division and the gcd's
+remainders. Everything here is pure and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -180,6 +181,31 @@ def format_poly(p: Polynomial) -> str:
 # -- division helpers ------------------------------------------------
 
 
+def _pseudo_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, int]:
+    """Integer long division: ``(q, r, s)`` with s·a = q·b + r, deg r < deg b.
+
+    The remainder, and the quotient built so far, are scaled up by the least
+    factor only at a step whose quotient coefficient would not otherwise be
+    an integer, so s = 1 exactly when every step divided evenly.
+    """
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    db, lb = b.degree, b.leading()
+    quo = [0] * (len(rem) - db)
+    s = 1
+    for i in range(len(rem) - 1, db - 1, -1):
+        scale = abs(lb) // gcd(rem[i], lb)
+        if scale != 1:
+            rem = [c * scale for c in rem]
+            quo = [c * scale for c in quo]
+            s *= scale
+        q = quo[i - db] = rem[i] // lb
+        for j, bc in enumerate(b.coeffs):
+            rem[i - db + j] -= q * bc
+    return Polynomial(quo), Polynomial(rem[:db]), s
+
+
 def poly_divmod_exact(a: Polynomial, b: Polynomial) -> Polynomial:
     """Divide ``a`` by ``b`` when the division is exact over the integers.
 
@@ -187,45 +213,10 @@ def poly_divmod_exact(a: Polynomial, b: Polynomial) -> Polynomial:
     gcd computations and inside Bareiss elimination, where exactness is a
     structural guarantee.
     """
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    if a.is_zero:
-        return Polynomial()
-    rem = list(a.coeffs)
-    db, lb = b.degree, b.leading()
-    out = [0] * (len(rem) - db)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        q, r = divmod(c, lb)
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        out[i - db] = q
-        for j, bc in enumerate(b.coeffs):
-            rem[i - db + j] -= q * bc
-    if any(rem[:db]):
-        raise ArithmeticError("inexact polynomial division (nonzero remainder)")
-    return Polynomial(out)
-
-
-def _rem(a: Polynomial, b: Polynomial) -> Polynomial:
-    """A positive integer multiple of ``a`` mod ``b``, for nonzero ``b``.
-
-    Long division over the integers: the remainder is scaled up, by the
-    least factor, only at a step whose quotient coefficient would not be an
-    integer.
-    """
-    rem = list(a.coeffs)
-    db, lb = b.degree, b.leading()
-    for i in range(len(rem) - 1, db - 1, -1):
-        scale = abs(lb) // gcd(rem[i], lb)
-        if scale != 1:
-            rem = [c * scale for c in rem]
-        q = rem[i] // lb
-        for j, bc in enumerate(b.coeffs):
-            rem[i - db + j] -= q * bc
-    return Polynomial(rem[:db])
+    q, r, s = _pseudo_divmod(a, b)
+    if s != 1 or r:
+        raise ArithmeticError("inexact polynomial division")
+    return q
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -234,21 +225,12 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     Result is primitive with positive leading coefficient, scaled by the gcd
     of the two contents. gcd(0, 0) = 0.
     """
-    if a.is_zero:
-        return _positive(b)
-    if b.is_zero:
-        return _positive(a)
     cont = gcd(a.content(), b.content())
     a, b = a.primitive_part(), b.primitive_part()
     while not b.is_zero:
-        a, b = b, _rem(a, b).primitive_part()
-    return _positive(a) * cont
-
-
-def _positive(p: Polynomial) -> Polynomial:
-    if not p.is_zero and p.leading() < 0:
-        return -p
-    return p
+        a, b = b, _pseudo_divmod(a, b)[1].primitive_part()
+    # a[a.degree] is the leading coefficient, or 0 for gcd(0, 0)
+    return -a * cont if a[a.degree] < 0 else a * cont
 
 
 PolyLike = Union[Polynomial, Sequence[int], int]
@@ -280,13 +262,10 @@ class RationalGF:
         num, den = as_poly(numerator), as_poly(denominator)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator polynomial")
-        if num.is_zero:
-            num, den = Polynomial(), Polynomial.one()
-        else:
-            # g is the primitive gcd times the joint content, so by Gauss's
-            # lemma the quotients share neither a factor nor content
-            g = poly_gcd(num, den)
-            num, den = poly_divmod_exact(num, g), poly_divmod_exact(den, g)
+        # g is the primitive gcd times the joint content, so by Gauss's lemma
+        # the quotients share neither a factor nor content (0/den is 0/1)
+        g = poly_gcd(num, den)
+        num, den = poly_divmod_exact(num, g), poly_divmod_exact(den, g)
         if next(c for c in den.coeffs if c != 0) < 0:
             num, den = -num, -den
         self.numerator = num

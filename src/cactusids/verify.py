@@ -11,9 +11,13 @@ it), so a verdict depends only on the claim.
 Every mismatch is reported with its smallest witness; nothing is silently
 reconciled.
 
-One constructor, ``_judge``, makes every confirmed and refuted verdict: a
-claim is refuted at its first mismatch, and only then is its corrected
-statement derived, from the built graph. One judge, ``_check_series``,
+One constructor, ``_judge``, makes every refuted verdict: a claim is
+refuted at its first mismatch, and only then is its corrected statement
+derived, from the built graph. ``_judge`` also makes the confirmed verdicts,
+except three that record the compared values on the status: a printed
+initial term (``_check_initial``), the growth rate (``_check_growth_rate``)
+and a defect formula at one point (``check_defect_formula``) build theirs
+directly. One judge, ``_check_series``,
 serves every rational claim as a printed series: the family GF, the
 per-state series, and the closed recurrence as ``gf_from_recurrence``
 turns it, with every printed term, into a GF. One judge,

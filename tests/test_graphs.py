@@ -121,6 +121,8 @@ class TestGraphBasics:
         g = Graph.from_edges(5, [(0, 3), (1, 2), (3, 4)])
         assert g.edges() == [(0, 3), (1, 2), (3, 4)]
         assert n_edges(g) == 3
+        # ascending whatever the input order, so the chain exports need no sort
+        assert Graph.from_edges(5, [(4, 3), (2, 1), (3, 0)]).edges() == g.edges()
 
     def test_vertex_set_helpers(self):
         assert vertex_set([0, 2]) == 0b101

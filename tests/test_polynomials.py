@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from cactusids.polynomials import (
     Polynomial,
     RationalGF,
-    _rem,
+    _pseudo_divmod,
     format_gf,
     format_poly,
     poly_divmod_exact,
@@ -66,6 +66,27 @@ class TestPolynomial:
         with pytest.raises(ZeroDivisionError, match="^polynomial division by zero$"):
             poly_divmod_exact(P(1, 1), Polynomial())
 
+    @given(
+        st.lists(st.integers(-20, 20), max_size=7),
+        st.lists(st.integers(-20, 20), min_size=1, max_size=4).filter(any),
+    )
+    @example([0, 0, 2], [1, 4])  # scaled twice, s = 2 * 4
+    @example([], [3])  # zero dividend
+    @example([1, 2], [0, 0, 5])  # deg a < deg b: no step
+    @settings(max_examples=200, deadline=None)
+    def test_one_division(self, ca, cb):
+        a, b = Polynomial(ca), Polynomial(cb)
+        q, r, s = _pseudo_divmod(a, b)
+        assert s >= 1
+        assert a * s == q * b + r
+        assert r.degree < b.degree
+        assert poly_divmod_exact(a * b, b) == a
+        if s == 1 and r.is_zero:
+            assert poly_divmod_exact(a, b) == q
+        else:
+            with pytest.raises(ArithmeticError, match="^inexact polynomial division$"):
+                poly_divmod_exact(a, b)
+
     def test_format(self):
         assert format_poly(P(1, -3, -1, -2)) == "1 - 3x - x^2 - 2x^3"
         assert format_poly(P(0, 3, 2)) == "3x + 2x^2"
@@ -113,7 +134,7 @@ class TestGcd:
     def test_remainder_scales_by_the_least_factor(self):
         # 8 * 2x^2 = (4x - 1)(4x + 1) + 1, and 8 is the least multiplier whose
         # long division by 4x + 1 keeps integer quotient coefficients
-        assert _rem(P(0, 0, 2), P(1, 4)) == P(1)
+        assert _pseudo_divmod(P(0, 0, 2), P(1, 4)) == (P(-1, 4), P(1), 8)
 
     def test_divides_both(self):
         a = P(2, 4) * P(1, 0, 1)

@@ -953,7 +953,8 @@ class TestOneReferencePass:
             raise AssertionError("transfer count by run_transfer")
 
         # every far transfer term, a count or one state's count under its unit
-        # weights and from any module, reads the GF that run_transfer reads
+        # weights and from any module, reads the one state trajectory, never
+        # transfer_gf, the GF that run_transfer reads
         patched.setattr(recurrences, "transfer_gf", no_gf)
         patched.setattr(verify, "AUDIT_CEILING", 16)
         reports = {family: cross_check_family(family) for family in LINEAR_FAMILIES}
