@@ -7,7 +7,8 @@ MAX_SEQUENCE_LENGTH), 3 when ``verify`` finds refuted claims (so CI can gate
 on consistency), 141 (128 + SIGPIPE) when the reader closes stdout early, as
 ``| head`` does. Every ``--m``, ``--n`` and ``--max-n`` is checked in one
 place, right after parsing: below 1 is a usage error, above its command's cap
-a resource limit. Every linear-family route but the oracle reads one
+a resource limit. The same check refuses ``--gf-source paper`` with any method
+but gf as a usage error. Every linear-family route but the oracle reads one
 generating function: ``count`` its term n, ``sequence`` its prefix, and
 ``gf`` prints it. ``verify`` takes no scope option: the oracle judges every
 chain under the fixed ``verify.AUDIT_CEILING``. Output is deterministic:
@@ -64,7 +65,10 @@ from .verify import (
 # conversion of its 611k digits 5.4 s.
 MAX_LENGTH = 100_000
 # Largest ``sequence --max-n``. It keeps every count up to that length:
-# hex-para prints 1.2 MB at 2000.
+# hex-para prints 1.2 MB at 2000, in about 24 ms in-process (Python 3.11.7,
+# 2-CPU machine), of which about 18 ms is decimal conversion and 1.2 ms the
+# series (a series loop with a product at every denominator coefficient took
+# 1.6 ms).
 MAX_SEQUENCE_LENGTH = 2_000
 # Largest --n (and --m) that ``build`` accepts. The bitset graph keeps one
 # int per vertex as wide as its highest neighbour id, so memory grows as n^2:
@@ -182,9 +186,12 @@ def _print_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _refuse_bad_lengths(parser, args) -> None:
-    """Every length flag: below 1 a usage error, above its command's cap a
-    resource limit."""
+def _refuse_bad_args(parser, args) -> None:
+    """``--gf-source paper`` with a method other than gf, which would not read
+    it, is a usage error. Every length flag: below 1 a usage error, above its
+    command's cap a resource limit."""
+    if getattr(args, "gf_source", None) == "paper" and args.method != "gf":
+        parser.error(f"--gf-source paper applies only to --method gf, not {args.method}")
     lengths = [(flag, getattr(args, flag[2:].replace("-", "_"), None))
                for flag in ("--m", "--n", "--max-n")]
     lengths = [(flag, value) for flag, value in lengths if value is not None]
@@ -221,7 +228,7 @@ def _route_counts(family: Family, args, lengths, read) -> list:
     from the transfer GF, read the same way."""
     counts = read(_route_gf(family, args.method, args.gf_source))
     shown = counts if args.format == "json" else [str(c) for c in counts]
-    if args.method == "recurrence" or (args.method == "gf" and args.gf_source == "paper"):
+    if args.method == "recurrence" or args.gf_source == "paper":
         reference = read(_route_gf(family, "transfer", args.gf_source))
         for n, value, text, expected in zip(lengths, counts, shown, reference):
             if value != expected:
@@ -377,7 +384,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _refuse_bad_lengths(parser, args)
+        _refuse_bad_args(parser, args)
         with _exact_int_text():
             return _HANDLERS[args.command](parser, args)
     except SystemExit as exc:

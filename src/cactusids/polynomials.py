@@ -301,23 +301,46 @@ class RationalGF:
         Refuses, with ``ValueError``, a denominator whose constant term d0 is
         not 1: in canonical form that is exactly a GF whose series is not an
         integer sequence (Fatou 1906), and with d0 = 0 there is no power
-        series at all. Each entry costs one product per nonzero denominator
-        coefficient.
+        series at all. From n = max(len P, deg Q) on, entry n is the sum of
+        c_i s_(n-i) over the nonzero c_i = -d_i, each predecessor read by
+        negative offset. It starts from its first term, which takes no big-int
+        work when that c_i is 1 (the predecessor itself is reused) and one
+        operation otherwise; each later term takes one addition or subtraction
+        when its c_i is +-1, and a product and an addition otherwise.
         """
         d0 = self.denominator[0]
         if d0 != 1:
             raise ValueError(
                 f"denominator constant term is {d0}, not 1: no integer power series"
             )
-        num = self.numerator.coeffs
-        terms = [(i, d) for i, d in enumerate(self.denominator.coeffs) if i and d]
+        num, den = self.numerator.coeffs, self.denominator.coeffs
+        # (-i, c_i) per nonzero d_i, i >= 1: entry n adds c_i times out[n - i]
+        terms = [(-i, -d) for i, d in enumerate(den) if i and d]
+        lead = max(len(num), len(den) - 1)
         out: list[int] = []
-        for n in range(upto + 1):
+        for n in range(min(lead, upto + 1)):
             acc = num[n] if n < len(num) else 0
-            for i, d in terms:
-                if i > n:
+            for i, c in terms:
+                if n + i < 0:
                     break
-                acc -= d * out[n - i]
+                acc += c * out[n + i]
+            out.append(acc)
+        if upto < lead:
+            return out
+        if not terms:  # a polynomial, zero past its numerator
+            return out + [0] * (upto + 1 - lead)
+        (i0, c0), *rest = terms
+        for _ in range(lead, upto + 1):
+            acc = out[i0]
+            if c0 != 1:
+                acc = -acc if c0 == -1 else c0 * acc
+            for i, c in rest:
+                if c == 1:
+                    acc += out[i]
+                elif c == -1:
+                    acc -= out[i]
+                else:
+                    acc += c * out[i]
             out.append(acc)
         return out
 

@@ -68,23 +68,39 @@ class TransferSystem(_TransferSystemFields):
 
 
 Matrix = tuple[tuple[int, ...], ...]
-# A matrix as, per row, the (column, entry) pairs of its nonzero entries.
-Rows = tuple[tuple[tuple[int, int], ...], ...]
+# A matrix as, per row, its first nonzero (column, entry) pair and the pairs of
+# its later nonzero entries: a step's first term per state costs no big-int
+# work at an entry 1, and a later term one addition at an entry +-1.
+Rows = tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...]
 
 
 def _nonzero_rows(matrix: Matrix) -> Rows:
-    return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in matrix)
+    """Each row as (first pair, rest) over its nonzero entries, so that
+    :func:`_step` starts each state from its first term. An all-zero row has
+    the first pair (0, 0), which gives 0, and no rest."""
+    out = []
+    for row in matrix:
+        first, *rest = [(j, c) for j, c in enumerate(row) if c] or [(0, 0)]
+        out.append((first, tuple(rest)))
+    return tuple(out)
 
 
 def _step(rows: Rows, vec: tuple[int, ...]) -> tuple[int, ...]:
     """A v, visiting only the nonzero entries of A (``rows`` from
-    :func:`_nonzero_rows`) and adding, not multiplying, at unit entries."""
+    :func:`_nonzero_rows`). Each state starts from its first term, which
+    takes no big-int work at an entry 1 (the operand itself is reused) and one
+    operation otherwise; each later term takes one addition or subtraction at
+    an entry +-1, and a product and an addition otherwise."""
     out = []
-    for row in rows:
-        acc = 0
-        for j, c in row:
+    for (j, c), rest in rows:
+        acc = vec[j]
+        if c != 1:
+            acc = -acc if c == -1 else c * acc
+        for j, c in rest:
             if c == 1:
                 acc += vec[j]
+            elif c == -1:
+                acc -= vec[j]
             else:
                 acc += c * vec[j]
         out.append(acc)

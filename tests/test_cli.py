@@ -176,6 +176,9 @@ class TestCount:
             (("--family", "p-defect", "--m", "1", "--n", "1"),
              "cactusids: error: defect families support --method oracle or formula, "
              "not transfer"),
+            # only the gf method reads the printed GF
+            (("--family", "hex-para", "--n", "50", "--gf-source", "paper"),
+             "cactusids: error: --gf-source paper applies only to --method gf, not transfer"),
         ]:
             code, out, err = run(capsys, "count", *argv)
             assert (code, out, err.splitlines()[-1]) == (1, "", message), argv

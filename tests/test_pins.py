@@ -179,6 +179,17 @@ ROWS = [
     )], 0,
      "bf04f3bcafcfe4548afe225e4aba4f8901475dfb54f98a19499b0e59aa4c04b4",
      "9daf628e4f47aebd603e522935affa5f71fe17f215dc7db59b58e75320da31d7"),
+    # --gf-source paper names the printed GF, which only the gf method reads:
+    # with any other method, the default transfer included, a usage error
+    ([["count", "--family", "hex-para", "--n", "50", "--gf-source", "paper"],
+      *[["count", "--family", "tri", "--n", "5", "--method", method, "--gf-source", "paper"]
+        for method in ("oracle", "transfer", "recurrence")],
+      ["count", "--family", "p-defect", "--m", "1", "--n", "2", "--method", "formula",
+       "--gf-source", "paper"],
+      ["sequence", "--family", "hex-para", "--max-n", "50", "--gf-source", "paper"],
+      *[["sequence", "--family", "tri", "--max-n", "5", "--method", method,
+         "--gf-source", "paper"] for method in ("oracle", "transfer", "recurrence")]], 1,
+     EMPTY, None),
     # hex-para's count at count's cap (n = 10^5), route by route
     (_hex_para_count("transfer"), 0,
      "b47a22d76544d7707cd3e21f5acb322db1b0fe544819f309949edea5ad4650a1", EMPTY),

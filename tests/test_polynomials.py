@@ -260,13 +260,20 @@ class TestRationalGF:
         st.lists(st.integers(-6, 6), min_size=1, max_size=5),
         st.sampled_from((1, 1, 0, 2, -3)),
         st.lists(st.integers(-6, 6), max_size=4),
+        st.integers(0, 12),
     )
     # d0 = 1 with a numerator longer than the prefix: ints only, no division
-    @example([3, -1, 4, 1, -5, 9, -2, 6, 5, -3, 5, 8, -9, 7, 9, -3], 1, [-2, 0, 3, -2])
-    @example([1, 2], 3, [-1, 2])  # d0 = 3: refused
-    @example([1, 1], 0, [1])  # d0 = 0: no power series at all
+    @example([3, -1, 4, 1, -5, 9, -2, 6, 5, -3, 5, 8, -9, 7, 9, -3], 1, [-2, 0, 3, -2], 12)
+    @example([1, 2], 3, [-1, 2], 12)  # d0 = 3: refused
+    @example([1, 1], 0, [1], 12)  # d0 = 0: no power series at all
+    # 1 - x^3: prefixes that end before the first denominator term, and one past it
+    @example([1], 1, [0, 0, -1], 0)
+    @example([1], 1, [0, 0, -1], 2)
+    @example([1], 1, [0, 0, -1], 12)
+    @example([2, 1], 1, [1, -1], 12)  # 1 + x - x^2: a first coefficient -1, then +1
+    @example([3, -1, 4, 1, -5], 1, [], 12)  # denominator 1: the numerator, then zeros
     @settings(max_examples=150, deadline=None)
-    def test_series_matches_fraction_reference(self, cn, c0, tail):
+    def test_series_matches_fraction_reference(self, cn, c0, tail, upto):
         den = Polynomial([c0, *tail])
         if den.is_zero:
             return
@@ -274,10 +281,10 @@ class TestRationalGF:
         d0 = gf.denominator[0]
         if d0 != 1:
             with pytest.raises(ValueError, match=f"^denominator constant term is {d0}, not 1"):
-                gf.series(12)
+                gf.series(upto)
             return
-        got = gf.series(12)
-        assert got == _series_reference(gf, 12)
+        got = gf.series(upto)
+        assert got == _series_reference(gf, upto)
         assert all(type(v) is int for v in got)
 
     def test_format(self):

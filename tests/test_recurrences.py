@@ -139,7 +139,7 @@ def _states(system, n):
 @st.composite
 def _transfer_systems(draw):
     k = draw(st.integers(1, 4))
-    matrix = tuple(tuple(draw(st.integers(0, 3)) for _ in range(k)) for _ in range(k))
+    matrix = tuple(tuple(draw(st.integers(-3, 3)) for _ in range(k)) for _ in range(k))
     return _system(matrix, tuple(draw(st.integers(-50, 50)) for _ in range(k)))
 
 
@@ -189,6 +189,9 @@ class TestMatrixPowerEngine:
     @example(_system(((0, 0, 0), (1, 2, 3), (0, 0, 0)), (5, -7, 2)))  # zero rows
     @example(_system(((0, 1, 3), (0, 2, 0), (0, 3, 1)), (50, -1, 4)))  # zero column
     @example(_system(((1,) * 4,) * 4, (-50, 50, 1, -1)))  # all ones
+    @example(_system(((0, -1, 0), (2, 0, 1), (1, -1, 3)), (7, -3, 2)))  # a lone -1
+    @example(_system(((1, 2), (0, 0)), (4, -9)))  # an all-zero row
+    @example(_system(((0, 0, 3), (0, -2, 1), (-1, 0, 0)), (5, 1, -6)))  # first entry off col 0
     @settings(max_examples=150, deadline=None)
     def test_trajectory_matches_dense_stepping(self, system):
         dense = [system.initial_vector]
@@ -373,6 +376,17 @@ class TestGfTerm:
         # reducible ones and a zero last coefficient included
         gf = RationalGF(Polynomial(num), Polynomial([1] + tail))
         assert [gf_term(gf, n) for n in range(41)] == gf.series(40)
+
+    @pytest.mark.parametrize("family", LINEAR_FAMILIES, ids=lambda f: f.value)
+    @pytest.mark.parametrize("read", [paper.derived_gf, paper.paper_gf],
+                             ids=["derived", "paper"])
+    def test_matches_the_series_through_the_prefix_lengths(self, family, read):
+        # every family's GFs, far past their heads and through the 1450 to 1550
+        # terms that perfbench's prefix group reads
+        gf = read(family)
+        series = gf.series(1550)
+        for n in [*range(50), 97, 500, 1023, 1449, 1450, 1499, 1500, 1549, 1550]:
+            assert gf_term(gf, n) == series[n], n
 
 
 class TestEvalRecurrenceAgainstStepping:
