@@ -37,6 +37,7 @@ from .graphs import OracleLimitError, count_ids
 from .paper import (
     DEFECT_FORMULA,
     GAMMA_FORMULA,
+    _oracle_profile,
     defect_formula_value,
     derived_gf,
     paper_gf,
@@ -270,9 +271,9 @@ def _cmd_sequence(parser, args) -> int:
     family = Family(args.family)
     lengths = range(1, args.max_n + 1)
     if args.method == "oracle":
-        # refuse the longest chain before building any shorter one
+        # refuse the chain before building it; its prefixes are the shorter ones
         require_oracle_fit(ChainSpec(family, length=args.max_n))
-        counts = [_oracle_count(ChainSpec(family, length=n)) for n in lengths]
+        counts = [p.in_count + p.out_count for p in _oracle_profile(family, args.max_n)]
     else:
         counts = _route_counts(family, args, lengths, lambda gf: gf.series(args.max_n)[1:])
     if args.format == "json":

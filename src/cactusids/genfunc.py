@@ -4,7 +4,10 @@ Covers two jobs:
 
 * an exact solver for square linear systems with polynomial entries, given
   as plain tables whose shape it checks (Cramer's rule, Bareiss determinants);
-* dominant growth rate of a recurrence, from its largest root modulus.
+* dominant growth rate of a recurrence, from its largest root modulus,
+  bracketed in exact rational arithmetic: each rational is an integer
+  numerator over a positive integer denominator, so neither ``fractions``
+  nor ``decimal`` is imported.
 
 Nothing here names a chain family: the published systems are transcribed in
 ``paper`` as coefficient tables, which the solver reads as they are.
@@ -14,13 +17,10 @@ and the reader of a far coefficient, are in ``recurrences``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .polynomials import PolyLike, Polynomial, RationalGF, as_poly, poly_divmod_exact, poly_gcd
 from .recurrences import LinearRecurrence, eval_recurrence
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class SingularSystemError(ValueError):
@@ -96,23 +96,29 @@ def dominant_growth_rate(rec: LinearRecurrence) -> GrowthEstimate:
     1e-12, and is the result if another root in the bisection's window draws
     it away. Raises NoRealDominantRootError when the dominant roots are a
     complex pair.
-    """
-    from fractions import Fraction
 
+    Every rational is exact, held as an integer numerator over a positive
+    integer denominator: the bracket's ends over 2^j after j halvings, since
+    the square-free part is monic. Each float is one int true division,
+    which CPython rounds correctly.
+    """
     char = Polynomial(tuple(-c for c in reversed(rec.coefficients)) + (1,))
     derivative = Polynomial(i * c for i, c in enumerate(char.coeffs) if i)
+    # monic: char is, and the gcd's leading coefficient is positive and divides 1
     squarefree = poly_divmod_exact(char, poly_gcd(char, derivative))
-    lo, hi = 0, 1 + Fraction(max(map(abs, squarefree.coeffs[:-1])), squarefree.leading())
-    for _ in range(64 + int(hi).bit_length()):
-        mid = (lo + hi) / 2
-        lo, hi = (lo, mid) if _roots_inside(squarefree, mid) else (mid, hi)
+    lo, hi, den = 0, 1 + max(map(abs, squarefree.coeffs[:-1])), 1
+    for _ in range(64 + hi.bit_length()):
+        mid = lo + hi
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        lo, hi = (lo, mid) if _roots_inside(squarefree, mid, den) else (mid, hi)
     for sign in (1, -1):
-        if squarefree(sign * lo) * squarefree(sign * hi) <= 0:
-            seed = sign * float((lo + hi) / 2)
+        at_lo, at_hi = (_scaled_value(squarefree, sign * x, den) for x in (lo, hi))
+        if at_lo * at_hi <= 0:
+            seed = sign * ((lo + hi) / (2 * den))
             break
     else:
         raise NoRealDominantRootError(
-            f"dominant characteristic roots are a complex pair of magnitude {float(hi):.12g}"
+            f"dominant characteristic roots are a complex pair of magnitude {hi / den:.12g}"
         )
     root = _polish_real_root(squarefree, seed)
     if abs(root - seed) > 1e-12 * max(abs(seed), 1):
@@ -122,15 +128,17 @@ def dominant_growth_rate(rec: LinearRecurrence) -> GrowthEstimate:
     b = eval_recurrence(rec, 51)
     if a == 0:
         raise ValueError("sequence value at index 50 is zero")
-    return GrowthEstimate(root, float(Fraction(b, a)), 50)
+    return GrowthEstimate(root, b / a, 50)
 
 
-def _roots_inside(poly: Polynomial, radius: Fraction) -> bool:
-    """Schur-Cohn test: whether every root of ``poly`` has modulus below ``radius``.
+def _roots_inside(poly: Polynomial, s: int, t: int) -> bool:
+    """Schur-Cohn test: whether every root of ``poly`` has modulus below s/t, t > 0.
 
-    For p(radius z), scaled to integer coefficients a_0..a_n, that needs |a_0| <
-    |a_n|, and then holds just when it holds for (a_n p - a_0 p*)/z, p* = p reversed."""
-    n, s, t = poly.degree, radius.numerator, radius.denominator
+    For p(s z / t), scaled to integer coefficients a_0..a_n, that needs |a_0| <
+    |a_n|, and then holds just when it holds for (a_n p - a_0 p*)/z, p* = p
+    reversed. A factor that s and t share scales every a_k alike, and the
+    first ``primitive_part`` removes it."""
+    n = poly.degree
     p = Polynomial(c * s**k * t ** (n - k) for k, c in enumerate(poly.coeffs))
     while p.degree > 0:
         a0, an = p[0], p.leading()
@@ -141,22 +149,59 @@ def _roots_inside(poly: Polynomial, radius: Fraction) -> bool:
     return True
 
 
-def _polish_real_root(poly: Polynomial, approx: float) -> float:
-    from fractions import Fraction
+def _scaled_value(poly: Polynomial, x: int, d: int) -> int:
+    """d^n p(x/d) for p of degree n: p's value at x/d times d^n, which for
+    d > 0 has its sign."""
+    acc, scale = 0, 1
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c * scale
+        scale *= d
+    return acc
 
-    x0 = Fraction(approx).limit_denominator(10**15)
-    step = Fraction(max(abs(approx), 1.0)).limit_denominator(10**6) * Fraction(1, 10**6)
-    lo, hi = x0 - step, x0 + step
-    if (poly(lo) < 0) == (poly(hi) < 0):
+
+def _limit_denominator(x: float, max_denominator: int) -> tuple[int, int]:
+    """``Fraction(x).limit_denominator(max_denominator)`` as (numerator,
+    denominator): the fraction nearest x whose denominator is at most
+    max_denominator, the last convergent on a tie, from x's continued fraction."""
+    n, d = x.as_integer_ratio()
+    if d <= max_denominator:
+        return n, d
+    den, p0, q0, p1, q1 = d, 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_denominator:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (max_denominator - q0) // q1
+    # p1/q1 is d/(q1 den) from x, and (p0 + k p1)/(q0 + k q1) is on x's other side
+    if 2 * d * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
+def _polish_real_root(poly: Polynomial, approx: float) -> float:
+    """Bisection of a sign change of ``poly`` in approx +- max(|approx|, 1)/10^6,
+    to relative width 1e-12; approx itself when the window has none. The
+    window's ends and each midpoint are integers over one denominator."""
+    p, q = _limit_denominator(approx, 10**15)
+    sp, sq = _limit_denominator(max(abs(approx), 1.0), 10**6)
+    # x0 = p/q and step = sp/(sq 10^6), over their common denominator
+    den, centre = q * sq * 10**6, p * sq * 10**6
+    lo, hi = centre - sp * q, centre + sp * q
+    flo = _scaled_value(poly, lo, den)
+    if (flo < 0) == (_scaled_value(poly, hi, den) < 0):
         return approx
-    flo = poly(lo)
-    while (hi - lo) > Fraction(1e-12).limit_denominator(10**18) * max(abs(hi), Fraction(1)):
-        mid = (lo + hi) / 2
-        fm = poly(mid)
+    tn, td = _limit_denominator(1e-12, 10**18)
+    while (hi - lo) * td > tn * max(abs(hi), den):
+        mid = lo + hi
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        fm = _scaled_value(poly, mid, den)
         if fm == 0:
-            return float(mid)
+            return mid / den
         if (fm < 0) == (flo < 0):
             lo, flo = mid, fm
         else:
             hi = mid
-    return float((lo + hi) / 2)
+    return (lo + hi) / (2 * den)

@@ -17,7 +17,9 @@ vertices, or whose id order keeps more than ``DP_MAX_WIDTH`` vertices live,
 is refused, so the cost bound documented at ``DP_MAX_WIDTH`` holds for every
 public call. A call walks the vertices once to build the retire masks and
 once more to count the frontier width; the DP then reads those masks and
-branches each state inline into its successors.
+branches each state inline into its successors. ``_prefix_classes`` reads
+one DP run at several prefixes of a graph, so one pass over a chain gives
+every shorter chain of its family, each a prefix of it.
 
 Two reference engines stay here for the tests, reached by no public call:
 ``_scan_counts`` checks the definition over all 2^n vertex subsets, and
@@ -30,11 +32,13 @@ shared graphs are safe to use concurrently.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 # Hard resource cap for every oracle call. It stays at 40 or more: the derived
 # series read hexagon chains of length 6 (31 vertices), and a 6x6 defect grid
-# needs 40 (the (6,6) chain).
+# needs 40 (the (6,6) chain). A prefix pass reads every shorter chain on the
+# way through the longest one it is asked for, keeping that chain's terminal
+# vertex, so it builds no chain above the cap either.
 DEFAULT_MAX_VERTICES = 40
 # Widest id-order frontier the oracle accepts; wider graphs are refused. A
 # live vertex is in the set, dominated or waiting, so a frontier of w
@@ -344,8 +348,28 @@ def count_boundary_classes(g: Graph, v: int) -> BoundaryCounts:
     """
     if not 0 <= v < g.n_vertices:
         raise ValueError(f"vertex {v} out of range")
-    vbit = 1 << v
-    states = _oracle_states(g, keep=v)
-    return BoundaryCounts(
-        states.get((vbit, 0), 0), states.get((0, 0), 0), states.get((0, vbit), 0)
-    )
+    return _prefix_classes(g, [(g.n_vertices, v)])[0]
+
+
+def _prefix_classes(g: Graph, cuts: Sequence[tuple[int, int]], mode: tuple = _COUNT) -> list:
+    """The oracle's reads on prefixes of g, all from one DP run.
+
+    ``cuts`` holds ``(end, v)`` pairs by ascending ``end``: once vertices
+    0..end-1 are processed, v is the only one of them with a neighbour at or
+    above ``end`` (a chain's terminal vertex after a block), or ``end`` is
+    g's vertex count. The last v is kept, so that it stays live to the end.
+    The DP's states at the cut are then those of the prefix graph on
+    0..end-1 with v kept, and the cut reads as that graph's ``BoundaryCounts``
+    at v (``_COUNT``) or its least maximal independent set (``_MIN``).
+    """
+    retire = _checked_retire(g, cuts[-1][1])
+    states, first, reads = None, 0, []
+    for end, v in cuts:
+        states = _dp_states(g, retire[:end], mode, states, first)
+        first, vbit = end, 1 << v
+        inside, out, waiting = (states.get(key) for key in ((vbit, 0), (0, 0), (0, vbit)))
+        if mode is _MIN:
+            reads.append(min(x for x in (inside, out) if x is not None))
+        else:
+            reads.append(BoundaryCounts(inside or 0, out or 0, waiting or 0))
+    return reads

@@ -12,7 +12,8 @@ table kept here; ``verify`` judges what is here. The values computed for
 one family live here too: its transfer system, whose unprinted seeds are
 measured on the built length-1 chain; the derived series, which
 ``recurrences.series_gf`` reads off the oracle's boundary classes on the
-built chains of lengths 1..6, reading no transcription; and the defect
+built chains of lengths 1..6, all read in one prefix pass over the length-6
+chain, reading no transcription; and the defect
 formulas, whose far terms ``recurrences.gf_term`` reads off the square
 chains' derived series.
 """
@@ -23,7 +24,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .chains import ChainSpec, Family, LINEAR_FAMILIES, build_chain
-from .graphs import BoundaryCounts, count_boundary_classes
+from .graphs import _COUNT, BoundaryCounts, _prefix_classes
 from .polynomials import Polynomial, RationalGF
 from .recurrences import (
     LinearRecurrence, TransferSystem, gf_term, recurrence_from_gf, series_gf,
@@ -63,17 +64,29 @@ def printed_seed_flags(family: Family) -> tuple[bool, ...]:
     return tuple(seed is not None for seed in _SYSTEM_DATA[family][1])
 
 
+def _prefix_reads(spec: ChainSpec, mode: tuple = _COUNT) -> list:
+    """The oracle's reads after each block of the spec's chain, from one DP
+    pass over the built chain: the boundary classes at the terminal vertex
+    of every block prefix (``_COUNT``), or its least maximal independent set
+    (``_MIN``). Each prefix is itself a built chain, since blocks are
+    numbered left to right; the last is the whole chain."""
+    chain = build_chain(spec)
+    terminals = chain.cut_vertices + (chain.terminal_vertex,)
+    cuts = [(block[-1] + 1, v) for block, v in zip(chain.blocks, terminals)]
+    return _prefix_classes(chain.graph, cuts, mode)
+
+
 @lru_cache(maxsize=None)
-def _oracle_profile(family: Family, n: int) -> BoundaryCounts:
-    """Boundary classes at the length-n chain's terminal vertex; the one cache."""
-    chain = build_chain(ChainSpec(family, length=n))
-    return count_boundary_classes(chain.graph, chain.terminal_vertex)
+def _oracle_profile(family: Family, n: int) -> tuple[BoundaryCounts, ...]:
+    """Boundary classes at the terminal vertex of the chains of lengths 1..n,
+    read in one pass over the length-n chain; the one cache."""
+    return tuple(_prefix_reads(ChainSpec(family, length=n)))
 
 
 @lru_cache(maxsize=None)
 def measured_extendable_seed(family: Family) -> int:
     """Oracle count of extendable sets on the length-1 chain."""
-    return _oracle_profile(family, 1).extendable_count
+    return _oracle_profile(family, 1)[0].extendable_count
 
 
 @lru_cache(maxsize=None)
@@ -217,7 +230,7 @@ def paper_gf_system(family: Family) -> Optional[tuple]:
 # vertex's classes (contains, avoids, extendable), Telle & Proskurowski's DP
 # folded per block. So each class, and the count, obeys a relation of order at
 # most 3, fixed by lengths 1..6 (Massey 1969); hexagons at 6 have 31 vertices.
-_DERIVED_LENGTHS = range(1, 7)
+_DERIVED_MAX = 6
 
 
 @lru_cache(maxsize=None)
@@ -225,7 +238,7 @@ def derived_state_gfs(family: Family) -> tuple[RationalGF, ...]:
     """Per-class series of the built chains: coefficient k of series i is the
     oracle's count of boundary class i at length k+1. A class that is empty
     at every length, the triangle chains' extendable one, is left out."""
-    classes = zip(*(_oracle_profile(family, n) for n in _DERIVED_LENGTHS))
+    classes = zip(*_oracle_profile(family, _DERIVED_MAX))
     return tuple(series_gf(terms, 0) for terms in classes if any(terms))
 
 
@@ -236,7 +249,7 @@ def derived_gf(family: Family) -> RationalGF:
     Physical convention: coefficient n is the count at length n >= 1 and
     coefficient 0 is zero.
     """
-    counts = [sum(_oracle_profile(family, n)[:2]) for n in _DERIVED_LENGTHS]
+    counts = [sum(profile[:2]) for profile in _oracle_profile(family, _DERIVED_MAX)]
     return series_gf(counts, 1)
 
 

@@ -40,17 +40,10 @@ from .chains import (
     DEFECT_FAMILIES,
     Family,
     LINEAR_FAMILIES,
-    build_chain,
     expected_vertex_count,
 )
 from .genfunc import dominant_growth_rate
-from .graphs import (
-    DEFAULT_MAX_VERTICES,
-    BoundaryCounts,
-    OracleLimitError,
-    count_ids,
-    independent_domination_number,
-)
+from .graphs import _MIN, DEFAULT_MAX_VERTICES, BoundaryCounts, OracleLimitError
 from .paper import (
     DEFECT_FORMULA,
     FAMILY_TITLE,
@@ -58,6 +51,7 @@ from .paper import (
     PRINTED_STATEMENTS,
     STATE_CONTAINS,
     _oracle_profile,
+    _prefix_reads,
     defect_formula_value,
     derived_gf,
     derived_recurrence,
@@ -286,14 +280,14 @@ def require_oracle_fit(spec: ChainSpec) -> None:
 
 
 def oracle_count(family: Family, n: int) -> int:
-    profile = _oracle_profile(family, n)
+    profile = _oracle_profile(family, n)[n - 1]
     return profile.in_count + profile.out_count
 
 
 @lru_cache(maxsize=None)
-def _oracle_gamma(family: Family, n: int) -> int:
-    chain = build_chain(ChainSpec(family, length=n))
-    return independent_domination_number(chain.graph)
+def _oracle_gamma(family: Family, n: int) -> tuple[int, ...]:
+    """The oracle minimum at lengths 1..n, read in one pass over the length-n chain."""
+    return tuple(_prefix_reads(ChainSpec(family, length=n), _MIN))
 
 
 def gamma_rows(family: Family, n_max: Optional[int] = None) -> list[tuple[int, int, int]]:
@@ -307,13 +301,16 @@ def gamma_rows(family: Family, n_max: Optional[int] = None) -> list[tuple[int, i
         n_max = max_length_within(family, AUDIT_CEILING)
     require_oracle_fit(ChainSpec(family, length=n_max))
     formula = GAMMA_FORMULA[family][0]
-    return [(n, formula(n), _oracle_gamma(family, n)) for n in range(1, n_max + 1)]
+    return [(n, formula(n), gamma) for n, gamma in enumerate(_oracle_gamma(family, n_max), 1)]
 
 
 @lru_cache(maxsize=None)
-def _oracle_defect_count(family: Family, m: int, n: int) -> int:
-    chain = build_chain(ChainSpec(family, m=m, n=n))
-    return count_ids(chain.graph)
+def _oracle_defect_count(family: Family, m: int, n: int) -> tuple[int, ...]:
+    """The oracle's counts of the (m, 1..n) chains, read in one pass over the
+    (m, n) chain, after its blocks m + 2..m + n + 1: the count is the sets
+    containing the kept terminal vertex plus those avoiding it."""
+    arms = _prefix_reads(ChainSpec(family, m=m, n=n))[m + 1:]
+    return tuple(profile.in_count + profile.out_count for profile in arms)
 
 
 # -- the first-mismatch loop and the one verdict constructor -------------------
@@ -376,14 +373,17 @@ class _Context(NamedTuple):
         return range(1, self.n_max_oracle + 1)
 
     def profile(self, n: int) -> BoundaryCounts:
-        return _oracle_profile(self.family, n)
+        """The oracle's boundary classes at length n, read, with every other
+        length of the oracle range, in one pass over its longest chain."""
+        return _oracle_profile(self.family, self.n_max_oracle)[n - 1]
 
     def value(self, n: int, state: Optional[int] = None) -> tuple[int, str]:
         """The count at length n, or the count of one state, with its source."""
         if n <= self.n_max_oracle:
+            profile = self.profile(n)
             if state is None:
-                return oracle_count(self.family, n), "oracle"
-            return self.profile(n)[state], "oracle"
+                return profile.in_count + profile.out_count, "oracle"
+            return profile[state], "oracle"
         vec = self.trajectory[n - 1]
         return (self.system.count(vec) if state is None else vec[state]), "transfer"
 
@@ -612,7 +612,7 @@ def _check_asymptotic_form(claim: Claim, ctx: _Context) -> ClaimStatus:
     if mismatch is not None:
         n, _, actual, source = mismatch
         mismatch = (n, f"{phi**n / sqrt5:.4f}", actual, source)
-    ratio = oracle_count(ctx.family, n_max_oracle) / (phi**n_max_oracle / sqrt5)
+    ratio = ctx.value(n_max_oracle)[0] / (phi**n_max_oracle / sqrt5)
     details = (
         f"oracle/claimed ratio at n = {n_max_oracle} is {ratio:.6f}, tending to "
         f"r^3 = {phi**3:.6f}, not 1",
@@ -670,12 +670,17 @@ def corrected_para_defect_value(m: int, n: int) -> int:
     return defect_formula_value(Family.ORTHO_CHAIN_PARA_DEFECT, m, n) + contains_both
 
 
-def check_defect_formula(family: Family, m: int, n: int) -> ClaimStatus:
-    """Compare a defect family's composition formula against the oracle at (m, n)."""
+def check_defect_formula(
+    family: Family, m: int, n: int, *, arms: Optional[int] = None
+) -> ClaimStatus:
+    """Compare a defect family's composition formula against the oracle at
+    (m, n). The oracle reads the arms 1..arms (default n, and at least n) of
+    the (m, *) chains in one pass, so one pass serves several n."""
     claim = defect_claim(family, m, n)
-    require_oracle_fit(ChainSpec(family, m=m, n=n))
+    arms = max(n, arms or n)
+    require_oracle_fit(ChainSpec(family, m=m, n=arms))
     formula = defect_formula_value(family, m, n)
-    oracle = _oracle_defect_count(family, m, n)
+    oracle = _oracle_defect_count(family, m, arms)[n - 1]
     point = ((m, n), formula, oracle, "oracle")
     if formula == oracle:
         return ClaimStatus(claim, CONFIRMED, *point)
@@ -721,9 +726,12 @@ def _defect_correction(
 
 
 def check_defect_grid() -> VerificationReport:
-    """Both defect formulas at every DEFECT_GRID point."""
+    """Both defect formulas at every DEFECT_GRID point; the oracle reads each
+    m's arms in one pass."""
+    arms = max(n for _, n in DEFECT_GRID)
     statuses = [
-        check_defect_formula(family, m, n) for family in DEFECT_FAMILIES for m, n in DEFECT_GRID
+        check_defect_formula(family, m, n, arms=arms)
+        for family in DEFECT_FAMILIES for m, n in DEFECT_GRID
     ]
     return VerificationReport(scope="defects", statuses=statuses)
 

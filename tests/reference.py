@@ -20,7 +20,10 @@ frontier DP, and no command checks isomorphism or the cactus property.
 * ``compile_letter`` / ``run_word`` - a chain's boundary classes from its
   block word, one 3x3 operator per letter (c, d), compiled by enumerating
   the c - 1 new vertices of the block; a second route to the oracle's
-  classes that never builds the whole graph.
+  classes that never builds the whole graph;
+* ``fraction_growth_rate`` / ``fraction_polish`` - the growth-rate
+  bracket and the root polish in ``fractions.Fraction`` arithmetic, against
+  which the package's integer numerators over integer denominators are judged.
 """
 
 from __future__ import annotations
@@ -29,10 +32,14 @@ import functools
 import itertools
 import math
 import operator
+from fractions import Fraction
 from typing import Iterable
 
 from cactusids.chains import DEFECT_FAMILIES, LINEAR_FAMILIES
+from cactusids.genfunc import GrowthEstimate, NoRealDominantRootError, _roots_inside
 from cactusids.graphs import _COUNT, Graph, _fold, _mis_masks_pivot
+from cactusids.polynomials import Polynomial, poly_divmod_exact, poly_gcd
+from cactusids.recurrences import LinearRecurrence, eval_recurrence
 from cactusids.verify import DEFECT_GRID, Claim, claims_for_family, defect_claim
 
 
@@ -321,3 +328,52 @@ def is_cactus(g: Graph) -> bool:
         if len(comp) != 1 and len(comp) != len(vertices):
             return False
     return True
+
+
+def fraction_growth_rate(rec: LinearRecurrence) -> GrowthEstimate:
+    """``genfunc.dominant_growth_rate`` with every rational a ``Fraction``: the
+    same Cauchy bound, Schur-Cohn halvings, sign test, polish and ratio."""
+    char = Polynomial(tuple(-c for c in reversed(rec.coefficients)) + (1,))
+    derivative = Polynomial(i * c for i, c in enumerate(char.coeffs) if i)
+    squarefree = poly_divmod_exact(char, poly_gcd(char, derivative))
+    lo, hi = 0, 1 + Fraction(max(map(abs, squarefree.coeffs[:-1])), squarefree.leading())
+    for _ in range(64 + int(hi).bit_length()):
+        mid = (lo + hi) / 2
+        inside = _roots_inside(squarefree, mid.numerator, mid.denominator)
+        lo, hi = (lo, mid) if inside else (mid, hi)
+    for sign in (1, -1):
+        if squarefree(sign * lo) * squarefree(sign * hi) <= 0:
+            seed = sign * float((lo + hi) / 2)
+            break
+    else:
+        raise NoRealDominantRootError(
+            f"dominant characteristic roots are a complex pair of magnitude {float(hi):.12g}"
+        )
+    root = fraction_polish(squarefree, seed)
+    if abs(root - seed) > 1e-12 * max(abs(seed), 1):
+        root = seed
+    a = eval_recurrence(rec, 50)
+    b = eval_recurrence(rec, 51)
+    if a == 0:
+        raise ValueError("sequence value at index 50 is zero")
+    return GrowthEstimate(root, float(Fraction(b, a)), 50)
+
+
+def fraction_polish(poly: Polynomial, approx: float) -> float:
+    """``genfunc._polish_real_root`` in ``Fraction`` arithmetic."""
+    x0 = Fraction(approx).limit_denominator(10**15)
+    step = Fraction(max(abs(approx), 1.0)).limit_denominator(10**6) * Fraction(1, 10**6)
+    lo, hi = x0 - step, x0 + step
+    if (poly(lo) < 0) == (poly(hi) < 0):
+        return approx
+    flo = poly(lo)
+    while (hi - lo) > Fraction(1e-12).limit_denominator(10**18) * max(abs(hi), Fraction(1)):
+        mid = (lo + hi) / 2
+        fm = poly(mid)
+        if fm == 0:
+            return float(mid)
+        if (fm < 0) == (flo < 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return float((lo + hi) / 2)

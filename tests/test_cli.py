@@ -9,7 +9,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from cactusids import cli, verify
+from cactusids import cli, paper, verify
 from cactusids.chains import (
     DEFECT_FAMILIES,
     ChainSpec,
@@ -68,6 +68,24 @@ def test_derived_series_leave_fractions_out():
         "from cactusids.paper import derived_gf, derived_recurrence, derived_state_gfs\n"
         "for family in LINEAR_FAMILIES:\n"
         "    derived_gf(family), derived_state_gfs(family), derived_recurrence(family)\n"
+        "print([m for m in ('fractions', 'decimal') if m in sys.modules])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
+
+def test_cold_audit_leaves_fractions_out():
+    # the growth-rate claim is judged in integer arithmetic, so a fresh
+    # ``verify`` loads neither fractions nor, with it, decimal
+    code = (
+        "import os, sys\n"
+        "from cactusids import cli\n"
+        "sys.stdout = open(os.devnull, 'w')\n"
+        "cli.main(['verify', '--report', 'markdown'])\n"
+        "sys.stdout = sys.__stdout__\n"
         "print([m for m in ('fractions', 'decimal') if m in sys.modules])\n"
     )
     result = subprocess.run(
@@ -248,7 +266,7 @@ class TestCount:
             raise AssertionError("chain built above the ceiling")
 
         monkeypatch.setattr(cli, "build_chain", no_build)
-        monkeypatch.setattr(verify, "build_chain", no_build)
+        monkeypatch.setattr(paper, "build_chain", no_build)
         for argv in (
             ("count", "--family", "hex-para", "--n", str(MAX_LENGTH), "--method", "oracle"),
             ("count", "--family", "p-defect", "--m", "500", "--n", "500",

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cactusids import genfunc
 from cactusids.chains import Family, LINEAR_FAMILIES
@@ -33,6 +33,7 @@ from cactusids.recurrences import (
     recurrence_from_gf,
     state_trajectory,
 )
+from reference import fraction_growth_rate, fraction_polish
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -282,6 +283,22 @@ class TestDerived:
             assert printed[1:] == corrected[1:]
 
 
+# (monic factors of a characteristic polynomial, ascending coefficients; its
+# dominant real root)
+KNOWN_ROOTS = [
+    ([(-4, 0, 1)], 2.0),  # a(n) = 4a(n-2): roots +2 and -2, +2 wins the tie
+    ([(2, 1), (-2, 1), (-3, 0, 1)], 2.0),  # +-2 beats +-sqrt(3)
+    ([(3, 1), (3, 1), (-1, 1)], -3.0),  # repeated negative root
+    ([(-5, 1)], 5.0),  # degree 1
+    ([(3, 1)], -3.0),
+    ([(-8, 0, 0, 1)], 2.0),  # x^3 - 8: 2 and a complex pair, all of modulus 2
+    # roots a millionth apart share the polishing bisection's first window
+    ([(-10**6, 1), (-10**6 - 1, 1)], 10**6 + 1.0),
+    ([(-3 * 10**6 - d, 1) for d in range(3)], 3 * 10**6 + 2.0),
+    ([(-10**7, 1), (10**14 - 2, -2 * 10**7, 1)], 10**7 + 2**0.5),
+]
+
+
 class TestGrowthRate:
     def test_triangular_is_golden_ratio(self):
         estimate = dominant_growth_rate(paper_recurrence(Family.TRIANGULAR))
@@ -319,21 +336,7 @@ class TestGrowthRate:
         estimate = dominant_growth_rate(rec)
         assert abs(estimate.dominant_root - 2.0) <= 1e-9
 
-    @pytest.mark.parametrize(
-        "factors, root",
-        [
-            ([(-4, 0, 1)], 2.0),  # a(n) = 4a(n-2): roots +2 and -2, +2 wins the tie
-            ([(2, 1), (-2, 1), (-3, 0, 1)], 2.0),  # +-2 beats +-sqrt(3)
-            ([(3, 1), (3, 1), (-1, 1)], -3.0),  # repeated negative root
-            ([(-5, 1)], 5.0),  # degree 1
-            ([(3, 1)], -3.0),
-            ([(-8, 0, 0, 1)], 2.0),  # x^3 - 8: 2 and a complex pair, all of modulus 2
-            # roots a millionth apart share the polishing bisection's first window
-            ([(-10**6, 1), (-10**6 - 1, 1)], 10**6 + 1.0),
-            ([(-3 * 10**6 - d, 1) for d in range(3)], 3 * 10**6 + 2.0),
-            ([(-10**7, 1), (10**14 - 2, -2 * 10**7, 1)], 10**7 + 2**0.5),
-        ],
-    )
+    @pytest.mark.parametrize("factors, root", KNOWN_ROOTS)
     def test_known_roots(self, factors, root):
         estimate = dominant_growth_rate(_recurrence_with_roots(factors))
         assert abs(estimate.dominant_root - root) <= 1e-9
@@ -363,6 +366,73 @@ class TestGrowthRate:
             return
         estimate = dominant_growth_rate(rec)
         assert abs(estimate.dominant_root - max(real)) <= 1e-9
+
+
+def _outcome(growth, rec):
+    """What a growth-rate routine makes of rec: the estimate with its repr,
+    or the exception's type with its message."""
+    try:
+        estimate = growth(rec)
+    except Exception as error:  # noqa: BLE001  (any exception must match too)
+        return type(error), str(error)
+    return estimate, repr(estimate)
+
+
+# order 1..5, coefficients and initial terms -9..9, a nonzero last coefficient
+DRAWN_RECURRENCES = st.integers(1, 5).flatmap(lambda k: st.builds(
+    lambda head, last, seeds: LinearRecurrence(head + (last,), tuple(enumerate(seeds)), k),
+    st.tuples(*[st.integers(-9, 9)] * (k - 1)),
+    st.integers(-9, 9).filter(bool),
+    st.lists(st.integers(-9, 9), min_size=k, max_size=k),
+))
+
+
+class TestIntegerGrowthArithmetic:
+    """The growth rate holds each rational as an integer numerator over an
+    integer denominator; ``reference`` holds the same steps in Fractions, so
+    every field, float bit and message must agree."""
+
+    @given(DRAWN_RECURRENCES)
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_recurrences_match_the_fraction_reference(self, rec):
+        assert _outcome(dominant_growth_rate, rec) == _outcome(fraction_growth_rate, rec)
+
+    @pytest.mark.parametrize("factors", [factors for factors, _ in KNOWN_ROOTS])
+    def test_known_roots_match_the_fraction_reference(self, factors):
+        rec = _recurrence_with_roots(factors)
+        assert _outcome(dominant_growth_rate, rec) == _outcome(fraction_growth_rate, rec)
+
+    def test_family_recurrences_match_the_fraction_reference(self):
+        for family in LINEAR_FAMILIES:
+            rec = paper_recurrence(family)
+            assert _outcome(dominant_growth_rate, rec) == _outcome(fraction_growth_rate, rec)
+
+    @given(
+        st.lists(st.integers(-9, 9), max_size=3),
+        st.integers(2, 99),
+        st.floats(-1e-6, 1e-6),
+        st.floats(-20, 20),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_polish_matches_the_fraction_reference(self, cofactor, a, eps, far):
+        # a seed near the root sqrt(a) bisects; a far one mostly finds no sign change
+        poly = Polynomial((-a, 0, 1)) * Polynomial(tuple(cofactor) + (1,))
+        for approx in (math.sqrt(a) * (1 + eps), far):
+            got = genfunc._polish_real_root(poly, approx)
+            assert repr(got) == repr(fraction_polish(poly, approx))
+
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from((1, 7, 10**6, 10**15, 10**18)),
+    )
+    @example(0.5, 1)  # halfway between two candidates: the convergent wins
+    @example(-2.5, 1)
+    @example(7.5, 1)
+    @settings(max_examples=500)
+    def test_limit_denominator_matches_fraction(self, x, max_denominator):
+        want = Fraction(x).limit_denominator(max_denominator)
+        got = genfunc._limit_denominator(x, max_denominator)
+        assert got == (want.numerator, want.denominator)
 
 
 def _recurrence_with_roots(factors):

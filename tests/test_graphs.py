@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cactusids import graphs as graphs_module
+from cactusids import graphs as graphs_module, paper, verify
 from cactusids.chains import (
     DEFECT_FAMILIES,
     LINEAR_FAMILIES,
@@ -493,6 +493,33 @@ class TestFrontierDP:
     def test_enumerate_by_dp(self):
         listed = dp_states(C4, mode=graphs_module._sets_mode())
         assert sorted(listed[(0, 0)]) == [0b0101, 0b1010]
+
+
+class TestPrefixPass:
+    """One DP pass over a chain reads every shorter chain of its family, each
+    a prefix of it, since blocks are numbered left to right."""
+
+    @pytest.mark.parametrize("family", LINEAR_FAMILIES, ids=lambda f: f.value)
+    def test_every_prefix_equals_the_per_chain_oracle(self, family):
+        n = _largest_length(family)
+        spec = ChainSpec(family, length=n)
+        classes = paper._prefix_reads(spec)
+        minima = paper._prefix_reads(spec, graphs_module._MIN)
+        assert len(classes) == len(minima) == n
+        for k in range(1, n + 1):
+            chain = build_chain(ChainSpec(family, length=k))
+            g, t = chain.graph, chain.terminal_vertex
+            assert classes[k - 1] == count_boundary_classes(g, t), k
+            assert minima[k - 1] == independent_domination_number(g), k
+
+    @pytest.mark.parametrize("family", DEFECT_FAMILIES, ids=lambda f: f.value)
+    def test_every_defect_arm_equals_the_per_chain_oracle(self, family):
+        # the (m, 12 - m) chains have 40 vertices; the count at each arm n is
+        # the sets containing the kept terminal vertex plus those avoiding it
+        for m in range(1, 12):
+            chains = (build_chain(ChainSpec(family, m=m, n=n)) for n in range(1, 13 - m))
+            counts = tuple(count_ids(chain.graph) for chain in chains)
+            assert verify._oracle_defect_count(family, m, 12 - m) == counts, m
 
 
 def pivot_listing(g: Graph) -> list[int]:

@@ -195,7 +195,7 @@ class TestCrossCheckFamily:
             for n in range(1, limit + 1):
                 assert series[n] == oracle_count(family, n)
                 classes = tuple(s[n - 1] for s in states) + (0,) * (3 - len(states))
-                assert tuple(verify._oracle_profile(family, n)) == classes
+                assert tuple(verify._oracle_profile(family, limit)[n - 1]) == classes
 
 
 class TestGamma:
@@ -463,12 +463,14 @@ def patched(monkeypatch):
 def steer_oracle(patched, family, steer):
     """Patch the one oracle-profile cache, where the audit and the derived
     series read it, so that the family's classes at length n are
-    steer(counts, n)."""
+    steer(counts, n) in every pass that reads length n."""
     profile = paper._oracle_profile
 
     def steered(f, n):
-        counts = profile(f, n)
-        return steer(counts, n) if f is family else counts
+        passed = profile(f, n)
+        if f is not family:
+            return passed
+        return tuple(steer(counts, k) for k, counts in enumerate(passed, 1))
 
     patched.setattr(paper, "_oracle_profile", steered)
     patched.setattr(verify, "_oracle_profile", steered)
@@ -694,14 +696,16 @@ class TestRefutedBranches:
         profile = verify._oracle_profile
 
         def shifted(family, n):
-            counts = profile(family, n)
-            if family is Family.HEX_META and n == 3:
-                return counts._replace(extendable_count=counts.extendable_count + 1)
-            return counts
+            passed = profile(family, n)
+            if family is Family.HEX_META and n >= 3:
+                counts = passed[2]
+                counts = counts._replace(extendable_count=counts.extendable_count + 1)
+                return passed[:2] + (counts,) + passed[3:]
+            return passed
 
         patched.setattr(verify, "_oracle_profile", shifted)
-        contains_2 = profile(Family.HEX_META, 2).in_count
-        extendable_3 = profile(Family.HEX_META, 3).extendable_count + 1
+        contains_2 = profile(Family.HEX_META, 2)[1].in_count
+        extendable_3 = profile(Family.HEX_META, 3)[2].extendable_count + 1
         status = status_map(checked_through(Family.HEX_META, 3))[
             "hex-meta-extendable-identity"
         ]
@@ -723,15 +727,12 @@ class TestRefutedBranches:
 
     def test_asymptotic_form_confirmed(self, patched):
         # an oracle that counts round(r^n/sqrt(5)) makes the printed form exact
-        counted = verify.oracle_count
         phi, sqrt5 = (1 + 5**0.5) / 2, 5**0.5
 
-        def fibonacci_like(family, n):
-            if family is Family.TRIANGULAR:
-                return round(phi**n / sqrt5)
-            return counted(family, n)
+        def fibonacci_like(counts, n):
+            return counts._replace(in_count=round(phi**n / sqrt5) - counts.out_count)
 
-        patched.setattr(verify, "oracle_count", fibonacci_like)
+        steer_oracle(patched, Family.TRIANGULAR, fibonacci_like)
         status = status_map(checked_through(Family.TRIANGULAR, 12))["tri-asymptotic-form"]
         assert status.verdict == "confirmed"
         assert (status.witness, status.corrected) == (None, None)
