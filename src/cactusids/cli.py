@@ -66,10 +66,9 @@ from .verify import (
 # conversion of its 611k digits 5.4 s.
 MAX_LENGTH = 100_000
 # Largest ``sequence --max-n``. It keeps every count up to that length:
-# hex-para prints 1.2 MB at 2000, in about 24 ms in-process (Python 3.11.7,
-# 2-CPU machine), of which about 18 ms is decimal conversion and 1.2 ms the
-# series (a series loop with a product at every denominator coefficient took
-# 1.6 ms).
+# hex-para prints 1.2 MB at 2000, in about 18 ms in-process (Python 3.11.7,
+# 2-CPU machine), of which about 14 ms is decimal conversion and 0.8 ms the
+# series.
 MAX_SEQUENCE_LENGTH = 2_000
 # Largest --n (and --m) that ``build`` accepts. The bitset graph keeps one
 # int per vertex as wide as its highest neighbour id, so memory grows as n^2:

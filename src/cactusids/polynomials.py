@@ -12,8 +12,10 @@ remainders. Everything here is pure and safe to share across threads.
 
 from __future__ import annotations
 
+from itertools import islice, repeat
 from math import gcd
-from typing import Iterable, Sequence, Union
+from operator import add, mul, neg, sub
+from typing import Iterable, Iterator, Sequence, Union
 
 
 class Polynomial:
@@ -302,11 +304,10 @@ class RationalGF:
         not 1: in canonical form that is exactly a GF whose series is not an
         integer sequence (Fatou 1906), and with d0 = 0 there is no power
         series at all. From n = max(len P, deg Q) on, entry n is the sum of
-        c_i s_(n-i) over the nonzero c_i = -d_i, each predecessor read by
-        negative offset. It starts from its first term, which takes no big-int
-        work when that c_i is 1 (the predecessor itself is reused) and one
-        operation otherwise; each later term takes one addition or subtraction
-        when its c_i is +-1, and a product and an addition otherwise.
+        c_i s_(n-i) over the nonzero c_i = -d_i: the tail is one
+        :func:`linear_combination` of iterators over the output itself, which
+        :func:`extend_exactly` appends in one C loop, at the big-int cost per
+        entry that the combination states.
         """
         d0 = self.denominator[0]
         if d0 != 1:
@@ -314,35 +315,56 @@ class RationalGF:
                 f"denominator constant term is {d0}, not 1: no integer power series"
             )
         num, den = self.numerator.coeffs, self.denominator.coeffs
-        # (-i, c_i) per nonzero d_i, i >= 1: entry n adds c_i times out[n - i]
-        terms = [(-i, -d) for i, d in enumerate(den) if i and d]
+        # (i, c_i) per nonzero d_i, i >= 1: entry n adds c_i times out[n - i]
+        terms = [(i, -d) for i, d in enumerate(den) if i and d]
         lead = max(len(num), len(den) - 1)
         out: list[int] = []
         for n in range(min(lead, upto + 1)):
             acc = num[n] if n < len(num) else 0
             for i, c in terms:
-                if n + i < 0:
+                if i > n:
                     break
-                acc += c * out[n + i]
+                acc += c * out[n - i]
             out.append(acc)
         if upto < lead:
             return out
-        if not terms:  # a polynomial, zero past its numerator
-            return out + [0] * (upto + 1 - lead)
-        (i0, c0), *rest = terms
-        for _ in range(lead, upto + 1):
-            acc = out[i0]
-            if c0 != 1:
-                acc = -acc if c0 == -1 else c0 * acc
-            for i, c in rest:
-                if c == 1:
-                    acc += out[i]
-                elif c == -1:
-                    acc -= out[i]
-                else:
-                    acc += c * out[i]
-            out.append(acc)
-        return out
+        # out[n - i] for n = lead, lead + 1, ...: each reader sees out grow
+        tail = linear_combination([(c, islice(out, lead - i, None)) for i, c in terms])
+        return extend_exactly(out, tail, upto + 1)
+
+
+def linear_combination(pairs: Sequence[tuple[int, Iterator[int]]]) -> Iterator[int]:
+    """The lazy sum, term by term, of c s over (c, s) pairs of an int and an
+    iterator of ints; zeros for no pairs. A chain of ``map`` and ``repeat``,
+    so a term costs no interpreter loop. It starts from its first pair, which
+    takes no big-int work at c = 1 (the operand itself is passed on) and one
+    negation or product otherwise; each later pair takes one addition or
+    subtraction at c = +-1, and a product and an addition otherwise."""
+    if not pairs:
+        return repeat(0)
+    (c, acc), *rest = pairs
+    if c != 1:
+        acc = map(neg, acc) if c == -1 else map(mul, repeat(c), acc)
+    for c, s in rest:
+        if c == 1:
+            acc = map(add, acc, s)
+        elif c == -1:
+            acc = map(sub, acc, s)
+        else:
+            acc = map(add, acc, map(mul, repeat(c), s))
+    return acc
+
+
+def extend_exactly(out: list, terms: Iterator, size: int) -> list:
+    """``out``, extended in place to ``size`` items drawn from ``terms`` by one
+    ``list.extend``, which publishes each item as it appends it. So ``terms``
+    may read ``out`` itself, through list iterators that stay behind its end.
+    Raises ``RuntimeError`` if ``terms`` runs out first: a reader that met the
+    end would stop for good, and a short prefix is never returned."""
+    out.extend(islice(terms, size - len(out)))
+    if len(out) != size:
+        raise RuntimeError(f"the terms ran out at {len(out)} of {size} items")
+    return out
 
 
 def format_gf(gf: RationalGF) -> str:

@@ -16,10 +16,11 @@ and recurrences are transcribed in ``paper``.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain, islice
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .polynomials import Polynomial, RationalGF
+from .polynomials import Polynomial, RationalGF, extend_exactly, linear_combination
 
 
 class _TransferSystemFields(NamedTuple):
@@ -65,46 +66,6 @@ class TransferSystem(_TransferSystemFields):
     def count(self, vec: tuple[int, ...]) -> int:
         """The count a state vector stands for: its weighted sum."""
         return sum(w * v for w, v in zip(self.output_weights, vec))
-
-
-Matrix = tuple[tuple[int, ...], ...]
-# A matrix as, per row, its first nonzero (column, entry) pair and the pairs of
-# its later nonzero entries: a step's first term per state costs no big-int
-# work at an entry 1, and a later term one addition at an entry +-1.
-Rows = tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...]
-
-
-def _nonzero_rows(matrix: Matrix) -> Rows:
-    """Each row as (first pair, rest) over its nonzero entries, so that
-    :func:`_step` starts each state from its first term. An all-zero row has
-    the first pair (0, 0), which gives 0, and no rest."""
-    out = []
-    for row in matrix:
-        first, *rest = [(j, c) for j, c in enumerate(row) if c] or [(0, 0)]
-        out.append((first, tuple(rest)))
-    return tuple(out)
-
-
-def _step(rows: Rows, vec: tuple[int, ...]) -> tuple[int, ...]:
-    """A v, visiting only the nonzero entries of A (``rows`` from
-    :func:`_nonzero_rows`). Each state starts from its first term, which
-    takes no big-int work at an entry 1 (the operand itself is reused) and one
-    operation otherwise; each later term takes one addition or subtraction at
-    an entry +-1, and a product and an addition otherwise."""
-    out = []
-    for (j, c), rest in rows:
-        acc = vec[j]
-        if c != 1:
-            acc = -acc if c == -1 else c * acc
-        for j, c in rest:
-            if c == 1:
-                acc += vec[j]
-            elif c == -1:
-                acc -= vec[j]
-            else:
-                acc += c * vec[j]
-        out.append(acc)
-    return tuple(out)
 
 
 def _berlekamp_massey(terms: Sequence[int]) -> tuple[int, ...]:
@@ -199,18 +160,22 @@ def _quadratic_form(h: Sequence[Sequence[int]], r: Sequence[int]) -> int:
 
 
 def state_trajectory(system: TransferSystem, n: int) -> list[tuple[int, ...]]:
-    """State vectors for lengths 1..n, by n-1 single steps of :func:`_step`,
-    which visits only the nonzero entries of the update matrix (tabled once
-    per call)."""
+    """State vectors for lengths 1..n. They grow as one interleaved list,
+    whose entry t k + j is state j at length t + 1: state i of each next
+    length is the :func:`linear_combination` of the states j at its nonzero
+    entries a_ij, each read through islice(flat, j, None, k), and ``zip`` over
+    the k rows yields one length at a time, appended by :func:`extend_exactly`
+    in one C loop."""
     if n < 1:
         raise ValueError("length must be at least 1")
-    rows = _nonzero_rows(system.update_matrix)
-    vec = system.initial_vector
-    out = [vec]
-    for _ in range(n - 1):
-        vec = _step(rows, vec)
-        out.append(vec)
-    return out
+    k = len(system.initial_vector)
+    flat = list(system.initial_vector)
+    rows = [
+        linear_combination([(c, islice(flat, j, None, k)) for j, c in enumerate(row) if c])
+        for row in system.update_matrix
+    ]
+    extend_exactly(flat, chain.from_iterable(zip(*rows)), n * k)
+    return list(zip(*[iter(flat)] * k))
 
 
 @lru_cache

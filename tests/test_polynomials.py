@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 from math import gcd as int_gcd
 
 import pytest
@@ -8,8 +9,10 @@ from cactusids.polynomials import (
     Polynomial,
     RationalGF,
     _pseudo_divmod,
+    extend_exactly,
     format_gf,
     format_poly,
+    linear_combination,
     poly_divmod_exact,
     poly_gcd,
     signed_sum,
@@ -260,7 +263,7 @@ class TestRationalGF:
         st.lists(st.integers(-6, 6), min_size=1, max_size=5),
         st.sampled_from((1, 1, 0, 2, -3)),
         st.lists(st.integers(-6, 6), max_size=4),
-        st.integers(0, 12),
+        st.integers(0, 40),
     )
     # d0 = 1 with a numerator longer than the prefix: ints only, no division
     @example([3, -1, 4, 1, -5, 9, -2, 6, 5, -3, 5, 8, -9, 7, 9, -3], 1, [-2, 0, 3, -2], 12)
@@ -269,6 +272,8 @@ class TestRationalGF:
     # 1 - x^3: prefixes that end before the first denominator term, and one past it
     @example([1], 1, [0, 0, -1], 0)
     @example([1], 1, [0, 0, -1], 2)
+    @example([1], 1, [0, 0, -1], 3)  # upto = lead, the first tail entry
+    @example([1], 1, [0, 0, -1], 4)  # and lead + 1
     @example([1], 1, [0, 0, -1], 12)
     @example([2, 1], 1, [1, -1], 12)  # 1 + x - x^2: a first coefficient -1, then +1
     @example([3, -1, 4, 1, -5], 1, [], 12)  # denominator 1: the numerator, then zeros
@@ -294,3 +299,12 @@ class TestRationalGF:
         assert format_gf(RationalGF(P(1), P(1, -2))) == "1/(1 - 2x)"
         assert format_gf(RationalGF(P(0, 2), P(1, -2))) == "2x/(1 - 2x)"
         assert format_gf(RationalGF(P(5), P(1))) == "5"
+
+
+def test_a_short_prefix_is_refused():
+    # a reader that meets the end of the list it reads stops for good, so the
+    # terms run out before the size asked for
+    out = [1]
+    with pytest.raises(RuntimeError, match="^the terms ran out at 1 of 3 items$"):
+        extend_exactly(out, linear_combination([(1, islice(out, 1, None))]), 3)
+    assert extend_exactly([1], linear_combination([(2, iter((5, 7)))]), 3) == [1, 10, 14]

@@ -195,9 +195,9 @@ class TestMatrixPowerEngine:
     @settings(max_examples=150, deadline=None)
     def test_trajectory_matches_dense_stepping(self, system):
         dense = [system.initial_vector]
-        for _ in range(59):
+        for _ in range(199):
             dense.append(_dense_step(system.update_matrix, dense[-1]))
-        for n in range(1, 61):
+        for n in [*range(1, 61), 200]:
             assert state_trajectory(system, n) == dense[:n], n
 
     @given(_transfer_systems())
@@ -220,6 +220,62 @@ class TestMatrixPowerEngine:
         gf = transfer_gf(system)  # the GF that the CLI's transfer route reads
         for n in list(range(1, 61)) + [4097]:
             assert run_transfer(system, n) == gf_term(gf, n) == counts[n - 1], n
+
+
+def _counting_int():
+    """An int subclass, and a list that gains one entry per +, - or * (either
+    side) and per negation on one of its values. Each result is of the
+    subclass again, so the count follows the values through a kernel."""
+    ops = []
+
+    class Counted(int):
+        pass
+
+    for name in ("add", "radd", "sub", "rsub", "mul", "rmul", "neg"):
+        name = f"__{name}__"
+        def op(self, *other, _int_op=getattr(int, name)):
+            ops.append(name)
+            return Counted(_int_op(self, *other))
+        setattr(Counted, name, op)
+    return Counted, ops
+
+
+# big-int operations per term of the derived GF's series, and per transfer step
+_OPS_PER_TERM = {
+    Family.TRIANGULAR: (1, 1),
+    Family.SQUARE_PARA: (3, 2),
+    Family.SQUARE_ORTHO: (1, 3),
+    Family.HEX_ORTHO: (3, 8),
+    Family.HEX_META: (4, 7),
+    Family.HEX_PARA: (4, 7),
+}
+
+
+@pytest.mark.parametrize("family", LINEAR_FAMILIES)
+def test_big_int_operations_per_term(family):
+    # each term starts from its first nonzero coefficient, passing the operand
+    # on at 1, adds or subtracts at a later +-1, and multiplies only elsewhere
+    Counted, ops = _counting_int()
+    gf = paper.derived_gf(family)
+    counted_gf = RationalGF.__new__(RationalGF)  # the GF's own coefficients, counted
+    counted_gf.numerator = Polynomial(map(Counted, gf.numerator.coeffs))
+    counted_gf.denominator = gf.denominator
+    ts = paper_transfer_system(family)
+    counted_ts = ts._replace(initial_vector=tuple(map(Counted, ts.initial_vector)))
+    per_term = []
+    # each reader gives the last term, or state vector, of the prefix through n
+    for read in (
+        lambda n: counted_gf.series(n)[-1:],
+        lambda n: state_trajectory(counted_ts, n)[-1],
+    ):
+        counts = []
+        for n in (60, 100):
+            ops.clear()
+            last = read(n)
+            counts.append(len(ops))
+        per_term.append((counts[1] - counts[0]) / 40)
+        assert all(type(v) is Counted for v in last)  # no operation escaped the count
+    assert tuple(per_term) == _OPS_PER_TERM[family]
 
 
 @st.composite
