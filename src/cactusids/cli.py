@@ -1,16 +1,18 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 resource limit (an oracle chain above
-the oracle's 40-vertex cap, a ``count --n``/``--m`` above MAX_LENGTH, a
-``build --n``/``--m`` above MAX_BUILD_LENGTH, or a ``sequence --max-n`` above
-MAX_SEQUENCE_LENGTH), 3 when ``verify`` finds refuted claims (so CI can gate
-on consistency), 141 (128 + SIGPIPE) when the reader closes stdout early, as
-``| head`` does. Every ``--m``, ``--n`` and ``--max-n`` is checked in one
-place, right after parsing: below 1 is a usage error, above its command's cap
-a resource limit. The same check refuses ``--gf-source paper`` with any method
-but gf as a usage error. Every linear-family route but the oracle reads one
-generating function: ``count`` its term n, ``sequence`` its prefix, and
-``gf`` prints it. ``verify`` takes no scope option: the oracle judges every
+Exit codes: 0 success, 1 usage error, 2 resource limit (a length above
+MAX_BUILD_LENGTH on a route that builds a chain: ``build``, ``gamma``,
+``defect`` and ``--method oracle``; else a ``count --n``/``--m`` above
+MAX_LENGTH or a ``sequence --max-n`` above MAX_SEQUENCE_LENGTH; or a graph
+wider than the oracle's frontier limit, which no chain is), 3 when
+``verify`` finds refuted claims (so CI can gate on consistency), 141 (128 +
+SIGPIPE) when the reader closes stdout early, as ``| head`` does. Every
+``--m``, ``--n`` and ``--max-n`` is checked in one place, right after
+parsing: below 1 is a usage error, above its route's cap a resource limit.
+The same check refuses ``--gf-source paper`` with any method but gf as a
+usage error. Every linear-family route but the oracle reads one generating
+function: ``count`` its term n, ``sequence`` its prefix, and ``gf`` prints
+it. ``verify`` takes no scope option: the oracle judges every
 chain under the fixed ``verify.AUDIT_CEILING``. Output is deterministic:
 identical invocations produce byte-identical output, and every count is
 printed exactly, however many digits it has.
@@ -52,7 +54,6 @@ from .verify import (
     defect_claim,
     errata_report,
     gamma_rows,
-    require_oracle_fit,
     verify_all,
 )
 
@@ -70,11 +71,15 @@ MAX_LENGTH = 100_000
 # 2-CPU machine), of which about 14 ms is decimal conversion and 0.8 ms the
 # series.
 MAX_SEQUENCE_LENGTH = 2_000
-# Largest --n (and --m) that ``build`` accepts. The bitset graph keeps one
-# int per vertex as wide as its highest neighbour id, so memory grows as n^2:
-# hex-para peaked at 31, 38 and 61 MB RSS at n = 1000, 2000 and 4000.
+# Largest --n, --m and --max-n of every route that builds a chain: ``build``,
+# ``gamma``, ``defect`` and the oracle route of ``count`` and ``sequence``. The
+# bitset graph keeps one int per vertex as wide as its highest neighbour id,
+# so memory grows as n^2: ``build`` of hex-para peaked at 31, 38 and 61 MB
+# RSS at n = 1000, 2000 and 4000. The oracle's work per vertex is bounded by
+# ``graphs.DP_MAX_WIDTH``, and every oracle route at 2000 takes well under a
+# second.
 MAX_BUILD_LENGTH = 2_000
-_LENGTH_CAPS = {"count": MAX_LENGTH, "sequence": MAX_SEQUENCE_LENGTH, "build": MAX_BUILD_LENGTH}
+_LENGTH_CAPS = {"count": MAX_LENGTH, "sequence": MAX_SEQUENCE_LENGTH}
 
 
 class LengthLimitError(RuntimeError):
@@ -189,7 +194,8 @@ def _print_json(doc: dict) -> None:
 def _refuse_bad_args(parser, args) -> None:
     """``--gf-source paper`` with a method other than gf, which would not read
     it, is a usage error. Every length flag: below 1 a usage error, above its
-    command's cap a resource limit."""
+    route's cap a resource limit. A command without ``--method`` builds its
+    chain (``gf`` and ``verify`` take no length), as does the oracle method."""
     if getattr(args, "gf_source", None) == "paper" and args.method != "gf":
         parser.error(f"--gf-source paper applies only to --method gf, not {args.method}")
     lengths = [(flag, getattr(args, flag[2:].replace("-", "_"), None))
@@ -198,16 +204,11 @@ def _refuse_bad_args(parser, args) -> None:
     for flag, value in lengths:
         if value < 1:
             parser.error(f"{flag} must be at least 1")
-    cap = _LENGTH_CAPS.get(args.command)
+    method = getattr(args, "method", "oracle")
+    cap = MAX_BUILD_LENGTH if method == "oracle" else _LENGTH_CAPS[args.command]
     for flag, value in lengths:
-        if cap is not None and value > cap:
+        if value > cap:
             raise LengthLimitError(f"{flag} {value} is above the cap {cap}")
-
-
-def _oracle_count(spec: ChainSpec) -> int:
-    # refuse before building: a long chain's bitset graph alone can exhaust memory
-    require_oracle_fit(spec)
-    return count_ids(build_chain(spec).graph)
 
 
 def _route_gf(family: Family, method: str, gf_source: str) -> RationalGF:
@@ -246,7 +247,7 @@ def _cmd_count(parser, args) -> int:
             f"defect families support --method oracle or formula, not {args.method}"
         )
     if args.method == "oracle":
-        value = _oracle_count(spec)
+        value = count_ids(build_chain(spec).graph)
     elif args.method == "formula":
         value = defect_formula_value(family, spec.m, spec.n)
         _warn_if_defect_erratum(family, spec.m, spec.n, value)
@@ -270,8 +271,7 @@ def _cmd_sequence(parser, args) -> int:
     family = Family(args.family)
     lengths = range(1, args.max_n + 1)
     if args.method == "oracle":
-        # refuse the chain before building it; its prefixes are the shorter ones
-        require_oracle_fit(ChainSpec(family, length=args.max_n))
+        # one pass over the longest chain: its prefixes are the shorter ones
         counts = [p.in_count + p.out_count for p in _oracle_profile(family, args.max_n)]
     else:
         counts = _route_counts(family, args, lengths, lambda gf: gf.series(args.max_n)[1:])

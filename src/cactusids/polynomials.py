@@ -12,7 +12,7 @@ remainders. Everything here is pure and safe to share across threads.
 
 from __future__ import annotations
 
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from math import gcd
 from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Sequence, Union
@@ -303,34 +303,27 @@ class RationalGF:
         Refuses, with ``ValueError``, a denominator whose constant term d0 is
         not 1: in canonical form that is exactly a GF whose series is not an
         integer sequence (Fatou 1906), and with d0 = 0 there is no power
-        series at all. From n = max(len P, deg Q) on, entry n is the sum of
-        c_i s_(n-i) over the nonzero c_i = -d_i: the tail is one
-        :func:`linear_combination` of iterators over the output itself, which
-        :func:`extend_exactly` appends in one C loop, at the big-int cost per
-        entry that the combination states.
+        series at all. Entry n is p_n plus the sum of c_i s_(n-i) over the
+        nonzero c_i = -d_i, with s_(n-i) = 0 for i > n: one
+        :func:`linear_combination` of iterators over the output itself, each
+        led by i zeros, which :func:`extend_exactly` appends in one C loop, at
+        the big-int cost per entry that the combination states. A negative
+        ``upto`` gives no coefficients.
         """
         d0 = self.denominator[0]
         if d0 != 1:
             raise ValueError(
                 f"denominator constant term is {d0}, not 1: no integer power series"
             )
-        num, den = self.numerator.coeffs, self.denominator.coeffs
-        # (i, c_i) per nonzero d_i, i >= 1: entry n adds c_i times out[n - i]
-        terms = [(i, -d) for i, d in enumerate(den) if i and d]
-        lead = max(len(num), len(den) - 1)
         out: list[int] = []
-        for n in range(min(lead, upto + 1)):
-            acc = num[n] if n < len(num) else 0
-            for i, c in terms:
-                if i > n:
-                    break
-                acc += c * out[n - i]
-            out.append(acc)
-        if upto < lead:
-            return out
-        # out[n - i] for n = lead, lead + 1, ...: each reader sees out grow
-        tail = linear_combination([(c, islice(out, lead - i, None)) for i, c in terms])
-        return extend_exactly(out, tail, upto + 1)
+        # s_(n-i) for n = 0, 1, ...: each reader sees out grow
+        recursion = linear_combination([
+            (-d, chain(repeat(0, i), out))
+            for i, d in enumerate(self.denominator.coeffs) if i and d
+        ])
+        # the numerator's map stops at its own end, before drawing from recursion
+        terms = chain(map(add, self.numerator.coeffs, recursion), recursion)
+        return extend_exactly(out, terms, max(upto + 1, 0))
 
 
 def linear_combination(pairs: Sequence[tuple[int, Iterator[int]]]) -> Iterator[int]:

@@ -43,7 +43,7 @@ from .chains import (
     expected_vertex_count,
 )
 from .genfunc import dominant_growth_rate
-from .graphs import _MIN, DEFAULT_MAX_VERTICES, BoundaryCounts, OracleLimitError
+from .graphs import _MIN, BoundaryCounts
 from .paper import (
     DEFECT_FORMULA,
     FAMILY_TITLE,
@@ -74,15 +74,15 @@ from .recurrences import (
 
 # The oracle judges every chain of at most AUDIT_CEILING vertices: triangle
 # chains through n = 12, squares through 8 and hexagons through 5. Any value
-# from 21 (hexagons through n = 4, hex-para's recurrence witness) to the cap
+# from 21 (hexagons through n = 4, hex-para's recurrence witness) to 40
 # gives the same verdicts, witnesses and values; 26 is the range the report
 # has always printed, and another would move only its "n = 1..k" texts.
 AUDIT_CEILING = 26
 # The transfer states reach n = 30 for every family, past every oracle length
-# (tri's longest is 19, at the 40-vertex cap) and every formal seed, judged at
-# n = order <= 4. A printed series is judged through 30 or through its degree
-# bound (see ``_check_series``), whichever is larger; for every real claim the
-# bound is at most 8.
+# (tri's longest is 19, at an AUDIT_CEILING of 40) and every formal seed,
+# judged at n = order <= 4. A printed series is judged through 30 or through
+# its degree bound (see ``_check_series``), whichever is larger; for every
+# real claim the bound is at most 8.
 SYMBOLIC_MAX = 30
 
 CONFIRMED = "confirmed"
@@ -261,24 +261,6 @@ def max_length_within(family: Family, ceiling_vertices: int) -> int:
     return (ceiling_vertices - 1) // per_block
 
 
-def _chain_name(spec: ChainSpec) -> str:
-    if spec.family in LINEAR_FAMILIES:
-        return f"length-{spec.length} {spec.family.value} chain"
-    return f"{spec.family.value} chain ({spec.m},{spec.n})"
-
-
-def require_oracle_fit(spec: ChainSpec) -> None:
-    """Refuse, before anything is built, a chain with more vertices than the
-    oracle's DEFAULT_MAX_VERTICES: the one check made before every oracle run
-    of the verifier and the CLI."""
-    vertices = expected_vertex_count(spec)
-    if vertices > DEFAULT_MAX_VERTICES:
-        raise OracleLimitError(
-            f"the {_chain_name(spec)} has {vertices} vertices, "
-            f"above the oracle ceiling {DEFAULT_MAX_VERTICES}"
-        )
-
-
 def oracle_count(family: Family, n: int) -> int:
     profile = _oracle_profile(family, n)[n - 1]
     return profile.in_count + profile.out_count
@@ -292,14 +274,14 @@ def _oracle_gamma(family: Family, n: int) -> tuple[int, ...]:
 
 def gamma_rows(family: Family, n_max: Optional[int] = None) -> list[tuple[int, int, int]]:
     """(n, formula value, oracle minimum) at lengths 1..n_max of a family with
-    a published domination-number formula, refused as by require_oracle_fit;
+    a published domination-number formula, all read in one pass over the
+    length-n_max chain, which is built at any length (the CLI caps it);
     n_max defaults to the lengths under AUDIT_CEILING, which the <f>-gamma
     claim is judged at."""
     if family not in GAMMA_FORMULA:
         raise ValueError(f"no gamma formula is published for {family.value}")
     if n_max is None:
         n_max = max_length_within(family, AUDIT_CEILING)
-    require_oracle_fit(ChainSpec(family, length=n_max))
     formula = GAMMA_FORMULA[family][0]
     return [(n, formula(n), gamma) for n, gamma in enumerate(_oracle_gamma(family, n_max), 1)]
 
@@ -675,10 +657,10 @@ def check_defect_formula(
 ) -> ClaimStatus:
     """Compare a defect family's composition formula against the oracle at
     (m, n). The oracle reads the arms 1..arms (default n, and at least n) of
-    the (m, *) chains in one pass, so one pass serves several n."""
+    the (m, *) chains in one pass, so one pass serves several n. The (m, arms)
+    chain is built at any length; the CLI caps m and n."""
     claim = defect_claim(family, m, n)
     arms = max(n, arms or n)
-    require_oracle_fit(ChainSpec(family, m=m, n=arms))
     formula = defect_formula_value(family, m, n)
     oracle = _oracle_defect_count(family, m, arms)[n - 1]
     point = ((m, n), formula, oracle, "oracle")

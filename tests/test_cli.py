@@ -19,7 +19,7 @@ from cactusids.chains import (
     to_json_dict,
 )
 from cactusids.cli import MAX_BUILD_LENGTH, MAX_LENGTH, MAX_SEQUENCE_LENGTH, main
-from cactusids.graphs import DEFAULT_MAX_VERTICES, count_ids
+from cactusids.graphs import count_ids
 from cactusids.paper import (
     GAMMA_FORMULA,
     defect_formula_value,
@@ -228,11 +228,15 @@ class TestCount:
         assert err.splitlines()[-1] == f"cactusids: error: {flag} must be at least 1"
 
     def test_resource_limit_exit_code(self, capsys):
+        # the oracle route builds its chain, so it takes build's cap
+        too_long = MAX_BUILD_LENGTH + 1
         code, out, err = run(
-            capsys, "count", "--family", "hex-para", "--n", "10", "--method", "oracle"
+            capsys, "count", "--family", "hex-para", "--n", str(too_long), "--method", "oracle"
         )
-        assert code == 2
-        assert "resource limit" in err
+        assert (code, out) == (2, "")
+        assert err == (
+            f"cactusids: resource limit: --n {too_long} is above the cap {MAX_BUILD_LENGTH}\n"
+        )
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_counts_beyond_the_int_text_limit_print_exactly(self, capsys, fmt):
@@ -262,32 +266,37 @@ class TestCount:
             assert "resource limit" in err and "above the cap" in err
 
     def test_oracle_refused_before_building(self, capsys, monkeypatch):
+        # every route that builds a chain is refused one past build's cap,
+        # whichever length flag carries it, before anything is built
         def no_build(spec):
-            raise AssertionError("chain built above the ceiling")
+            raise AssertionError("chain built above the cap")
 
         monkeypatch.setattr(cli, "build_chain", no_build)
         monkeypatch.setattr(paper, "build_chain", no_build)
+        too_long = str(MAX_BUILD_LENGTH + 1)
         for argv in (
-            ("count", "--family", "hex-para", "--n", str(MAX_LENGTH), "--method", "oracle"),
-            ("count", "--family", "p-defect", "--m", "500", "--n", "500",
+            ("count", "--family", "hex-para", "--n", too_long, "--method", "oracle"),
+            ("count", "--family", "p-defect", "--m", too_long, "--n", "1",
              "--method", "oracle"),
-            ("count", "--family", "tri", "--n", "20", "--method", "oracle"),
-            ("sequence", "--family", "tri", "--max-n", "30", "--method", "oracle"),
-            ("gamma", "--family", "tri", "--max-n", "20"),
-            ("defect", "--family", "p-defect", "--m", "6", "--n", "7"),
+            ("count", "--family", "s-defect", "--m", "1", "--n", too_long,
+             "--method", "oracle"),
+            ("sequence", "--family", "tri", "--max-n", too_long, "--method", "oracle"),
+            ("gamma", "--family", "tri", "--max-n", too_long),
+            ("defect", "--family", "p-defect", "--m", "6", "--n", too_long),
+            ("defect", "--family", "s-defect", "--m", too_long, "--n", "1"),
         ):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, ""), argv
-            assert "above the oracle ceiling 40" in err, argv
+            assert f"{too_long} is above the cap {MAX_BUILD_LENGTH}" in err, argv
 
     @pytest.mark.parametrize("argv", [
         ("gamma", "--family", "tri", "--max-n", "1000000000"),
         ("defect", "--family", "p-defect", "--m", "1000000000", "--n", "1"),
     ], ids=lambda argv: argv[0])
     def test_huge_lengths_are_refused_at_once(self, argv):
-        # the refusal reads the vertex count off the chain's runs of blocks;
-        # a child limited to 512 MB of address space fails, rather than
-        # swamping the machine, should it ever spell out 10^9 blocks
+        # the refusal is the length check made right after parsing; a child
+        # limited to 512 MB of address space fails, rather than swamping the
+        # machine, should it ever spell out 10^9 blocks
         import resource
 
         def limit_memory():
@@ -301,7 +310,7 @@ class TestCount:
         )
         elapsed = time.perf_counter() - start
         assert (result.returncode, result.stdout) == (2, ""), result.stderr
-        assert "above the oracle ceiling 40" in result.stderr
+        assert "is above the cap 2000" in result.stderr
         assert elapsed < 5, elapsed
 
     @pytest.mark.parametrize("family", LINEAR_FAMILIES, ids=lambda f: f.value)
@@ -630,7 +639,7 @@ def _differential_case(draw, command):
         return (argv, lambda out: [json.loads(out)[key] for key in ("num", "den")],
                 [list(gf.numerator.coeffs), list(gf.denominator.coeffs)])
     if command == "count-oracle":
-        spec, flags = _drawn_chain(draw, tuple(Family), DEFAULT_MAX_VERTICES)
+        spec, flags = _drawn_chain(draw, tuple(Family), 200)
         argv = ("count", "--family", spec.family.value, *flags, "--method", "oracle")
         return argv, int, count_ids(build_chain(spec).graph)
     if command == "count-formula":
@@ -641,14 +650,14 @@ def _differential_case(draw, command):
         return argv, int, defect_formula_value(family, m, n)
     if command == "gamma":
         family = draw(st.sampled_from(tuple(GAMMA_FORMULA)))
-        top = max_length_within(family, DEFAULT_MAX_VERTICES)
+        top = max_length_within(family, 200)
         max_n = draw(st.none() | st.integers(1, top))
         argv = ("gamma", "--family", family.value, "--format", "json")
         argv += () if max_n is None else ("--max-n", str(max_n))
         rows = [(n, f, o, f == o) for n, f, o in gamma_rows(family, max_n)]
         return argv, lambda out: [tuple(row.values()) for row in json.loads(out)["rows"]], rows
     if command == "defect":
-        spec, flags = _drawn_chain(draw, DEFECT_FAMILIES, DEFAULT_MAX_VERTICES)
+        spec, flags = _drawn_chain(draw, DEFECT_FAMILIES, 200)
         argv = ("defect", "--family", spec.family.value, *flags, "--format", "json")
         status = check_defect_formula(spec.family, spec.m, spec.n)
         return argv, json.loads, json.loads(json.dumps(status.to_json_dict()))

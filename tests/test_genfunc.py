@@ -393,6 +393,8 @@ class TestIntegerGrowthArithmetic:
     every field, float bit and message must agree."""
 
     @given(DRAWN_RECURRENCES)
+    # a(51)/a(50) = 0/-1, whose int true division alone gives -0.0
+    @example(LinearRecurrence((0, 0, 1), ((0, 0), (1, 0), (2, -1)), 3))
     @settings(max_examples=300, deadline=None)
     def test_drawn_recurrences_match_the_fraction_reference(self, rec):
         assert _outcome(dominant_growth_rate, rec) == _outcome(fraction_growth_rate, rec)

@@ -76,6 +76,14 @@ def states(engine, g: Graph, keep=None) -> tuple:
     )
 
 
+def padovan(n: int) -> int:
+    """Padovan's a(n) = a(n - 2) + a(n - 3), with a(1..3) = 1, 2, 2."""
+    a = [None, 1, 2, 2]
+    while len(a) <= n:
+        a.append(a[-2] + a[-3])
+    return a[n]
+
+
 def oracle_calls(g: Graph) -> list:
     """Each public oracle call on g, with the vertex it keeps."""
     return [
@@ -207,15 +215,28 @@ class TestCounting:
         assert independent_domination_number(C6) == 2
 
     def test_oracle_limit(self):
+        # the DP is bounded by its frontier width, not by the vertex count: the
+        # 41-vertex path keeps 2 vertices live and is counted, classified and
+        # minimised; only the listing, whose output grows exponentially with
+        # the vertices, is refused above the ceiling
         big = path_graph(41)
-        for call in (
-            lambda: count_ids(big),
-            lambda: count_boundary_classes(big, 0),
-            lambda: independent_domination_number(big),
-            lambda: enumerate_mis(big),
-        ):
-            with pytest.raises(OracleLimitError, match="above the oracle ceiling 40"):
-                call()
+        assert count_ids(big) == padovan(41)
+        assert sum(count_boundary_classes(big, 0)[:2]) == padovan(41)
+        assert independent_domination_number(big) == 14
+        with pytest.raises(OracleLimitError, match="41 vertices, above the oracle ceiling 40"):
+            enumerate_mis(big)
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 41, 1000, 3000])
+    def test_path_counts_are_padovan(self, n):
+        # a reference that needs no chain family: the path P_n has Padovan's
+        # a(n) maximal independent sets, and the least of them has ceil(n/3)
+        # vertices; the literal scan confirms both for n <= 12
+        g = path_graph(n)
+        assert count_ids(g) == padovan(n)
+        assert independent_domination_number(g) == -(-n // 3)
+        if n <= 12:
+            count, least, _ = states(graphs_module._scan_counts, g)
+            assert (count[(0, 0)], least[(0, 0)]) == (padovan(n), -(-n // 3))
 
     def test_strategies_agree(self):
         # the public functions against the literal definition
@@ -464,15 +485,18 @@ class TestFrontierDP:
                 assert graphs_module._checked_retire(g, keep) == retire
 
     def test_vertex_cap_before_any_mask_walk(self, monkeypatch):
+        # the listing alone is bounded by the vertex count, and refuses before
+        # any retire mask is built; the width check and the counts are not
         def no_walk(*args):
             raise AssertionError("retire masks built above the vertex cap")
 
-        monkeypatch.setattr(graphs_module, "_retire_masks", no_walk)
         big = Graph.from_edges(DEFAULT_MAX_VERTICES + 1, [])
-        calls = [call for _, call in oracle_calls(big)]
-        for call in [lambda: graphs_module._checked_retire(big), *calls]:
-            with pytest.raises(OracleLimitError, match="above the oracle ceiling 40"):
-                call()
+        with monkeypatch.context() as patched:
+            patched.setattr(graphs_module, "_retire_masks", no_walk)
+            with pytest.raises(OracleLimitError, match="41 vertices, above the oracle ceiling"):
+                enumerate_mis(big)
+        assert graphs_module._checked_retire(big) == graphs_module._retire_masks(big, None)
+        assert count_ids(big) == 1 and independent_domination_number(big) == 41
 
     def test_one_mask_walk_per_call(self, monkeypatch):
         # the width check and the DP read one list of retire masks

@@ -22,7 +22,8 @@ from cactusids import ChainSpec, Family, build_chain, cli, enumerate_mis
 LINEAR = ("tri", "sq-para", "sq-ortho", "hex-ortho", "hex-meta", "hex-para")
 DEFECT = ("p-defect", "s-defect")
 ALL = LINEAR + DEFECT
-# each linear family's longest chain under the oracle's 40-vertex cap
+# each linear family's longest chain of at most 40 vertices, the most that
+# enumerate_mis lists, and once the ceiling of every oracle call
 AT_THE_CAP = tuple(zip(LINEAR, ("19", "13", "13", "7", "7", "7")))
 EMPTY = hashlib.sha256(b"").hexdigest()
 
@@ -51,6 +52,19 @@ def _defect_points(family):
             for m in ("1", "2") for n in ("1", "2") for fmt in ("table", "json")]
 
 
+def _oracle_routes(length):
+    """Every route that builds a chain, one argv group each, at one length:
+    count by oracle (a defect chain with m = 1), sequence by oracle, gamma,
+    and defect (m = 1)."""
+    return [
+        [["count", "--family", f, *_arms(f, "1"), "--n", length, "--method", "oracle"]
+         for f in ALL],
+        [["sequence", "--family", f, "--max-n", length, "--method", "oracle"] for f in LINEAR],
+        [["gamma", "--family", f, "--max-n", length] for f in ("tri", "hex-ortho", "hex-meta")],
+        [["defect", "--family", f, "--m", "1", "--n", length] for f in DEFECT],
+    ]
+
+
 def _all_terms(families, *method):
     return [["sequence", "--family", f, "--max-n", "2000", "--method", *method]
             for f in families]
@@ -64,13 +78,26 @@ ROWS = [
      "23489da56825ca555258eb1a6a0b608e4bacba31aa75e205edb60da64156c8c9", EMPTY),
     ([["verify", "--oracle-max", "16"]], 1, EMPTY, None),
     ([["verify", "--symbolic-max", "3"]], 1, EMPTY, None),
-    # every oracle route runs up to the DP's 40-vertex cap and refuses past it
+    # count and sequence by oracle on the longest chains of at most 40 vertices
     ([["count", "--family", f, "--n", n, "--method", "oracle"] for f, n in AT_THE_CAP], 0,
      "37a94b757ef4bbaca1bd835b3124889926061884f0a9be5a66b5f4175667f1b0", EMPTY),
     ([["sequence", "--family", f, "--max-n", n, "--method", "oracle"] for f, n in AT_THE_CAP],
      0, "ef23fc55208bc4c1b42c839e8b8621ce12724969e622c9a980ffbda32f4948ad", EMPTY),
-    ([["count", "--family", "tri", "--n", "20", "--method", "oracle"]], 2, EMPTY,
-     "7bf1f2f28db0e86956195f947d28a9019b8bb0995fd0e64ef4acaccc534b69bf"),
+    # every route that builds a chain runs at MAX_BUILD_LENGTH (2000) and is
+    # refused one past it; the oracle's prefixes at 2000 print the derived
+    # GFs' (the "every derived GF at the cap" row below has the same digest)
+    *[(argvs, 0, out, EMPTY) for argvs, out in zip(_oracle_routes("2000"), (
+        "fc5b2bb70fefd3129d1d6366bf4a74202413bd76b47c72c1277caaafed02da04",
+        "d689bb54bcc64d1fa6bb166c79c31ab3bb1cdfefd9543597392ad964d54d563a",
+        "e44b49008898784dda373bde5054b959103f8a18b8c091d6d6404df0d9e6f220",
+        "b5953230d975013b388fbc33ec5a05922f2a9a284878c838fd4d37a3c9d9c879",
+    ))],
+    *[(argvs, 2, EMPTY, err) for argvs, err in zip(_oracle_routes("2001"), (
+        "d8513624b5fe0a505d85e5b40aa231d9f278a84c5da728f0120e0539b8b297f5",
+        "6b4cb20b3418b670bbfb813c32398a68f233206ff4f52e617339f0c004e367c0",
+        "d5e01509bb52ad9588735655f7ce57944c3a98eba5ff697320316f4ec613c830",
+        "162f787830bd409f13b7406d79ca2c7754953fe63fd99a8f19a86a86a878a94c",
+    ))],
     # both defect formulas judged by the oracle on the 40-vertex (6, 6) chain,
     # and at every m, n <= 2 in both formats
     ([["defect", "--family", f, "--m", "6", "--n", "6", "--format", "json"]

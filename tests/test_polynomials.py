@@ -263,7 +263,7 @@ class TestRationalGF:
         st.lists(st.integers(-6, 6), min_size=1, max_size=5),
         st.sampled_from((1, 1, 0, 2, -3)),
         st.lists(st.integers(-6, 6), max_size=4),
-        st.integers(0, 40),
+        st.integers(-3, 40),
     )
     # d0 = 1 with a numerator longer than the prefix: ints only, no division
     @example([3, -1, 4, 1, -5, 9, -2, 6, 5, -3, 5, 8, -9, 7, 9, -3], 1, [-2, 0, 3, -2], 12)
@@ -272,11 +272,13 @@ class TestRationalGF:
     # 1 - x^3: prefixes that end before the first denominator term, and one past it
     @example([1], 1, [0, 0, -1], 0)
     @example([1], 1, [0, 0, -1], 2)
-    @example([1], 1, [0, 0, -1], 3)  # upto = lead, the first tail entry
-    @example([1], 1, [0, 0, -1], 4)  # and lead + 1
+    @example([1], 1, [0, 0, -1], 3)  # upto = deg Q: the x^3 reader first passes its zeros
+    @example([1], 1, [0, 0, -1], 4)  # and deg Q + 1
     @example([1], 1, [0, 0, -1], 12)
     @example([2, 1], 1, [1, -1], 12)  # 1 + x - x^2: a first coefficient -1, then +1
     @example([3, -1, 4, 1, -5], 1, [], 12)  # denominator 1: the numerator, then zeros
+    @example([2, 1], 1, [1, -1], -1)  # a negative upto: no coefficients
+    @example([2, 1], 1, [1, -1], -2)
     @settings(max_examples=150, deadline=None)
     def test_series_matches_fraction_reference(self, cn, c0, tail, upto):
         den = Polynomial([c0, *tail])

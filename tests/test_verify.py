@@ -5,6 +5,7 @@ from contextlib import contextmanager
 import pytest
 
 from cactusids import paper, recurrences, verify
+from cactusids.cli import MAX_BUILD_LENGTH
 from cactusids.chains import (
     DEFECT_FAMILIES,
     ChainSpec,
@@ -13,7 +14,7 @@ from cactusids.chains import (
     build_chain,
     expected_vertex_count,
 )
-from cactusids.graphs import DEFAULT_MAX_VERTICES, OracleLimitError, count_ids
+from cactusids.graphs import DEFAULT_MAX_VERTICES, count_ids
 from cactusids.paper import (
     GAMMA_FORMULA,
     defect_formula_value,
@@ -21,7 +22,12 @@ from cactusids.paper import (
     derived_state_gfs,
 )
 from cactusids.polynomials import RationalGF
-from cactusids.recurrences import LinearRecurrence, TransferSystem, state_trajectory
+from cactusids.recurrences import (
+    LinearRecurrence,
+    TransferSystem,
+    run_transfer,
+    state_trajectory,
+)
 from cactusids.verify import (
     DEFECT_GRID,
     VerificationReport,
@@ -32,10 +38,8 @@ from cactusids.verify import (
     errata_report,
     gamma_rows,
     max_length_within,
-    oracle_count,
     render_recurrence,
     render_system,
-    require_oracle_fit,
     verify_all,
 )
 from reference import all_claims
@@ -161,7 +165,7 @@ class TestCrossCheckFamily:
         assert small["tri-gf"].witness == large["tri-gf"].witness == 1
 
     def test_every_oracle_range_from_21_to_the_cap_judges_alike(self, full_run, monkeypatch):
-        # the README's claim: any AUDIT_CEILING from 21 vertices to the cap
+        # the README's claim: any AUDIT_CEILING from 21 vertices to 40
         # gives every claim the verdict and values it has at 26; only the
         # details, which name the lengths checked, may move
         def judged(reports):
@@ -185,17 +189,21 @@ class TestCrossCheckFamily:
             cross_check_family(Family.PARA_CHAIN_ORTHO_DEFECT)
 
     def test_corrected_gfs_match_oracle_everywhere(self):
-        # the derived GFs' premise, put to the oracle at every length under the
-        # DP cap: the count, and coefficient n - 1 of each state series as that
-        # boundary class at length n; tri's absent extendable class must be 0
+        # the derived GFs' premise, that series read from n = 1..6 hold at
+        # every length, put to the graph at every n up to the CLI's build cap
+        # in one prefix pass per family: the count, and coefficient n - 1 of
+        # each state series as that boundary class at length n; tri's absent
+        # extendable class must be 0
+        limit = MAX_BUILD_LENGTH
         for family in LINEAR_FAMILIES:
-            limit = max_length_within(family, DEFAULT_MAX_VERTICES)
+            profile = paper._prefix_reads(ChainSpec(family, length=limit))
             series = derived_gf(family).series(limit)
             states = [gf.series(limit - 1) for gf in derived_state_gfs(family)]
-            for n in range(1, limit + 1):
-                assert series[n] == oracle_count(family, n)
-                classes = tuple(s[n - 1] for s in states) + (0,) * (3 - len(states))
-                assert tuple(verify._oracle_profile(family, limit)[n - 1]) == classes
+            for n, classes in enumerate(profile, 1):
+                assert series[n] == classes.in_count + classes.out_count, (family, n)
+                derived = tuple(s[n - 1] for s in states) + (0,) * (3 - len(states))
+                assert tuple(classes) == derived, (family, n)
+            assert n == limit
 
 
 class TestGamma:
@@ -293,10 +301,15 @@ class TestDefects:
             defect_formula_value(family, 1, 1)
 
     def test_ceiling(self):
-        # the (6,7) chain has 3(6 + 7 + 1) + 1 = 43 vertices
-        assert DEFAULT_MAX_VERTICES == 40
-        with pytest.raises(OracleLimitError, match="43 vertices, above the oracle ceiling 40"):
-            check_defect_formula(Family.ORTHO_CHAIN_PARA_DEFECT, 6, 7)
+        # no vertex ceiling: the (6,7) chain has 3(6 + 7 + 1) + 1 = 43
+        # vertices, above the 40 the listing alone is bounded by, and is judged
+        # on the built graph, whose count the corrected formula gives
+        spec = ChainSpec(Family.ORTHO_CHAIN_PARA_DEFECT, m=6, n=7)
+        assert expected_vertex_count(spec) == 43 > DEFAULT_MAX_VERTICES == 40
+        status = check_defect_formula(Family.ORTHO_CHAIN_PARA_DEFECT, 6, 7)
+        assert status.verdict == "refuted"
+        assert status.oracle_value == count_ids(build_chain(spec).graph)
+        assert status.oracle_value == verify.corrected_para_defect_value(6, 7)
 
 
 def _spec_at(family, k):
@@ -310,24 +323,23 @@ def _spec_at(family, k):
     "family", LINEAR_FAMILIES + DEFECT_FAMILIES, ids=lambda f: f.value
 )
 def test_oracle_fit_is_the_dp_cap(family):
-    # the longest chain require_oracle_fit lets through is built with the
-    # vertices it expects and counted by the DP; one block more is refused
+    # the DP's one bound is its frontier width, not the vertex count: the
+    # chain a block longer than the longest of at most 40 vertices is built
+    # with the vertices it expects and counted as the transfer route (or, for
+    # a defect chain, the corrected formula) counts it
     k = max(k for k in range(1, 41) if expected_vertex_count(_spec_at(family, k)) <= 40)
     if family in LINEAR_FAMILIES:
         assert k == max_length_within(family, DEFAULT_MAX_VERTICES)
-    spec = _spec_at(family, k)
-    require_oracle_fit(spec)
-    chain = build_chain(spec)
-    assert chain.graph.n_vertices == expected_vertex_count(spec) <= DEFAULT_MAX_VERTICES
-    assert count_ids(chain.graph) > 0
+        expected = run_transfer(paper.paper_transfer_system(family), k + 1)
+    elif family is Family.PARA_CHAIN_ORTHO_DEFECT:
+        expected = defect_formula_value(family, k + 1, 1)
+    else:
+        expected = verify.corrected_para_defect_value(k + 1, 1)
     longer = _spec_at(family, k + 1)
-    with pytest.raises(
-        OracleLimitError,
-        match=f"has {expected_vertex_count(longer)} vertices, above the oracle ceiling 40",
-    ):
-        require_oracle_fit(longer)
-    with pytest.raises(OracleLimitError):
-        count_ids(build_chain(longer).graph)
+    assert expected_vertex_count(longer) > DEFAULT_MAX_VERTICES
+    chain = build_chain(longer)
+    assert chain.graph.n_vertices == expected_vertex_count(longer)
+    assert count_ids(chain.graph) == expected
 
 
 def _records():
