@@ -272,7 +272,7 @@ def _cmd_sequence(parser, args) -> int:
     lengths = range(1, args.max_n + 1)
     if args.method == "oracle":
         # one pass over the longest chain: its prefixes are the shorter ones
-        counts = [p.in_count + p.out_count for p in _oracle_profile(family, args.max_n)]
+        counts = [p.count for p in _oracle_profile(family, args.max_n)]
     else:
         counts = _route_counts(family, args, lengths, lambda gf: gf.series(args.max_n)[1:])
     if args.format == "json":

@@ -79,9 +79,6 @@ class Graph(NamedTuple):
     def full_mask(self) -> int:
         return (1 << self.n_vertices) - 1
 
-    def degree(self, v: int) -> int:
-        return self.adjacency[v].bit_count()
-
     def edges(self) -> list[tuple[int, int]]:
         """Every edge once, as (u, v) with u < v, in ascending order."""
         out = []
@@ -99,6 +96,11 @@ class BoundaryCounts(NamedTuple):
     in_count: int          # maximal independent sets containing v
     out_count: int         # maximal independent sets avoiding v
     extendable_count: int  # independent sets dominating exactly V minus v, v excluded
+
+    @property
+    def count(self) -> int:
+        """The maximal independent sets: those containing v plus those avoiding it."""
+        return self.in_count + self.out_count
 
 
 def _retire_masks(g: Graph, keep: int | None) -> list[int]:
@@ -296,9 +298,9 @@ def _checked_retire(g: Graph, keep: int | None = None) -> list[int]:
     return retire
 
 
-def _oracle_states(g: Graph, keep: int | None = None, mode: tuple = _COUNT) -> dict:
+def _oracle_states(g: Graph, mode: tuple = _COUNT) -> dict:
     """The final states of g from the DP, within the oracle's limits."""
-    return _dp_states(g, _checked_retire(g, keep), mode)
+    return _dp_states(g, _checked_retire(g), mode)
 
 
 def enumerate_mis(g: Graph) -> Iterator[int]:
@@ -342,7 +344,7 @@ def independent_domination_number(g: Graph) -> int:
     """Minimum cardinality over all maximal independent sets."""
     if g.n_vertices == 0:
         raise ValueError("empty graph has no dominating set")
-    return _oracle_states(g, mode=_MIN)[(0, 0)]
+    return _oracle_states(g, _MIN)[(0, 0)]
 
 
 def count_boundary_classes(g: Graph, v: int) -> BoundaryCounts:

@@ -16,6 +16,11 @@ built chains of lengths 1..6, all read in one prefix pass over the length-6
 chain, reading no transcription; and the defect
 formulas, whose far terms ``recurrences.gf_term`` reads off the square
 chains' derived series.
+
+The oracle's cached reads of a chain family live here too, so one module
+picks the chain, its cuts and the DP's mode: the classes (``_oracle_profile``)
+and minima (``_oracle_gamma``) at lengths 1..n in one pass over the length-n
+chain, and one built defect chain's count (``_oracle_defect_count``).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .chains import ChainSpec, Family, LINEAR_FAMILIES, build_chain
-from .graphs import _COUNT, BoundaryCounts, _prefix_classes
+from .graphs import _COUNT, _MIN, BoundaryCounts, _prefix_classes, count_ids
 from .polynomials import Polynomial, RationalGF
 from .recurrences import (
     LinearRecurrence, TransferSystem, gf_term, recurrence_from_gf, series_gf,
@@ -81,6 +86,18 @@ def _oracle_profile(family: Family, n: int) -> tuple[BoundaryCounts, ...]:
     """Boundary classes at the terminal vertex of the chains of lengths 1..n,
     read in one pass over the length-n chain; the one cache."""
     return tuple(_prefix_reads(ChainSpec(family, length=n)))
+
+
+@lru_cache(maxsize=None)
+def _oracle_gamma(family: Family, n: int) -> tuple[int, ...]:
+    """The oracle minimum at lengths 1..n, read in one pass over the length-n chain."""
+    return tuple(_prefix_reads(ChainSpec(family, length=n), _MIN))
+
+
+@lru_cache(maxsize=None)
+def _oracle_defect_count(family: Family, m: int, n: int) -> int:
+    """The oracle's count of the built (m, n) chain of a defect family."""
+    return count_ids(build_chain(ChainSpec(family, m=m, n=n)).graph)
 
 
 @lru_cache(maxsize=None)
@@ -249,7 +266,7 @@ def derived_gf(family: Family) -> RationalGF:
     Physical convention: coefficient n is the count at length n >= 1 and
     coefficient 0 is zero.
     """
-    counts = [sum(profile[:2]) for profile in _oracle_profile(family, _DERIVED_MAX)]
+    counts = [profile.count for profile in _oracle_profile(family, _DERIVED_MAX)]
     return series_gf(counts, 1)
 
 

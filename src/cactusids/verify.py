@@ -7,7 +7,9 @@ Fibonacci asymptotic) is registered as a claim with a stable id, and judged
 at each length against the most trusted source there: the brute-force
 oracle through the fixed ``AUDIT_CEILING``, the transfer system beyond it
 through ``SYMBOLIC_MAX`` (further for a printed series whose degree needs
-it), so a verdict depends only on the claim.
+it), so a verdict depends only on the claim. The oracle's values come from
+``paper``'s cached reads of the built chains: one prefix pass per family for
+the counts, classes and minima, one chain per defect point.
 Every mismatch is reported with its smallest witness; nothing is silently
 reconciled.
 
@@ -43,15 +45,16 @@ from .chains import (
     expected_vertex_count,
 )
 from .genfunc import dominant_growth_rate
-from .graphs import _MIN, BoundaryCounts
+from .graphs import BoundaryCounts
 from .paper import (
     DEFECT_FORMULA,
     FAMILY_TITLE,
     GAMMA_FORMULA,
     PRINTED_STATEMENTS,
     STATE_CONTAINS,
+    _oracle_defect_count,
+    _oracle_gamma,
     _oracle_profile,
-    _prefix_reads,
     defect_formula_value,
     derived_gf,
     derived_recurrence,
@@ -261,17 +264,6 @@ def max_length_within(family: Family, ceiling_vertices: int) -> int:
     return (ceiling_vertices - 1) // per_block
 
 
-def oracle_count(family: Family, n: int) -> int:
-    profile = _oracle_profile(family, n)[n - 1]
-    return profile.in_count + profile.out_count
-
-
-@lru_cache(maxsize=None)
-def _oracle_gamma(family: Family, n: int) -> tuple[int, ...]:
-    """The oracle minimum at lengths 1..n, read in one pass over the length-n chain."""
-    return tuple(_prefix_reads(ChainSpec(family, length=n), _MIN))
-
-
 def gamma_rows(family: Family, n_max: Optional[int] = None) -> list[tuple[int, int, int]]:
     """(n, formula value, oracle minimum) at lengths 1..n_max of a family with
     a published domination-number formula, all read in one pass over the
@@ -284,15 +276,6 @@ def gamma_rows(family: Family, n_max: Optional[int] = None) -> list[tuple[int, i
         n_max = max_length_within(family, AUDIT_CEILING)
     formula = GAMMA_FORMULA[family][0]
     return [(n, formula(n), gamma) for n, gamma in enumerate(_oracle_gamma(family, n_max), 1)]
-
-
-@lru_cache(maxsize=None)
-def _oracle_defect_count(family: Family, m: int, n: int) -> tuple[int, ...]:
-    """The oracle's counts of the (m, 1..n) chains, read in one pass over the
-    (m, n) chain, after its blocks m + 2..m + n + 1: the count is the sets
-    containing the kept terminal vertex plus those avoiding it."""
-    arms = _prefix_reads(ChainSpec(family, m=m, n=n))[m + 1:]
-    return tuple(profile.in_count + profile.out_count for profile in arms)
 
 
 # -- the first-mismatch loop and the one verdict constructor -------------------
@@ -363,9 +346,7 @@ class _Context(NamedTuple):
         """The count at length n, or the count of one state, with its source."""
         if n <= self.n_max_oracle:
             profile = self.profile(n)
-            if state is None:
-                return profile.in_count + profile.out_count, "oracle"
-            return profile[state], "oracle"
+            return (profile.count if state is None else profile[state]), "oracle"
         vec = self.trajectory[n - 1]
         return (self.system.count(vec) if state is None else vec[state]), "transfer"
 
@@ -652,17 +633,12 @@ def corrected_para_defect_value(m: int, n: int) -> int:
     return defect_formula_value(Family.ORTHO_CHAIN_PARA_DEFECT, m, n) + contains_both
 
 
-def check_defect_formula(
-    family: Family, m: int, n: int, *, arms: Optional[int] = None
-) -> ClaimStatus:
-    """Compare a defect family's composition formula against the oracle at
-    (m, n). The oracle reads the arms 1..arms (default n, and at least n) of
-    the (m, *) chains in one pass, so one pass serves several n. The (m, arms)
-    chain is built at any length; the CLI caps m and n."""
+def check_defect_formula(family: Family, m: int, n: int) -> ClaimStatus:
+    """Compare a defect family's composition formula against the oracle's
+    count of the (m, n) chain, built at any length; the CLI caps m and n."""
     claim = defect_claim(family, m, n)
-    arms = max(n, arms or n)
     formula = defect_formula_value(family, m, n)
-    oracle = _oracle_defect_count(family, m, arms)[n - 1]
+    oracle = _oracle_defect_count(family, m, n)
     point = ((m, n), formula, oracle, "oracle")
     if formula == oracle:
         return ClaimStatus(claim, CONFIRMED, *point)
@@ -708,12 +684,10 @@ def _defect_correction(
 
 
 def check_defect_grid() -> VerificationReport:
-    """Both defect formulas at every DEFECT_GRID point; the oracle reads each
-    m's arms in one pass."""
-    arms = max(n for _, n in DEFECT_GRID)
+    """Both defect formulas at every DEFECT_GRID point, each counted on its
+    own chain."""
     statuses = [
-        check_defect_formula(family, m, n, arms=arms)
-        for family in DEFECT_FAMILIES for m, n in DEFECT_GRID
+        check_defect_formula(family, m, n) for family in DEFECT_FAMILIES for m, n in DEFECT_GRID
     ]
     return VerificationReport(scope="defects", statuses=statuses)
 

@@ -3,8 +3,9 @@
 None of these is reachable from the package: the oracle runs only the
 frontier DP, and no command checks isomorphism or the cactus property.
 
-* ``path_graph``, ``cycle_graph``, ``complete_graph`` and ``n_edges`` -
-  small named graphs to count on, and the edge count of a graph;
+* ``path_graph``, ``cycle_graph``, ``complete_graph``, ``n_edges`` and
+  ``degree`` - small named graphs to count on, and the edge count of a graph
+  and the degree of its vertex;
 * ``vertex_set``, ``vertices_of``, ``closed_neighborhood``,
   ``is_independent`` and ``is_independent_dominating`` - bitmask vertex
   sets and the definition of an independent dominating set, checked one
@@ -59,6 +60,10 @@ def complete_graph(n: int) -> Graph:
 
 def n_edges(g: Graph) -> int:
     return sum(a.bit_count() for a in g.adjacency) // 2
+
+
+def degree(g: Graph, v: int) -> int:
+    return g.adjacency[v].bit_count()
 
 
 def vertex_set(vertices: Iterable[int]) -> int:
@@ -214,8 +219,8 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
     if g1.n_vertices != g2.n_vertices:
         return False
     n = g1.n_vertices
-    deg1 = [g1.degree(v) for v in range(n)]
-    deg2 = [g2.degree(v) for v in range(n)]
+    deg1 = [degree(g1, v) for v in range(n)]
+    deg2 = [degree(g2, v) for v in range(n)]
     if sorted(deg1) != sorted(deg2):
         return False
 

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cactusids import graphs as graphs_module, paper, verify
+from cactusids import graphs as graphs_module, paper
 from cactusids.chains import (
     DEFECT_FAMILIES,
     LINEAR_FAMILIES,
@@ -315,6 +315,7 @@ class TestBoundaryClasses:
         v = 0
         counts = count_boundary_classes(g, v)
         assert counts.in_count + counts.out_count == count_ids(g)
+        assert counts.count == count_ids(g)
 
     def test_extendable_definition(self):
         # brute-force the definition directly on C6
@@ -538,12 +539,14 @@ class TestPrefixPass:
 
     @pytest.mark.parametrize("family", DEFECT_FAMILIES, ids=lambda f: f.value)
     def test_every_defect_arm_equals_the_per_chain_oracle(self, family):
-        # the (m, 12 - m) chains have 40 vertices; the count at each arm n is
-        # the sets containing the kept terminal vertex plus those avoiding it
+        # the (m, 12 - m) chains have 40 vertices; its blocks m + 2..m + n + 1
+        # end the (m, n) chains, whose count is the sets containing the kept
+        # terminal vertex plus those avoiding it
         for m in range(1, 12):
             chains = (build_chain(ChainSpec(family, m=m, n=n)) for n in range(1, 13 - m))
             counts = tuple(count_ids(chain.graph) for chain in chains)
-            assert verify._oracle_defect_count(family, m, 12 - m) == counts, m
+            arms = paper._prefix_reads(ChainSpec(family, m=m, n=12 - m))[m + 1:]
+            assert tuple(profile.count for profile in arms) == counts, m
 
 
 def pivot_listing(g: Graph) -> list[int]:

@@ -369,6 +369,10 @@ class TestHankelLastStep:
         info = paper._oracle_profile.cache_info()
         assert info.hits > 0
         assert info.misses == info.currsize
+        for cache in (paper._oracle_gamma, paper._oracle_defect_count):
+            info = cache.cache_info()
+            assert info.currsize > 0, cache
+            assert info.misses == info.currsize, cache
 
 
 def _clear_package_caches():
