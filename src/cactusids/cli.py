@@ -1,21 +1,20 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 resource limit (a length above
-MAX_BUILD_LENGTH on a route that builds a chain: ``build``, ``gamma``,
-``defect`` and ``--method oracle``; else a ``count --n``/``--m`` above
-MAX_LENGTH or a ``sequence --max-n`` above MAX_SEQUENCE_LENGTH; or a graph
-wider than the oracle's frontier limit, which no chain is), 3 when
-``verify`` finds refuted claims (so CI can gate on consistency), 141 (128 +
-SIGPIPE) when the reader closes stdout early, as ``| head`` does. Every
-``--m``, ``--n`` and ``--max-n`` is checked in one place, right after
-parsing: below 1 is a usage error, above its route's cap a resource limit.
-The same check refuses ``--gf-source paper`` with any method but gf as a
-usage error. Every linear-family route but the oracle reads one generating
-function: ``count`` its term n, ``sequence`` its prefix, and ``gf`` prints
-it. ``verify`` takes no scope option: the oracle judges every
-chain under the fixed ``verify.AUDIT_CEILING``. Output is deterministic:
-identical invocations produce byte-identical output, and every count is
-printed exactly, however many digits it has.
+Exit codes: 0 success, 1 usage error, 2 resource limit (a length above its
+route's cap: MAX_LENGTH for ``count --n``/``--m`` on a closed-form route,
+MAX_BUILD_LENGTH for every other length; or a graph wider than the oracle's
+frontier limit, which no chain is), 3 when ``verify`` finds refuted claims
+(so CI can gate on consistency), 141 (128 + SIGPIPE) when the reader closes
+stdout early, as ``| head`` does. Every ``--m``, ``--n`` and ``--max-n`` is
+checked in one place, right after parsing: below 1 is a usage error, above
+its route's cap a resource limit. The same check refuses ``--gf-source
+paper`` with any method but gf as a usage error. Every linear-family route
+but the oracle reads one generating function: ``count`` its term n,
+``sequence`` its prefix, and ``gf`` prints it. ``verify`` takes no scope
+option: the oracle judges every chain under the fixed
+``verify.AUDIT_CEILING``. Output is deterministic: identical invocations
+produce byte-identical output, and every count is printed exactly, however
+many digits it has.
 """
 
 from __future__ import annotations
@@ -57,29 +56,25 @@ from .verify import (
     verify_all,
 )
 
-# Largest --n (and --m) that ``count`` accepts. Every count route other than
-# the oracle takes O(log n) polynomial squarings. At n = 10^5 a count has up to
-# about 62k digits, and computing plus printing hex-para's took 0.08 s by
-# transfer and 0.16 s by recurrence (which also runs the transfer as its
-# errata check and prints its value in the warning), in-process on Python
-# 3.11.7 and a 2-CPU machine; the count itself took 0.010 s, the rest is
-# decimal conversion. At 10^6 the transfer took 0.40 s and the decimal
-# conversion of its 611k digits 5.4 s.
+# Largest --n (and --m) of ``count``'s closed-form routes, every route but
+# the oracle, each of which takes O(log n) polynomial squarings. At n = 10^5
+# a count has up to about 62k digits, and computing plus printing
+# hex-para's took 0.08 s by transfer and 0.16 s by recurrence (which also
+# runs the transfer as its errata check and prints its value in the
+# warning), in-process on Python 3.11.7 and a 2-CPU machine; the count itself
+# took 0.010 s, the rest is decimal conversion. At 10^6 the transfer took
+# 0.40 s and the decimal conversion of its 611k digits 5.4 s.
 MAX_LENGTH = 100_000
-# Largest ``sequence --max-n``. It keeps every count up to that length:
-# hex-para prints 1.2 MB at 2000, in about 18 ms in-process (Python 3.11.7,
-# 2-CPU machine), of which about 14 ms is decimal conversion and 0.8 ms the
-# series.
-MAX_SEQUENCE_LENGTH = 2_000
-# Largest --n, --m and --max-n of every route that builds a chain: ``build``,
-# ``gamma``, ``defect`` and the oracle route of ``count`` and ``sequence``. The
-# bitset graph keeps one int per vertex as wide as its highest neighbour id,
-# so memory grows as n^2: ``build`` of hex-para peaked at 31, 38 and 61 MB
-# RSS at n = 1000, 2000 and 4000. The oracle's work per vertex is bounded by
-# ``graphs.DP_MAX_WIDTH``, and every oracle route at 2000 takes well under a
-# second.
+# Largest length of every other route: ``count``'s oracle, ``sequence``,
+# ``build``, ``gamma`` and ``defect``. A route that builds a chain keeps one
+# int per vertex as wide as its highest neighbour id, so memory grows as n^2:
+# ``build`` of hex-para peaked at 31, 38 and 61 MB RSS at n = 1000, 2000 and
+# 4000; the oracle's work per vertex is bounded by ``graphs.DP_MAX_WIDTH``,
+# and every oracle route at 2000 takes well under a second. ``sequence``
+# prints the decimal text of every count up to its length: hex-para's is
+# 1.2 MB at 2000, in about 18 ms in-process, of which about 14 ms is decimal
+# conversion and 0.8 ms the series (Python 3.11.7, 2-CPU machine).
 MAX_BUILD_LENGTH = 2_000
-_LENGTH_CAPS = {"count": MAX_LENGTH, "sequence": MAX_SEQUENCE_LENGTH}
 
 
 class LengthLimitError(RuntimeError):
@@ -162,25 +157,10 @@ def _parse_spec(parser, args) -> ChainSpec:
     return ChainSpec(family, m=m, n=args.n)
 
 
-def _warn_of_erratum(family: Family, method: str, value: str, n: int, expected: int) -> None:
-    claim = f"{family.value}-recurrence" if method == "recurrence" else f"{family.value}-gf"
+def _warn_of_erratum(method: str, value, reference: str, claim_id: str) -> None:
     print(
-        f"warning: {method} value {value} differs from the transfer system "
-        f"value {expected} at n = {n}; the printed statement is a known "
-        f"erratum (claim {claim})",
-        file=sys.stderr,
-    )
-
-
-def _warn_if_defect_erratum(family: Family, m: int, n: int, value: int) -> None:
-    if family is not Family.ORTHO_CHAIN_PARA_DEFECT:
-        return
-    corrected = corrected_para_defect_value(m, n)
-    print(
-        f"warning: formula value {value} differs from the corrected value "
-        f"{corrected}, which adds the sets containing both cut vertices of the "
-        f"defect square; the printed statement is a known erratum "
-        f"(claim {defect_claim(family, m, n).id})",
+        f"warning: {method} value {value} differs from {reference}; the printed "
+        f"statement is a known erratum (claim {claim_id})",
         file=sys.stderr,
     )
 
@@ -194,8 +174,8 @@ def _print_json(doc: dict) -> None:
 def _refuse_bad_args(parser, args) -> None:
     """``--gf-source paper`` with a method other than gf, which would not read
     it, is a usage error. Every length flag: below 1 a usage error, above its
-    route's cap a resource limit. A command without ``--method`` builds its
-    chain (``gf`` and ``verify`` take no length), as does the oracle method."""
+    route's cap a resource limit: MAX_LENGTH for ``count``'s closed-form
+    routes, MAX_BUILD_LENGTH for every other."""
     if getattr(args, "gf_source", None) == "paper" and args.method != "gf":
         parser.error(f"--gf-source paper applies only to --method gf, not {args.method}")
     lengths = [(flag, getattr(args, flag[2:].replace("-", "_"), None))
@@ -204,36 +184,42 @@ def _refuse_bad_args(parser, args) -> None:
     for flag, value in lengths:
         if value < 1:
             parser.error(f"{flag} must be at least 1")
-    method = getattr(args, "method", "oracle")
-    cap = MAX_BUILD_LENGTH if method == "oracle" else _LENGTH_CAPS[args.command]
+    closed_form = args.command == "count" and args.method != "oracle"
+    cap = MAX_LENGTH if closed_form else MAX_BUILD_LENGTH
     for flag, value in lengths:
         if value > cap:
             raise LengthLimitError(f"{flag} {value} is above the cap {cap}")
 
 
-def _route_gf(family: Family, method: str, gf_source: str) -> RationalGF:
-    """The generating function a linear route reads: coefficient n is the
-    count at length n (a printed recurrence's formal a(0) is coefficient 0)."""
+def _route_gf(family: Family, method: str, gf_source: str) -> tuple[RationalGF, Optional[str]]:
+    """The generating function a linear route reads, whose coefficient n is
+    the count at length n (a printed recurrence's formal a(0) is coefficient
+    0), and the id of the printed claim it reads, which may be an erratum, or
+    None when the route reads no printed claim."""
     if method == "transfer":
-        return transfer_gf(paper_transfer_system(family))
+        return transfer_gf(paper_transfer_system(family)), None
     if method == "recurrence":
-        return gf_from_recurrence(paper_recurrence(family))
-    return paper_gf(family) if gf_source == "paper" else derived_gf(family)
+        return gf_from_recurrence(paper_recurrence(family)), f"{family.value}-recurrence"
+    if gf_source == "paper":
+        return paper_gf(family), f"{family.value}-gf"
+    return derived_gf(family), None
 
 
 def _route_counts(family: Family, args, lengths, read) -> list:
     """The counts at ``lengths`` that ``read`` takes from the route's GF: ints
     for JSON output, else their decimal text, converted once (a far count's
-    conversion costs more than the count). A route that reads a published
-    statement, which may be an erratum, warns at each length where it differs
-    from the transfer GF, read the same way."""
-    counts = read(_route_gf(family, args.method, args.gf_source))
+    conversion costs more than the count). A route that reads a printed
+    claim warns at each length where it differs from the transfer GF, read
+    the same way."""
+    gf, claim_id = _route_gf(family, args.method, args.gf_source)
+    counts = read(gf)
     shown = counts if args.format == "json" else [str(c) for c in counts]
-    if args.method == "recurrence" or args.gf_source == "paper":
-        reference = read(_route_gf(family, "transfer", args.gf_source))
+    if claim_id is not None:
+        reference = read(_route_gf(family, "transfer", args.gf_source)[0])
         for n, value, text, expected in zip(lengths, counts, shown, reference):
             if value != expected:
-                _warn_of_erratum(family, args.method, text, n, expected)
+                reference_text = f"the transfer system value {expected} at n = {n}"
+                _warn_of_erratum(args.method, text, reference_text, claim_id)
     return shown
 
 
@@ -250,7 +236,14 @@ def _cmd_count(parser, args) -> int:
         value = count_ids(build_chain(spec).graph)
     elif args.method == "formula":
         value = defect_formula_value(family, spec.m, spec.n)
-        _warn_if_defect_erratum(family, spec.m, spec.n, value)
+        if family is Family.ORTHO_CHAIN_PARA_DEFECT:
+            corrected = corrected_para_defect_value(spec.m, spec.n)
+            _warn_of_erratum(
+                "formula", value,
+                f"the corrected value {corrected}, which adds the sets containing both "
+                "cut vertices of the defect square",
+                defect_claim(family, spec.m, spec.n).id,
+            )
     else:
         [value] = _route_counts(family, args, [args.n], lambda gf: [gf_term(gf, args.n)])
     if args.format == "json":
@@ -290,7 +283,7 @@ def _cmd_sequence(parser, args) -> int:
 
 
 def _cmd_gf(parser, args) -> int:
-    gf = _route_gf(Family(args.family), "gf", args.source)
+    gf, _ = _route_gf(Family(args.family), "gf", args.source)
     if args.format == "json":
         doc = {"family": args.family, "source": args.source, "text": format_gf(gf)}
         doc.update(gf_to_json_dict(gf))

@@ -18,7 +18,7 @@ from cactusids.chains import (
     build_chain,
     to_json_dict,
 )
-from cactusids.cli import MAX_BUILD_LENGTH, MAX_LENGTH, MAX_SEQUENCE_LENGTH, main
+from cactusids.cli import MAX_BUILD_LENGTH, MAX_LENGTH, main
 from cactusids.graphs import count_ids
 from cactusids.paper import (
     GAMMA_FORMULA,
@@ -259,11 +259,20 @@ class TestCount:
             ("count", "--family", "hex-para", "--n", str(MAX_LENGTH + 1), "--method", "gf"),
             ("count", "--family", "s-defect", "--m", str(MAX_LENGTH + 1), "--n", "1",
              "--method", "formula"),
-            ("sequence", "--family", "tri", "--max-n", str(MAX_SEQUENCE_LENGTH + 1)),
+            ("sequence", "--family", "tri", "--max-n", str(MAX_BUILD_LENGTH + 1)),
         ):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, ""), argv
             assert "resource limit" in err and "above the cap" in err
+
+    @pytest.mark.parametrize("method", ["transfer", "recurrence", "gf", "oracle"])
+    def test_every_sequence_method_has_the_one_cap(self, capsys, method):
+        # sequence prints every count up to --max-n, so every method takes build's cap
+        code, out, err = run(
+            capsys, "sequence", "--family", "hex-para", "--max-n", "2001", "--method", method
+        )
+        assert (code, out) == (2, "")
+        assert err == "cactusids: resource limit: --max-n 2001 is above the cap 2000\n"
 
     def test_oracle_refused_before_building(self, capsys, monkeypatch):
         # every route that builds a chain is refused one past build's cap,

@@ -107,6 +107,13 @@ def graphs(draw, max_n=12):
     return Graph.from_edges(n, edges)
 
 
+def every_graph(n: int):
+    """Every labelled graph on vertices 0..n-1, one for each set of edges."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for mask in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [pair for k, pair in enumerate(pairs) if mask >> k & 1])
+
+
 class TestGraphBasics:
     def test_from_edges_validates(self):
         with pytest.raises(ValueError, match=r"^edge \(0, 3\) out of range 0\.\.2$"):
@@ -378,6 +385,22 @@ class TestFrontierDP:
         for keep in (None, *range(g.n_vertices)):
             dp, pivot, scan = (states(engine, g, keep) for engine in ENGINES)
             assert dp == pivot == scan, keep
+
+    def test_every_small_graph_matches_the_scan(self):
+        # coverage that draws nothing: the DP against the literal definition on
+        # every labelled graph of at most 6 vertices, and with every kept vertex
+        # on those of at most 5, counting and minimising
+        checks = 0
+        for n in range(7):
+            keeps = (None, *range(n)) if n <= 5 else (None,)
+            for g in every_graph(n):
+                for keep in keeps:
+                    for mode in (graphs_module._COUNT, graphs_module._MIN):
+                        scan = graphs_module._scan_counts(g, keep, mode)
+                        assert dp_states(g, keep, mode) == scan, (g, keep, mode)
+                        checks += 1
+        # 33,868 graphs with no kept vertex and 5,405 (graph, kept vertex) pairs
+        assert checks == 2 * (33_868 + 5_405)
 
     def test_empty_graph(self):
         empty = Graph.from_edges(0, [])
