@@ -157,7 +157,7 @@ def _build_word(word: Sequence[Letter]) -> LabeledChain:
             prev = v
         blocks.append(cycle)
         entry = cycle[d]
-    graph = Graph(len(adjacency), tuple(adjacency))
+    graph = Graph(tuple(adjacency))
     return LabeledChain(graph, tuple(blocks), tuple(b[0] for b in blocks[1:]), entry)
 
 

@@ -15,12 +15,14 @@ work bound documented there holds for every public call; every chain family
 keeps at most 3 vertices live at once. A listing runs the loop in two halves
 and builds each set as heads × tails, one OR per listed set. Its output grows
 exponentially with the vertices, so a listing alone is also refused above
-``DEFAULT_MAX_VERTICES`` vertices. A call walks the vertices once to build
-the retire masks and once more to count the frontier width; the DP then reads
-those masks and branches each state inline into its successors.
+``DEFAULT_MAX_VERTICES`` vertices. A call walks the vertices once, building
+the retire masks and counting the frontier width; the DP then reads those
+masks and branches each state inline into its successors.
 ``_prefix_classes`` reads one DP run at several prefixes of a graph, so one
 pass over a chain gives every shorter chain of its family, each a prefix of
-it.
+it. Every count and minimum is such a read, the whole graph being its own
+last prefix with its last vertex kept; only the listing reads the final
+states itself.
 
 Two reference engines stay here for the tests, reached by no public call:
 ``_scan_counts`` checks the definition over all 2^n vertex subsets, and
@@ -56,10 +58,15 @@ class OracleLimitError(RuntimeError):
 
 
 class Graph(NamedTuple):
-    """Immutable simple undirected graph over vertex ids 0..n_vertices-1."""
+    """Immutable simple undirected graph over vertex ids 0..n_vertices-1.
+    ``from_edges`` is the checked constructor; of unchecked masks the oracle
+    refuses a neighbour past the last vertex, but not a loop or a one-way bit."""
 
-    n_vertices: int
     adjacency: tuple[int, ...]  # adjacency[v] = bitmask of neighbours of v
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.adjacency)
 
     @classmethod
     def from_edges(cls, n_vertices: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -73,7 +80,7 @@ class Graph(NamedTuple):
                 raise ValueError(f"loop at vertex {u} not allowed")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(n_vertices, tuple(adj))
+        return cls(tuple(adj))
 
     @property
     def full_mask(self) -> int:
@@ -103,21 +110,6 @@ class BoundaryCounts(NamedTuple):
         return self.in_count + self.out_count
 
 
-def _retire_masks(g: Graph, keep: int | None) -> list[int]:
-    """retire[v]: the vertices the frontier DP drops after processing v.
-
-    A vertex leaves once it and all its neighbours are processed, i.e. at its
-    own id or its highest neighbour's, whichever is larger; ``keep`` never
-    leaves.
-    """
-    retire = [0] * g.n_vertices
-    for u, a in enumerate(g.adjacency):
-        if u != keep:
-            last = a.bit_length() - 1
-            retire[last if last > u else u] |= 1 << u
-    return retire
-
-
 # Modes of the engines, ``(start, join, combine)``: the value of the empty
 # set, the value once the vertices of the bitmask ``members`` join it, and
 # the merge of two values that reach one state.
@@ -140,10 +132,10 @@ def _dp_states(g: Graph, retire: list[int], mode: tuple = _COUNT,
     processed vertices that reach it (``_COUNT``), the least size of such a
     set (``_MIN``), or the list of those sets as bitsets (``_sets_mode()``;
     each list belongs to one state, so merging extends it in place).
-    ``retire`` is ``_retire_masks(g, keep)``. A vertex that leaves the
-    frontier undominated ends its states, so once every vertex is processed
-    only ``keep``'s bits are left: the states say whether ``keep`` is in the
-    set, out and dominated, or out and not.
+    ``retire`` comes from ``_checked_retire(g, keep)``. A vertex that leaves
+    the frontier undominated ends its states, so once every vertex is
+    processed only ``keep``'s bits are left: the states say whether ``keep``
+    is in the set, out and dominated, or out and not.
 
     Each state branches inline into its one or two successors, and a
     successor is joined (``join``) only if it survives, so a state costs a
@@ -277,17 +269,24 @@ def _mis_masks_pivot(adjacency: tuple[int, ...], allowed: int) -> list[int]:
 
 
 def _checked_retire(g: Graph, keep: int | None = None) -> list[int]:
-    """``_retire_masks(g, keep)``; refused above the frontier width.
+    """retire[v]: the vertices the frontier DP drops after processing v;
+    refused above the frontier width, or for a neighbour past the last vertex.
 
-    The frontier width, the most vertices the DP keeps live at once, is
-    counted in one walk over the retire masks: each vertex retires once, at
-    or after its own step, so step v leaves the live count up by 1 less the
-    vertices retiring there.
+    A vertex leaves at its own id or its highest neighbour's, whichever is
+    larger, and ``keep`` never leaves. So retire[v] is complete when one walk
+    reaches v, and that walk also counts the frontier width, the most vertices
+    live at once: step v adds 1 less the vertices retiring there.
     """
-    retire = _retire_masks(g, keep)
+    n = len(g.adjacency)
+    retire = [0] * n
     live = width = 0
-    for gone in retire:
-        live += 1 - gone.bit_count()
+    for u, a in enumerate(g.adjacency):
+        last = a.bit_length() - 1
+        if last >= n:
+            raise ValueError(f"vertex {u} has neighbour {last}, past the last vertex {n - 1}")
+        if u != keep:
+            retire[last if last > u else u] |= 1 << u
+        live += 1 - retire[u].bit_count()
         if live > width:
             width = live
     if width > DP_MAX_WIDTH:
@@ -296,11 +295,6 @@ def _checked_retire(g: Graph, keep: int | None = None) -> list[int]:
             f"frontier limit {DP_MAX_WIDTH}"
         )
     return retire
-
-
-def _oracle_states(g: Graph, mode: tuple = _COUNT) -> dict:
-    """The final states of g from the DP, within the oracle's limits."""
-    return _dp_states(g, _checked_retire(g), mode)
 
 
 def enumerate_mis(g: Graph) -> Iterator[int]:
@@ -337,14 +331,16 @@ def count_ids(g: Graph) -> int:
     The empty graph counts 1 (the empty set is vacuously maximal); no chain
     family ever exercises that case.
     """
-    return _oracle_states(g)[(0, 0)]
+    n = g.n_vertices
+    return _prefix_classes(g, [(n, n - 1)])[0].count if n else 1
 
 
 def independent_domination_number(g: Graph) -> int:
     """Minimum cardinality over all maximal independent sets."""
-    if g.n_vertices == 0:
+    n = g.n_vertices
+    if n == 0:
         raise ValueError("empty graph has no dominating set")
-    return _oracle_states(g, _MIN)[(0, 0)]
+    return _prefix_classes(g, [(n, n - 1)], _MIN)[0]
 
 
 def count_boundary_classes(g: Graph, v: int) -> BoundaryCounts:

@@ -13,7 +13,8 @@ frontier DP, and no command checks isomorphism or the cactus property.
 * ``all_claims`` - every registered claim, in registry order;
 * ``pivot_states`` - the DP's final states from the pivot engine's maximal
   independent sets, a second oracle independent of the DP;
-* ``frontier_width`` - the most vertices the DP keeps live at once, walked
+* ``retire_masks`` / ``frontier_width`` - the vertices the DP drops after
+  each step, unchecked, and the most vertices it keeps live at once, walked
   with the live-vertex mask itself, against which the oracle's one-walk
   count is judged;
 * ``is_isomorphic`` - backtracking isomorphism test for small graphs;
@@ -154,6 +155,18 @@ def pivot_states(g: Graph, keep: int | None = None, mode: tuple = _COUNT) -> dic
             if not mask & near
         ))
     return _fold(listed, mode)
+
+
+def retire_masks(g: Graph, keep: int | None = None) -> list[int]:
+    """retire[v]: the vertices the frontier DP drops after processing v. Each
+    vertex but ``keep`` leaves at the first step by which it and all its
+    neighbours are processed. Unchecked: it builds the masks of graphs wider
+    than the oracle's frontier limit."""
+    retire = [0] * g.n_vertices
+    for u, a in enumerate(g.adjacency):
+        if u != keep:
+            retire[max((u, *vertices_of(a)))] |= 1 << u
+    return retire
 
 
 def frontier_width(retire: list[int]) -> int:

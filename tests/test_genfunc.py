@@ -430,7 +430,7 @@ class TestIntegerGrowthArithmetic:
     @example(0.5, 1)  # halfway between two candidates: the convergent wins
     @example(-2.5, 1)
     @example(7.5, 1)
-    @settings(max_examples=500)
+    @settings(max_examples=500, deadline=None)
     def test_limit_denominator_matches_fraction(self, x, max_denominator):
         want = Fraction(x).limit_denominator(max_denominator)
         got = genfunc._limit_denominator(x, max_denominator)

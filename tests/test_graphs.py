@@ -35,6 +35,7 @@ from reference import (
     n_edges,
     path_graph,
     pivot_states,
+    retire_masks,
     vertex_set,
     vertices_of,
 )
@@ -42,11 +43,11 @@ from reference import (
 
 def dp_states(g: Graph, keep=None, mode: tuple = graphs_module._COUNT) -> dict:
     """The DP engine with the ``(g, keep, mode)`` signature of the others."""
-    return graphs_module._dp_states(g, graphs_module._retire_masks(g, keep), mode)
+    return graphs_module._dp_states(g, retire_masks(g, keep), mode)
 
 
 def frontier_width(g: Graph, keep=None) -> int:
-    return reference_width(graphs_module._retire_masks(g, keep))
+    return reference_width(retire_masks(g, keep))
 
 
 ENGINES = (dp_states, pivot_states, graphs_module._scan_counts)
@@ -85,10 +86,12 @@ def padovan(n: int) -> int:
 
 
 def oracle_calls(g: Graph) -> list:
-    """Each public oracle call on g, with the vertex it keeps."""
+    """Each public oracle call on g, with the vertex it keeps: the count and
+    the minimum keep the last one."""
+    last = g.n_vertices - 1
     return [
-        (None, lambda: count_ids(g)),
-        (None, lambda: independent_domination_number(g)),
+        (last, lambda: count_ids(g)),
+        (last, lambda: independent_domination_number(g)),
         (None, lambda: list(enumerate_mis(g))),
     ] + [(v, lambda v=v: count_boundary_classes(g, v)) for v in range(g.n_vertices)]
 
@@ -124,6 +127,21 @@ class TestGraphBasics:
             Graph.from_edges(3, [(1, 1)])
         with pytest.raises(ValueError, match="^negative vertex count$"):
             Graph.from_edges(-1, [])
+
+    def test_the_vertex_count_is_the_adjacency_length(self):
+        assert Graph._fields == ("adjacency",)
+        assert Graph((0b10, 0b01)).n_vertices == 2
+        assert Graph.from_edges(3, [(0, 1)]) == Graph((0b10, 0b01, 0))
+
+    def test_a_neighbour_past_the_last_vertex_is_refused(self):
+        # the one walk reads each vertex's highest neighbour, so an adjacency
+        # that names a vertex it does not hold is refused before the DP runs
+        g = Graph((0b100, 0))
+        for _, call in oracle_calls(g):
+            with pytest.raises(
+                ValueError, match=r"^vertex 0 has neighbour 2, past the last vertex 1$"
+            ):
+                call()
 
     def test_symmetric_irreflexive(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
@@ -495,7 +513,7 @@ class TestFrontierDP:
         # keeps the live vertices as a mask, exceeds the limit, and says so
         # in the same words
         for keep in (None, *range(g.n_vertices)):
-            retire = graphs_module._retire_masks(g, keep)
+            retire = retire_masks(g, keep)
             width = reference_width(retire)
             if width > DP_MAX_WIDTH:
                 message = (
@@ -516,22 +534,23 @@ class TestFrontierDP:
 
         big = Graph.from_edges(DEFAULT_MAX_VERTICES + 1, [])
         with monkeypatch.context() as patched:
-            patched.setattr(graphs_module, "_retire_masks", no_walk)
+            patched.setattr(graphs_module, "_checked_retire", no_walk)
             with pytest.raises(OracleLimitError, match="41 vertices, above the oracle ceiling"):
                 enumerate_mis(big)
-        assert graphs_module._checked_retire(big) == graphs_module._retire_masks(big, None)
+        assert graphs_module._checked_retire(big) == retire_masks(big)
         assert count_ids(big) == 1 and independent_domination_number(big) == 41
 
     def test_one_mask_walk_per_call(self, monkeypatch):
-        # the width check and the DP read one list of retire masks
+        # one walk builds the retire masks and checks the width, and the DP
+        # reads those masks
         built = []
-        retire_masks = graphs_module._retire_masks
+        checked_retire = graphs_module._checked_retire
 
-        def counted(g, keep):
+        def counted(g, keep=None):
             built.append(keep)
-            return retire_masks(g, keep)
+            return checked_retire(g, keep)
 
-        monkeypatch.setattr(graphs_module, "_retire_masks", counted)
+        monkeypatch.setattr(graphs_module, "_checked_retire", counted)
         g = build_chain(ChainSpec(Family.HEX_PARA, length=3)).graph
         for keep, call in oracle_calls(g):
             built.clear()

@@ -3,7 +3,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cactusids import cli, paper, recurrences
+from cactusids import cli, graphs, paper, recurrences
 from cactusids.chains import ChainSpec, Family, LINEAR_FAMILIES, build_chain
 from cactusids.graphs import count_boundary_classes, count_ids
 from cactusids.paper import (
@@ -373,6 +373,21 @@ class TestHankelLastStep:
             info = cache.cache_info()
             assert info.currsize > 0, cache
             assert info.misses == info.currsize, cache
+
+    def test_cold_audit_oracle_work(self, monkeypatch):
+        # 18 prefix passes and 8 single-chain counts: 107 DP runs over 469
+        # vertex steps, ceilings that no interpreter or timing noise moves
+        steps, dp = [], graphs._dp_states
+
+        def counted(g, retire, mode=graphs._COUNT, states=None, first=0):
+            steps.append(len(retire[first:]))
+            return dp(g, retire, mode, states, first)
+
+        monkeypatch.setattr(graphs, "_dp_states", counted)
+        _clear_package_caches()
+        verify_all()
+        assert len(steps) <= 107
+        assert sum(steps) <= 469
 
 
 def _clear_package_caches():
